@@ -495,57 +495,9 @@ let bench_ablation_sharers_overflow =
          ignore (Tt_stache.Sharers.to_list s);
          Tt_stache.Sharers.clear s))
 
-(* Ablation: event-queue throughput (the simulator's hot path).  Both
-   queue implementations behind Eventq — the binary heap and the
-   calendar/ladder queue — under the two key distributions that matter:
-
-   - clustered: the engine's steady state, measured as the classic hold
-     model.  A persistent queue holds 256 packed (time lsl 20 lor seq)
-     keys near an advancing now; each step pops the minimum and
-     reschedules one event a short varying distance ahead, exactly like a
-     simulation in flight.  The queue lives across benchmark runs — an
-     engine creates its queue once and then runs millions of events
-     through it, so steady-state throughput is the number that matters.
-     This is the distribution the calendar queue turns into O(1) per
-     operation.
-   - uniform: keys scattered over a ~16M-cycle range, batch-pushed into a
-     fresh queue and drained — sparse, unclustered and cold, the heap's
-     home turf and the calendar's resize/ladder stress case.
-
-   [ablation_event_queue] keeps the seed benchmark's shape (heap, dense
-   small keys, batch push then drain) so the historical BENCH_RESULTS.json
-   row stays comparable. *)
-module Evq = Tt_sim.Eventq
-
-let evq_nop () = ()
-
-(* 256 hold steps (256 pops + 256 pushes, matching the seed benchmark's
-   operation count) on a queue primed once with one event per cycle. *)
-let evq_clustered impl =
-  let q = Evq.create impl in
-  for i = 0 to 255 do
-    Evq.push q ((i lsl 20) lor i) evq_nop
-  done;
-  let i = ref 0 in
-  fun () ->
-    for _ = 1 to 256 do
-      incr i;
-      let k = Evq.min_key q in
-      let (_ : unit -> unit) = Evq.pop_exn q in
-      let time = (k asr 20) + 1 + (!i land 7) in
-      Evq.push q ((time lsl 20) lor (!i land 0xFFFFF)) evq_nop
-    done
-
-let evq_uniform impl () =
-  let q = Evq.create impl in
-  for i = 0 to 255 do
-    let time = (i * 2654435761) land 0xFFFFFF in
-    Evq.push q ((time lsl 20) lor i) evq_nop
-  done;
-  while not (Evq.is_empty q) do
-    let (_ : unit -> unit) = Evq.pop_exn q in ()
-  done
-
+(* Ablation: event-queue throughput (the simulator's hot path): the
+   engine's binary heap under a batch push then drain of dense small
+   keys, the seed benchmark's shape. *)
 let bench_ablation_event_queue =
   let nop () = () in
   Test.make ~name:"ablation_event_queue"
@@ -559,22 +511,6 @@ let bench_ablation_event_queue =
            ()
          done))
 
-let bench_ablation_event_queue_heap_clustered =
-  Test.make ~name:"ablation_event_queue_heap_clustered"
-    (Staged.stage (evq_clustered Evq.Heap))
-
-let bench_ablation_event_queue_cal_clustered =
-  Test.make ~name:"ablation_event_queue_cal_clustered"
-    (Staged.stage (evq_clustered Evq.Calendar))
-
-let bench_ablation_event_queue_heap_uniform =
-  Test.make ~name:"ablation_event_queue_heap_uniform"
-    (Staged.stage (evq_uniform Evq.Heap))
-
-let bench_ablation_event_queue_cal_uniform =
-  Test.make ~name:"ablation_event_queue_cal_uniform"
-    (Staged.stage (evq_uniform Evq.Calendar))
-
 let benchmarks =
   [ bench_table1; bench_table2; bench_table3; bench_fig3_stache;
     bench_fig3_dirnnb; bench_fig3_stache_reliable;
@@ -583,10 +519,7 @@ let benchmarks =
     bench_ablation_effects; bench_ablation_effects_fast;
     bench_ablation_effects_slow;
     bench_ablation_sharers_pointers; bench_ablation_sharers_overflow;
-    bench_ablation_event_queue; bench_ablation_event_queue_heap_clustered;
-    bench_ablation_event_queue_cal_clustered;
-    bench_ablation_event_queue_heap_uniform;
-    bench_ablation_event_queue_cal_uniform ]
+    bench_ablation_event_queue ]
 
 let write_json path rows =
   let oc = open_out path in

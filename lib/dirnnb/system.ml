@@ -12,6 +12,8 @@ module Stats = Tt_util.Stats
 module Bitset = Tt_util.Bitset
 
 (* Per-block protocol trace (TT_DEBUG_BLOCK = global block number). *)
+let dbg_on block = Tt_util.Debug.on ~key:block
+
 let dbg block fmt = Tt_util.Debug.log ~key:block fmt
 
 (* Message vocabulary of the hardware protocol. *)
@@ -219,7 +221,8 @@ let send2 t ~src ~at ~dst ~vnet ~handler ~with_data a0 a1 =
 
 (* Eviction of an exclusively-held line: hardware writeback to home. *)
 let writeback t node ~at block =
-  dbg block "t=%d writeback from node=%d" at node.id;
+  if dbg_on block then
+    dbg block "t=%d writeback from node=%d" at node.id;
   Stats.Counter.incr node.c_writebacks;
   Hashtbl.replace node.wb_inflight block
     (1 + Option.value ~default:0 (Hashtbl.find_opt node.wb_inflight block));
@@ -230,7 +233,8 @@ let writeback t node ~at block =
 (* Fill a granted line at the requesting node's controller; returns the
    replacement cost (charged to the CPU when it resumes). *)
 let ctrl_fill t node block grant =
-  dbg block "t=%d fill node=%d grant=%d" node.ctrl.Ctrl.clock node.id grant;
+  if dbg_on block then
+    dbg block "t=%d fill node=%d grant=%d" node.ctrl.Ctrl.clock node.id grant;
   let state =
     if grant = grant_shared then Cache.Shared else Cache.Exclusive
   in
@@ -313,13 +317,14 @@ let clear_sharers (entry : Directory.entry) =
 (* --- home-side directory transaction engine (runs in ctrl context) --- *)
 
 let rec start_txn t home kind requester block =
-  dbg block "t=%d start_txn home=%d kind=%s req=%d" home.ctrl.Ctrl.clock
-    home.id
-    (match kind with
-    | Directory.Read -> "read"
-    | Directory.Read_ex -> "readex"
-    | Directory.Upgrade -> "upgrade")
-    requester;
+  if dbg_on block then
+    dbg block "t=%d start_txn home=%d kind=%s req=%d" home.ctrl.Ctrl.clock
+      home.id
+      (match kind with
+      | Directory.Read -> "read"
+      | Directory.Read_ex -> "readex"
+      | Directory.Upgrade -> "upgrade")
+      requester;
   let p = t.params in
   let ctrl = home.ctrl in
   let entry = Directory.entry home.dir ~block in
@@ -449,8 +454,9 @@ let complete_txn t home block =
   drain ()
 
 let finish_txn t home block (txn : Directory.txn) =
-  dbg block "t=%d finish_txn home=%d req=%d" home.ctrl.Ctrl.clock home.id
-    txn.Directory.requester;
+  if dbg_on block then
+    dbg block "t=%d finish_txn home=%d req=%d" home.ctrl.Ctrl.clock home.id
+      txn.Directory.requester;
   let entry = Directory.entry home.dir ~block in
   if t.is_dead txn.Directory.requester then begin
     (* the requester died mid-transaction: the conflicting copies are gone
@@ -497,8 +503,9 @@ let ctrl_exec t node msg =
   let args = msg.Message.args in
   let block = args.(0) in
   let handler = msg.Message.handler in
-  dbg block "t=%d ctrl%d handler=%d src=%d" ctrl.Ctrl.clock node.id handler
-    msg.Message.src;
+  if dbg_on block then
+    dbg block "t=%d ctrl%d handler=%d src=%d" ctrl.Ctrl.clock node.id handler
+      msg.Message.src;
   if handler = h_read || handler = h_readex || handler = h_upgrade then begin
     Ctrl.charge ctrl p.Params.dir_op;
     let kind =
@@ -750,7 +757,8 @@ let cpu_access t ~node th access vaddr =
         && entry.Directory.owner = None
         && not entry.Directory.overflowed
       then begin
-        dbg block "t=%d cpu%d fastpath-upgrade" (Thread.clock th) node;
+        if dbg_on block then
+          dbg block "t=%d cpu%d fastpath-upgrade" (Thread.clock th) node;
         Thread.advance th t.params.Params.upgrade;
         entry.Directory.owner <- Some node;
         Bitset.clear entry.Directory.sharers;
@@ -767,7 +775,8 @@ let cpu_access t ~node th access vaddr =
             | None -> false
           in
           if local && entry_free entry && not conflict then begin
-            dbg block "t=%d cpu%d fastpath-load" (Thread.clock th) node;
+            if dbg_on block then
+              dbg block "t=%d cpu%d fastpath-load" (Thread.clock th) node;
             Stats.Counter.incr n.c_local_misses;
             Thread.advance th t.params.Params.local_miss;
             let others =
@@ -802,7 +811,8 @@ let cpu_access t ~node th access vaddr =
             | None -> false
           in
           if local && entry_free entry && not conflict then begin
-            dbg block "t=%d cpu%d fastpath-store" (Thread.clock th) node;
+            if dbg_on block then
+              dbg block "t=%d cpu%d fastpath-store" (Thread.clock th) node;
             Stats.Counter.incr n.c_local_misses;
             Thread.advance th t.params.Params.local_miss;
             entry.Directory.owner <- Some node;

@@ -2,13 +2,13 @@
 
     The paper evaluates a fixed 32-node CM-5; this sweep re-runs the
     Figure 3 applications on both systems at 64, 128 and 256 nodes to
-    check that the simulation (and the calendar event queue feeding it)
-    sustains the larger machines, and how the Typhoon/Stache-to-DirNNB
+    check that the simulation (and the event queue feeding it) sustains
+    the larger machines, and how the Typhoon/Stache-to-DirNNB
     ratio moves as the same data set is cut ever finer.
 
-    Simulated cycle counts are deterministic — independent of host, of
-    wall-clock and of the queue implementation ([TT_EVQ]) — so the
-    rendered table is diff-stable and gates [scripts/check_scaling.sh].
+    Simulated cycle counts are deterministic — independent of host and of
+    wall-clock — so the rendered table is diff-stable and gates
+    [scripts/check_scaling.sh].
     Host CPU seconds are reported separately per point and never appear
     in {!render} or {!to_json}. *)
 

@@ -101,7 +101,7 @@ let validate t =
   else if t.fabric_capacity <= 0 then err "fabric_capacity must be positive"
   else Ok ()
 
-(* TT_DOMAINS follows the TT_EVQ / TT_FASTPATH / TT_FLOW kill-switch
+(* TT_DOMAINS follows the TT_FASTPATH / TT_FLOW kill-switch
    pattern: a simulator-implementation knob read from the environment, not
    a machine parameter — it must never appear in [t], where it could leak
    into labels or pinned outputs. *)

@@ -86,5 +86,5 @@ val domains_of_env : unit -> int
     and the {!Tt_sim.Domains} engine: [0] (default, or unset/empty) means
     sequential, [n >= 1] requests [n] worker domains.  Raises
     [Invalid_argument] on a malformed value.  A simulator knob like
-    [TT_EVQ]/[TT_FLOW], deliberately not a field of {!t}: it changes
+    [TT_FASTPATH]/[TT_FLOW], deliberately not a field of {!t}: it changes
     wall-clock behavior only, never simulated cycles or stats. *)

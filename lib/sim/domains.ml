@@ -2,7 +2,7 @@
    across OCaml 5 domains.
 
    The machine model is a set of deterministic actors behind the
-   Eventq/Engine boundary, and every cross-actor interaction rides a
+   Engine boundary, and every cross-actor interaction rides a
    network link with a fixed minimum latency.  That latency is *lookahead*
    in PDES terms: an event executing at time [t] can only affect another
    partition at [t + lookahead] or later.  So events in the half-open
@@ -56,7 +56,7 @@ type t = {
   mutable epochs : int;
 }
 
-let create ?queue ?(mailbox_capacity = 8192) ~partitions ~lookahead () =
+let create ?(mailbox_capacity = 8192) ~partitions ~lookahead () =
   if partitions <= 0 then
     invalid_arg "Domains.create: partitions must be positive";
   if lookahead <= 0 then invalid_arg "Domains.create: lookahead must be positive";
@@ -64,7 +64,7 @@ let create ?queue ?(mailbox_capacity = 8192) ~partitions ~lookahead () =
     invalid_arg "Domains.create: mailbox_capacity must be positive";
   {
     lookahead;
-    engines = Array.init partitions (fun _ -> Engine.create ?queue ());
+    engines = Array.init partitions (fun _ -> Engine.create ());
     boxes =
       Array.init partitions (fun _ ->
           Array.init partitions (fun _ ->

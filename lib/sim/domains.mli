@@ -29,7 +29,6 @@ exception Mailbox_full of string
 type t
 
 val create :
-  ?queue:Eventq.impl ->
   ?mailbox_capacity:int ->
   partitions:int ->
   lookahead:int ->

@@ -2,11 +2,7 @@
    immediate int — [time lsl seq_bits lor seq] — so the queue compares
    plain ints and stores the callback directly: no per-event record, no
    comparator closure.  See DESIGN.md "Performance" for the bit budget.
-
-   The queue itself sits behind the Eventq.EVENT_QUEUE boundary: a binary
-   heap or a calendar/ladder queue, chosen at [create] (TT_EVQ=heap|cal
-   overrides; default calendar).  Both drain in the exact same total key
-   order, so everything below is implementation-agnostic.
+   The queue is the monomorphic binary heap {!Tt_util.Intheap}.
 
    [seq] breaks ties FIFO among events that coexist at equal times.  It
    resets to 0 whenever the queue drains (FIFO order only matters among
@@ -14,7 +10,9 @@
    scheduled without the queue ever draining, the live queue is renumbered
    in place ([rebase]), preserving order. *)
 
-let seq_bits = Eventq.seq_bits
+module Q = Tt_util.Intheap
+
+let seq_bits = 20
 
 let seq_limit = 1 lsl seq_bits
 
@@ -24,7 +22,7 @@ let max_time = max_int asr seq_bits
    (high bits, from the perturber) and a FIFO counter (low bits): events at
    equal times sort by salt first, FIFO among equal salts.  Salt 0 is the
    neutral value — an all-zero salt stream reproduces pure FIFO order. *)
-let salt_bits = Eventq.salt_bits
+let salt_bits = 8
 
 let salt_limit = 1 lsl salt_bits
 
@@ -33,7 +31,7 @@ let counter_bits = seq_bits - salt_bits
 let counter_mask = (1 lsl counter_bits) - 1
 
 type t = {
-  events : Eventq.t;
+  events : (unit -> unit) Q.t;
   mutable now : int;
   mutable seq : int;
   mutable tiebreak : (int -> int) option;
@@ -52,14 +50,9 @@ type t = {
 
 let nop () = ()
 
-let create ?queue () =
-  let impl = match queue with Some i -> i | None -> Eventq.impl_of_env () in
-  { events = Eventq.create impl; now = 0; seq = 0; tiebreak = None;
-    tiebreak_sites = 0; run_limit = max_int; trace = None }
-
-let queue_impl t = Eventq.impl t.events
-
-let queue_fell_back t = Eventq.fell_back t.events
+let create () =
+  { events = Q.create ~capacity:256 ~dummy:nop (); now = 0; seq = 0;
+    tiebreak = None; tiebreak_sites = 0; run_limit = max_int; trace = None }
 
 let set_tiebreak t f = t.tiebreak <- f
 
@@ -76,7 +69,7 @@ let key_salt key = (key asr counter_bits) land (salt_limit - 1)
 
 let now t = t.now
 
-let pending t = Eventq.length t.events
+let pending t = Q.length t.events
 
 (* Renumber queued events with consecutive seqs starting from 0.  Draining
    the queue yields ascending (time, seq) order, so reassigning seq by drain
@@ -93,17 +86,17 @@ let pending t = Eventq.length t.events
    counter stays below the fresh [t.seq = n] that later pushes truncate
    from. *)
 let rebase t =
-  let n = Eventq.length t.events in
+  let n = Q.length t.events in
   let keys = Array.make n 0 and fns = Array.make n nop in
   for i = 0 to n - 1 do
-    keys.(i) <- Eventq.min_key t.events;
-    fns.(i) <- Eventq.pop_exn t.events
+    keys.(i) <- Q.min_key t.events;
+    fns.(i) <- Q.pop_exn t.events
   done;
   (match t.tiebreak with
   | None ->
       (* pure-FIFO keys: the whole [seq_bits] field is drain position *)
       for i = 0 to n - 1 do
-        Eventq.push t.events
+        Q.push t.events
           (((keys.(i) asr seq_bits) lsl seq_bits) lor i)
           fns.(i)
       done
@@ -113,7 +106,7 @@ let rebase t =
         (* [time lsl salt_bits lor salt]: everything above the counter *)
         let ts = keys.(i) asr counter_bits in
         if i > 0 && keys.(i - 1) asr counter_bits <> ts then counter := 0;
-        Eventq.push t.events
+        Q.push t.events
           ((ts lsl counter_bits) lor (!counter land counter_mask))
           fns.(i);
         incr counter
@@ -131,7 +124,7 @@ let at t time fn =
          (Sys.int_size - 1 - seq_bits));
   if t.seq >= seq_limit then rebase t;
   (match t.tiebreak with
-  | None -> Eventq.push t.events ((time lsl seq_bits) lor t.seq) fn
+  | None -> Q.push t.events ((time lsl seq_bits) lor t.seq) fn
   | Some salt_of ->
       (* perturbed tie-breaking: same-time events sort by salt, then FIFO.
          The counter is truncated to its bit budget; a collision between
@@ -139,7 +132,7 @@ let at t time fn =
          which is exactly what perturbation permits. *)
       let salt = salt_of t.tiebreak_sites land (salt_limit - 1) in
       t.tiebreak_sites <- t.tiebreak_sites + 1;
-      Eventq.push t.events
+      Q.push t.events
         ((time lsl seq_bits) lor (salt lsl counter_bits)
         lor (t.seq land counter_mask))
         fn);
@@ -160,8 +153,8 @@ let after t delay fn =
   at t (t.now + delay) fn
 
 let next_event_time t =
-  if Eventq.is_empty t.events then max_int
-  else Eventq.min_key t.events asr seq_bits
+  if Q.is_empty t.events then max_int
+  else Q.min_key t.events asr seq_bits
 
 (* [elidable_at t time] decides whether a caller may advance [now] to
    [time] with {!skip_to} and keep executing inline instead of scheduling a
@@ -174,7 +167,7 @@ let next_event_time t =
 let elidable_at t time =
   time >= t.now && time <= t.run_limit
   && (match t.tiebreak with None -> true | Some _ -> false)
-  && (Eventq.is_empty t.events || Eventq.min_key t.events asr seq_bits > time)
+  && (Q.is_empty t.events || Q.min_key t.events asr seq_bits > time)
 
 let skip_to t time =
   if time < t.now then
@@ -193,17 +186,17 @@ let skip_to t time =
 let fire t key =
   t.now <- key asr seq_bits;
   (match t.trace with None -> () | Some f -> f key);
-  let fn = Eventq.pop_exn t.events in
+  let fn = Q.pop_exn t.events in
   (* FIFO order only matters among coexisting events: restart the tie
      counter whenever the queue drains so it can never overflow in
      steady-state workloads. *)
-  if Eventq.is_empty t.events then t.seq <- 0;
+  if Q.is_empty t.events then t.seq <- 0;
   fn ()
 
 let step t =
-  if Eventq.is_empty t.events then false
+  if Q.is_empty t.events then false
   else begin
-    fire t (Eventq.min_key t.events);
+    fire t (Q.min_key t.events);
     true
   end
 
@@ -211,9 +204,9 @@ let run t = while step t do () done
 
 let run_until t ~limit =
   let rec go () =
-    if Eventq.is_empty t.events then true
+    if Q.is_empty t.events then true
     else begin
-      let key = Eventq.min_key t.events in
+      let key = Q.min_key t.events in
       if key asr seq_bits > limit then false
       else begin
         fire t key;

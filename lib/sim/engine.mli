@@ -11,26 +11,12 @@
     [time lsl 20 lor seq] — so scheduling and stepping allocate nothing
     beyond the caller's callback closure.  Times are limited to
     [max_int asr 20] cycles (~4.4e12 on 64-bit); {!at} raises past that.
-
-    The queue implementation itself sits behind {!Eventq.EVENT_QUEUE}: a
-    binary heap ({!Tt_util.Intheap}) or a calendar/ladder queue
-    ({!Tt_util.Calqueue}), selected per engine at {!create}.  Both drain
-    in the exact same total key order, so simulated results are
-    bit-identical whichever is active. *)
+    The queue is the monomorphic binary heap {!Tt_util.Intheap}. *)
 
 type t
 
-val create : ?queue:Eventq.impl -> unit -> t
-(** [create ()] picks the queue implementation from [TT_EVQ]
-    ([heap] | [cal]); unset defaults to the calendar queue.  [?queue]
-    overrides the environment (used by the heap/calendar equivalence
-    property tests). *)
-
-val queue_impl : t -> Eventq.impl
-
-val queue_fell_back : t -> bool
-(** [true] once an adaptive queue implementation degraded to its
-    fallback (see {!Tt_util.Calqueue}); always [false] for {!Eventq.Heap}. *)
+val create : unit -> t
+(** An engine at time 0 with an empty queue. *)
 
 val now : t -> int
 (** Timestamp of the event currently executing (0 before the first). *)

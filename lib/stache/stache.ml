@@ -6,6 +6,8 @@ module Message = Tt_net.Message
 module Stats = Tt_util.Stats
 
 (* Per-block protocol trace (TT_DEBUG_BLOCK = block-base virtual address). *)
+let dbg_on vaddr = Tt_util.Debug.on ~key:(Tt_mem.Addr.block_base vaddr)
+
 let dbg vaddr fmt = Tt_util.Debug.log ~key:(Tt_mem.Addr.block_base vaddr) fmt
 
 (* Shared scratch argument builders: protocol sends pass these to the
@@ -233,20 +235,22 @@ let grant t ep ~vaddr (bd : Dir.block_dir) client =
 
 (* Serve one request at the home node; queues behind pending transactions. *)
 let rec serve t (ep : Tempest.t) ~vaddr (bd : Dir.block_dir) client =
-  dbg vaddr "serve home=%d client=%s state=%s pending=%b waiters=%d"
-    ep.Tempest.node
-    (match client with
-    | Dir.Remote (r, k) ->
-        Printf.sprintf "R%d:%s" r
-          (match k with `Ro -> "ro" | `Rw -> "rw" | `Up -> "up")
-    | Dir.Home (_, a) ->
-        Printf.sprintf "H:%s" (match a with Tag.Load -> "ld" | Tag.Store -> "st"))
-    (match bd.Dir.state with
-    | Dir.Idle -> "idle"
-    | Dir.Shared -> "shared"
-    | Dir.Remote_excl o -> Printf.sprintf "excl%d" o)
-    (bd.Dir.pending <> None)
-    (Queue.length bd.Dir.waiters);
+  if dbg_on vaddr then
+    dbg vaddr "serve home=%d client=%s state=%s pending=%b waiters=%d"
+      ep.Tempest.node
+      (match client with
+      | Dir.Remote (r, k) ->
+          Printf.sprintf "R%d:%s" r
+            (match k with `Ro -> "ro" | `Rw -> "rw" | `Up -> "up")
+      | Dir.Home (_, a) ->
+          Printf.sprintf "H:%s"
+            (match a with Tag.Load -> "ld" | Tag.Store -> "st"))
+      (match bd.Dir.state with
+      | Dir.Idle -> "idle"
+      | Dir.Shared -> "shared"
+      | Dir.Remote_excl o -> Printf.sprintf "excl%d" o)
+      (bd.Dir.pending <> None)
+      (Queue.length bd.Dir.waiters);
   touch_dir ep ~vaddr;
   if bd.Dir.pending <> None then Queue.add client bd.Dir.waiters
   else
@@ -385,7 +389,8 @@ let on_get t (ep : Tempest.t) ~src ~args ~data:_ =
 (* requester <- home: block data *)
 let on_data t (ep : Tempest.t) ~src:_ ~args ~data =
   let vaddr = args.(0) and rw = args.(1) = 1 in
-  dbg vaddr "data at node=%d rw=%b" ep.Tempest.node rw;
+  if dbg_on vaddr then
+    dbg vaddr "data at node=%d rw=%b" ep.Tempest.node rw;
   let ns = node_state t ep.Tempest.node in
   match Hashtbl.find_opt ns.pending_remote vaddr with
   | None ->
@@ -435,7 +440,8 @@ let on_inval t (ep : Tempest.t) ~src ~args ~data:_ =
 (* home <- sharer *)
 let on_inval_ack t (ep : Tempest.t) ~src:_ ~args ~data:_ =
   let vaddr = args.(0) in
-  dbg vaddr "inval_ack at home=%d" ep.Tempest.node;
+  if dbg_on vaddr then
+    dbg vaddr "inval_ack at home=%d" ep.Tempest.node;
   let bd = Dir.block_of ep ~vaddr in
   touch_dir ep ~vaddr;
   ep.Tempest.charge c_ack_extra;
@@ -451,7 +457,8 @@ let on_inval_ack t (ep : Tempest.t) ~src:_ ~args ~data:_ =
 (* owner <- home: give the block back (ex=1 also relinquish it) *)
 let on_recall t (ep : Tempest.t) ~src ~args ~data:_ =
   let vaddr = args.(0) and ex = args.(1) = 1 in
-  dbg vaddr "recall at owner=%d ex=%b" ep.Tempest.node ex;
+  if dbg_on vaddr then
+    dbg vaddr "recall at owner=%d ex=%b" ep.Tempest.node ex;
   ep.Tempest.charge c_recall_extra;
   let mapped = ep.Tempest.page_mapped ~vpage:(Addr.page_of vaddr) in
   let have = mapped && Tag.equal (ep.Tempest.read_tag ~vaddr) Tag.Read_write in
@@ -475,7 +482,8 @@ let on_recall t (ep : Tempest.t) ~src ~args ~data:_ =
 (* home <- former owner *)
 let on_recall_data t (ep : Tempest.t) ~src ~args ~data =
   let vaddr = args.(0) and present = args.(1) = 1 in
-  dbg vaddr "recall_data from=%d present=%b" src present;
+  if dbg_on vaddr then
+    dbg vaddr "recall_data from=%d present=%b" src present;
   let bd = Dir.block_of ep ~vaddr in
   touch_dir ep ~vaddr;
   ep.Tempest.charge c_ack_extra;
@@ -557,9 +565,12 @@ let on_noop _t (ep : Tempest.t) ~src:_ ~args:_ ~data =
 (* Block fault on a stached (remote) page: request the block from home. *)
 let remote_block_fault t (ep : Tempest.t) (fault : Tempest.fault) =
   let vaddr = Addr.block_base fault.Tempest.fault_vaddr in
-  dbg vaddr "fault node=%d access=%s tag=%s" ep.Tempest.node
-    (match fault.Tempest.fault_access with Tag.Load -> "ld" | Tag.Store -> "st")
-    (Tag.to_string fault.Tempest.fault_tag);
+  if dbg_on vaddr then
+    dbg vaddr "fault node=%d access=%s tag=%s" ep.Tempest.node
+      (match fault.Tempest.fault_access with
+      | Tag.Load -> "ld"
+      | Tag.Store -> "st")
+      (Tag.to_string fault.Tempest.fault_tag);
   let kind =
     match fault.Tempest.fault_access, fault.Tempest.fault_tag with
     | Tag.Load, _ -> `Ro

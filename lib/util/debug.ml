@@ -3,8 +3,10 @@ let target =
   | Some s -> int_of_string_opt s
   | None -> None
 
+let on ~key = match target with Some k -> k = key | None -> false
+
 let log ~key fmt =
-  Printf.ksprintf (fun msg -> if target = Some key then prerr_endline msg) fmt
+  Printf.ksprintf (fun msg -> if on ~key then prerr_endline msg) fmt
 
 let pool_debug_flag =
   ref

@@ -3,8 +3,7 @@
     The specialized event queue backing {!Tt_sim.Engine}: keys are immediate
     ints compared with inline [<]/[>] (no comparator closure, no polymorphic
     compare), and key/payload live in parallel flat arrays so pushing or
-    popping allocates nothing.  Keep using {!Heap} for keys that are not
-    ints or for call sites off the hot path. *)
+    popping allocates nothing. *)
 
 type 'a t
 

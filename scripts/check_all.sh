@@ -1,7 +1,8 @@
 #!/bin/sh
 # Run every gate in sequence: the per-subsystem A/B checks (each runs the
-# full test suite under its own kill-switch both ways) plus the
-# domains-parallel parity gate.  Any failure aborts the chain.
+# full test suite under its own kill-switch both ways), the engine smoke
+# gate and the domains-parallel parity gate.  Any failure aborts the
+# chain.
 set -eu
 cd "$(dirname "$0")"
 

@@ -39,8 +39,7 @@ let with_fastpath on f =
    and a lock.  Every op appends [(proc, op index, thread clock, engine
    now)] to a shared log; the log captures the full interleaving, so any
    divergence between the elided and the suspended path shows up as a
-   mismatch.  Same shape as the heap/calendar queue equivalence
-   property. *)
+   mismatch. *)
 
 type op = Advance of int | Yield | Bar | Critical of int | Await of int
         | Immediate

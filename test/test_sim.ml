@@ -200,45 +200,6 @@ let test_engine_rebase_preserves_salt () =
   Alcotest.(check (list int)) "salt order across rebase" [ 1; 2; 3; 0 ]
     (List.rev !log)
 
-(* The heap and calendar queues must produce bit-identical schedules: same
-   firing order, same clock, under nested scheduling and perturbed
-   tiebreaks alike.
-
-   The spec is capped at 500 root events (≤ 2000 scheduling decisions with
-   nesting): past 4096 decisions without a drain, a perturbed engine wraps
-   its 12-bit FIFO counter and coexisting events can carry *identical*
-   packed keys — whose relative order the engine legitimately leaves to
-   the queue (the heap reorders them, the calendar keeps FIFO).  Below the
-   wrap, every coexisting key is distinct and the order is fully pinned. *)
-let prop_engine_queue_equivalence =
-  QCheck.Test.make
-    ~name:"heap and calendar engines produce identical event logs" ~count:150
-    QCheck.(
-      pair bool
-        (list_of_size
-           Gen.(int_range 0 500)
-           (pair (int_range 0 2000) (int_range 0 3))))
-    (fun (perturb, spec) ->
-      let trace queue =
-        let e = Engine.create ~queue () in
-        if perturb then
-          Engine.set_tiebreak e (Some (fun site -> (site * 2654435761) land 0xff));
-        let log = ref [] in
-        List.iteri
-          (fun i (time, nested) ->
-            Engine.at e time (fun () ->
-                log := (i, Engine.now e) :: !log;
-                (* nested rescheduling at and after now *)
-                for j = 1 to nested do
-                  Engine.after e (j * 17 mod 5) (fun () ->
-                      log := (i + (1000 * j), Engine.now e) :: !log)
-                done))
-          spec;
-        Engine.run e;
-        (List.rev !log, Engine.now e)
-      in
-      trace Tt_sim.Eventq.Heap = trace Tt_sim.Eventq.Calendar)
-
 let test_engine_run_until () =
   let e = Engine.create () in
   let fired = ref 0 in
@@ -541,7 +502,6 @@ let () =
           Alcotest.test_case "rebase preserves nonzero salts" `Quick
             test_engine_rebase_preserves_salt;
           QCheck_alcotest.to_alcotest prop_engine_stable_order;
-          QCheck_alcotest.to_alcotest prop_engine_queue_equivalence;
           Alcotest.test_case "hot path does not allocate" `Quick
             test_engine_hot_path_no_alloc;
         ] );
