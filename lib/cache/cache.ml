@@ -55,24 +55,34 @@ let base_of t block =
   in
   index * t.assoc
 
-(* Slot of [block] if cached, else -1. *)
+(* Slot of [block] if cached, else -1.  A plain loop: a local recursive
+   function would allocate its closure on every call. *)
 let find_slot t block =
   let base = base_of t block in
-  let rec go i =
-    if i >= t.assoc then -1
-    else
-      let slot = base + i in
-      if
-        Bytes.unsafe_get t.meta slot <> m_invalid
-        && Array.unsafe_get t.tags slot = block
-      then slot
-      else go (i + 1)
-  in
-  go 0
+  let stop = base + t.assoc in
+  let slot = ref base in
+  while
+    !slot < stop
+    && (Bytes.unsafe_get t.meta !slot = m_invalid
+       || Array.unsafe_get t.tags !slot <> block)
+  do
+    incr slot
+  done;
+  if !slot < stop then !slot else -1
+
+(* Shared results, so a hit returns without allocating. *)
+let some_shared = Some Shared
+
+let some_exclusive = Some Exclusive
+
+let some_state_of_meta = function
+  | '\001' -> some_shared
+  | '\002' -> some_exclusive
+  | _ -> invalid_arg "Cache: invalid line"
 
 let probe t ~block =
   let slot = find_slot t block in
-  if slot < 0 then None else Some (state_of_meta (Bytes.unsafe_get t.meta slot))
+  if slot < 0 then None else some_state_of_meta (Bytes.unsafe_get t.meta slot)
 
 let lookup t ~block =
   let slot = find_slot t block in
@@ -82,7 +92,7 @@ let lookup t ~block =
   end
   else begin
     t.hit_count <- t.hit_count + 1;
-    Some (state_of_meta (Bytes.unsafe_get t.meta slot))
+    some_state_of_meta (Bytes.unsafe_get t.meta slot)
   end
 
 let insert t ~block ~state =
@@ -93,15 +103,13 @@ let insert t ~block ~state =
   end
   else begin
     let base = base_of t block in
+    let stop = base + t.assoc in
+    let free = ref base in
+    while !free < stop && Bytes.unsafe_get t.meta !free <> m_invalid do
+      incr free
+    done;
     let slot =
-      let rec free i =
-        if i >= t.assoc then -1
-        else if Bytes.unsafe_get t.meta (base + i) = m_invalid then base + i
-        else free (i + 1)
-      in
-      match free 0 with
-      | -1 -> base + Tt_util.Prng.int t.prng t.assoc
-      | s -> s
+      if !free < stop then !free else base + Tt_util.Prng.int t.prng t.assoc
     in
     let evicted =
       match Bytes.unsafe_get t.meta slot with

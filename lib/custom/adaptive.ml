@@ -4,6 +4,7 @@ module Thread = Tt_sim.Thread
 module Addr = Tt_mem.Addr
 module Stats = Tt_util.Stats
 module Vec = Tt_util.Vec
+module Inttbl = Tt_util.Inttbl
 
 (* Per-page policy selection over the protocol zoo.
 
@@ -66,7 +67,7 @@ type t = {
   proto : Proto.t;
   enabled : bool;
   counters : Stats.t;
-  pages : (int, page) Hashtbl.t; (* vpage -> window state *)
+  pages : page Inttbl.t; (* vpage -> window state *)
   homed : int Vec.t array; (* per home node: vpages in first-event order *)
   release_tick : int array; (* per node: unlocks seen, for sampled windows *)
   c_windows : Stats.counter;
@@ -90,14 +91,14 @@ let stats t = t.counters
 let switches t = Stats.Counter.get t.c_switches
 
 let page_of t vpage =
-  match Hashtbl.find_opt t.pages vpage with
+  match Inttbl.find_opt t.pages vpage with
   | Some p -> p
   | None ->
       let p =
         { vpage; reads = 0; writes = 0; recalls = 0; inv_home = 0;
           grants = 0; cand = Proto.Stachelike; streak = 0 }
       in
-      Hashtbl.replace t.pages vpage p;
+      Inttbl.replace t.pages vpage p;
       let home = Stache.home_of t.stache ~vaddr:(vpage * Addr.page_size) in
       Vec.push t.homed.(home) vpage;
       p
@@ -145,7 +146,7 @@ let on_sync t ~node th =
     Stats.Counter.incr t.c_windows;
     Vec.iter
       (fun vpage ->
-        let p = Hashtbl.find t.pages vpage in
+        let p = Inttbl.find t.pages vpage in
         match classify p with
         | None -> ()
         | Some cand ->
@@ -200,7 +201,7 @@ let install sys stache proto =
       proto;
       enabled;
       counters;
-      pages = Hashtbl.create 1024;
+      pages = Inttbl.create 1024;
       homed = Array.init (System.nnodes sys) (fun _ -> Vec.create ());
       release_tick = Array.make (System.nnodes sys) 0;
       c_windows = Stats.counter counters "windows";

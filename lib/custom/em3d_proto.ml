@@ -8,6 +8,7 @@ module Tag = Tt_mem.Tag
 module Message = Tt_net.Message
 module Stats = Tt_util.Stats
 module Vec = Tt_util.Vec
+module Inttbl = Tt_util.Inttbl
 
 let mode_custom_home = 3
 
@@ -30,10 +31,10 @@ type kind_state = {
   mutable expected : int;  (* # blocks of this kind stached locally *)
   mutable wait_step : int;  (* next wait episode (starts at 1) *)
   mutable flush_step : int;  (* next flush episode (starts at 1) *)
-  buffers : (int, (int * Bytes.t) Vec.t) Hashtbl.t;  (* step -> updates *)
+  buffers : (int * Bytes.t) Vec.t Inttbl.t;  (* step -> updates *)
   mutable waiter : (int * (unit -> unit)) option;
   home_blocks : int Vec.t;  (* block base addresses homed here, fetch order *)
-  sharers : (int, Sharers.t) Hashtbl.t;  (* block vaddr -> consumers *)
+  sharers : Sharers.t Inttbl.t;  (* block vaddr -> consumers *)
 }
 
 type t = {
@@ -43,8 +44,8 @@ type t = {
   kind_ids : (string, int) Hashtbl.t;
   mutable kind_names : string array;
   custom_pages : Proto.Pages.t;  (* vpage -> kind id *)
-  states : (int, kind_state) Hashtbl.t array;  (* per node: kind id -> state *)
-  pending : (int, Tempest.resumption) Hashtbl.t array; (* per node fetches *)
+  states : kind_state Inttbl.t array;  (* per node: kind id -> state *)
+  pending : Tempest.resumption Inttbl.t array; (* per node fetches *)
   mutable h_get : int;
   mutable h_data : int;
   mutable h_update : int;
@@ -64,26 +65,26 @@ let kind_id t name =
 
 let state t ~node ~kind =
   let table = t.states.(node) in
-  match Hashtbl.find_opt table kind with
+  match Inttbl.find_opt table kind with
   | Some ks -> ks
   | None ->
       let ks =
         { expected = 0; wait_step = 1; flush_step = 1;
-          buffers = Hashtbl.create 4; waiter = None; home_blocks = Vec.create ();
-          sharers = Hashtbl.create 64 }
+          buffers = Inttbl.create 4; waiter = None; home_blocks = Vec.create ();
+          sharers = Inttbl.create 64 }
       in
-      Hashtbl.replace table kind ks;
+      Inttbl.replace table kind ks;
       ks
 
 let kind_of_vaddr t vaddr =
   Proto.Pages.id_of t.custom_pages ~what:"Em3d_proto" vaddr
 
 let buffer_of ks step =
-  match Hashtbl.find_opt ks.buffers step with
+  match Inttbl.find_opt ks.buffers step with
   | Some v -> v
   | None ->
       let v = Vec.create () in
-      Hashtbl.replace ks.buffers step v;
+      Inttbl.replace ks.buffers step v;
       v
 
 (* Apply all buffered updates of [step]: forced coherent writes into the
@@ -96,7 +97,7 @@ let apply_step (ep : Tempest.t) ks step =
       ep.Tempest.charge c_update_extra;
       ep.Tempest.force_write_block ~vaddr data)
     buf;
-  Hashtbl.remove ks.buffers step
+  Inttbl.remove ks.buffers step
 
 (* --- message handlers (run on the NP) --- *)
 
@@ -107,11 +108,11 @@ let on_get t (ep : Tempest.t) ~src ~args ~data:_ =
   let kind = kind_of_vaddr t vaddr in
   let ks = state t ~node:ep.Tempest.node ~kind in
   let sh =
-    match Hashtbl.find_opt ks.sharers vaddr with
+    match Inttbl.find_opt ks.sharers vaddr with
     | Some sh -> sh
     | None ->
         let sh = Sharers.create ~nodes:ep.Tempest.nnodes in
-        Hashtbl.replace ks.sharers vaddr sh;
+        Inttbl.replace ks.sharers vaddr sh;
         Vec.push ks.home_blocks vaddr;
         sh
   in
@@ -125,13 +126,13 @@ let on_get t (ep : Tempest.t) ~src ~args ~data:_ =
 let on_data t (ep : Tempest.t) ~src:_ ~args ~data =
   let vaddr = args.(0) in
   let node = ep.Tempest.node in
-  match Hashtbl.find_opt t.pending.(node) vaddr with
+  match Inttbl.find_opt t.pending.(node) vaddr with
   | None ->
       invalid_arg
         (Printf.sprintf "Em3d_proto: node %d: data for 0x%x with no fetch"
            node vaddr)
   | Some resumption ->
-      Hashtbl.remove t.pending.(node) vaddr;
+      Inttbl.remove t.pending.(node) vaddr;
       ep.Tempest.force_write_block ~vaddr data;
       ep.Tempest.set_ro ~vaddr;
       let kind = kind_of_vaddr t vaddr in
@@ -164,7 +165,7 @@ let on_flush t (ep : Tempest.t) ~src:_ ~args ~data:_ =
   Vec.iter
     (fun vaddr ->
       ep.Tempest.charge c_flush_per_block;
-      match Hashtbl.find_opt ks.sharers vaddr with
+      match Inttbl.find_opt ks.sharers vaddr with
       | None -> ()
       | Some sh ->
           if not (Sharers.is_empty sh) then begin
@@ -192,7 +193,7 @@ let remote_block_fault t (ep : Tempest.t) (fault : Tempest.fault) =
   | Tag.Load -> ());
   let node = ep.Tempest.node in
   ep.Tempest.set_busy ~vaddr;
-  Hashtbl.replace t.pending.(node) vaddr fault.Tempest.fault_resumption;
+  Inttbl.replace t.pending.(node) vaddr fault.Tempest.fault_resumption;
   ep.Tempest.charge 4;
   let home = Stache.home_of t.stache ~vaddr in
   ep.Tempest.send_raw ~dst:home ~vnet:Message.Request ~handler:t.h_get
@@ -213,8 +214,8 @@ let install sys stache =
       kind_ids = Hashtbl.create 4;
       kind_names = [||];
       custom_pages = Proto.Pages.create sys stache;
-      states = Array.init nnodes (fun _ -> Hashtbl.create 4);
-      pending = Array.init nnodes (fun _ -> Hashtbl.create 8);
+      states = Array.init nnodes (fun _ -> Inttbl.create 4);
+      pending = Array.init nnodes (fun _ -> Inttbl.create 8);
       h_get = -1; h_data = -1; h_update = -1; h_flush = -1;
     }
   in

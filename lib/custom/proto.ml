@@ -10,6 +10,7 @@ module Pagemem = Tt_mem.Pagemem
 module Message = Tt_net.Message
 module Stats = Tt_util.Stats
 module Vec = Tt_util.Vec
+module Inttbl = Tt_util.Inttbl
 
 (* Scratch argument builders (same discipline as Stache's): the endpoint
    copies args into a pooled message before returning, so no array literal
@@ -43,15 +44,15 @@ module Pages = struct
   type t = {
     sys : System.t;
     stache : Stache.t;
-    table : (int, int) Hashtbl.t; (* vpage -> id *)
+    table : int Inttbl.t; (* vpage -> id *)
   }
 
-  let create sys stache = { sys; stache; table = Hashtbl.create 1024 }
+  let create sys stache = { sys; stache; table = Inttbl.create 1024 }
 
-  let registered t ~vpage = Hashtbl.mem t.table vpage
+  let registered t ~vpage = Inttbl.mem t.table vpage
 
   let id_of t ~what vaddr =
-    match Hashtbl.find_opt t.table (Addr.page_of vaddr) with
+    match Inttbl.find_opt t.table (Addr.page_of vaddr) with
     | Some k -> k
     | None ->
         invalid_arg
@@ -70,7 +71,7 @@ module Pages = struct
     let ep = System.endpoint t.sys home_node in
     System.with_cpu_context t.sys ~node th (fun () ->
         for vpage = first to last do
-          Hashtbl.replace t.table vpage id;
+          Inttbl.replace t.table vpage id;
           (* retype the freshly created home page *)
           ep.Tempest.set_page_mode ~vpage ~mode:home_mode
         done);
@@ -88,7 +89,7 @@ module Pages = struct
     in
     Tempest.Handlers.set_page_fault tables (fun ep ~vaddr access resumption ->
         let vpage = Addr.page_of vaddr in
-        if Hashtbl.mem t.table vpage then begin
+        if Inttbl.mem t.table vpage then begin
           ep.Tempest.charge 10;
           ep.Tempest.map_page ~vpage
             ~home:(Stache.home_of t.stache ~vaddr)
@@ -157,12 +158,12 @@ type t = {
   sys : System.t;
   stache : Stache.t;
   counters : Stats.t;
-  page_pol : (int, pol) Hashtbl.t; (* vpage -> policy (absent = stache) *)
+  page_pol : pol Inttbl.t; (* vpage -> policy (absent = stache) *)
   (* update-family write-collection state, per home node *)
-  dirty : (int, unit) Hashtbl.t array; (* block vaddr set *)
+  dirty : unit Inttbl.t array; (* block vaddr set *)
   dirty_order : int Vec.t array; (* first-dirtied order *)
   (* producer-consumer channel state, per home node *)
-  readers : (int, Sharers.t) Hashtbl.t array; (* block vaddr -> past readers *)
+  readers : Sharers.t Inttbl.t array; (* block vaddr -> past readers *)
   reader_order : int Vec.t array;
   (* release-flush bookkeeping, per node *)
   outstanding : int array; (* un-acked update messages + unconfirmed bulks *)
@@ -172,7 +173,7 @@ type t = {
      touched since the flush posted them; a serve (get / invalidation /
      recall) evicts its block, marking the bulk's raw packet data
      potentially stale at the consumer *)
-  bulk_clean : (int, unit) Hashtbl.t array;
+  bulk_clean : unit Inttbl.t array;
   mutable observer : (vaddr:int -> event -> unit) option;
   mutable h_update : int;
   mutable h_ack : int;
@@ -199,7 +200,7 @@ let stats t = t.counters
 let set_observer t f = t.observer <- f
 
 let pol_of_page t ~vpage =
-  match Hashtbl.find_opt t.page_pol vpage with
+  match Inttbl.find_opt t.page_pol vpage with
   | Some p -> p
   | None -> Stachelike
 
@@ -209,18 +210,18 @@ let observe t ~vaddr ev =
   match t.observer with Some f -> f ~vaddr ev | None -> ()
 
 let mark_dirty t ~home vaddr =
-  if not (Hashtbl.mem t.dirty.(home) vaddr) then begin
-    Hashtbl.replace t.dirty.(home) vaddr ();
+  if not (Inttbl.mem t.dirty.(home) vaddr) then begin
+    Inttbl.replace t.dirty.(home) vaddr ();
     Vec.push t.dirty_order.(home) vaddr
   end
 
 let record_readers t ~home vaddr targets =
   let sh =
-    match Hashtbl.find_opt t.readers.(home) vaddr with
+    match Inttbl.find_opt t.readers.(home) vaddr with
     | Some sh -> sh
     | None ->
         let sh = Sharers.create ~nodes:(System.nnodes t.sys) in
-        Hashtbl.replace t.readers.(home) vaddr sh;
+        Inttbl.replace t.readers.(home) vaddr sh;
         Vec.push t.reader_order.(home) vaddr;
         sh
   in
@@ -304,7 +305,7 @@ let on_harvest t (ep : Tempest.t) ~src:_ ~args ~data:_ =
   let vaddr = args.(0) in
   let home = ep.Tempest.node in
   ep.Tempest.charge c_harvest_extra;
-  if Hashtbl.mem t.dirty.(home) vaddr then begin
+  if Inttbl.mem t.dirty.(home) vaddr then begin
     let bd = Dir.block_of ep ~vaddr in
     match bd.Dir.state with
     | Dir.Shared when Tag.equal (ep.Tempest.read_tag ~vaddr) Tag.Read_write ->
@@ -313,7 +314,7 @@ let on_harvest t (ep : Tempest.t) ~src:_ ~args ~data:_ =
           push_update_to_sharers t ep ~vaddr bd;
         ep.Tempest.set_ro ~vaddr;
         ep.Tempest.downgrade ~vaddr;
-        Hashtbl.remove t.dirty.(home) vaddr
+        Inttbl.remove t.dirty.(home) vaddr
     | _ ->
         (* granted away or already flushed since the harvest was posted *)
         ()
@@ -355,8 +356,8 @@ let on_bulk_confirm t (ep : Tempest.t) ~src ~args ~data:_ =
   in
   for i = 0 to count - 1 do
     let v = first + (i * Addr.block_size) in
-    let clean = Hashtbl.mem t.bulk_clean.(home) v in
-    Hashtbl.remove t.bulk_clean.(home) v;
+    let clean = Inttbl.mem t.bulk_clean.(home) v in
+    Inttbl.remove t.bulk_clean.(home) v;
     if clean then begin
       let bd = Dir.block_of ep ~vaddr:v in
       if bd.Dir.state = Dir.Shared && Sharers.mem bd.Dir.sharers src then
@@ -410,7 +411,7 @@ let flush_prodcons t (ep : Tempest.t) ~home =
     let blocks =
       List.sort_uniq compare
         (Vec.fold_left
-           (fun acc v -> if Hashtbl.mem t.readers.(home) v then v :: acc else acc)
+           (fun acc v -> if Inttbl.mem t.readers.(home) v then v :: acc else acc)
            [] t.reader_order.(home))
     in
     let pushable =
@@ -426,7 +427,7 @@ let flush_prodcons t (ep : Tempest.t) ~home =
     List.iter
       (fun vaddr ->
         let bd = Dir.block_of ep ~vaddr in
-        let sh = Hashtbl.find t.readers.(home) vaddr in
+        let sh = Inttbl.find t.readers.(home) vaddr in
         ep.Tempest.set_ro ~vaddr;
         ep.Tempest.downgrade ~vaddr;
         bd.Dir.state <- Dir.Shared;
@@ -438,7 +439,7 @@ let flush_prodcons t (ep : Tempest.t) ~home =
     for r = 0 to nnodes - 1 do
       let mine =
         List.filter
-          (fun v -> Sharers.mem (Hashtbl.find t.readers.(home) v) r)
+          (fun v -> Sharers.mem (Inttbl.find t.readers.(home) v) r)
           pushable
       in
       let send_single vaddr =
@@ -459,7 +460,7 @@ let flush_prodcons t (ep : Tempest.t) ~home =
           Stats.Counter.incr t.c_bulk_pushes;
           t.outstanding.(home) <- t.outstanding.(home) + 1;
           for i = 0 to count - 1 do
-            Hashtbl.replace t.bulk_clean.(home)
+            Inttbl.replace t.bulk_clean.(home)
               (first + (i * Addr.block_size))
               ()
           done;
@@ -496,12 +497,12 @@ let flush_prodcons t (ep : Tempest.t) ~home =
       in
       runs mine
     done;
-    List.iter (fun v -> Hashtbl.remove t.readers.(home) v) pushable;
+    List.iter (fun v -> Inttbl.remove t.readers.(home) v) pushable;
     (* rebuild the order vector with whatever stayed recorded *)
     Vec.clear t.reader_order.(home);
     List.iter
       (fun v ->
-        if Hashtbl.mem t.readers.(home) v then Vec.push t.reader_order.(home) v)
+        if Inttbl.mem t.readers.(home) v then Vec.push t.reader_order.(home) v)
       blocks
   end
 
@@ -517,8 +518,8 @@ let on_flush t (ep : Tempest.t) ~src:_ ~args:_ ~data:_ =
   Vec.iter
     (fun vaddr ->
       ep.Tempest.charge c_flush_per_block;
-      if Hashtbl.mem t.dirty.(home) vaddr then begin
-        Hashtbl.remove t.dirty.(home) vaddr;
+      if Inttbl.mem t.dirty.(home) vaddr then begin
+        Inttbl.remove t.dirty.(home) vaddr;
         let bd = Dir.block_of ep ~vaddr in
         match bd.Dir.state with
         | Dir.Shared ->
@@ -553,7 +554,7 @@ let hooks t =
         | (Widerep | Delayed), `Up, Dir.Shared
           when
             (let home = Stache.home_of t.stache ~vaddr in
-             Hashtbl.mem t.dirty.(home) vaddr || t.outstanding.(home) > 0) ->
+             Inttbl.mem t.dirty.(home) vaddr || t.outstanding.(home) > 0) ->
             (* the upgrader's copy may be stale: either against un-flushed
                home writes (block still dirty) or against update pushes
                still in flight (flush posted, acks outstanding — the
@@ -590,18 +591,18 @@ let hooks t =
         | Stachelike | Migratory | Prodcons -> false);
     ph_note_get =
       (fun ~vaddr ~requester ~kind ->
-        Hashtbl.remove t.bulk_clean.(Stache.home_of t.stache ~vaddr) vaddr;
+        Inttbl.remove t.bulk_clean.(Stache.home_of t.stache ~vaddr) vaddr;
         observe t ~vaddr (Ev_get (kind, requester)));
     ph_note_invals =
       (fun ~vaddr ~targets ~home_store ->
-        Hashtbl.remove t.bulk_clean.(Stache.home_of t.stache ~vaddr) vaddr;
+        Inttbl.remove t.bulk_clean.(Stache.home_of t.stache ~vaddr) vaddr;
         (if home_store && targets <> [] && pol_of_vaddr t vaddr = Prodcons then
            record_readers t ~home:(Stache.home_of t.stache ~vaddr) vaddr
              targets);
         observe t ~vaddr (Ev_invals (List.length targets, home_store)));
     ph_note_recall =
       (fun ~vaddr ->
-        Hashtbl.remove t.bulk_clean.(Stache.home_of t.stache ~vaddr) vaddr;
+        Inttbl.remove t.bulk_clean.(Stache.home_of t.stache ~vaddr) vaddr;
         observe t ~vaddr Ev_recall);
   }
 
@@ -613,15 +614,15 @@ let install sys stache =
       sys;
       stache;
       counters;
-      page_pol = Hashtbl.create 1024;
-      dirty = Array.init nnodes (fun _ -> Hashtbl.create 64);
+      page_pol = Inttbl.create 1024;
+      dirty = Array.init nnodes (fun _ -> Inttbl.create 64);
       dirty_order = Array.init nnodes (fun _ -> Vec.create ());
-      readers = Array.init nnodes (fun _ -> Hashtbl.create 64);
+      readers = Array.init nnodes (fun _ -> Inttbl.create 64);
       reader_order = Array.init nnodes (fun _ -> Vec.create ());
       outstanding = Array.make nnodes 0;
       flush_done = Array.make nnodes true;
       waiter = Array.make nnodes None;
-      bulk_clean = Array.init nnodes (fun _ -> Hashtbl.create 64);
+      bulk_clean = Array.init nnodes (fun _ -> Inttbl.create 64);
       observer = None;
       h_update = -1;
       h_ack = -1;
@@ -669,10 +670,10 @@ let set_page_pol t ~vpage pol =
   (* no access may ride a cached translation past the retype *)
   Pagemem.invalidate_translation mem;
   Tt_mem.Tlb.flush_entry (System.cpu_tlb t.sys home) vpage;
-  if pol = Stachelike then Hashtbl.remove t.page_pol vpage
-  else Hashtbl.replace t.page_pol vpage pol
+  if pol = Stachelike then Inttbl.remove t.page_pol vpage
+  else Inttbl.replace t.page_pol vpage pol
 
-let iter_pages t f = Hashtbl.iter (fun vpage pol -> f ~vpage pol) t.page_pol
+let iter_pages t f = Inttbl.iter (fun vpage pol -> f ~vpage pol) t.page_pol
 
 (* Adopt every page of a fresh allocation under [pol] (zoo machines route
    all application allocations here). *)
@@ -682,7 +683,7 @@ let adopt t ~th ~node ~vaddr ~bytes pol =
     and last = Addr.page_of (vaddr + bytes - 1) in
     System.with_cpu_context t.sys ~node th (fun () ->
         for vpage = first to last do
-          if not (Hashtbl.mem t.page_pol vpage) then begin
+          if not (Inttbl.mem t.page_pol vpage) then begin
             Thread.advance th 2;
             set_page_pol t ~vpage pol
           end
@@ -711,8 +712,8 @@ let page_quiescent t ~vpage =
               for i = 0 to Addr.blocks_per_page - 1 do
                 let v = base + (i * Addr.block_size) in
                 if
-                  Hashtbl.mem t.dirty.(home) v
-                  || Hashtbl.mem t.readers.(home) v
+                  Inttbl.mem t.dirty.(home) v
+                  || Inttbl.mem t.readers.(home) v
                 then clean := false
               done;
               !clean)
@@ -725,7 +726,7 @@ let page_quiescent t ~vpage =
    machines without update-family pages never pay for the hook. *)
 let flush_release t ~th ~node =
   if
-    Hashtbl.length t.dirty.(node) > 0
+    Inttbl.length t.dirty.(node) > 0
     || Vec.length t.reader_order.(node) > 0
     || t.outstanding.(node) > 0
   then begin

@@ -1,3 +1,5 @@
+module Inttbl = Tt_util.Inttbl
+
 type kind = Read | Read_ex | Upgrade
 
 type txn = { kind : kind; requester : int; mutable acks_left : int }
@@ -10,23 +12,23 @@ type entry = {
   waiting : (kind * int) Queue.t;
 }
 
-type t = { node_count : int; entries : (int, entry) Hashtbl.t }
+type t = { node_count : int; entries : entry Inttbl.t }
 
-let create ~nodes = { node_count = nodes; entries = Hashtbl.create 4096 }
+let create ~nodes = { node_count = nodes; entries = Inttbl.create 4096 }
 
 let entry t ~block =
-  match Hashtbl.find_opt t.entries block with
+  match Inttbl.find_opt t.entries block with
   | Some e -> e
   | None ->
       let e =
         { sharers = Tt_util.Bitset.create t.node_count; owner = None;
           busy = None; overflowed = false; waiting = Queue.create () }
       in
-      Hashtbl.replace t.entries block e;
+      Inttbl.replace t.entries block e;
       e
 
-let find t ~block = Hashtbl.find_opt t.entries block
+let find t ~block = Inttbl.find_opt t.entries block
 
-let iter t f = Hashtbl.iter f t.entries
+let iter t f = Inttbl.iter f t.entries
 
 let nodes t = t.node_count

@@ -10,6 +10,7 @@ module Fabric = Tt_net.Fabric
 module Reliable = Tt_net.Reliable
 module Stats = Tt_util.Stats
 module Bitset = Tt_util.Bitset
+module Inttbl = Tt_util.Inttbl
 
 (* Per-block protocol trace (TT_DEBUG_BLOCK = global block number). *)
 let dbg_on block = Tt_util.Debug.on ~key:block
@@ -138,14 +139,20 @@ type node = {
   c_recalls : Stats.counter;
   (* blocks with an outstanding miss: wake the CPU, passing the replacement
      cycles the fill incurred *)
-  pending : (int, int -> unit) Hashtbl.t;
+  pending : (int -> unit) Inttbl.t;
   (* which request handler each outstanding miss used, so crash recovery
      can re-issue a request whose home (or response) died with a node *)
-  pending_kind : (int, int) Hashtbl.t;
+  pending_kind : int Inttbl.t;
   (* writebacks of ours the home has not yet processed; the CPU must not
      take the directory fast path for such a block or a stale writeback
      would clear ownership it just re-acquired *)
-  wb_inflight : (int, int) Hashtbl.t;
+  wb_inflight : int Inttbl.t;
+  (* the CPU's last page-home resolution, valid while [memo_gen] equals the
+     machine's [home_gen]: an access and the typed read or write that
+     follows it resolve the home once, and same-page streaks not at all *)
+  mutable memo_vpage : int;
+  mutable memo_home : int;
+  mutable memo_gen : int;
 }
 
 type t = {
@@ -154,7 +161,8 @@ type t = {
   fabric : Fabric.t;
   net : Reliable.t;
   nodes : node array;
-  homes : (int, int) Hashtbl.t; (* vpage -> home node *)
+  homes : int Inttbl.t; (* vpage -> home node *)
+  mutable home_gen : int; (* bumped whenever a page changes home *)
   mutable alloc_cursor : int;
   mutable next_home : int;
   (* crash-stop recovery: the liveness verdict, and the write observer for
@@ -183,15 +191,26 @@ let directory t i = t.nodes.(i).dir
 let node_stats t i = t.nodes.(i).stats
 
 let page_home t ~vpage =
-  match Hashtbl.find_opt t.homes vpage with
-  | Some h -> h
-  | None ->
-      invalid_arg (Printf.sprintf "Dirnnb: vpage 0x%x is not allocated" vpage)
+  let h = Inttbl.find_or t.homes vpage ~default:(-1) in
+  if h < 0 then
+    invalid_arg (Printf.sprintf "Dirnnb: vpage 0x%x is not allocated" vpage);
+  h
+
+(* [page_home] through node [n]'s memo. *)
+let cpu_home t n ~vpage =
+  if vpage = n.memo_vpage && n.memo_gen = t.home_gen then n.memo_home
+  else begin
+    let h = page_home t ~vpage in
+    n.memo_vpage <- vpage;
+    n.memo_home <- h;
+    n.memo_gen <- t.home_gen;
+    h
+  end
 
 let map_shared_page t ~vpage ~home =
-  if Hashtbl.mem t.homes vpage then
+  if Inttbl.mem t.homes vpage then
     invalid_arg (Printf.sprintf "Dirnnb: vpage 0x%x already allocated" vpage);
-  Hashtbl.replace t.homes vpage home;
+  Inttbl.replace t.homes vpage home;
   ignore
     (Pagemem.map t.nodes.(home).mem ~vpage ~home ~mode:0
        ~init_tag:Tag.Read_write)
@@ -224,8 +243,8 @@ let writeback t node ~at block =
   if dbg_on block then
     dbg block "t=%d writeback from node=%d" at node.id;
   Stats.Counter.incr node.c_writebacks;
-  Hashtbl.replace node.wb_inflight block
-    (1 + Option.value ~default:0 (Hashtbl.find_opt node.wb_inflight block));
+  Inttbl.replace node.wb_inflight block
+    (1 + Option.value ~default:0 (Inttbl.find_opt node.wb_inflight block));
   let home = page_home t ~vpage:(block * Addr.block_size / Addr.page_size) in
   send1 t ~src:node.id ~at ~dst:home ~vnet:Message.Request
     ~handler:h_writeback ~with_data:true block
@@ -264,10 +283,10 @@ let deliver_grant t home ~requester block grant =
   Ctrl.charge ctrl
     (p.Params.dir_per_msg + if with_data then p.Params.dir_block_send else 0);
   if requester = home.id then begin
-    match Hashtbl.find_opt home.pending block with
+    match Inttbl.find_opt home.pending block with
     | Some wake ->
-        Hashtbl.remove home.pending block;
-        Hashtbl.remove home.pending_kind block;
+        Inttbl.remove home.pending block;
+        Inttbl.remove home.pending_kind block;
         let repl = ctrl_fill t home block grant in
         wake repl
     | None ->
@@ -559,9 +578,9 @@ let ctrl_exec t node msg =
   else if handler = h_writeback then begin
     Ctrl.charge ctrl (p.Params.dir_op + p.Params.dir_block_recv);
     let src_node = t.nodes.(msg.Message.src) in
-    (match Hashtbl.find_opt src_node.wb_inflight block with
-    | Some 1 -> Hashtbl.remove src_node.wb_inflight block
-    | Some n -> Hashtbl.replace src_node.wb_inflight block (n - 1)
+    (match Inttbl.find_opt src_node.wb_inflight block with
+    | Some 1 -> Inttbl.remove src_node.wb_inflight block
+    | Some n -> Inttbl.replace src_node.wb_inflight block (n - 1)
     | None -> ());
     let entry = Directory.entry node.dir ~block in
     match entry.Directory.owner with
@@ -574,10 +593,10 @@ let ctrl_exec t node msg =
        subsequent invalidate or recall can never slip between grant and
        fill. *)
     Ctrl.charge ctrl 1;
-    match Hashtbl.find_opt node.pending block with
+    match Inttbl.find_opt node.pending block with
     | Some wake ->
-        Hashtbl.remove node.pending block;
-        Hashtbl.remove node.pending_kind block;
+        Inttbl.remove node.pending block;
+        Inttbl.remove node.pending_kind block;
         let grant =
           if handler = h_upgrade_ok then grant_upgrade
           else if args.(1) = 1 then grant_exclusive
@@ -631,13 +650,17 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
           c_invals_received = Stats.counter stats "invals_received";
           c_writebacks = Stats.counter stats "writebacks";
           c_recalls = Stats.counter stats "recalls";
-          pending = Hashtbl.create 4;
-          pending_kind = Hashtbl.create 4;
-          wb_inflight = Hashtbl.create 4;
+          pending = Inttbl.create 4;
+          pending_kind = Inttbl.create 4;
+          wb_inflight = Inttbl.create 4;
+          memo_vpage = 0;
+          memo_home = 0;
+          memo_gen = -1 (* matches no generation: nothing resolved yet *);
         })
   in
   let t =
-    { engine; params = p; fabric; net; nodes; homes = Hashtbl.create 4096;
+    { engine; params = p; fabric; net; nodes; homes = Inttbl.create 4096;
+      home_gen = 0;
       alloc_cursor = 0x1000_0000; next_home = 0;
       is_dead = (fun _ -> false); on_dirty = None }
   in
@@ -658,14 +681,14 @@ let alloc t ~th ~node ?home ?(align = 8) ~bytes () =
   let round_up v a = (v + a - 1) land lnot (a - 1) in
   let start = round_up t.alloc_cursor align in
   let start =
-    match home, Hashtbl.find_opt t.homes (Addr.page_of start) with
+    match home, Inttbl.find_opt t.homes (Addr.page_of start) with
     | Some h, Some existing when existing <> h ->
         round_up start Addr.page_size
     | (Some _ | None), _ -> start
   in
   let first = Addr.page_of start and last = Addr.page_of (start + bytes - 1) in
   for vpage = first to last do
-    if not (Hashtbl.mem t.homes vpage) then begin
+    if not (Inttbl.mem t.homes vpage) then begin
       let h =
         match home with
         | Some h -> h
@@ -716,17 +739,22 @@ let miss_via_directory t node th ~home ~handler block =
   in
   let repl =
     Thread.await th (fun wake ->
-        Hashtbl.replace node.pending block (fun repl ->
+        Inttbl.replace node.pending block (fun repl ->
             Thread.set_clock th
               (max (Thread.clock th) node.ctrl.Ctrl.clock);
             wake repl);
-        Hashtbl.replace node.pending_kind block handler;
+        Inttbl.replace node.pending_kind block handler;
         Reliable.send t.net ~at:(Thread.clock th) msg)
   in
   Thread.advance th
     ((if local then t.params.Params.local_miss
       else t.params.Params.remote_miss_finish)
     + repl)
+
+(* The directory fast path needs no transaction in flight at the home and
+   no writeback of ours still travelling to it. *)
+let entry_free n entry block =
+  entry.Directory.busy = None && not (Inttbl.mem n.wb_inflight block)
 
 let cpu_access t ~node th access vaddr =
   let n = t.nodes.(node) in
@@ -735,13 +763,10 @@ let cpu_access t ~node th access vaddr =
   Thread.advance th 1;
   let vpage = Addr.page_of vaddr in
   Thread.advance th (Tlb.access n.tlb vpage);
-  let home_id = page_home t ~vpage in
+  let home_id = cpu_home t n ~vpage in
   let home = t.nodes.(home_id) in
   let block = Addr.block_of vaddr in
   let local = home_id = node in
-  let entry_free entry =
-    entry.Directory.busy = None && not (Hashtbl.mem n.wb_inflight block)
-  in
   match Cache.lookup n.cache ~block with
   | Some Cache.Exclusive -> ()
   | Some Cache.Shared when access = Tag.Load -> ()
@@ -753,7 +778,7 @@ let cpu_access t ~node th access vaddr =
         List.filter (fun s -> s <> node) (Bitset.to_list entry.Directory.sharers)
       in
       if
-        local && entry_free entry && others = []
+        local && entry_free n entry block && others = []
         && entry.Directory.owner = None
         && not entry.Directory.overflowed
       then begin
@@ -774,7 +799,7 @@ let cpu_access t ~node th access vaddr =
             | Some o -> o <> node
             | None -> false
           in
-          if local && entry_free entry && not conflict then begin
+          if local && entry_free n entry block && not conflict then begin
             if dbg_on block then
               dbg block "t=%d cpu%d fastpath-load" (Thread.clock th) node;
             Stats.Counter.incr n.c_local_misses;
@@ -810,7 +835,7 @@ let cpu_access t ~node th access vaddr =
             | Some o -> o <> node
             | None -> false
           in
-          if local && entry_free entry && not conflict then begin
+          if local && entry_free n entry block && not conflict then begin
             if dbg_on block then
               dbg block "t=%d cpu%d fastpath-store" (Thread.clock th) node;
             Stats.Counter.incr n.c_local_misses;
@@ -821,29 +846,31 @@ let cpu_access t ~node th access vaddr =
           end
           else miss_via_directory t n th ~home:home_id ~handler:h_readex block)
 
+(* Home memory of [vaddr]'s page, where the typed access lands. *)
+let cpu_home_mem t ~node vaddr =
+  t.nodes.(cpu_home t t.nodes.(node) ~vpage:(Addr.page_of vaddr)).mem
+
 let cpu_read_f64 t ~node th vaddr =
   cpu_access t ~node th Tag.Load vaddr;
-  Pagemem.read_f64 t.nodes.(page_home t ~vpage:(Addr.page_of vaddr)).mem ~vaddr
+  Pagemem.read_f64 (cpu_home_mem t ~node vaddr) ~vaddr
 
 let cpu_write_f64 t ~node th vaddr v =
   cpu_access t ~node th Tag.Store vaddr;
   (match t.on_dirty with
   | Some f -> f ~vpage:(Addr.page_of vaddr)
   | None -> ());
-  Pagemem.write_f64 t.nodes.(page_home t ~vpage:(Addr.page_of vaddr)).mem ~vaddr
-    v
+  Pagemem.write_f64 (cpu_home_mem t ~node vaddr) ~vaddr v
 
 let cpu_read_int t ~node th vaddr =
   cpu_access t ~node th Tag.Load vaddr;
-  Pagemem.read_int t.nodes.(page_home t ~vpage:(Addr.page_of vaddr)).mem ~vaddr
+  Pagemem.read_int (cpu_home_mem t ~node vaddr) ~vaddr
 
 let cpu_write_int t ~node th vaddr v =
   cpu_access t ~node th Tag.Store vaddr;
   (match t.on_dirty with
   | Some f -> f ~vpage:(Addr.page_of vaddr)
   | None -> ());
-  Pagemem.write_int t.nodes.(page_home t ~vpage:(Addr.page_of vaddr)).mem ~vaddr
-    v
+  Pagemem.write_int (cpu_home_mem t ~node vaddr) ~vaddr v
 
 (* ------------------------------------------------------------------ *)
 (* Crash-stop recovery                                                 *)
@@ -860,7 +887,7 @@ let noop_handler = h_noop
    only fails for unallocated pages.  Zero simulated cost — the
    checkpoint copy is modeled as overlapped with the barrier. *)
 let snapshot_page t ~vpage =
-  match Hashtbl.find_opt t.homes vpage with
+  match Inttbl.find_opt t.homes vpage with
   | None -> None
   | Some home -> (
       match Pagemem.find_page t.nodes.(home).mem ~vpage with
@@ -901,16 +928,16 @@ let on_node_death t ~dead ~new_home ~restore =
   List.iter
     (fun block -> ignore (Cache.invalidate deadn.cache ~block))
     (List.sort compare !dead_blocks);
-  Hashtbl.reset deadn.wb_inflight;
+  Inttbl.reset deadn.wb_inflight;
 
   (* --- re-home pages homed on the victim ---------------------------- *)
   let dead_pages =
     List.sort compare
-      (Hashtbl.fold
+      (Inttbl.fold
          (fun vpage home acc -> if home = dead then vpage :: acc else acc)
          t.homes [])
   in
-  let rehomed = Hashtbl.create 16 in
+  let rehomed = Inttbl.create 16 in
   List.iter
     (fun vpage ->
       (match restore ~vpage with
@@ -930,8 +957,9 @@ let on_node_death t ~dead ~new_home ~restore =
           Stats.add t.nodes.(new_home).stats "recovery.blocks_restored"
             Addr.blocks_per_page);
       Pagemem.unmap deadn.mem ~vpage;
-      Hashtbl.replace t.homes vpage new_home;
-      Hashtbl.replace rehomed vpage ();
+      Inttbl.replace t.homes vpage new_home;
+      t.home_gen <- t.home_gen + 1;
+      Inttbl.replace rehomed vpage ();
       Stats.incr t.nodes.(new_home).stats "recovery.pages_rehomed";
       (* rebuild the directory from the survivors' cache states — the
          user-level equivalent of polling every live node for its copies.
@@ -1018,12 +1046,12 @@ let on_node_death t ~dead ~new_home ~restore =
         List.iter
           (fun (block, handler) ->
             if
-              Hashtbl.mem rehomed (block * Addr.block_size / Addr.page_size)
+              Inttbl.mem rehomed (block * Addr.block_size / Addr.page_size)
             then
               send1 t ~src:n.id ~at:now ~dst:new_home ~vnet:Message.Request
                 ~handler ~with_data:false block)
           (List.sort compare
-             (Hashtbl.fold
+             (Inttbl.fold
                 (fun block handler acc -> (block, handler) :: acc)
                 n.pending_kind [])))
     t.nodes
@@ -1034,7 +1062,7 @@ let on_node_death t ~dead ~new_home ~restore =
    to the block's current home and let the pending wake fire normally. *)
 let on_node_rejoin t ~node =
   let n = t.nodes.(node) in
-  Hashtbl.reset n.wb_inflight;
+  Inttbl.reset n.wb_inflight;
   n.ctrl.Ctrl.clock <- max n.ctrl.Ctrl.clock (Engine.now t.engine);
   let now = Engine.now t.engine in
   List.iter
@@ -1045,7 +1073,7 @@ let on_node_rejoin t ~node =
       send1 t ~src:node ~at:now ~dst:home ~vnet:Message.Request ~handler
         ~with_data:false block)
     (List.sort compare
-       (Hashtbl.fold
+       (Inttbl.fold
           (fun block handler acc -> (block, handler) :: acc)
           n.pending_kind []))
 
@@ -1101,7 +1129,7 @@ let check_invariants t =
       Cache.iter node.cache (fun block state ->
           if state = Cache.Exclusive then begin
             let vpage = block * Addr.block_size / Addr.page_size in
-            match Hashtbl.find_opt t.homes vpage with
+            match Inttbl.find_opt t.homes vpage with
             | None -> ()
             | Some home_id -> (
                 let entry = Directory.entry t.nodes.(home_id).dir ~block in
@@ -1118,16 +1146,16 @@ let check_invariants t =
     t.nodes;
   (* Cross-node audit: a writable (Exclusive) copy excludes every other
      cached copy of the block, machine-wide. *)
-  let copies = Hashtbl.create 64 in
+  let copies = Inttbl.create 64 in
   Array.iter
     (fun node ->
       Cache.iter node.cache (fun block state ->
           let prev =
-            Option.value ~default:[] (Hashtbl.find_opt copies block)
+            Option.value ~default:[] (Inttbl.find_opt copies block)
           in
-          Hashtbl.replace copies block ((node.id, state) :: prev)))
+          Inttbl.replace copies block ((node.id, state) :: prev)))
     t.nodes;
-  Hashtbl.iter
+  Inttbl.iter
     (fun block holders ->
       match List.filter (fun (_, s) -> s = Cache.Exclusive) holders with
       | [] -> ()
@@ -1154,7 +1182,7 @@ let check_invariants t =
       Cache.iter node.cache (fun block state ->
           if state = Cache.Shared then begin
             let vpage = block * Addr.block_size / Addr.page_size in
-            match Hashtbl.find_opt t.homes vpage with
+            match Inttbl.find_opt t.homes vpage with
             | None -> ()
             | Some home_id -> (
                 match Directory.find t.nodes.(home_id).dir ~block with

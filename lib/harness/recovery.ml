@@ -8,6 +8,7 @@ module Liveness = Tt_net.Liveness
 module Typhoon = Tt_typhoon.System
 module Dirnnb = Tt_dirnnb.System
 module Stache = Tt_stache.Stache
+module Inttbl = Tt_util.Inttbl
 
 type outcome =
   | Masked
@@ -97,50 +98,50 @@ let proto_on_node_rejoin proto ~node =
    when it provably equals the page's current content, the only case
    where in-place re-homing of a lost page is sound. *)
 type checkpoint = {
-  pages : (int, unit) Hashtbl.t;  (* every allocated shared vpage *)
-  dirty : (int, unit) Hashtbl.t;
-  snaps : (int, Bytes.t) Hashtbl.t;
+  pages : unit Inttbl.t;  (* every allocated shared vpage *)
+  dirty : unit Inttbl.t;
+  snaps : Bytes.t Inttbl.t;
   mutable epochs : int;  (* completed barrier checkpoint points *)
 }
 
 let checkpoint_create () =
   {
-    pages = Hashtbl.create 256;
-    dirty = Hashtbl.create 256;
-    snaps = Hashtbl.create 256;
+    pages = Inttbl.create 256;
+    dirty = Inttbl.create 256;
+    snaps = Inttbl.create 256;
     epochs = 0;
   }
 
-let mark_dirty ck ~vpage = Hashtbl.replace ck.dirty vpage ()
+let mark_dirty ck ~vpage = Inttbl.replace ck.dirty vpage ()
 
 let track_alloc ck ~vaddr ~bytes =
   if bytes > 0 then
     for vpage = Addr.page_of vaddr to Addr.page_of (vaddr + bytes - 1) do
-      if not (Hashtbl.mem ck.pages vpage) then begin
-        Hashtbl.replace ck.pages vpage ();
+      if not (Inttbl.mem ck.pages vpage) then begin
+        Inttbl.replace ck.pages vpage ();
         (* allocation-time initialization happens before the first
            barrier; until a snapshot lands the page is unrestorable *)
-        Hashtbl.replace ck.dirty vpage ()
+        Inttbl.replace ck.dirty vpage ()
       end
     done
 
 let snapshot_epoch ck proto =
   let todo =
-    List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) ck.dirty [])
+    List.sort compare (Inttbl.fold (fun v () acc -> v :: acc) ck.dirty [])
   in
   List.iter
     (fun vpage ->
       match proto_snapshot_page proto ~vpage with
       | Some bytes ->
-          Hashtbl.replace ck.snaps vpage bytes;
-          Hashtbl.remove ck.dirty vpage
+          Inttbl.replace ck.snaps vpage bytes;
+          Inttbl.remove ck.dirty vpage
       | None -> () (* home copy stale (remote dirty): keep the dirty bit *))
     todo;
   ck.epochs <- ck.epochs + 1
 
 let restore ck ~vpage =
-  if Hashtbl.mem ck.dirty vpage then None
-  else Option.map Bytes.copy (Hashtbl.find_opt ck.snaps vpage)
+  if Inttbl.mem ck.dirty vpage then None
+  else Option.map Bytes.copy (Inttbl.find_opt ck.snaps vpage)
 
 (* ------------------------------------------------------------------ *)
 (* Wiring one machine instance for crash-stop runs                      *)

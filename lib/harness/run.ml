@@ -19,18 +19,18 @@ let make_env (machine : Machine.t) ~barrier ~locks ~locks_mu ~proc th =
   (* The lock table is lazily populated on first acquire.  All of one
      machine's threads run on one domain, but under the domains-parallel
      harness a hook or probe on another domain may look a lock up
-     concurrently, and an unsynchronized Hashtbl resize is memory-unsafe —
+     concurrently, and an unsynchronized table resize is memory-unsafe —
      so find-or-create holds a mutex.  [Lock.create] only allocates (no
      engine interaction), so which caller wins the race never changes
      simulated behavior: everyone proceeds with the single winner. *)
   let lock_of i =
     Mutex.lock locks_mu;
     let l =
-      match Hashtbl.find_opt locks i with
+      match Tt_util.Inttbl.find_opt locks i with
       | Some l -> l
       | None ->
           let l = Lock.create machine.Machine.engine () in
-          Hashtbl.replace locks i l;
+          Tt_util.Inttbl.replace locks i l;
           l
     in
     Mutex.unlock locks_mu;
@@ -86,7 +86,7 @@ let spmd (machine : Machine.t) ~name ?(check = true) ?watchdog body =
     Barrier.create machine.Machine.engine ~participants:nprocs
       ~latency:machine.Machine.mparams.Params.barrier_latency
   in
-  let locks = Hashtbl.create 16 in
+  let locks = Tt_util.Inttbl.create 16 in
   let locks_mu = Mutex.create () in
   let threads =
     Array.init nprocs (fun proc ->

@@ -13,54 +13,59 @@ type page = {
 type t = {
   node_id : int;
   capacity : int option;
-  pages : (int, page) Hashtbl.t;
+  pages : page Tt_util.Inttbl.t;
   (* 1-entry MRU translation cache: memory access streams are heavily
-     same-page, so the common case skips the Hashtbl entirely.  [mru_vpage]
-     is a sentinel (-1) when invalid; [mru_page] then points at a shared
-     dummy page that no vpage can reach. *)
+     same-page, so the common case skips the table entirely.  [mru_vpage]
+     is a sentinel (-1) when invalid; [mru_page] then points at [no_page],
+     which no vpage can reach. *)
   mutable mru_vpage : int;
   mutable mru_page : page;
 }
 
-let dummy_page =
+let no_page =
   { data = Bytes.empty; tags = Bytes.empty; mode = -1; home = -1;
     user = No_info }
 
 let create ?max_pages ~node () =
-  { node_id = node; capacity = max_pages; pages = Hashtbl.create 256;
-    mru_vpage = -1; mru_page = dummy_page }
+  { node_id = node; capacity = max_pages; pages = Tt_util.Inttbl.create 256;
+    mru_vpage = -1; mru_page = no_page }
 
 let node t = t.node_id
 
-let page_count t = Hashtbl.length t.pages
+let page_count t = Tt_util.Inttbl.length t.pages
 
 let max_pages t = t.capacity
 
 let is_mapped t ~vpage =
-  vpage = t.mru_vpage || Hashtbl.mem t.pages vpage
+  vpage = t.mru_vpage || Tt_util.Inttbl.mem t.pages vpage
+
+let set_mru t vpage page =
+  t.mru_vpage <- vpage;
+  t.mru_page <- page
+
+let clear_mru t =
+  t.mru_vpage <- -1;
+  t.mru_page <- no_page
+
+let lookup t ~vpage =
+  if vpage = t.mru_vpage then t.mru_page
+  else begin
+    let p = Tt_util.Inttbl.find_or t.pages vpage ~default:no_page in
+    if p != no_page then set_mru t vpage p;
+    p
+  end
 
 let find_page t ~vpage =
-  if vpage = t.mru_vpage then Some t.mru_page
-  else
-    match Hashtbl.find_opt t.pages vpage with
-    | Some p as r ->
-        t.mru_vpage <- vpage;
-        t.mru_page <- p;
-        r
-    | None -> None
+  let p = lookup t ~vpage in
+  if p == no_page then None else Some p
 
 let get_page t ~vpage =
-  if vpage = t.mru_vpage then t.mru_page
-  else
-    match Hashtbl.find_opt t.pages vpage with
-    | Some p ->
-        t.mru_vpage <- vpage;
-        t.mru_page <- p;
-        p
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Pagemem: node %d, vpage 0x%x is not mapped"
-             t.node_id vpage)
+  let p = lookup t ~vpage in
+  if p == no_page then
+    invalid_arg
+      (Printf.sprintf "Pagemem: node %d, vpage 0x%x is not mapped" t.node_id
+         vpage);
+  p
 
 let set_all_tags page tag =
   Bytes.fill page.tags 0 (Bytes.length page.tags) (Char.chr (Tag.to_bits tag))
@@ -82,15 +87,12 @@ let map t ~vpage ~home ~mode ~init_tag =
       mode; home; user = No_info }
   in
   set_all_tags page init_tag;
-  Hashtbl.replace t.pages vpage page;
+  Tt_util.Inttbl.replace t.pages vpage page;
   (* a freshly mapped page is about to be accessed: warm the MRU slot *)
-  t.mru_vpage <- vpage;
-  t.mru_page <- page;
+  set_mru t vpage page;
   page
 
-let invalidate_translation t =
-  t.mru_vpage <- -1;
-  t.mru_page <- dummy_page
+let invalidate_translation t = clear_mru t
 
 let translation_cached t ~vpage = vpage = t.mru_vpage
 
@@ -99,19 +101,17 @@ let unmap t ~vpage =
     invalid_arg
       (Printf.sprintf "Pagemem.unmap: node %d, vpage 0x%x not mapped" t.node_id
          vpage);
-  if vpage = t.mru_vpage then begin
-    t.mru_vpage <- -1;
-    t.mru_page <- dummy_page
-  end;
-  Hashtbl.remove t.pages vpage
+  if vpage = t.mru_vpage then clear_mru t;
+  Tt_util.Inttbl.remove t.pages vpage
 
-let iter_pages t f = Hashtbl.iter f t.pages
+let iter_pages t f = Tt_util.Inttbl.iter f t.pages
 
 let page_of_addr t vaddr = get_page t ~vpage:(Addr.page_of vaddr)
 
+let page_tag page ~index = Tag.of_bits (Char.code (Bytes.get page.tags index))
+
 let get_tag t ~vaddr =
-  let page = page_of_addr t vaddr in
-  Tag.of_bits (Char.code (Bytes.get page.tags (Addr.block_index vaddr)))
+  page_tag (page_of_addr t vaddr) ~index:(Addr.block_index vaddr)
 
 let set_tag t ~vaddr tag =
   let page = page_of_addr t vaddr in
@@ -121,23 +121,46 @@ let check_word_aligned vaddr =
   if not (Addr.is_word_aligned vaddr) then
     invalid_arg (Printf.sprintf "Pagemem: unaligned word access at 0x%x" vaddr)
 
+(* An aligned word never straddles the page, so once [check_word_aligned]
+   passes the offset is in bounds and the unchecked primitives apply; the
+   typed readers below call them directly so the int64 stays unboxed. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] word_get page off =
+  if Sys.big_endian then swap64 (get64u page.data off) else get64u page.data off
+
+let[@inline] word_set page off v =
+  if Sys.big_endian then set64u page.data off (swap64 v)
+  else set64u page.data off v
+
 let read_i64 t ~vaddr =
   check_word_aligned vaddr;
-  let page = page_of_addr t vaddr in
-  Bytes.get_int64_le page.data (Addr.page_offset vaddr)
+  word_get (page_of_addr t vaddr) (Addr.page_offset vaddr)
 
 let write_i64 t ~vaddr v =
   check_word_aligned vaddr;
-  let page = page_of_addr t vaddr in
-  Bytes.set_int64_le page.data (Addr.page_offset vaddr) v
+  word_set (page_of_addr t vaddr) (Addr.page_offset vaddr) v
 
-let read_f64 t ~vaddr = Int64.float_of_bits (read_i64 t ~vaddr)
+let read_f64 t ~vaddr =
+  check_word_aligned vaddr;
+  Int64.float_of_bits (word_get (page_of_addr t vaddr) (Addr.page_offset vaddr))
 
-let write_f64 t ~vaddr v = write_i64 t ~vaddr (Int64.bits_of_float v)
+let write_f64 t ~vaddr v =
+  check_word_aligned vaddr;
+  word_set (page_of_addr t vaddr) (Addr.page_offset vaddr)
+    (Int64.bits_of_float v)
 
-let read_int t ~vaddr = Int64.to_int (read_i64 t ~vaddr)
+let read_int t ~vaddr =
+  check_word_aligned vaddr;
+  Int64.to_int (word_get (page_of_addr t vaddr) (Addr.page_offset vaddr))
 
-let write_int t ~vaddr v = write_i64 t ~vaddr (Int64.of_int v)
+let write_int t ~vaddr v =
+  check_word_aligned vaddr;
+  word_set (page_of_addr t vaddr) (Addr.page_offset vaddr) (Int64.of_int v)
 
 let read_u8 t ~vaddr =
   let page = page_of_addr t vaddr in

@@ -47,6 +47,14 @@ val is_mapped : t -> vpage:int -> bool
 
 val find_page : t -> vpage:int -> page option
 
+val no_page : page
+(** The page {!lookup} returns for an unmapped vpage; no vpage maps to it. *)
+
+val lookup : t -> vpage:int -> page
+(** [lookup t ~vpage] is the mapped page, or {!no_page} (compare with
+    [==]).  Unlike {!find_page} it allocates nothing, for the CPU access
+    path. *)
+
 val get_page : t -> vpage:int -> page
 (** @raise Invalid_argument if unmapped. *)
 
@@ -69,6 +77,9 @@ val translation_cached : t -> vpage:int -> bool
 val iter_pages : t -> (int -> page -> unit) -> unit
 
 (** {2 Tags} *)
+
+val page_tag : page -> index:int -> Tag.t
+(** Tag of block [index] (0-127) of an already-resolved page. *)
 
 val get_tag : t -> vaddr:int -> Tag.t
 (** Tag of the block containing [vaddr].

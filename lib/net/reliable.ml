@@ -1,5 +1,6 @@
 module Stats = Tt_util.Stats
 module Engine = Tt_sim.Engine
+module Inttbl = Tt_util.Inttbl
 
 type policy = Perfect | Flaky of Faults.config
 
@@ -32,7 +33,7 @@ type chan = {
    plus a bounded reassembly window for out-of-order arrivals. *)
 type rchan = {
   mutable expected : int;
-  ooo : (int, Message.t) Hashtbl.t;
+  ooo : Message.t Inttbl.t;
   mutable last_acked : int;
   mutable need_ack : bool;
   mutable ack_gen : int;
@@ -94,7 +95,7 @@ let rstate st ~src ~dst =
   | Some rc -> rc
   | None ->
       let rc =
-        { expected = 0; ooo = Hashtbl.create 16; last_acked = -1;
+        { expected = 0; ooo = Inttbl.create 16; last_acked = -1;
           need_ack = false; ack_gen = 0; ack_armed = false }
       in
       st.rstates.(i) <- Some rc;
@@ -276,9 +277,9 @@ let on_wire st msg =
         deliver st msg;
         rc.expected <- rc.expected + 1;
         let rec drain () =
-          match Hashtbl.find_opt rc.ooo rc.expected with
+          match Inttbl.find_opt rc.ooo rc.expected with
           | Some m ->
-              Hashtbl.remove rc.ooo rc.expected;
+              Inttbl.remove rc.ooo rc.expected;
               deliver st m;
               rc.expected <- rc.expected + 1;
               drain ()
@@ -286,11 +287,11 @@ let on_wire st msg =
         in
         drain ()
       end
-      else if Hashtbl.mem rc.ooo msg.Message.seq then begin
+      else if Inttbl.mem rc.ooo msg.Message.seq then begin
         Stats.Counter.incr st.c_dup_dropped;
         Message.Pool.release msg
       end
-      else Hashtbl.replace rc.ooo msg.Message.seq msg;
+      else Inttbl.replace rc.ooo msg.Message.seq msg;
       rc.need_ack <- true;
       arm_ack st ~src:s ~dst:d rc
     end
@@ -502,7 +503,7 @@ let scrub_unacked t ~node ~handler =
         | None -> ()
       in
       let scrub_ooo = function
-        | Some rc -> Hashtbl.iter (fun _ m -> scrub m) rc.ooo
+        | Some rc -> Inttbl.iter (fun _ m -> scrub m) rc.ooo
         | None -> ()
       in
       for other = 0 to st.nnodes - 1 do

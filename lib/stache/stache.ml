@@ -4,6 +4,7 @@ module Addr = Tt_mem.Addr
 module Tag = Tt_mem.Tag
 module Message = Tt_net.Message
 module Stats = Tt_util.Stats
+module Inttbl = Tt_util.Inttbl
 
 (* Per-block protocol trace (TT_DEBUG_BLOCK = block-base virtual address). *)
 let dbg_on vaddr = Tt_util.Debug.on ~key:(Tt_mem.Addr.block_base vaddr)
@@ -82,10 +83,10 @@ let c_writeback_extra = 5
 let c_registry_lookup = 5
 
 type node_state = {
-  pending_remote : (int, Tempest.resumption option) Hashtbl.t;
+  pending_remote : Tempest.resumption option Inttbl.t;
       (* block base va -> suspended CPU waiting for data, or [None] for an
          outstanding nonbinding prefetch (the Busy tag's purpose, §5.4) *)
-  local_homes : (int, int) Hashtbl.t; (* vpage -> home (local cache) *)
+  local_homes : int Inttbl.t; (* vpage -> home (local cache) *)
   stache_fifo : int Queue.t; (* stached vpages in mapping order *)
 }
 
@@ -118,7 +119,7 @@ type policy_hooks = {
 type t = {
   sys : System.t;
   mutable policy : policy_hooks option;
-  registry : (int, int) Hashtbl.t; (* vpage -> home: distributed mapping table *)
+  registry : int Inttbl.t; (* vpage -> home: distributed mapping table *)
   node_states : node_state array;
   max_stache_pages : int option;
   counters : Stats.t;
@@ -177,7 +178,7 @@ let kind_of_code = function
 let node_state t i = t.node_states.(i)
 
 let home_of t ~vaddr =
-  match Hashtbl.find_opt t.registry (Addr.page_of vaddr) with
+  match Inttbl.find_opt t.registry (Addr.page_of vaddr) with
   | Some h -> h
   | None ->
       invalid_arg
@@ -392,13 +393,13 @@ let on_data t (ep : Tempest.t) ~src:_ ~args ~data =
   if dbg_on vaddr then
     dbg vaddr "data at node=%d rw=%b" ep.Tempest.node rw;
   let ns = node_state t ep.Tempest.node in
-  match Hashtbl.find_opt ns.pending_remote vaddr with
+  match Inttbl.find_opt ns.pending_remote vaddr with
   | None ->
       invalid_arg
         (Printf.sprintf "Stache: node %d got data for 0x%x with no request"
            ep.Tempest.node vaddr)
   | Some pending ->
-      Hashtbl.remove ns.pending_remote vaddr;
+      Inttbl.remove ns.pending_remote vaddr;
       ep.Tempest.force_write_block ~vaddr data;
       ep.Tempest.recycle_block data;
       (if rw then ep.Tempest.set_rw ~vaddr else ep.Tempest.set_ro ~vaddr);
@@ -411,14 +412,14 @@ let on_data t (ep : Tempest.t) ~src:_ ~args ~data =
 let on_upgrade_ok t (ep : Tempest.t) ~src:_ ~args ~data:_ =
   let vaddr = args.(0) in
   let ns = node_state t ep.Tempest.node in
-  match Hashtbl.find_opt ns.pending_remote vaddr with
+  match Inttbl.find_opt ns.pending_remote vaddr with
   | None ->
       invalid_arg
         (Printf.sprintf
            "Stache: node %d got upgrade-ok for 0x%x with no request"
            ep.Tempest.node vaddr)
   | Some pending ->
-      Hashtbl.remove ns.pending_remote vaddr;
+      Inttbl.remove ns.pending_remote vaddr;
       ep.Tempest.set_rw ~vaddr;
       ep.Tempest.charge c_arrival_extra;
       (match pending with
@@ -578,22 +579,22 @@ let remote_block_fault t (ep : Tempest.t) (fault : Tempest.fault) =
     | Tag.Store, _ -> `Rw
   in
   let ns = node_state t ep.Tempest.node in
-  if Hashtbl.mem ns.pending_remote vaddr then begin
+  if Inttbl.mem ns.pending_remote vaddr then begin
     (* a nonbinding prefetch is already in flight: just wait for it *)
     ep.Tempest.charge 2;
-    Hashtbl.replace ns.pending_remote vaddr
+    Inttbl.replace ns.pending_remote vaddr
       (Some fault.Tempest.fault_resumption)
   end
   else begin
     let home =
-      match Hashtbl.find_opt ns.local_homes (Addr.page_of vaddr) with
+      match Inttbl.find_opt ns.local_homes (Addr.page_of vaddr) with
       | Some h ->
           ep.Tempest.touch (Addr.page_of vaddr);
           h
       | None -> home_of t ~vaddr
     in
     ep.Tempest.set_busy ~vaddr;
-    Hashtbl.replace ns.pending_remote vaddr
+    Inttbl.replace ns.pending_remote vaddr
       (Some fault.Tempest.fault_resumption);
     ep.Tempest.charge c_req_extra;
     ep.Tempest.send_raw ~dst:home ~vnet:Message.Request ~handler:t.h_get
@@ -640,7 +641,7 @@ let replace_page t (ep : Tempest.t) ~vpage =
 let page_fault t (ep : Tempest.t) ~vaddr (_ : Tag.access) resumption =
   let vpage = Addr.page_of vaddr in
   let home =
-    match Hashtbl.find_opt t.registry vpage with
+    match Inttbl.find_opt t.registry vpage with
     | Some h -> h
     | None ->
         invalid_arg
@@ -654,7 +655,7 @@ let page_fault t (ep : Tempest.t) ~vaddr (_ : Tag.access) resumption =
          vpage);
   let ns = node_state t ep.Tempest.node in
   ep.Tempest.charge (c_page_fault_extra + c_registry_lookup);
-  Hashtbl.replace ns.local_homes vpage home;
+  Inttbl.replace ns.local_homes vpage home;
   (match t.max_stache_pages with
   | Some cap ->
       (* the FIFO may hold stale entries (pages unmapped by migration);
@@ -687,11 +688,11 @@ let install sys ?max_stache_pages () =
     {
       sys;
       policy = None;
-      registry = Hashtbl.create 4096;
+      registry = Inttbl.create 4096;
       node_states =
         Array.init (System.nnodes sys) (fun _ ->
-            { pending_remote = Hashtbl.create 8;
-              local_homes = Hashtbl.create 256;
+            { pending_remote = Inttbl.create 8;
+              local_homes = Inttbl.create 256;
               stache_fifo = Queue.create () });
       max_stache_pages;
       counters;
@@ -745,7 +746,7 @@ let install sys ?max_stache_pages () =
 (* Create a shared home page: map it at the home node with ReadWrite tags
    and a fresh directory, and record it in the distributed mapping table. *)
 let create_home_page t ~vpage ~home =
-  Hashtbl.replace t.registry vpage home;
+  Inttbl.replace t.registry vpage home;
   let ep = System.endpoint t.sys home in
   ep.Tempest.map_page ~vpage ~home ~mode:mode_home ~init_tag:Tag.Read_write;
   ep.Tempest.set_page_user ~vpage
@@ -762,7 +763,7 @@ let alloc t ~th ~node ?home ?(align = 8) ~bytes () =
       (* a pinned allocation never shares a page homed elsewhere *)
       let desired_home = home in
       let start =
-        match desired_home, Hashtbl.find_opt t.registry (Addr.page_of start) with
+        match desired_home, Inttbl.find_opt t.registry (Addr.page_of start) with
         | Some h, Some existing when existing <> h ->
             round_up start Addr.page_size
         | (Some _ | None), _ -> start
@@ -770,7 +771,7 @@ let alloc t ~th ~node ?home ?(align = 8) ~bytes () =
       let page_start = Addr.page_of start in
       let last_page = Addr.page_of (start + bytes - 1) in
       for vpage = page_start to last_page do
-        if not (Hashtbl.mem t.registry vpage) then begin
+        if not (Inttbl.mem t.registry vpage) then begin
           let h =
             match desired_home with
             | Some h -> h
@@ -802,13 +803,13 @@ let prefetch t ~th ~node ~vaddr kind =
         && (Tt_mem.Pagemem.get_page mem ~vpage).Tt_mem.Pagemem.mode
            = mode_remote
         && Tag.equal (Tt_mem.Pagemem.get_tag mem ~vaddr) Tag.Invalid
-        && not (Hashtbl.mem ns.pending_remote vaddr)
+        && not (Inttbl.mem ns.pending_remote vaddr)
       in
       if eligible then begin
         Stats.Counter.incr t.c_prefetch_issued;
         let ep = System.endpoint t.sys node in
         ep.Tempest.set_busy ~vaddr;
-        Hashtbl.replace ns.pending_remote vaddr None;
+        Inttbl.replace ns.pending_remote vaddr None;
         let code = match kind with `Ro -> 0 | `Rw -> 1 in
         ep.Tempest.send_raw ~dst:(home_of t ~vaddr) ~vnet:Message.Request
           ~handler:t.h_get ~args:(scratch2 vaddr code) ~data:Bytes.empty
@@ -892,9 +893,9 @@ let migrate_page t ~th ~node ~vpage ~new_home =
     Tt_mem.Pagemem.invalidate_translation new_mem;
     Queue.add vpage (node_state t old_home).stache_fifo;
     (* the distributed mapping table and the two nodes' local caches *)
-    Hashtbl.replace t.registry vpage new_home;
-    Hashtbl.replace (node_state t old_home).local_homes vpage new_home;
-    Hashtbl.remove (node_state t new_home).local_homes vpage
+    Inttbl.replace t.registry vpage new_home;
+    Inttbl.replace (node_state t old_home).local_homes vpage new_home;
+    Inttbl.remove (node_state t new_home).local_homes vpage
   end
 
 (* ------------------------------------------------------------------ *)
@@ -915,7 +916,7 @@ let noop_handler t =
    handles.  Zero simulated cost: the checkpoint copy is modeled as
    overlapped with the barrier. *)
 let snapshot_page t ~vpage =
-  match Hashtbl.find_opt t.registry vpage with
+  match Inttbl.find_opt t.registry vpage with
   | None -> None
   | Some home -> (
       let mem = System.node_mem t.sys home in
@@ -1024,14 +1025,14 @@ let on_node_death t ~dead ~new_home ~restore =
       fmt
   in
   (* checkpoint lookups, memoized so each page is fetched at most once *)
-  let snapshots = Hashtbl.create 8 in
+  let snapshots = Inttbl.create 8 in
   let restore_block ~vpage ~vaddr ~into_mem ~why =
     let snap =
-      match Hashtbl.find_opt snapshots vpage with
+      match Inttbl.find_opt snapshots vpage with
       | Some s -> s
       | None ->
           let s = restore ~vpage in
-          Hashtbl.replace snapshots vpage s;
+          Inttbl.replace snapshots vpage s;
           s
     in
     match snap with
@@ -1048,15 +1049,15 @@ let on_node_death t ~dead ~new_home ~restore =
   (* a deterministic, sorted view of the mapping table *)
   let all_pages =
     List.sort compare
-      (Hashtbl.fold (fun vpage home acc -> (vpage, home) :: acc) t.registry [])
+      (Inttbl.fold (fun vpage home acc -> (vpage, home) :: acc) t.registry [])
   in
   let dead_pages =
     List.filter_map
       (fun (vpage, home) -> if home = dead then Some vpage else None)
       all_pages
   in
-  let rehomed = Hashtbl.create 16 in
-  List.iter (fun vpage -> Hashtbl.replace rehomed vpage ()) dead_pages;
+  let rehomed = Inttbl.create 16 in
+  List.iter (fun vpage -> Inttbl.replace rehomed vpage ()) dead_pages;
 
   (* --- Phase A: neutralize the victim ------------------------------- *)
   (* Every copy it holds is gone as far as survivors are concerned.  Its
@@ -1189,16 +1190,16 @@ let on_node_death t ~dead ~new_home ~restore =
          home cache, and the victim's former home page (retyped as an
          ordinary — dead — stached copy so its rejoin treats it like any
          other invalidated page) *)
-      Hashtbl.replace t.registry vpage new_home;
+      Inttbl.replace t.registry vpage new_home;
       for n = 0 to nnodes - 1 do
-        if n <> new_home && Hashtbl.mem (node_state t n).local_homes vpage
-        then Hashtbl.replace (node_state t n).local_homes vpage new_home
+        if n <> new_home && Inttbl.mem (node_state t n).local_homes vpage
+        then Inttbl.replace (node_state t n).local_homes vpage new_home
       done;
-      Hashtbl.remove (node_state t new_home).local_homes vpage;
+      Inttbl.remove (node_state t new_home).local_homes vpage;
       old_page.Tt_mem.Pagemem.mode <- mode_remote;
       old_page.Tt_mem.Pagemem.home <- new_home;
       old_page.Tt_mem.Pagemem.user <- Tt_mem.Pagemem.No_info;
-      Hashtbl.replace (node_state t dead).local_homes vpage new_home;
+      Inttbl.replace (node_state t dead).local_homes vpage new_home;
       Queue.add vpage (node_state t dead).stache_fifo;
       Stats.Counter.incr t.c_rehomed)
     dead_pages;
@@ -1207,7 +1208,7 @@ let on_node_death t ~dead ~new_home ~restore =
   let noop_res = Tempest.make_resumption (fun () -> ()) in
   List.iter
     (fun (vpage, home) ->
-      if live home && not (Hashtbl.mem rehomed vpage) then begin
+      if live home && not (Inttbl.mem rehomed vpage) then begin
         let hmem = System.node_mem t.sys home in
         let page = Tt_mem.Pagemem.get_page hmem ~vpage in
         if page.Tt_mem.Pagemem.mode = mode_home then
@@ -1310,15 +1311,15 @@ let on_node_death t ~dead ~new_home ~restore =
       let entries =
         List.sort
           (fun (a, _) (b, _) -> compare a b)
-          (Hashtbl.fold
+          (Inttbl.fold
              (fun vaddr p acc -> (vaddr, p) :: acc)
              ns.pending_remote [])
       in
       List.iter
         (fun (vaddr, p) ->
           let vpage = Addr.page_of vaddr in
-          if Hashtbl.mem rehomed vpage then begin
-            Hashtbl.remove ns.pending_remote vaddr;
+          if Inttbl.mem rehomed vpage then begin
+            Inttbl.remove ns.pending_remote vaddr;
             if
               Tt_mem.Pagemem.is_mapped mem ~vpage
               && (Tt_mem.Pagemem.get_page mem ~vpage).Tt_mem.Pagemem.mode
@@ -1351,9 +1352,9 @@ let on_node_rejoin t ~node =
   let entries =
     List.sort
       (fun (a, _) (b, _) -> compare a b)
-      (Hashtbl.fold (fun vaddr p acc -> (vaddr, p) :: acc) ns.pending_remote [])
+      (Inttbl.fold (fun vaddr p acc -> (vaddr, p) :: acc) ns.pending_remote [])
   in
-  Hashtbl.reset ns.pending_remote;
+  Inttbl.reset ns.pending_remote;
   List.iter
     (fun (vaddr, p) ->
       (if Tt_mem.Pagemem.is_mapped mem ~vpage:(Addr.page_of vaddr) then
@@ -1390,7 +1391,7 @@ let check_invariants t =
     Printf.ksprintf (fun s -> if !problem = None then problem := Some s) fmt
   in
   let nnodes = System.nnodes t.sys in
-  Hashtbl.iter
+  Inttbl.iter
     (fun vpage home ->
       let home_mem = System.node_mem t.sys home in
       let page = Tt_mem.Pagemem.get_page home_mem ~vpage in
@@ -1401,10 +1402,15 @@ let check_invariants t =
         | Dir.Home_dir d -> d
         | _ -> invalid_arg "Stache invariants: home page without directory"
       in
+      (* every node's copy of the page, resolved once for all its blocks *)
+      let copies =
+        Array.init nnodes (fun n ->
+            Tt_mem.Pagemem.find_page (System.node_mem t.sys n) ~vpage)
+      in
       Array.iteri
         (fun index bd ->
           let vaddr = Addr.block_addr ~page:vpage ~index in
-          let home_tag = Tt_mem.Pagemem.get_tag home_mem ~vaddr in
+          let home_tag = Tt_mem.Pagemem.page_tag page ~index in
           (match bd.Dir.pending with
           | Some _ -> fail "block 0x%x: pending transaction at quiescence" vaddr
           | None -> ());
@@ -1414,10 +1420,9 @@ let check_invariants t =
           let remote_tag n =
             if n = home then None
             else
-              let mem = System.node_mem t.sys n in
-              if Tt_mem.Pagemem.is_mapped mem ~vpage then
-                Some (Tt_mem.Pagemem.get_tag mem ~vaddr)
-              else None
+              match copies.(n) with
+              | Some p -> Some (Tt_mem.Pagemem.page_tag p ~index)
+              | None -> None
           in
           (* cross-node audit: at most one writable copy of any shared
              block machine-wide, counting the home's own tag *)
@@ -1469,12 +1474,13 @@ let check_invariants t =
               if not (Tag.equal home_tag Tag.Invalid) then
                 fail "block 0x%x: Remote_excl but home tag %s" vaddr
                   (Tag.to_string home_tag);
-              let mem = System.node_mem t.sys o in
               if
                 not
-                  (Tt_mem.Pagemem.is_mapped mem ~vpage
-                  && Tag.equal (Tt_mem.Pagemem.get_tag mem ~vaddr)
-                       Tag.Read_write)
+                  (match copies.(o) with
+                  | Some p ->
+                      Tag.equal (Tt_mem.Pagemem.page_tag p ~index)
+                        Tag.Read_write
+                  | None -> false)
               then
                 fail "block 0x%x: owner %d does not hold a RW copy" vaddr o)
         dir

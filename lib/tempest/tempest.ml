@@ -1,3 +1,5 @@
+module Inttbl = Tt_util.Inttbl
+
 type resumption = { wake : unit -> unit }
 
 let make_resumption wake = { wake }
@@ -65,13 +67,13 @@ type status_handler = t -> pending:int -> unit
 module Handlers = struct
   type tables = {
     messages : (string * message_handler) Tt_util.Vec.t;
-    block_faults : (int, block_fault_handler) Hashtbl.t;
+    block_faults : block_fault_handler Inttbl.t;
     mutable page_faults : page_fault_handler option;
     mutable status : status_handler option;
   }
 
   let create () =
-    { messages = Tt_util.Vec.create (); block_faults = Hashtbl.create 16;
+    { messages = Tt_util.Vec.create (); block_faults = Inttbl.create 16;
       page_faults = None; status = None }
 
   let register_message t ~name handler =
@@ -86,9 +88,9 @@ module Handlers = struct
   let message_name t id = fst (Tt_util.Vec.get t.messages id)
 
   let set_block_fault t ~mode handler =
-    Hashtbl.replace t.block_faults mode handler
+    Inttbl.replace t.block_faults mode handler
 
-  let block_fault t ~mode = Hashtbl.find_opt t.block_faults mode
+  let block_fault t ~mode = Inttbl.find_opt t.block_faults mode
 
   let set_page_fault t handler = t.page_faults <- Some handler
 

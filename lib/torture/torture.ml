@@ -9,6 +9,7 @@ module Faultsweep = Tt_harness.Faultsweep
 module Env = Tt_app.Env
 module Stache = Tt_stache.Stache
 module Addr = Tt_mem.Addr
+module Inttbl = Tt_util.Inttbl
 
 type case = {
   litmus : string;
@@ -75,9 +76,9 @@ let natural_salt ~seed ~rate site =
   if Prng.chance p rate then 1 + Prng.int p 255 else 0
 
 let membership sites =
-  let tbl = Hashtbl.create (List.length sites * 2) in
-  List.iter (fun s -> Hashtbl.replace tbl s ()) sites;
-  fun site -> Hashtbl.mem tbl site
+  let tbl = Inttbl.create (List.length sites * 2) in
+  List.iter (fun s -> Inttbl.replace tbl s ()) sites;
+  fun site -> Inttbl.mem tbl site
 
 (* Per-iteration concrete value encoding.  Iteration [i] writes abstract
    value [v] as [(i+1)*16 + v] and resets locations to 0, so any concrete

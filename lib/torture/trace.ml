@@ -1,35 +1,36 @@
 module Faults = Tt_net.Faults
+module Inttbl = Tt_util.Inttbl
 
 type t = {
-  salts : (int, int) Hashtbl.t;
-  decisions : (int, Faults.decision) Hashtbl.t;
+  salts : int Inttbl.t;
+  decisions : Faults.decision Inttbl.t;
 }
 
-let create () = { salts = Hashtbl.create 32; decisions = Hashtbl.create 32 }
+let create () = { salts = Inttbl.create 32; decisions = Inttbl.create 32 }
 
 let add_salt t ~site salt =
-  if salt <> 0 then Hashtbl.replace t.salts site salt
+  if salt <> 0 then Inttbl.replace t.salts site salt
 
-let salt t ~site = match Hashtbl.find_opt t.salts site with
+let salt t ~site = match Inttbl.find_opt t.salts site with
   | Some s -> s
   | None -> 0
 
 let add_decision t ~site d =
-  if d <> Faults.deliver then Hashtbl.replace t.decisions site d
+  if d <> Faults.deliver then Inttbl.replace t.decisions site d
 
 let decision t ~site =
-  match Hashtbl.find_opt t.decisions site with
+  match Inttbl.find_opt t.decisions site with
   | Some d -> d
   | None -> Faults.deliver
 
-let salt_sites t = List.sort compare (Hashtbl.fold (fun k _ l -> k :: l) t.salts [])
+let salt_sites t = List.sort compare (Inttbl.fold (fun k _ l -> k :: l) t.salts [])
 
 let fault_sites t =
-  List.sort compare (Hashtbl.fold (fun k _ l -> k :: l) t.decisions [])
+  List.sort compare (Inttbl.fold (fun k _ l -> k :: l) t.decisions [])
 
-let n_salts t = Hashtbl.length t.salts
+let n_salts t = Inttbl.length t.salts
 
-let n_decisions t = Hashtbl.length t.decisions
+let n_decisions t = Inttbl.length t.decisions
 
 (* One line per active site:
      P <site> <salt>

@@ -11,6 +11,7 @@ module Reliable = Tt_net.Reliable
 module Flow = Tt_net.Flow
 (* Params is exposed unwrapped by tt_params *)
 module Stats = Tt_util.Stats
+module Inttbl = Tt_util.Inttbl
 
 type executor = Np_ctx | Cpu_ctx of Thread.t
 
@@ -82,7 +83,7 @@ type t = {
   tables : Tempest.Handlers.tables;
   nodes : node array;
   mutable bulk_token : int;
-  bulk_completions : (int, unit -> unit) Hashtbl.t;
+  bulk_completions : (unit -> unit) Inttbl.t;
   mutable bulk_handler_id : int;
   (* write observer for the recovery layer's checkpoint dirty tracking:
      fired on every CPU store ([forced:false]) and every NP forced write
@@ -208,7 +209,7 @@ let make_endpoint t node =
     check_bulk_range t.nodes.(dst).mem ~what:"dst_va" ~va:dst_va ~len;
     let token = t.bulk_token in
     t.bulk_token <- t.bulk_token + 1;
-    Hashtbl.replace t.bulk_completions token on_complete;
+    Inttbl.replace t.bulk_completions token on_complete;
     (* Packetize [bulk_chunk_size] bytes at a time; packets are generated
        as deferred NP work so the transfer overlaps computation and yields
        to message handling (§5.2).  One chore closure carries the whole
@@ -246,7 +247,7 @@ let make_endpoint t node =
       with e ->
         (* a failed transfer must not leave its completion behind: nothing
            would ever fire or drop it *)
-        Hashtbl.remove t.bulk_completions token;
+        Inttbl.remove t.bulk_completions token;
         raise e
     in
     Np.post_deferred node.np ~at:(exec_clock node) chore
@@ -477,7 +478,7 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
   in
   let t =
     { engine; params = p; fabric; net; flow; tables; nodes; bulk_token = 0;
-      bulk_completions = Hashtbl.create 16; bulk_handler_id = -1;
+      bulk_completions = Inttbl.create 16; bulk_handler_id = -1;
       on_dirty = None }
   in
   Array.iter
@@ -535,9 +536,9 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
        node's bulk pool for outgoing transfers *)
     ep.Tempest.recycle_block data;
     if last = 1 then begin
-      match Hashtbl.find_opt t.bulk_completions token with
+      match Inttbl.find_opt t.bulk_completions token with
       | Some complete ->
-          Hashtbl.remove t.bulk_completions token;
+          Inttbl.remove t.bulk_completions token;
           complete ()
       | None -> ()
     end
@@ -573,65 +574,68 @@ let rec cpu_access t ~node th access vaddr =
   Thread.advance th 1;
   let vpage = Addr.page_of vaddr in
   Thread.advance th (Tlb.access n.tlb vpage);
-  match Pagemem.find_page n.mem ~vpage with
-  | None ->
-      Thread.advance th t.params.Params.fault_detect;
-      suspend_on_fault n th (fun resumption ->
-          Np.post n.np ~at:(Thread.clock th)
-            (Np.Page_fault { vaddr; access; resumption }));
-      (* retry after the user page-fault handler resumes us *)
-      cpu_access t ~node th access vaddr
-  | Some page -> (
-      let block = Addr.block_of vaddr in
-      let block_fault () =
-        (* the denied bus transaction: inhibit + relinquish-and-retry *)
-        Thread.advance th t.params.Params.fault_detect;
+  let page = Pagemem.lookup n.mem ~vpage in
+  if page == Pagemem.no_page then begin
+    Thread.advance th t.params.Params.fault_detect;
+    suspend_on_fault n th (fun resumption ->
+        Np.post n.np ~at:(Thread.clock th)
+          (Np.Page_fault { vaddr; access; resumption }));
+    (* retry after the user page-fault handler resumes us *)
+    cpu_access t ~node th access vaddr
+  end
+  else begin
+    let block = Addr.block_of vaddr in
+    match Cache.lookup n.cache ~block with
+    | Some Tt_cache.Cache.Exclusive -> ()
+    | Some Tt_cache.Cache.Shared when access = Tag.Load -> ()
+    | Some Tt_cache.Cache.Shared ->
+        (* write hit on an unowned line: bus Invalidate transaction,
+           snooped against the tag *)
         let tag = Pagemem.get_tag n.mem ~vaddr in
-        let fault =
-          {
-            Tempest.fault_vaddr = vaddr;
-            fault_access = access;
-            fault_tag = tag;
-            fault_mode = page.Pagemem.mode;
-            fault_resumption = Tempest.make_resumption (fun () -> ());
-          }
-        in
-        suspend_on_fault n th (fun resumption ->
-            Np.post n.np ~at:(Thread.clock th)
-              (Np.Block_fault
-                 { fault with Tempest.fault_resumption = resumption }));
-        cpu_access t ~node th access vaddr
-      in
-      match Cache.lookup n.cache ~block with
-      | Some Tt_cache.Cache.Exclusive -> ()
-      | Some Tt_cache.Cache.Shared when access = Tag.Load -> ()
-      | Some Tt_cache.Cache.Shared ->
-          (* write hit on an unowned line: bus Invalidate transaction,
-             snooped against the tag *)
-          let tag = Pagemem.get_tag n.mem ~vaddr in
-          if Tag.permits tag Tag.Store then begin
-            Stats.Counter.incr n.c_upgrades;
-            Thread.advance th t.params.Params.upgrade;
-            Cache.set_state n.cache ~block Tt_cache.Cache.Exclusive
-          end
-          else block_fault ()
-      | None ->
-          (* miss: bus Read / Read-invalidate transaction *)
-          let tag = Pagemem.get_tag n.mem ~vaddr in
-          if Tag.permits tag access then begin
-            Stats.Counter.incr n.c_local_misses;
-            Thread.advance th t.params.Params.local_miss;
-            (* the NP asserts "shared" for ReadOnly blocks so the CPU cannot
-               own its copy *)
-            let state =
-              if Tag.equal tag Tag.Read_only then Tt_cache.Cache.Shared
-              else Tt_cache.Cache.Exclusive
-            in
-            (* evictions are silent: values are written through to local
-               memory and the perfect write buffer makes writebacks free *)
-            ignore (Cache.insert n.cache ~block ~state)
-          end
-          else block_fault ())
+        if Tag.permits tag Tag.Store then begin
+          Stats.Counter.incr n.c_upgrades;
+          Thread.advance th t.params.Params.upgrade;
+          Cache.set_state n.cache ~block Tt_cache.Cache.Exclusive
+        end
+        else block_fault t ~node n th access vaddr page
+    | None ->
+        (* miss: bus Read / Read-invalidate transaction *)
+        let tag = Pagemem.get_tag n.mem ~vaddr in
+        if Tag.permits tag access then begin
+          Stats.Counter.incr n.c_local_misses;
+          Thread.advance th t.params.Params.local_miss;
+          (* the NP asserts "shared" for ReadOnly blocks so the CPU cannot
+             own its copy *)
+          let state =
+            if Tag.equal tag Tag.Read_only then Tt_cache.Cache.Shared
+            else Tt_cache.Cache.Exclusive
+          in
+          (* evictions are silent: values are written through to local
+             memory and the perfect write buffer makes writebacks free *)
+          ignore (Cache.insert n.cache ~block ~state)
+        end
+        else block_fault t ~node n th access vaddr page
+  end
+
+(* The denied bus transaction: inhibit + relinquish-and-retry.  A separate
+   function rather than a closure in [cpu_access], so a hit allocates
+   nothing. *)
+and block_fault t ~node n th access vaddr page =
+  Thread.advance th t.params.Params.fault_detect;
+  let tag = Pagemem.get_tag n.mem ~vaddr in
+  let fault =
+    {
+      Tempest.fault_vaddr = vaddr;
+      fault_access = access;
+      fault_tag = tag;
+      fault_mode = page.Pagemem.mode;
+      fault_resumption = Tempest.make_resumption (fun () -> ());
+    }
+  in
+  suspend_on_fault n th (fun resumption ->
+      Np.post n.np ~at:(Thread.clock th)
+        (Np.Block_fault { fault with Tempest.fault_resumption = resumption }));
+  cpu_access t ~node th access vaddr
 
 let cpu_read_f64 t ~node th vaddr =
   cpu_access t ~node th Tag.Load vaddr;

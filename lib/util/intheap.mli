@@ -1,16 +1,20 @@
 (** Monomorphic int-keyed binary min-heap.
 
-    The specialized event queue backing {!Tt_sim.Engine}: keys are immediate
-    ints compared with inline [<]/[>] (no comparator closure, no polymorphic
-    compare), and key/payload live in parallel flat arrays so pushing or
-    popping allocates nothing. *)
+    The specialized event queue backing {!Tt_sim.Engine} and the fabric's
+    in-flight messages: keys are immediate ints compared with inline [<]/[>]
+    (no comparator closure, no polymorphic compare).  Payloads sit in a slab
+    indexed by slot, recycled through a free-slot stack, and the heap itself
+    orders [(key, slot)] int pairs.  Sifting thus moves only ints: a push or
+    pop writes one payload reference (one write barrier), whatever the
+    heap's depth, and allocates nothing once capacity is reached. *)
 
 type 'a t
 
 val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-(** [create ~dummy ()] builds an empty heap.  [dummy] fills unused payload
-    slots (and is returned by nothing); [capacity] preallocates the backing
-    arrays (default 256). *)
+(** [create ~dummy ()] builds an empty heap.  [dummy] fills free slab
+    slots, so a popped or cleared payload is no longer reachable from the
+    heap (and [dummy] is returned by nothing); [capacity] preallocates the
+    backing arrays (default 256), which double when full. *)
 
 val length : 'a t -> int
 

@@ -239,6 +239,69 @@ let prop_random_program =
       Array.for_all Thread.finished threads
       && Dirnnb.check_invariants sys = Ok ())
 
+(* A warmed hit, local-home or remote-home, allocates nothing; alternating
+   the two pages makes every access re-resolve its page home. *)
+let test_hit_path_allocates_nothing () =
+  let engine, sys = mk ~nodes:2 () in
+  Dirnnb.map_shared_page sys ~vpage:page ~home:0;
+  Dirnnb.map_shared_page sys ~vpage:(page + 1) ~home:1;
+  let remote = base + Addr.page_size in
+  let words = ref nan and ints = ref nan in
+  let th =
+    (* an unbounded quantum: no yield (and its continuation) mid-loop *)
+    Thread.spawn engine ~quantum:max_int ~name:"cpu0" (fun th ->
+          List.iter
+            (fun va ->
+              Dirnnb.cpu_access sys ~node:0 th Tt_mem.Tag.Store va;
+              Dirnnb.cpu_access sys ~node:0 th Tt_mem.Tag.Load va)
+            [ base; remote ];
+          let before = Gc.minor_words () in
+          for _ = 1 to 2_500 do
+            Dirnnb.cpu_access sys ~node:0 th Tt_mem.Tag.Load base;
+            Dirnnb.cpu_access sys ~node:0 th Tt_mem.Tag.Store remote;
+            Dirnnb.cpu_access sys ~node:0 th Tt_mem.Tag.Store base;
+            Dirnnb.cpu_access sys ~node:0 th Tt_mem.Tag.Load remote
+          done;
+          words := Gc.minor_words () -. before;
+          let before = Gc.minor_words () in
+          for i = 1 to 5_000 do
+            Dirnnb.cpu_write_int sys ~node:0 th remote i;
+            ignore (Dirnnb.cpu_read_int sys ~node:0 th base)
+          done;
+          ints := Gc.minor_words () -. before)
+  in
+  Engine.run engine;
+  check_bool "finished" true (Thread.finished th);
+  Alcotest.(check (float 0.)) "minor words over 10k cpu_access hits" 0. !words;
+  Alcotest.(check (float 0.)) "minor words over 10k int reads/writes" 0. !ints
+
+(* The CPU-side page-home memo must not outlive a re-homing: node 0 reads
+   page P from home 1, node 1 crashes and P moves to node 2 (restored from
+   a checkpoint holding a different value), and node 0's next read of P,
+   a cache hit with the memo still naming node 1, must reach node 2. *)
+let test_rehome_invalidates_home_memo () =
+  let engine, sys = mk ~nodes:3 () in
+  Dirnnb.map_shared_page sys ~vpage:page ~home:1;
+  Tt_mem.Pagemem.write_f64 (Dirnnb.home_mem sys 1) ~vaddr:base 1.0;
+  let first = ref nan and second = ref nan in
+  let read_into r =
+    [|
+      (fun th -> r := Dirnnb.cpu_read_f64 sys ~node:0 th base);
+      (fun _ -> ());
+      (fun _ -> ());
+    |]
+  in
+  let _ = run_cpus engine (read_into first) in
+  Alcotest.(check (float 0.)) "read from the first home" 1.0 !first;
+  let snapshot = Bytes.make Addr.page_size '\000' in
+  Bytes.set_int64_le snapshot 0 (Int64.bits_of_float 2.0);
+  Dirnnb.set_is_dead sys (fun n -> n = 1);
+  Dirnnb.on_node_death sys ~dead:1 ~new_home:2 ~restore:(fun ~vpage ->
+      if vpage = page then Some snapshot else None);
+  check_int "page re-homed" 2 (Dirnnb.page_home sys ~vpage:page);
+  let _ = run_cpus engine (read_into second) in
+  Alcotest.(check (float 0.)) "next read reaches the new home" 2.0 !second
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "dirnnb"
@@ -264,4 +327,11 @@ let () =
           Alcotest.test_case "pinned home" `Quick test_alloc_pinned_home;
         ] );
       ("random", [ qc prop_random_program ]);
+      ( "host",
+        [
+          Alcotest.test_case "hit path allocates nothing" `Quick
+            test_hit_path_allocates_nothing;
+          Alcotest.test_case "re-homing invalidates the home memo" `Quick
+            test_rehome_invalidates_home_memo;
+        ] );
     ]

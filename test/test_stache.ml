@@ -397,6 +397,59 @@ let prop_random_coherence =
       && Stache.check_invariants st = Ok ()
       && final = expect)
 
+(* ---------------- Audit failures ---------------- *)
+
+(* A quiesced machine with one page homed on node 0: node 1 holds block A
+   read-only (directory: Shared, sharers {1}) and node 2 holds block B
+   exclusively (Remote_excl 2).  The audit passes; each test then plants
+   one inconsistency and expects the audit's first-failure message. *)
+let quiesced_audit_machine () =
+  let engine, sys, st = mk () in
+  let va = ref 0 in
+  run_cpus engine
+    [|
+      (fun th ->
+        va := Stache.alloc st ~th ~node:0 ~home:0 ~bytes:64 ();
+        System.cpu_write_f64 sys ~node:0 th !va 1.0;
+        Thread.yield th);
+      (fun th ->
+        Thread.advance th 2000;
+        Thread.yield th;
+        ignore (System.cpu_read_f64 sys ~node:1 th !va));
+      (fun th ->
+        Thread.advance th 2000;
+        Thread.yield th;
+        System.cpu_write_f64 sys ~node:2 th (!va + Addr.block_size) 2.0);
+      (fun _ -> ());
+    |];
+  assert_invariants st;
+  (sys, st, !va, !va + Addr.block_size)
+
+let expect_audit_error st msg =
+  match Stache.check_invariants st with
+  | Ok () -> Alcotest.fail ("audit passed, expected: " ^ msg)
+  | Error got -> Alcotest.(check string) "first failure" msg got
+
+let set_tag sys ~node ~vaddr tag =
+  Tt_mem.Pagemem.set_tag (System.node_mem sys node) ~vaddr tag
+
+let test_audit_second_rw_copy () =
+  let sys, st, _, b = quiesced_audit_machine () in
+  set_tag sys ~node:1 ~vaddr:b Tag.Read_write;
+  expect_audit_error st
+    (Printf.sprintf "block 0x%x: writable copies at multiple nodes (1, 2)" b)
+
+let test_audit_ro_copy_at_non_sharer () =
+  let sys, st, a, _ = quiesced_audit_machine () in
+  set_tag sys ~node:2 ~vaddr:a Tag.Read_only;
+  expect_audit_error st
+    (Printf.sprintf "block 0x%x: node 2 has RO copy but is not a sharer" a)
+
+let test_audit_stuck_busy () =
+  let sys, st, a, _ = quiesced_audit_machine () in
+  set_tag sys ~node:1 ~vaddr:a Tag.Busy;
+  expect_audit_error st (Printf.sprintf "block 0x%x: node 1 stuck Busy" a)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "stache"
@@ -429,6 +482,13 @@ let () =
             test_message_count_for_clean_fetch;
           Alcotest.test_case "recall races page replacement" `Quick
             test_recall_races_page_replacement;
+        ] );
+      ( "audit",
+        [
+          Alcotest.test_case "second RW copy" `Quick test_audit_second_rw_copy;
+          Alcotest.test_case "RO copy at a non-sharer" `Quick
+            test_audit_ro_copy_at_non_sharer;
+          Alcotest.test_case "stuck Busy tag" `Quick test_audit_stuck_busy;
         ] );
       ("random", [ qc prop_random_coherence ]);
     ]

@@ -367,6 +367,44 @@ let test_upgrade_cost () =
   check_int "upgrade counted" 1
     (Tt_util.Stats.get (System.node_stats sys 0) "upgrades")
 
+(* A warmed hit must stay inside the tag/cache check: no closure, option
+   or boxed word per access.  Alternating two pages makes every access
+   miss the one-entry translation memos and go through the page tables. *)
+let test_hit_path_allocates_nothing () =
+  let engine, sys = mk () in
+  map_rw sys 0;
+  let ep = System.endpoint sys 0 in
+  ep.Tempest.map_page ~vpage:(page + 1) ~home:0 ~mode:0
+    ~init_tag:Tag.Read_write;
+  let other = base + Addr.page_size in
+  let words = ref nan and ints = ref nan in
+  let th =
+    Thread.spawn engine ~quantum:max_int ~name:"cpu0" (fun th ->
+        List.iter
+          (fun va ->
+            System.cpu_access sys ~node:0 th Tag.Store va;
+            System.cpu_access sys ~node:0 th Tag.Load va)
+          [ base; other ];
+        let before = Gc.minor_words () in
+        for _ = 1 to 2_500 do
+          System.cpu_access sys ~node:0 th Tag.Load base;
+          System.cpu_access sys ~node:0 th Tag.Store other;
+          System.cpu_access sys ~node:0 th Tag.Store base;
+          System.cpu_access sys ~node:0 th Tag.Load other
+        done;
+        words := Gc.minor_words () -. before;
+        let before = Gc.minor_words () in
+        for i = 1 to 5_000 do
+          System.cpu_write_int sys ~node:0 th base i;
+          ignore (System.cpu_read_int sys ~node:0 th other)
+        done;
+        ints := Gc.minor_words () -. before)
+  in
+  Engine.run engine;
+  check_bool "finished" true (Thread.finished th);
+  Alcotest.(check (float 0.)) "minor words over 10k cpu_access hits" 0. !words;
+  Alcotest.(check (float 0.)) "minor words over 10k int reads/writes" 0. !ints
+
 let () =
   Alcotest.run "typhoon"
     [
@@ -410,5 +448,7 @@ let () =
         [
           Alcotest.test_case "local miss cost" `Quick test_local_miss_cost;
           Alcotest.test_case "upgrade cost" `Quick test_upgrade_cost;
+          Alcotest.test_case "hit path allocates nothing" `Quick
+            test_hit_path_allocates_nothing;
         ] );
     ]

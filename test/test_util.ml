@@ -2,11 +2,12 @@
    and rejects double-release (satellite of the zero-allocation PR). *)
 let () = Tt_util.Debug.set_pool_debug true
 
-(* Unit and property tests for tt_util: PRNG, int heap, vector, bit set,
-   statistics, table formatting, trace guard. *)
+(* Unit and property tests for tt_util: PRNG, int heap, int-keyed table,
+   vector, bit set, statistics, table formatting, trace guard. *)
 
 module Prng = Tt_util.Prng
 module Intheap = Tt_util.Intheap
+module Inttbl = Tt_util.Inttbl
 module Vec = Tt_util.Vec
 module Bitset = Tt_util.Bitset
 module Stats = Tt_util.Stats
@@ -221,6 +222,192 @@ let prop_intheap_interleaved =
                 model := rest;
                 Intheap.min_key h = m && Intheap.pop_exn h = m)
         ops)
+
+(* Payload slab: cells are recycled through the free-slot stack, so a
+   payload must come back with its own key however often slots are reused
+   and the heap regrows.  Payloads carry (key, unique id). *)
+let prop_intheap_slab_reuse =
+  QCheck.Test.make ~name:"intheap slab keeps payloads with their keys"
+    ~count:300
+    QCheck.(list (pair (int_range 0 9) small_int))
+    (fun ops ->
+      let h = Intheap.create ~capacity:1 ~dummy:(0, -1) () in
+      let live = Hashtbl.create 16 and next_id = ref 0 and ok = ref true in
+      List.iter
+        (fun (op, k) ->
+          if op = 0 then begin
+            Intheap.clear h;
+            Hashtbl.reset live
+          end
+          else if op <= 3 then begin
+            if Intheap.is_empty h then ok := !ok && Hashtbl.length live = 0
+            else begin
+              let key = Intheap.min_key h in
+              let pk, id = Intheap.pop_exn h in
+              ok := !ok && pk = key && Hashtbl.find_opt live id = Some pk;
+              Hashtbl.remove live id
+            end
+          end
+          else begin
+            Intheap.push h k (k, !next_id);
+            Hashtbl.replace live !next_id k;
+            incr next_id
+          end;
+          ok := !ok && Intheap.length h = Hashtbl.length live)
+        ops;
+      !ok)
+
+let test_intheap_growth_full () =
+  let h = Intheap.create ~capacity:4 ~dummy:"" () in
+  List.iter (fun k -> Intheap.push h k (string_of_int k)) [ 40; 10; 30; 20 ];
+  (* pop two and refill, so the live slots are a permutation when the heap
+     fills up again and has to grow *)
+  Alcotest.(check string) "pop 10" "10" (Intheap.pop_exn h);
+  Alcotest.(check string) "pop 20" "20" (Intheap.pop_exn h);
+  List.iter (fun k -> Intheap.push h k (string_of_int k)) [ 5; 35 ];
+  check_int "full" 4 (Intheap.length h);
+  List.iter (fun k -> Intheap.push h k (string_of_int k)) [ 25; 1; 45; 15; 50 ];
+  check_int "grown" 9 (Intheap.length h);
+  let rec drain acc =
+    if Intheap.is_empty h then List.rev acc
+    else drain (Intheap.pop_exn h :: acc)
+  in
+  Alcotest.(check (list string)) "payloads in key order"
+    [ "1"; "5"; "15"; "25"; "30"; "35"; "40"; "45"; "50" ] (drain [])
+
+(* Popped and cleared payloads must not stay reachable from the slab. *)
+let test_intheap_releases_payloads () =
+  let h = Intheap.create ~capacity:2 ~dummy:(ref (-1)) () in
+  let weak = Weak.create 6 in
+  let fill () =
+    for i = 0 to 5 do
+      let p = ref i in
+      Weak.set weak i (Some p);
+      Intheap.push h i p
+    done
+  in
+  fill ();
+  for _ = 1 to 3 do
+    ignore (Sys.opaque_identity (Intheap.pop_exn h))
+  done;
+  Gc.full_major ();
+  for i = 0 to 2 do
+    check_bool (Printf.sprintf "popped payload %d collected" i) true
+      (Weak.get weak i = None)
+  done;
+  check_bool "live payload kept" true (Weak.get weak 4 <> None);
+  Intheap.clear h;
+  Gc.full_major ();
+  for i = 3 to 5 do
+    check_bool (Printf.sprintf "cleared payload %d collected" i) true
+      (Weak.get weak i = None)
+  done;
+  (* the heap itself stays reachable up to here, so only its own release
+     of the payloads can have freed them *)
+  check_int "cleared heap empty" 0 (Intheap.length h)
+
+(* ---------------- Inttbl ---------------- *)
+
+let test_inttbl_hash_edges () =
+  List.iter
+    (fun k ->
+      check_int (Printf.sprintf "hash %d" k) (Hashtbl.hash k) (Inttbl.hash k))
+    [ 0; 1; -1; 2; -2; 42; max_int; min_int; max_int - 1; min_int + 1;
+      (1 lsl 30) - 1; 1 lsl 30; (1 lsl 31) - 1; 1 lsl 31; -(1 lsl 31);
+      (-1 lsl 31) - 1; 1 lsl 32; -(1 lsl 32); 1 lsl 61; -(1 lsl 61);
+      0x1000_0000; 0x2545F4914F6CDD1 ]
+
+type tbl_op =
+  | Add of int * int
+  | Replace of int * int
+  | Remove of int
+  | Reset
+  | Clear
+
+let tbl_key =
+  QCheck.Gen.(
+    frequency
+      [ (8, int_range (-40) 40);
+        (1, oneofl [ max_int; min_int; max_int - 1; min_int + 1 ]);
+        (1, int) ])
+
+let tbl_op =
+  QCheck.Gen.(
+    frequency
+      [ (6, map2 (fun k v -> Add (k, v)) tbl_key small_int);
+        (6, map2 (fun k v -> Replace (k, v)) tbl_key small_int);
+        (4, map (fun k -> Remove k) tbl_key);
+        (1, return Reset);
+        (1, return Clear) ])
+
+let print_tbl_op = function
+  | Add (k, v) -> Printf.sprintf "add %d %d" k v
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Reset -> "reset"
+  | Clear -> "clear"
+
+(* Differential: the same operations on [Inttbl] and [Stdlib.Hashtbl] give
+   the same lookups and the same walk order through every iterator,
+   across duplicate bindings, growth from capacity 0 and extreme keys. *)
+let prop_inttbl_matches_hashtbl =
+  QCheck.Test.make ~name:"inttbl agrees with Stdlib.Hashtbl, walk order too"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list print_tbl_op)
+       QCheck.Gen.(list_size (int_range 0 400) tbl_op))
+    (fun ops ->
+      let a = Inttbl.create 0 and b = Hashtbl.create 0 in
+      let probes = [ 0; 1; -1; 7; -40; 40; max_int; min_int ] in
+      let same () =
+        let order_a = Inttbl.fold (fun k v acc -> (k, v) :: acc) a [] in
+        let order_b = Hashtbl.fold (fun k v acc -> (k, v) :: acc) b [] in
+        let iter_a = ref [] and iter_b = ref [] in
+        Inttbl.iter (fun k v -> iter_a := (k, v) :: !iter_a) a;
+        Hashtbl.iter (fun k v -> iter_b := (k, v) :: !iter_b) b;
+        Inttbl.length a = Hashtbl.length b
+        && order_a = order_b && !iter_a = !iter_b
+        && List.of_seq (Inttbl.to_seq a) = List.of_seq (Hashtbl.to_seq b)
+        && List.for_all
+             (fun k ->
+               Inttbl.find_opt a k = Hashtbl.find_opt b k
+               && Inttbl.mem a k = Hashtbl.mem b k
+               && Inttbl.find_or a k ~default:(-7)
+                  = Option.value ~default:(-7) (Hashtbl.find_opt b k))
+             probes
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add (k, v) ->
+              Inttbl.add a k v;
+              Hashtbl.add b k v
+          | Replace (k, v) ->
+              Inttbl.replace a k v;
+              Hashtbl.replace b k v
+          | Remove k ->
+              Inttbl.remove a k;
+              Hashtbl.remove b k
+          | Reset ->
+              Inttbl.reset a;
+              Hashtbl.reset b
+          | Clear ->
+              Inttbl.clear a;
+              Hashtbl.clear b);
+          (match op with
+          | Add (k, _) | Replace (k, _) | Remove k ->
+              Inttbl.find_opt a k = Hashtbl.find_opt b k
+          | Reset | Clear -> true)
+          && Inttbl.length a = Hashtbl.length b)
+        ops
+      && same ())
+
+let test_inttbl_find_raises () =
+  let t = Inttbl.create 4 in
+  Inttbl.add t 3 "three";
+  Alcotest.(check string) "find bound" "three" (Inttbl.find t 3);
+  Alcotest.check_raises "find unbound" Not_found (fun () ->
+      ignore (Inttbl.find t 4))
 
 (* ---------------- Vec ---------------- *)
 
@@ -491,6 +678,19 @@ let () =
           Alcotest.test_case "basic" `Quick test_intheap_basic;
           qc prop_intheap_sorts;
           qc prop_intheap_interleaved;
+          qc prop_intheap_slab_reuse;
+          Alcotest.test_case "growth with every slot live" `Quick
+            test_intheap_growth_full;
+          Alcotest.test_case "popped and cleared payloads collectable" `Quick
+            test_intheap_releases_payloads;
+        ] );
+      ( "inttbl",
+        [
+          Alcotest.test_case "hash equals Hashtbl.hash" `Quick
+            test_inttbl_hash_edges;
+          Alcotest.test_case "find raises Not_found" `Quick
+            test_inttbl_find_raises;
+          qc prop_inttbl_matches_hashtbl;
         ] );
       ( "vec",
         [
