@@ -164,55 +164,10 @@ let bench_fig3_stache_reliable =
               (H.Machine.typhoon_stache
                  ~reliability:(Tt_net.Reliable.Flaky cfg)))))
 
-(* Ablation: the per-vnet message pool.  The same round trip with pooling
-   disabled (every send allocates a fresh record) — compare against
-   fig3_block_fetch_stache for the wall-clock cost of allocation on the
-   messaging path.  The simulated cycle counts are asserted identical by
-   [pool_timing_parity] below. *)
-let bench_ablation_message_pool =
-  Test.make ~name:"ablation_message_pool"
-    (Staged.stage (fun () ->
-         Tt_net.Message.Pool.set_disabled true;
-         Fun.protect
-           ~finally:(fun () -> Tt_net.Message.Pool.set_disabled false)
-           (fun () ->
-             ignore (fetch_round_trip (fun p -> H.Machine.typhoon_stache p)))))
-
-(* Pooling must be timing-neutral: recycling message records and bulk
-   buffers may never move a simulated event.  Run the pinned round trip
-   both ways and demand bit-identical cycle counts before benchmarking. *)
-let pool_timing_parity () =
-  let was = Tt_net.Message.Pool.is_disabled () in
-  let run disabled =
-    Tt_net.Message.Pool.set_disabled disabled;
-    Fun.protect
-      ~finally:(fun () -> Tt_net.Message.Pool.set_disabled was)
-      (fun () ->
-        let stache =
-          (fetch_round_trip (fun p -> H.Machine.typhoon_stache p)).H.Run.cycles
-        in
-        let dirnnb =
-          (fetch_round_trip (fun p -> H.Machine.dirnnb p)).H.Run.cycles
-        in
-        (stache, dirnnb))
-  in
-  let on = run false and off = run true in
-  if on <> off then begin
-    Printf.eprintf
-      "FATAL: message pooling changed simulated timing: pools on %s, off %s\n"
-      (Printf.sprintf "(stache %d, dirnnb %d)" (fst on) (snd on))
-      (Printf.sprintf "(stache %d, dirnnb %d)" (fst off) (snd off));
-    exit 1
-  end;
-  Printf.printf
-    "pool timing parity: OK (stache round trip %d cycles, dirnnb %d, \
-     identical with pooling disabled)\n\n%!"
-    (fst on) (snd on)
-
 (* The suspension-free fast path must be timing-neutral: eliding a fiber
    suspension may never move a simulated event.  Run the pinned round
    trips with the fast path on and off and demand bit-identical cycle
-   counts before benchmarking (scripts/check_fastpath.sh runs the whole
+   counts before benchmarking (scripts/check_all.sh runs the whole
    test suite the same way). *)
 let fastpath_timing_parity () =
   let was = Tt_sim.Thread.fastpath_enabled () in
@@ -243,47 +198,12 @@ let fastpath_timing_parity () =
      identical with TT_FASTPATH=0)\n\n%!"
     (fst on) (snd on)
 
-(* Finite buffering must be free when buffers are ample: with the default
-   credit pools (which the reliable transport's send window can never
-   exhaust) the flow-control layer is pure integer bookkeeping, so the
-   pinned round trips must cost bit-identical cycles with the layer on and
-   off (scripts/check_flowcontrol.sh runs the whole test suite the same
-   way). *)
-let flowcontrol_timing_parity () =
-  let was = Tt_net.Flow.enabled () in
-  let run on =
-    Tt_net.Flow.set_enabled on;
-    Fun.protect
-      ~finally:(fun () -> Tt_net.Flow.set_enabled was)
-      (fun () ->
-        let stache =
-          (fetch_round_trip (fun p -> H.Machine.typhoon_stache p)).H.Run.cycles
-        in
-        let dirnnb =
-          (fetch_round_trip (fun p -> H.Machine.dirnnb p)).H.Run.cycles
-        in
-        (stache, dirnnb))
-  in
-  let on = run true and off = run false in
-  if on <> off then begin
-    Printf.eprintf
-      "FATAL: flow control changed simulated timing under ample credits: on \
-       %s, off %s\n"
-      (Printf.sprintf "(stache %d, dirnnb %d)" (fst on) (snd on))
-      (Printf.sprintf "(stache %d, dirnnb %d)" (fst off) (snd off));
-    exit 1
-  end;
-  Printf.printf
-    "flowcontrol timing parity: OK (stache round trip %d cycles, dirnnb %d, \
-     identical with TT_FLOW=0)\n\n%!"
-    (fst on) (snd on)
-
 (* Crash-stop recovery support must be free when nobody crashes: with no
    crash schedule configured, the liveness hooks and window checks on the
    transport's send/retransmit paths are dead branches, so the pinned
    round trips — including the reliable-transport one, where those
    branches live — must cost bit-identical cycles with recovery support
-   on and off (scripts/check_recovery.sh runs the whole suite and the
+   on and off (scripts/check_all.sh runs the whole suite and the
    recover grid the same way). *)
 let recovery_timing_parity () =
   let was = Tt_net.Faults.recovery_enabled () in
@@ -322,34 +242,11 @@ let recovery_timing_parity () =
      dirnnb %d, identical with TT_RECOVERY=0)\n\n%!"
     (fst on) (snd on)
 
-(* The domains-parallel engine must be deterministic: the same PHOLD
-   schedule, partitioned four ways, must produce bit-identical
-   per-partition event-log hashes whether one domain drives all four
-   partitions or four domains drive one each
-   (scripts/check_parallel.sh gates the full sweeps the same way). *)
-let pdes_parity () =
-  let go domains =
-    H.Pdes.run ~nodes:32 ~partitions:4 ~horizon:20_000 ~domains ()
-  in
-  let seq = go 1 and par = go 4 in
-  if
-    seq.H.Pdes.log_hashes <> par.H.Pdes.log_hashes
-    || seq.H.Pdes.counts <> par.H.Pdes.counts
-  then begin
-    Printf.eprintf
-      "FATAL: domains-parallel PHOLD diverged from the 1-domain oracle\n";
-    exit 1
-  end;
-  Printf.printf
-    "pdes determinism parity: OK (%d events over %d windows, identical \
-     per-partition logs on 1 and 4 domains)\n\n%!"
-    seq.H.Pdes.total seq.H.Pdes.epochs
-
 (* The adaptive layer must be free when killed: with TT_ADAPT=0 the
    observer still counts traffic but nothing ever switches, so a run on
    the adaptive machine must cost bit-identical simulated cycles to the
    plain zoo machine with every page left on the default invalidate
-   protocol (scripts/check_protocols.sh gates the full suite the same
+   protocol (scripts/check_all.sh gates the full suite the same
    way). *)
 let adaptive_parity () =
   let cycles machine_of =
@@ -383,20 +280,6 @@ let adaptive_parity () =
     "adaptive kill-switch parity: OK (synthpc %d cycles, identical with \
      TT_ADAPT=0 and on the plain zoo machine)\n\n%!"
     killed
-
-(* Wall-clock face of the same workload: the conservative windowed engine
-   on one domain vs four.  Speedup only appears with >= 4 host cores; the
-   interesting single-core number is the windowing overhead vs the
-   sequential oracle. *)
-let bench_pdes domains =
-  Test.make ~name:(Printf.sprintf "pdes_phold_%d_domains" domains)
-    (Staged.stage (fun () ->
-         ignore
-           (H.Pdes.run ~nodes:64 ~partitions:4 ~horizon:10_000 ~domains ())))
-
-let bench_pdes_1 = bench_pdes 1
-
-let bench_pdes_4 = bench_pdes 4
 
 (* Figure 4's unit: a tiny EM3D run under the update protocol. *)
 let em3d_tiny_cfg =
@@ -514,8 +397,8 @@ let bench_ablation_event_queue =
 let benchmarks =
   [ bench_table1; bench_table2; bench_table3; bench_fig3_stache;
     bench_fig3_dirnnb; bench_fig3_stache_reliable;
-    bench_ablation_message_pool; bench_fig4; bench_ablation_protocol_migratory;
-    bench_ablation_protocol_update; bench_pdes_1; bench_pdes_4;
+    bench_fig4; bench_ablation_protocol_migratory;
+    bench_ablation_protocol_update;
     bench_ablation_effects; bench_ablation_effects_fast;
     bench_ablation_effects_slow;
     bench_ablation_sharers_pointers; bench_ablation_sharers_overflow;
@@ -564,11 +447,8 @@ let run_bechamel () =
 
 let () =
   print_endline "=== Tempest & Typhoon: benchmark harness ===";
-  pool_timing_parity ();
   fastpath_timing_parity ();
-  flowcontrol_timing_parity ();
   recovery_timing_parity ();
-  pdes_parity ();
   adaptive_parity ();
   if not fast then reproduce_figures ()
   else print_endline "(TT_BENCH_FAST=1: skipping figure reproduction)\n";

@@ -45,7 +45,8 @@ let domains_t =
     & opt (some int) None
     & info [ "domains" ]
         ~doc:
-          "Worker domains for the parallel harness (0 = sequential; default \
+          "Worker domains for the grid sweeps: independent grid cells run \
+           concurrently, one simulation per cell (0 = sequential; default \
            $(b,TT_DOMAINS), else 0).  Simulated cycles, stats and tables are \
            bit-identical at every value; only wall-clock changes.")
 
@@ -878,59 +879,6 @@ let torture_cmd =
       $ perturb_t $ no_shrink_t $ smoke_t $ out_t $ table_t $ replay_t
       $ domains_t)
 
-(* --- tt pdes --- *)
-
-let pdes_cmd =
-  let nodes_t =
-    Arg.(
-      value & opt int 64
-      & info [ "n"; "nodes" ] ~doc:"PHOLD logical processes.")
-  in
-  let partitions_t =
-    Arg.(
-      value & opt int 4
-      & info [ "partitions" ]
-          ~doc:"Event-queue partitions (clamped to the node count).")
-  in
-  let horizon_t =
-    Arg.(
-      value & opt int 100_000
-      & info [ "horizon" ]
-          ~doc:"Events stop reproducing at this simulated cycle.")
-  in
-  let initial_t =
-    Arg.(
-      value & opt int 4
-      & info [ "initial" ] ~doc:"Initial event population per node.")
-  in
-  let run nodes partitions horizon initial seed domains =
-    let domains = resolve_domains domains in
-    note_parallel domains;
-    let r =
-      H.Pdes.run ~seed ~initial ~nodes ~partitions ~horizon ~domains ()
-    in
-    let lo = Array.fold_left min max_int r.H.Pdes.counts
-    and hi = Array.fold_left max 0 r.H.Pdes.counts in
-    Printf.printf
-      "PHOLD: %d nodes over %d partitions, horizon %d: %d events \
-       (%d..%d/node), final time %d, %d windows\n"
-      nodes (Array.length r.H.Pdes.log_hashes) horizon r.H.Pdes.total lo hi
-      r.H.Pdes.final_time r.H.Pdes.epochs;
-    Array.iteri
-      (fun p h -> Printf.printf "partition %d event-log hash: %016x\n" p h)
-      r.H.Pdes.log_hashes
-  in
-  let doc =
-    "PHOLD demo of the domains-parallel conservative engine: partitioned \
-     event queues advanced in lookahead windows, with per-partition \
-     event-log hashes that are bit-identical for every $(b,--domains) \
-     value (the determinism witness behind TT_DOMAINS)."
-  in
-  Cmd.v (Cmd.info "pdes" ~doc)
-    Term.(
-      const run $ nodes_t $ partitions_t $ horizon_t $ initial_t $ seed_t
-      $ domains_t)
-
 let list_cmd =
   let run () =
     Printf.printf "benchmarks: %s\nmachines:   %s\nprotocols:  %s\n"
@@ -947,4 +895,4 @@ let () =
   exit (Cmd.eval (Cmd.group info
        [ run_cmd; fig3_cmd; fig4_cmd; tables_cmd; ablations_cmd; sweep_cmd;
          scale_cmd; proto_cmd; faults_cmd; recover_cmd; torture_cmd;
-         pdes_cmd; verify_cmd; list_cmd ]))
+         verify_cmd; list_cmd ]))

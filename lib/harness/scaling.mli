@@ -8,7 +8,7 @@
 
     Simulated cycle counts are deterministic — independent of host and of
     wall-clock — so the rendered table is diff-stable and gates
-    [scripts/check_scaling.sh].
+    [scripts/check_all.sh].
     Host CPU seconds are reported separately per point and never appear
     in {!render} or {!to_json}. *)
 

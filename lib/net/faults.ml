@@ -48,7 +48,7 @@ type config = {
 (* TT_RECOVERY=0 disables crash-stop injection entirely: [create] ignores
    the config's crash schedule, so every pinned row is bit-identical to the
    pre-crash-era code by construction (asserted by the recovery parity
-   bench and scripts/check_recovery.sh). *)
+   bench and scripts/check_all.sh). *)
 let recovery_on =
   ref
     (match Sys.getenv_opt "TT_RECOVERY" with

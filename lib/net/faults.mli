@@ -117,7 +117,7 @@ val set_recovery : bool -> unit
     pinned row is bit-identical to crash support never having existed.
     Crash injection consumes no main-stream PRNG draws either way; the
     switch exists so the claim is enforceable by an A/B gate
-    (scripts/check_recovery.sh) rather than argued. *)
+    (scripts/check_all.sh) rather than argued. *)
 
 val recovery_enabled : unit -> bool
 

@@ -23,16 +23,6 @@ module Thread = Tt_sim.Thread
    gives the response network, and the reason the response vnet's separate
    credit pool always retains enough credit to drain (§5.1). *)
 
-let enabled_flag =
-  ref
-    (match Sys.getenv_opt "TT_FLOW" with
-    | Some ("0" | "false" | "off") -> false
-    | Some _ | None -> true)
-
-let set_enabled b = enabled_flag := b
-
-let enabled () = !enabled_flag
-
 type item = {
   i_seq : int; (* pair-local park order, spanning both sub-queues *)
   i_msg : Message.t;
@@ -69,10 +59,6 @@ type t = {
   mutable hook_clock : int -> int;
   mutable hook_charge : int -> int -> unit;
   mutable hook_status : int -> pending:int -> unit;
-  (* partitioned fabric: credit state for a non-owned [src] lives in the
-     source partition's Flow instance; [forward] routes the return there *)
-  mutable owner : (int -> bool) option;
-  mutable forward : (src:int -> dst:int -> Message.vnet -> unit) option;
   counters : Stats.t;
   c_blocked : Stats.counter;
   c_spilled : Stats.counter;
@@ -116,8 +102,6 @@ let create net ~nodes ~request_credits ~response_credits ~spill_capacity
       hook_clock = (fun _ -> no_hooks ());
       hook_charge = (fun _ _ -> no_hooks ());
       hook_status = (fun _ ~pending:_ -> no_hooks ());
-      owner = None;
-      forward = None;
       counters;
       c_blocked = Stats.counter counters "flow.blocked";
       c_spilled = Stats.counter counters "flow.spilled";
@@ -131,8 +115,6 @@ let create net ~nodes ~request_credits ~response_credits ~spill_capacity
 let stats t = t.counters
 
 let node_queued t node = t.queued.(node)
-
-let node_spilled t node = t.spilled.(node)
 
 let peak_queued t = Stats.Counter.get t.c_peak
 
@@ -357,18 +339,7 @@ let set_hooks t ~post ~clock ~charge ~status =
     t.chores.(node) <- (fun () -> run_drain t node)
   done
 
-let set_remote t ~owner ~forward =
-  t.owner <- Some owner;
-  t.forward <- Some forward
-
 let credit_return t ~src ~dst vnet =
-  match t.owner with
-  | Some is_local when not (is_local src) ->
-      (* the sender's credit pool lives in its own partition's Flow *)
-      (match t.forward with
-      | Some f -> f ~src ~dst vnet
-      | None -> assert false (* set_remote installs both together *))
-  | _ ->
   let ci = cidx t ~src ~dst vnet in
   t.credits.(ci) <- t.credits.(ci) + 1;
   if t.queued.(src) > 0 && not t.drain_posted.(src) then begin

@@ -35,24 +35,14 @@
     occupancies and credit levels, and the transport's outstanding
     retransmissions — never a silent hang.
 
-    {2 Kill switch and timing parity}
+    {2 Timing with ample credits}
 
-    [TT_FLOW=0] (or [false]/[off]) in the environment disables the layer
-    ({!enabled} becomes false); systems then send straight to the
-    transport with no capacity checks, reproducing the pre-flow-control
-    behaviour bit for bit.  With the layer on but credits ample (the
-    defaults: more credits than the transport's send window can ever use),
-    every send takes the direct path, which is pure integer bookkeeping —
-    no events, no charges, no allocation — so pinned simulated-cycle rows
-    are identical to [TT_FLOW=0].  [bench/main.ml] hard-asserts this
-    ([flowcontrol_timing_parity]), and [scripts/check_flowcontrol.sh] runs
-    the whole suite both ways. *)
-
-val set_enabled : bool -> unit
-(** Override the [TT_FLOW] environment default (tests use this to compare
-    both behaviours in one process). *)
-
-val enabled : unit -> bool
+    The layer is always on.  With credits ample (the defaults: more
+    credits than the transport's send window can ever use), every send
+    takes the direct path, which is pure integer bookkeeping — no events,
+    no charges, no allocation — so it adds no simulated cycles; the
+    pinned rows in [test/test_regression.ml] and [test/test_flow.ml]
+    hold that. *)
 
 type t
 
@@ -102,17 +92,6 @@ val credit_return : t -> src:int -> dst:int -> Message.vnet -> unit
     Posts a drain chore on [src] iff the returning credit makes a parked
     message releasable (ample credits never schedule anything). *)
 
-val set_remote :
-  t ->
-  owner:(int -> bool) ->
-  forward:(src:int -> dst:int -> Message.vnet -> unit) ->
-  unit
-(** Partitioned-fabric glue (see [Tt_net.Fabric.set_partition]): a
-    {!credit_return} whose [src] fails the [owner] predicate is routed
-    through [forward] — typically a [Tt_sim.Domains.post] to the source
-    partition, whose own Flow instance holds that sender's credit pool —
-    instead of touching this instance's state. *)
-
 val deadlock : t -> string option
 (** Probe the waits-for graph: an edge src→dst exists when src has parked
     traffic for dst that is not currently releasable.  Returns a rendered
@@ -124,19 +103,12 @@ val deadlock : t -> string option
 val node_queued : t -> int -> int
 (** Parked messages (blocked + spilled) originating at a node. *)
 
-val node_spilled : t -> int -> int
-(** Handler-side spilled messages currently parked at a node. *)
-
 val peak_queued : t -> int
 (** High-water mark of any single node's parked count. *)
-
-val credit_level : t -> src:int -> dst:int -> Message.vnet -> int
 
 val describe : t -> string
 (** Occupancy summary of every node with parked traffic (for watchdog
     [Expired] diagnostics). *)
-
-val describe_node : t -> int -> string
 
 val stats : t -> Tt_util.Stats.t
 (** Counters: [flow.blocked] (CPU senders parked), [flow.spilled]

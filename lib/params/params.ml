@@ -68,7 +68,7 @@ let default =
     link_words_per_cycle = None;
     (* ample by default: the reliable transport's send window is 512 per
        (src,dst) pair, so 4096 credits per (src,dst,vnet) can never be
-       exhausted and the pinned cycle rows stay bit-identical to TT_FLOW=0 *)
+       exhausted and every send takes Flow's charge-free direct path *)
     flow_request_credits = 4096;
     flow_response_credits = 4096;
     flow_spill_capacity = 1 lsl 16;
@@ -101,10 +101,9 @@ let validate t =
   else if t.fabric_capacity <= 0 then err "fabric_capacity must be positive"
   else Ok ()
 
-(* TT_DOMAINS follows the TT_FASTPATH / TT_FLOW kill-switch
-   pattern: a simulator-implementation knob read from the environment, not
-   a machine parameter — it must never appear in [t], where it could leak
-   into labels or pinned outputs. *)
+(* TT_DOMAINS is a simulator-implementation knob read from the
+   environment, like TT_FASTPATH, not a machine parameter — it must never
+   appear in [t], where it could leak into labels or pinned outputs. *)
 let domains_of_env () =
   match Sys.getenv_opt "TT_DOMAINS" with
   | None | Some "" -> 0

@@ -83,8 +83,8 @@ val validate : t -> (unit, string) result
 
 val domains_of_env : unit -> int
 (** The [TT_DOMAINS] worker-domain count for the parallel harness sweeps
-    and the {!Tt_sim.Domains} engine: [0] (default, or unset/empty) means
+    ({!Tt_sim.Domains.map}): [0] (default, or unset/empty) means
     sequential, [n >= 1] requests [n] worker domains.  Raises
     [Invalid_argument] on a malformed value.  A simulator knob like
-    [TT_FASTPATH]/[TT_FLOW], deliberately not a field of {!t}: it changes
+    [TT_FASTPATH], deliberately not a field of {!t}: it changes
     wall-clock behavior only, never simulated cycles or stats. *)

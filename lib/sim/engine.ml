@@ -43,9 +43,8 @@ type t = {
          the equivalent one-event-per-resume schedule. *)
   mutable trace : (int -> unit) option;
       (* drain observer: called with each fired event's packed key, before
-         the callback runs.  Powers the sequential-vs-parallel event-log
-         cross-checks (see Domains); [None] keeps [fire] branch-predicted
-         and allocation-free. *)
+         the callback runs.  Powers the whole-run benchmark's event
+         counts; [None] keeps [fire] branch-predicted and allocation-free. *)
 }
 
 let nop () = ()
@@ -59,13 +58,6 @@ let set_tiebreak t f = t.tiebreak <- f
 let tiebreak_sites t = t.tiebreak_sites
 
 let set_trace t f = t.trace <- f
-
-(* Packed-key field decoders, for event-log cross-checks and diagnostics. *)
-let key_time key = key asr seq_bits
-
-let key_seq key = key land (seq_limit - 1)
-
-let key_salt key = (key asr counter_bits) land (salt_limit - 1)
 
 let now t = t.now
 

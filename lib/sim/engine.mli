@@ -56,21 +56,8 @@ val set_trace : t -> (int -> unit) option -> unit
 (** Install (or remove) a drain observer: [f key] is called with each fired
     event's packed [(time, salt, seq)] key, after [now] has advanced but
     before the callback runs.  [None] (the default) keeps the drain path
-    free of the extra call.  Decode keys with {!key_time}, {!key_salt} and
-    {!key_seq}.  This is the probe behind the sequential-vs-parallel
-    event-log equivalence checks (see {!Domains}). *)
-
-val key_time : int -> int
-(** Simulated timestamp of a packed event key. *)
-
-val key_seq : int -> int
-(** Full 20-bit tie-break field of a packed key.  Without a {!set_tiebreak}
-    perturber this is the plain FIFO sequence number. *)
-
-val key_salt : int -> int
-(** High 8 bits of the tie-break field.  Meaningful as perturbation salt
-    only while a {!set_tiebreak} perturber is installed; otherwise these are
-    simply the FIFO counter's high bits. *)
+    free of the extra call.  This is the event-count probe of the whole-run
+    benchmark ([perfbench/]). *)
 
 val next_event_time : t -> int
 (** Timestamp of the earliest queued event, or [max_int] when the queue is

@@ -57,8 +57,8 @@ exception Failure_in of string * exn
 type _ Effect.t += Capture : int Effect.t
 
 (* TT_FASTPATH=0 forces every blocking operation through the full
-   effect suspension (mirrors TT_POOL_DISABLE): the proof knob that the
-   inline fast path is timing-neutral. *)
+   effect suspension: the proof knob that the inline fast path is
+   timing-neutral. *)
 let fastpath =
   ref
     (match Sys.getenv_opt "TT_FASTPATH" with

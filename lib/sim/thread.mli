@@ -19,7 +19,7 @@
     [TT_FASTPATH=0] (or {!set_fastpath}) disables it, forcing every blocking
     operation through the full suspension — simulated results are
     bit-identical either way (asserted by tests and
-    [scripts/check_fastpath.sh]).
+    [scripts/check_all.sh]).
 
     A thread's clock may run ahead of global time by at most [quantum]
     cycles between yields, mirroring the Wind Tunnel's quantum-based

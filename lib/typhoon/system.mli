@@ -57,14 +57,10 @@ val set_on_dirty :
     never changes any run's timing. *)
 
 val merged_stats : t -> Tt_util.Stats.t
-(** All node counters plus network traffic (and, when flow control is on,
-    the [flow.*] counters), merged. *)
+(** All node counters plus network traffic and the [flow.*] counters,
+    merged. *)
 
 (** {2 Finite buffering (§5.1)} *)
-
-val flow : t -> Tt_net.Flow.t option
-(** The credit-based flow-control layer, or [None] when disabled by the
-    [TT_FLOW] kill switch (see {!Tt_net.Flow}). *)
 
 val delivered : t -> int
 (** Total NP work items executed machine-wide — the progress metric the
@@ -76,8 +72,8 @@ val queue_summary : t -> string
     traffic) for watchdog diagnostics. *)
 
 val deadlock_probe : t -> string option
-(** {!Tt_net.Flow.deadlock} on the flow layer; [None] when flow control is
-    off or no waits-for cycle exists. *)
+(** {!Tt_net.Flow.deadlock} on the flow layer; [None] when no waits-for
+    cycle exists. *)
 
 (** {2 CPU-side execution} *)
 

@@ -516,7 +516,7 @@ let test_reliable_perfect_passthrough () =
 
 (* Tests that inject crash windows must hold the recovery switch on for
    their duration: the suite also runs under TT_RECOVERY=0 (see
-   scripts/check_recovery.sh), where [Faults.create] would otherwise
+   scripts/check_all.sh), where [Faults.create] would otherwise
    ignore the schedule and the window under test would never open. *)
 let with_recovery_on f () =
   let prior = Faults.recovery_enabled () in

