@@ -2,6 +2,7 @@
 
    Subcommands:
      tt run     run one benchmark on one machine and report cycles/stats
+     tt profile the same run under a sampling host-time profiler
      tt fig3    reproduce Figure 3 (Typhoon/Stache vs DirNNB)
      tt fig4    reproduce Figure 4 (EM3D update protocol)
      tt scale   64/128/256-node scaling sweep of the Figure 3 apps
@@ -84,7 +85,9 @@ let proto_t =
            prodcons, widerep, delayed or adaptive (overrides \
            $(b,--machine)).")
 
-let run_cmd =
+(* [tt run]'s arguments, evaluated to the run itself so [tt profile] can
+   sample exactly the same cell. *)
+let run_cell_t =
   let app_t =
     Arg.(
       required
@@ -113,7 +116,8 @@ let run_cmd =
   let stats_t =
     Arg.(value & flag & info [ "stats" ] ~doc:"Dump all statistics counters.")
   in
-  let run app machine_name proto size cache_kb nodes scale seed verify stats =
+  let run app machine_name proto size cache_kb nodes scale seed verify stats
+      () =
     let params =
       { Params.default with Params.nodes; seed;
         cpu_cache_bytes = cache_kb * 1024 }
@@ -156,11 +160,27 @@ let run_cmd =
     if stats then
       Format.printf "%a@." Tt_util.Stats.pp r.H.Run.run_stats
   in
+  Term.(
+    const run $ app_t $ machine_t $ proto_t $ size_t $ cache_t $ nodes_t
+    $ scale_t $ seed_t $ verify_t $ stats_t)
+
+let run_cmd =
   let doc = "Run one benchmark on one machine." in
-  Cmd.v (Cmd.info "run" ~doc)
-    Term.(
-      const run $ app_t $ machine_t $ proto_t $ size_t $ cache_t $ nodes_t
-      $ scale_t $ seed_t $ verify_t $ stats_t)
+  Cmd.v (Cmd.info "run" ~doc) Term.(const (fun run -> run ()) $ run_cell_t)
+
+(* --- tt profile --- *)
+
+let profile_cmd =
+  let profile run =
+    let (), p = H.Profile.sample run in
+    Format.printf "@.%a" H.Profile.pp p
+  in
+  let doc =
+    "Run one cell as $(b,tt run) does (same arguments, same output) under a \
+     SIGPROF sampling profiler, then report where the host time went: by \
+     CPU fiber versus engine event, by function and by module."
+  in
+  Cmd.v (Cmd.info "profile" ~doc) Term.(const profile $ run_cell_t)
 
 (* --- tt fig3 --- *)
 
@@ -893,6 +913,6 @@ let () =
   let doc = "Tempest & Typhoon: user-level shared memory (reproduction)" in
   let info = Cmd.info "tt" ~version:"1.0.0" ~doc in
   exit (Cmd.eval (Cmd.group info
-       [ run_cmd; fig3_cmd; fig4_cmd; tables_cmd; ablations_cmd; sweep_cmd;
-         scale_cmd; proto_cmd; faults_cmd; recover_cmd; torture_cmd;
-         verify_cmd; list_cmd ]))
+       [ run_cmd; profile_cmd; fig3_cmd; fig4_cmd; tables_cmd; ablations_cmd;
+         sweep_cmd; scale_cmd; proto_cmd; faults_cmd; recover_cmd;
+         torture_cmd; verify_cmd; list_cmd ]))

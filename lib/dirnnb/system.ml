@@ -774,11 +774,9 @@ let cpu_access t ~node th access vaddr =
       (* upgrade *)
       Stats.Counter.incr n.c_upgrades;
       let entry = Directory.entry home.dir ~block in
-      let others =
-        List.filter (fun s -> s <> node) (Bitset.to_list entry.Directory.sharers)
-      in
       if
-        local && entry_free n entry block && others = []
+        local && entry_free n entry block
+        && (not (Bitset.exists_except entry.Directory.sharers node))
         && entry.Directory.owner = None
         && not entry.Directory.overflowed
       then begin
@@ -804,13 +802,10 @@ let cpu_access t ~node th access vaddr =
               dbg block "t=%d cpu%d fastpath-load" (Thread.clock th) node;
             Stats.Counter.incr n.c_local_misses;
             Thread.advance th t.params.Params.local_miss;
-            let others =
-              List.filter (fun s -> s <> node)
-                (Bitset.to_list entry.Directory.sharers)
-            in
             let state =
               if
-                others = [] && entry.Directory.owner = None
+                (not (Bitset.exists_except entry.Directory.sharers node))
+                && entry.Directory.owner = None
                 && not entry.Directory.overflowed
               then Cache.Exclusive
               else Cache.Shared
@@ -824,12 +819,9 @@ let cpu_access t ~node th access vaddr =
           end
           else miss_via_directory t n th ~home:home_id ~handler:h_read block
       | Tag.Store ->
-          let others =
-            List.filter (fun s -> s <> node)
-              (Bitset.to_list entry.Directory.sharers)
-          in
           let conflict =
-            others <> [] || entry.Directory.overflowed
+            Bitset.exists_except entry.Directory.sharers node
+            || entry.Directory.overflowed
             ||
             match entry.Directory.owner with
             | Some o -> o <> node

@@ -24,7 +24,11 @@
 #    and four domains.  On hosts with >= 4 cores the parallel scale sweep
 #    must also beat the sequential one by TT_CHECK_SPEEDUP_MIN (default
 #    1.5x); smaller hosts skip the speedup check.
-# 6. The whole-run benchmark's self-test (tiny inputs; fails when a pinned
+# 6. Build flags and profiler: lib/ compiles with cross-module inlining
+#    (lib/dune) and perfbench/ does not, so the benchmark's host-speed
+#    yardstick compiles unchanged; tt profile takes samples and prints
+#    exactly tt run's output ahead of its report.
+# 7. The whole-run benchmark's self-test (tiny inputs; fails when a pinned
 #    simulation digest drifts).
 #
 # The bench harness (bench/main.ml) enforces the fast-path, recovery and
@@ -145,6 +149,28 @@ if [ "$ncores" -ge 4 ]; then
   echo "speedup OK: ${seq_s}s -> ${par_s}s"
 else
   echo "(speedup gate skipped: only $ncores core(s); determinism asserted)"
+fi
+
+echo "==================== build flags and profiler ===================="
+echo "== lib/ inlines, perfbench/ does not =="
+if ! dune printenv lib | grep -q -- "-inline"; then
+  echo "FAIL: lib/ is not compiled with -inline (see lib/dune)" >&2
+  exit 1
+fi
+if dune printenv perfbench | grep -q -- "-inline"; then
+  echo "FAIL: perfbench/ is compiled with -inline; its yardstick must not be" >&2
+  exit 1
+fi
+
+echo "== tt profile: same output as tt run, nonzero samples =="
+"$TT" run em3d --machine stache --nodes 32 --scale 0.3 >"$tmp/run.txt"
+"$TT" profile em3d --machine stache --nodes 32 --scale 0.3 >"$tmp/profile.txt"
+head -n "$(wc -l <"$tmp/run.txt")" "$tmp/profile.txt" | diff -u "$tmp/run.txt" -
+samples=$(sed -n 's/^profile: \([0-9]*\) samples.*/\1/p' "$tmp/profile.txt")
+echo "${samples:-0} samples"
+if [ "${samples:-0}" -lt 1 ]; then
+  echo "FAIL: tt profile took no samples" >&2
+  exit 1
 fi
 
 echo "==================== perfbench self-test ===================="

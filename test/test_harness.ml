@@ -207,6 +207,72 @@ let test_fuzz_with_page_replacement () =
                done)))
     [ 1; 2; 3; 4; 5 ]
 
+(* ---------------- sampling profiler ---------------- *)
+
+module Profile = Tt_harness.Profile
+
+let test_profile_summarize () =
+  let caller = [| "Tt_harness__Profile.sample"; "Dune__exe__Main.entry" |] in
+  let stacks =
+    [
+      (* an engine event: the profiler's and the caller's frames go, and
+         the handler's own call back into the engine stays inside it *)
+      Array.append
+        [| "Tt_harness__Profile.sample.handler"; "Tt_sim__Engine.at";
+           "Tt_net__Fabric.deliver"; "Tt_sim__Engine.fire";
+           "Tt_sim__Engine.run"; "Tt_harness__Run.spmd" |]
+        caller;
+      (* a CPU fiber: no engine frame, and no caller frames *)
+      [| "Tt_cache__Cache.lookup"; "Tt_dirnnb__System.cpu_access";
+         "Tt_sim__Thread.spawn.(fun)" |];
+      [| "Tt_dirnnb__System.cpu_access"; "Tt_sim__Thread.spawn.(fun)" |];
+      (* main stack outside the engine *)
+      Array.append [| "Dune__exe__Tt.build" |] caller;
+    ]
+  in
+  let p = Profile.summarize ~interval_s:0.001 ~cpu_s:0.004 ~caller stacks in
+  check_int "samples" 4 p.Profile.samples;
+  Alcotest.(check (list (pair string int)))
+    "by where"
+    [ ("fiber", 2); ("event", 1); ("main", 1) ]
+    (List.map
+       (fun (w, n) ->
+         ( (match w with
+           | Profile.Cpu_fiber -> "fiber"
+           | Profile.Engine_event -> "event"
+           | Profile.Main -> "main"),
+           n ))
+       p.Profile.by_where);
+  Alcotest.(check (list (pair string int)))
+    "event entry" [ ("Tt_net.Fabric.deliver", 1) ] p.Profile.event_entries;
+  check_int "self charged past the profiler's frame" 1
+    (List.assoc "Tt_sim.Engine.at" p.Profile.self);
+  check_bool "profiler frames never appear" false
+    (List.mem_assoc "Tt_harness.Profile" p.Profile.modules_inclusive);
+  check_bool "caller frames never appear" false
+    (List.mem_assoc "Main" p.Profile.modules_inclusive);
+  check_int "inclusive counts every frame" 2
+    (List.assoc "Tt_dirnnb.System.cpu_access" p.Profile.inclusive);
+  check_int "module inclusive counts once per sample" 1
+    (List.assoc "Tt_sim.Engine" p.Profile.modules_inclusive);
+  check_int "executable prefix dropped" 1
+    (List.assoc "Tt" p.Profile.modules_self)
+
+let test_profile_samples_and_restores () =
+  let spin () =
+    (* allocate so the loop reaches poll points; ~50 ms of CPU time *)
+    let t0 = Sys.time () and acc = ref [] in
+    while Sys.time () -. t0 < 0.05 do
+      acc := [ Sys.time () ];
+    done;
+    List.length !acc
+  in
+  let r, p = Profile.sample spin in
+  check_int "result passes through" 1 r;
+  check_bool "took samples" true (p.Profile.samples > 0);
+  check_bool "handler removed afterwards" true
+    (Sys.signal Sys.sigprof Sys.Signal_default = Sys.Signal_default)
+
 let () =
   Alcotest.run "harness"
     [
@@ -232,6 +298,12 @@ let () =
           Alcotest.test_case "fault ready time honoured" `Quick
             test_np_respects_fault_ready_time;
           Alcotest.test_case "message ordering" `Quick test_np_wait_then_run;
+        ] );
+      ( "profile",
+        [
+          Alcotest.test_case "summarize" `Quick test_profile_summarize;
+          Alcotest.test_case "samples and restores the handler" `Quick
+            test_profile_samples_and_restores;
         ] );
       ( "stress",
         [

@@ -107,6 +107,59 @@ let prop_prng_nonnegative =
       done;
       !ok)
 
+(* Outputs recorded from the boxed-state generator this one replaced:
+   the unboxed state must reproduce every stream bit for bit. *)
+let test_prng_golden () =
+  let ints seed =
+    let g = Prng.create ~seed in
+    List.init 4 (fun _ -> Prng.int g 1_000_000_007)
+  in
+  let floats seed =
+    let g = Prng.create ~seed in
+    List.init 3 (fun _ -> Int64.bits_of_float (Prng.float g 1.0))
+  in
+  let bools seed =
+    let g = Prng.create ~seed in
+    String.concat "" (List.init 16 (fun _ -> if Prng.bool g then "1" else "0"))
+  in
+  let split seed =
+    let g = Prng.create ~seed in
+    let c = Prng.split g in
+    let c1 = Prng.next_int64 c in
+    let c2 = Prng.next_int64 c in
+    [ c1; c2; Prng.next_int64 g ]
+  in
+  let check_golden seed ~int ~float ~bool ~split:sp =
+    let tag what = Printf.sprintf "seed %d %s" seed what in
+    Alcotest.(check (list int)) (tag "int") int (ints seed);
+    Alcotest.(check (list int64)) (tag "float bits") float (floats seed);
+    Alcotest.(check string) (tag "bool") bool (bools seed);
+    Alcotest.(check (list int64)) (tag "split child, child, parent") sp
+      (split seed)
+  in
+  check_golden 42
+    ~int:[ 249768340; 869527453; 121944468; 953467420 ]
+    ~float:[ 0x3fe7bae644c5fd6dL; 0x3fc477f199d93378L; 0x3fd1d499d5c4c3e6L ]
+    ~bool:"1100001010100100"
+    ~split:[ 0x57e1faba65107204L; 0xf4abd143feb24055L; 0x28efe333b266f103L ];
+  check_golden (-7)
+    ~int:[ 442774644; 247019922; 187575425; 902632310 ]
+    ~float:[ 0x3fdb07861910e08aL; 0x3fdea1fd36af3c64L; 0x3fed0627fc3ae6a0L ]
+    ~bool:"0010110111011010"
+    ~split:[ 0x1549c43b1b381c21L; 0x5dccd97aafaeeb59L; 0x7a87f4dabcf192aaL ]
+
+(* The state is unboxed: an integer or boolean draw allocates nothing. *)
+let test_prng_draws_allocate_nothing () =
+  let g = Prng.create ~seed:5 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Prng.int g 97 + if Prng.bool g then 1 else 0
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool "draws happened" true (!acc > 0);
+  Alcotest.(check (float 0.)) "minor words over 10k draws" 0. words
+
 (* ---------------- Intheap ---------------- *)
 
 let test_intheap_basic () =
@@ -509,25 +562,43 @@ let test_bitset_copy_equal () =
   Bitset.add b 7;
   check_bool "diverged" false (Bitset.equal a b)
 
+(* Every walk and query against a sorted-list model, at capacities on
+   both sides of the 62-bit word boundary. *)
 let prop_bitset_model =
-  QCheck.Test.make ~name:"bitset agrees with a set model" ~count:300
-    QCheck.(list (pair bool (int_range 0 61)))
-    (fun ops ->
-      let b = Bitset.create 62 in
-      let model = Hashtbl.create 16 in
+  QCheck.Test.make ~name:"bitset agrees with a set model" ~count:500
+    QCheck.(
+      pair
+        (oneofl [ 1; 61; 62; 63; 124; 125; 256 ])
+        (list_of_size Gen.(0 -- 300) (pair bool (int_bound 1_000_000))))
+    (fun (cap, ops) ->
+      let b = Bitset.create cap in
+      let model = ref [] in
       List.iter
-        (fun (add, x) ->
+        (fun (add, r) ->
+          let x = r mod cap in
           if add then begin
             Bitset.add b x;
-            Hashtbl.replace model x ()
+            if not (List.mem x !model) then
+              model := List.sort compare (x :: !model)
           end
           else begin
             Bitset.remove b x;
-            Hashtbl.remove model x
+            model := List.filter (( <> ) x) !model
           end)
         ops;
-      Bitset.cardinal b = Hashtbl.length model
-      && List.for_all (fun x -> Hashtbl.mem model x) (Bitset.to_list b))
+      let m = !model in
+      let visited = ref [] in
+      Bitset.iter (fun i -> visited := i :: !visited) b;
+      Bitset.to_list b = m
+      && List.rev !visited = m
+      && Bitset.cardinal b = List.length m
+      && Bitset.is_empty b = (m = [])
+      && List.for_all
+           (fun i -> Bitset.mem b i = List.mem i m)
+           (List.init cap Fun.id)
+      && List.for_all
+           (fun i -> Bitset.exists_except b i = List.exists (( <> ) i) m)
+           (List.init (cap + 2) (fun i -> i - 1)))
 
 (* ---------------- Stats ---------------- *)
 
@@ -665,6 +736,9 @@ let () =
           Alcotest.test_case "split independence" `Quick
             test_prng_split_independent;
           Alcotest.test_case "copy" `Quick test_prng_copy;
+          Alcotest.test_case "golden streams" `Quick test_prng_golden;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_prng_draws_allocate_nothing;
           qc prop_prng_nonnegative;
         ] );
       ( "heap",
