@@ -24,10 +24,13 @@
 #    and four domains.  On hosts with >= 4 cores the parallel scale sweep
 #    must also beat the sequential one by TT_CHECK_SPEEDUP_MIN (default
 #    1.5x); smaller hosts skip the speedup check.
-# 6. Build flags and profiler: lib/ compiles with cross-module inlining
-#    (lib/dune) and perfbench/ does not, so the benchmark's host-speed
-#    yardstick compiles unchanged; tt profile takes samples and prints
-#    exactly tt run's output ahead of its report.
+# 6. Build flags and profiler: lib/ compiles with -inline (lib/dune) and
+#    perfbench/ does not, so the benchmark's host-speed yardstick compiles
+#    unchanged; the default (release) profile keeps the dev profile's
+#    warning and strict flags; lib/'s .cmx files export function bodies
+#    (no -opaque), so inlining crosses modules; a --profile dev build of
+#    tt prints byte-identical runs and recover grid; tt profile takes
+#    samples and prints exactly tt run's output ahead of its report.
 # 7. The whole-run benchmark's self-test (tiny inputs; fails when a pinned
 #    simulation digest drifts).
 #
@@ -161,6 +164,45 @@ if dune printenv perfbench | grep -q -- "-inline"; then
   echo "FAIL: perfbench/ is compiled with -inline; its yardstick must not be" >&2
   exit 1
 fi
+
+echo "== the default profile keeps dev's lint =="
+# The default build is the release profile (dune-workspace), which would
+# drop dune's dev warnings-as-errors unless the workspace restores them.
+dune printenv lib | sed -n '/^(flags/,/^(ocamlc_flags/p' >"$tmp/flags.txt"
+dune printenv --profile dev lib | sed -n '/^(flags/,/^(ocamlc_flags/p' \
+  >"$tmp/flags-dev.txt"
+diff -u "$tmp/flags-dev.txt" "$tmp/flags.txt"
+for f in -strict-sequence '@1..3@5..28'; do
+  if ! grep -q -- "$f" "$tmp/flags.txt"; then
+    echo "FAIL: dune printenv lib lacks $f (see dune-workspace)" >&2
+    exit 1
+  fi
+done
+
+echo "== lib/ is not compiled -opaque =="
+# An -opaque .cmx exports no function bodies: its approximation is "_".
+cmx=_build/default/lib/sim/.tt_sim.objs/native/tt_sim__Engine.cmx
+approx=$(ocamlobjinfo "$cmx" | sed -n '/^Clambda approximation:/{n;p;}')
+echo "Engine.cmx approximation:$approx"
+case "$approx" in
+  *function*) ;;
+  *) echo "FAIL: $cmx exports no function bodies (-opaque is back?)" >&2
+    exit 1 ;;
+esac
+
+echo "== dev-profile build prints the same simulation =="
+dune build --profile dev --build-dir "$tmp/dev" bin/tt.exe
+DEV_TT="$tmp/dev/default/bin/tt.exe"
+for cell in "em3d --machine dirnnb" "em3d --machine stache" \
+  "ocean --machine dirnnb" "ocean --machine stache" "em3d --proto widerep"; do
+  # $cell is split into words on purpose.
+  "$TT" run $cell --nodes 8 --scale 0.1 --stats --verify >"$tmp/rel.txt"
+  "$DEV_TT" run $cell --nodes 8 --scale 0.1 --stats --verify >"$tmp/dev.txt"
+  diff -u "$tmp/rel.txt" "$tmp/dev.txt"
+done
+"$TT" recover --apps ocean --victims 3 >"$tmp/rel.txt"
+"$DEV_TT" recover --apps ocean --victims 3 >"$tmp/dev.txt"
+diff -u "$tmp/rel.txt" "$tmp/dev.txt"
 
 echo "== tt profile: same output as tt run, nonzero samples =="
 "$TT" run em3d --machine stache --nodes 32 --scale 0.3 >"$tmp/run.txt"
