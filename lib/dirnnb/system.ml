@@ -65,6 +65,7 @@ module Ctrl = struct
     mutable handled : int;
     mutable exec : Message.t -> unit;
     mutable self : unit -> unit;
+    resv : Engine.reservation; (* a trailing yield's held place *)
   }
 
   let charge t n = t.clock <- t.clock + n
@@ -96,6 +97,8 @@ module Ctrl = struct
         Engine.skip_to t.engine t.clock;
         dispatch t ()
       end
+      else if t.count = 0 && Engine.reserve t.engine t.resv t.clock then
+        t.busy <- false
       else Engine.at t.engine t.clock t.self
     end
 
@@ -104,7 +107,7 @@ module Ctrl = struct
       { engine; clock = 0; busy = false; ring = [||]; head = 0; count = 0;
         handled = 0;
         exec = (fun _ -> invalid_arg "Ctrl: exec not installed");
-        self = (fun () -> ()) }
+        self = (fun () -> ()); resv = Engine.reservation engine }
     in
     t.self <- dispatch t;
     t
@@ -115,8 +118,10 @@ module Ctrl = struct
     t.count <- t.count + 1;
     if not t.busy then begin
       t.busy <- true;
-      t.clock <- max t.clock (Engine.now t.engine);
-      Engine.at t.engine t.clock t.self
+      if not (Engine.claim t.engine t.resv t.self) then begin
+        t.clock <- max t.clock (Engine.now t.engine);
+        Engine.at t.engine t.clock t.self
+      end
     end
 end
 

@@ -13,7 +13,8 @@ type page = {
 type t = {
   node_id : int;
   capacity : int option;
-  pages : page Tt_util.Inttbl.t;
+  pages : page Tt_util.Inttbl.t; (* the record: [iter_pages] walks it *)
+  dense : page Tt_util.Dense.t; (* the same bindings, for the lookup *)
   (* 1-entry MRU translation cache: memory access streams are heavily
      same-page, so the common case skips the table entirely.  [mru_vpage]
      is a sentinel (-1) when invalid; [mru_page] then points at [no_page],
@@ -28,7 +29,8 @@ let no_page =
 
 let create ?max_pages ~node () =
   { node_id = node; capacity = max_pages; pages = Tt_util.Inttbl.create 256;
-    mru_vpage = -1; mru_page = no_page }
+    dense = Tt_util.Dense.create ~absent:no_page; mru_vpage = -1;
+    mru_page = no_page }
 
 let node t = t.node_id
 
@@ -37,7 +39,9 @@ let page_count t = Tt_util.Inttbl.length t.pages
 let max_pages t = t.capacity
 
 let is_mapped t ~vpage =
-  vpage = t.mru_vpage || Tt_util.Inttbl.mem t.pages vpage
+  vpage = t.mru_vpage
+  || Tt_util.Dense.get t.dense vpage != no_page
+  || Tt_util.Inttbl.mem t.pages vpage
 
 let set_mru t vpage page =
   t.mru_vpage <- vpage;
@@ -50,7 +54,11 @@ let clear_mru t =
 let lookup t ~vpage =
   if vpage = t.mru_vpage then t.mru_page
   else begin
-    let p = Tt_util.Inttbl.find_or t.pages vpage ~default:no_page in
+    let p = Tt_util.Dense.get t.dense vpage in
+    let p =
+      if p != no_page then p
+      else Tt_util.Inttbl.find_or t.pages vpage ~default:no_page
+    in
     if p != no_page then set_mru t vpage p;
     p
   end
@@ -88,6 +96,7 @@ let map t ~vpage ~home ~mode ~init_tag =
   in
   set_all_tags page init_tag;
   Tt_util.Inttbl.replace t.pages vpage page;
+  ignore (Tt_util.Dense.set t.dense vpage page);
   (* a freshly mapped page is about to be accessed: warm the MRU slot *)
   set_mru t vpage page;
   page
@@ -102,6 +111,7 @@ let unmap t ~vpage =
       (Printf.sprintf "Pagemem.unmap: node %d, vpage 0x%x not mapped" t.node_id
          vpage);
   if vpage = t.mru_vpage then clear_mru t;
+  ignore (Tt_util.Dense.set t.dense vpage no_page);
   Tt_util.Inttbl.remove t.pages vpage
 
 let iter_pages t f = Tt_util.Inttbl.iter f t.pages

@@ -15,7 +15,8 @@
 
     Lookups go through a 1-entry MRU translation cache (invalidated on
     {!unmap}): same-page access streaks — the overwhelmingly common case —
-    skip the page table entirely. *)
+    skip the page table entirely, and the rest index a dense page array
+    ({!Tt_util.Dense}) before falling back to the table. *)
 
 type user_info = ..
 (** Protocols extend this with their per-page state (e.g. Stache home-page

@@ -8,7 +8,12 @@
    resets to 0 whenever the queue drains (FIFO order only matters among
    coexisting events), and in the rare case that [seq_limit] events are
    scheduled without the queue ever draining, the live queue is renumbered
-   in place ([rebase]), preserving order. *)
+   in place ([rebase]), preserving order.
+
+   A reservation ([reserve]/[claim]) holds the key of an event that is
+   never pushed unless claimed.  Every key at or below [pos] has fired or
+   been skipped past, so a reservation above [pos] counts as still queued.
+   See DESIGN.md "Reserved dispatches". *)
 
 module Q = Tt_util.Intheap
 
@@ -30,6 +35,8 @@ let counter_bits = seq_bits - salt_bits
 
 let counter_mask = (1 lsl counter_bits) - 1
 
+type reservation = { mutable rkey : int (* -1: none held *) }
+
 type t = {
   events : (unit -> unit) Q.t;
   mutable now : int;
@@ -45,15 +52,25 @@ type t = {
       (* drain observer: called with each fired event's packed key, before
          the callback runs.  Powers the whole-run benchmark's event
          counts; [None] keeps [fire] branch-predicted and allocation-free. *)
+  mutable reserving : bool; (* inside [run] *)
+  mutable pos : int;
+  mutable res_max : int; (* largest key reserved since seqs last restarted *)
+  mutable resvs : reservation list; (* every controller's, for [rebase] *)
 }
 
 let nop () = ()
 
 let create () =
   { events = Q.create ~capacity:256 ~dummy:nop (); now = 0; seq = 0;
-    tiebreak = None; tiebreak_sites = 0; run_limit = max_int; trace = None }
+    tiebreak = None; tiebreak_sites = 0; run_limit = max_int; trace = None;
+    reserving = false; pos = -1; res_max = -1; resvs = [] }
 
-let set_tiebreak t f = t.tiebreak <- f
+let live t r = r.rkey > t.pos
+
+let set_tiebreak t f =
+  if List.exists (live t) t.resvs then
+    invalid_arg "Engine.set_tiebreak: a reservation is live (install before run)";
+  t.tiebreak <- f
 
 let tiebreak_sites t = t.tiebreak_sites
 
@@ -80,18 +97,33 @@ let pending t = Q.length t.events
 let rebase t =
   let n = Q.length t.events in
   let keys = Array.make n 0 and fns = Array.make n nop in
+  let held =
+    List.filter_map (fun r -> if live t r then Some (r, r.rkey) else None)
+      t.resvs
+  in
+  List.iter (fun r -> r.rkey <- -1) t.resvs;
+  t.res_max <- -1;
   for i = 0 to n - 1 do
     keys.(i) <- Q.min_key t.events;
     fns.(i) <- Q.pop_exn t.events
   done;
   (match t.tiebreak with
   | None ->
-      (* pure-FIFO keys: the whole [seq_bits] field is drain position *)
-      for i = 0 to n - 1 do
-        Q.push t.events
-          (((keys.(i) asr seq_bits) lsl seq_bits) lor i)
-          fns.(i)
-      done
+      (* pure-FIFO keys: the whole [seq_bits] field is drain position, and
+         live reservations (never held under a perturber) are merged into
+         that order by their old keys *)
+      let renumber key p = ((key asr seq_bits) lsl seq_bits) lor p in
+      let rec merge i p = function
+        | (r, key) :: rest when i = n || key < keys.(i) ->
+            r.rkey <- renumber key p;
+            t.res_max <- r.rkey;
+            merge i (p + 1) rest
+        | held when i < n ->
+            Q.push t.events (renumber keys.(i) p) fns.(i);
+            merge (i + 1) (p + 1) held
+        | _ -> p
+      in
+      t.seq <- merge 0 0 (List.sort (fun (_, a) (_, b) -> compare a b) held)
   | Some _ ->
       let counter = ref 0 in
       for i = 0 to n - 1 do
@@ -102,8 +134,9 @@ let rebase t =
           ((ts lsl counter_bits) lor (!counter land counter_mask))
           fns.(i);
         incr counter
-      done);
-  t.seq <- n
+      done;
+      t.seq <- n);
+  t.pos <- (t.now lsl seq_bits) - 1
 
 let at t time fn =
   if time < t.now then
@@ -170,19 +203,58 @@ let skip_to t time =
       (Printf.sprintf
          "Engine.skip_to: target %d is past the next queued event at %d" time
          (next_event_time t));
-  t.now <- time
+  t.now <- time;
+  (* stands in for an event pushed now at [time]: it would fire after every
+     reservation already handed out at [time] *)
+  t.pos <- (time lsl seq_bits) + t.seq - 1
+
+let reservation t =
+  let r = { rkey = -1 } in
+  t.resvs <- r :: t.resvs;
+  r
+
+let reserve t r time =
+  t.reserving && t.tiebreak == None
+  && begin
+       if time < t.now || time > max_time then
+         invalid_arg
+           (Printf.sprintf "Engine.reserve: time %d outside [now=%d, %d]" time
+              t.now max_time);
+       if t.seq >= seq_limit then rebase t;
+       let key = (time lsl seq_bits) lor t.seq in
+       t.seq <- t.seq + 1;
+       r.rkey <- key;
+       if key > t.res_max then t.res_max <- key;
+       true
+     end
+
+let claim t r fn =
+  live t r
+  && begin
+       Q.push t.events r.rkey fn;
+       r.rkey <- -1;
+       true
+     end
+
+(* The queue drained and no reservation is live: restart the tie counter so
+   it can never overflow in steady-state workloads (FIFO order only matters
+   among coexisting events).  Dead keys are cleared, or they would look live
+   again once [pos] drops back. *)
+let restart t =
+  t.seq <- 0;
+  List.iter (fun r -> r.rkey <- -1) t.resvs;
+  t.res_max <- -1;
+  t.pos <- (t.now lsl seq_bits) - 1
 
 (* Shared fast path for step/run/run_until: fire the minimum event whose
    key the caller already peeked — the single queue read both entry
    points used to duplicate. *)
 let fire t key =
   t.now <- key asr seq_bits;
+  t.pos <- key;
   (match t.trace with None -> () | Some f -> f key);
   let fn = Q.pop_exn t.events in
-  (* FIFO order only matters among coexisting events: restart the tie
-     counter whenever the queue drains so it can never overflow in
-     steady-state workloads. *)
-  if Q.is_empty t.events then t.seq <- 0;
+  if Q.is_empty t.events && t.res_max <= key then restart t;
   fn ()
 
 let step t =
@@ -192,7 +264,19 @@ let step t =
     true
   end
 
-let run t = while step t do () done
+let run t =
+  t.reserving <- true;
+  Fun.protect
+    ~finally:(fun () -> t.reserving <- false)
+    (fun () ->
+      while not (Q.is_empty t.events) do
+        fire t (Q.min_key t.events)
+      done;
+      (* the dispatches live reservations stand in for would fire last *)
+      if t.res_max > t.pos then begin
+        t.now <- t.res_max asr seq_bits;
+        restart t
+      end)
 
 let run_until t ~limit =
   let rec go () =

@@ -43,6 +43,8 @@ val set_tiebreak : t -> (int -> int) option -> unit
     FIFO order among the salted events.  Perturbation never reorders events
     across distinct timestamps.
 
+    @raise Invalid_argument while a {!reserve}d slot is live.
+
     The salt source is called exactly once per scheduling decision with
     consecutive site indices, so a seeded generator yields reproducible
     perturbed schedules and a recorded [site -> salt] journal replays one
@@ -82,8 +84,32 @@ val skip_to : t -> int -> unit
     at [time] and letting it fire.  Used by batched NP dispatch to drain
     same-timestamp work items in one engine event. *)
 
+type reservation
+(** A controller's slot for a reserved dispatch. *)
+
+val reservation : t -> reservation
+(** A fresh slot, registered so renumbering keeps it in order. *)
+
+val reserve : t -> reservation -> int -> bool
+(** [reserve t r time] takes the FIFO position [at t time fn] would take
+    now, without queueing anything.  A controller that yields with nothing
+    left to do calls it instead of queueing a dispatch that would only mark
+    it idle.  [r] stays live until a later key fires or {!skip_to} passes
+    it, exactly when that dispatch would have fired.  Refused ([false]:
+    use {!at}) outside {!run} — under {!run_until} and {!step} — and with a
+    perturber installed, so those see every event. *)
+
+val claim : t -> reservation -> (unit -> unit) -> bool
+(** [claim t r fn] schedules [fn] at [r]'s key if [r] is live ([true]),
+    else returns [false] for the caller to schedule as an idle controller
+    does.  Either way [r] is free afterwards. *)
+
+val step : t -> bool
+(** Fire the earliest event; [false] when none is queued. *)
+
 val run : t -> unit
-(** Execute events until none remain. *)
+(** Execute events until none remain, then advance [now] to the latest
+    live reservation, as its dispatch would have. *)
 
 val run_until : t -> limit:int -> bool
 (** Execute events with time ≤ [limit].  Returns [true] if the queue drained

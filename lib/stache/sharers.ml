@@ -10,17 +10,31 @@ type t = {
 
 let create ~nodes = { nodes; repr = Pointers []; overflows = 0 }
 
+(* Monomorphic walks of the sorted pointer list: no polymorphic compare,
+   no closure. *)
+let rec mem_sorted (n : int) = function
+  | [] -> false
+  | x :: rest -> x = n || (x < n && mem_sorted n rest)
+
+let rec insert (n : int) = function
+  | x :: rest when x < n -> x :: insert n rest
+  | l -> n :: l
+
+let rec drop (n : int) = function
+  | [] -> []
+  | x :: rest -> if x = n then rest else x :: drop n rest
+
 let mem t n =
   match t.repr with
-  | Pointers l -> List.mem n l
+  | Pointers l -> mem_sorted n l
   | Vector v -> Tt_util.Bitset.mem v n
 
 let add t n =
   if n < 0 || n >= t.nodes then invalid_arg "Sharers.add: node out of range";
   match t.repr with
-  | Pointers l when List.mem n l -> ()
+  | Pointers l when mem_sorted n l -> ()
   | Pointers l when List.length l < max_pointers ->
-      t.repr <- Pointers (List.sort compare (n :: l))
+      t.repr <- Pointers (insert n l)
   | Pointers l ->
       (* overflow: fall back to the bit vector held in the first four
          pointer bytes *)
@@ -32,7 +46,7 @@ let add t n =
 
 let remove t n =
   match t.repr with
-  | Pointers l -> t.repr <- Pointers (List.filter (fun x -> x <> n) l)
+  | Pointers l -> t.repr <- Pointers (drop n l)
   | Vector v -> Tt_util.Bitset.remove v n
 
 let count t =

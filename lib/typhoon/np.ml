@@ -65,6 +65,7 @@ type t = {
   mutable msg_exec : Tt_net.Message.t -> unit;
   mutable deferred_exec : (unit -> unit) -> unit;
   mutable self : unit -> unit; (* preallocated dispatch closure *)
+  resv : Tt_sim.Engine.reservation; (* a trailing yield's held place *)
   mutable np_clock : int;
   mutable np_busy : bool;
   (* ready times are monotone within a ring, so checking the head suffices *)
@@ -155,11 +156,15 @@ and finish t start =
   (* Re-enter the loop at the NP's advanced clock so other simulation
      events interleave at the right times.  Strict inequality: an engine
      event already queued at np_clock would have fired before a freshly
-     scheduled dispatch (smaller tie-break seq), so we must yield to it. *)
+     scheduled dispatch (smaller tie-break seq), so we must yield to it.
+     With every ring empty that dispatch would only mark the NP idle:
+     reserve its place instead, for [kick] to claim. *)
   if Tt_sim.Engine.next_event_time t.engine > t.np_clock then begin
     Tt_sim.Engine.skip_to t.engine t.np_clock;
     dispatch t ()
   end
+  else if depth t = 0 && Tt_sim.Engine.reserve t.engine t.resv t.np_clock then
+    t.np_busy <- false
   else Tt_sim.Engine.at t.engine t.np_clock t.self
 
 let create engine ~rtlb ~dcache ?(capacity = max_int) ?(name = "np") () =
@@ -169,7 +174,7 @@ let create engine ~rtlb ~dcache ?(capacity = max_int) ?(name = "np") () =
       exec = (fun _ -> invalid_arg "Np: exec not installed");
       msg_exec = (fun _ -> ());
       deferred_exec = (fun _ -> ());
-      self = nop;
+      self = nop; resv = Tt_sim.Engine.reservation engine;
       np_clock = 0; np_busy = false;
       responses = ring_make Tt_net.Message.dummy;
       requests = ring_make Tt_net.Message.dummy;
@@ -193,8 +198,10 @@ let set_deferred_exec t exec = t.deferred_exec <- exec
 let kick t =
   if not t.np_busy then begin
     t.np_busy <- true;
-    t.np_clock <- max t.np_clock (Tt_sim.Engine.now t.engine);
-    Tt_sim.Engine.at t.engine t.np_clock t.self
+    if not (Tt_sim.Engine.claim t.engine t.resv t.self) then begin
+      t.np_clock <- max t.np_clock (Tt_sim.Engine.now t.engine);
+      Tt_sim.Engine.at t.engine t.np_clock t.self
+    end
   end
 
 let post_message t ~at (m : Tt_net.Message.t) =
@@ -213,19 +220,10 @@ let post_deferred t ~at f =
   kick t
 
 let post t ~at work =
-  (match work with
-  | Message m -> (
-      match m.Tt_net.Message.vnet with
-      | Tt_net.Message.Response ->
-          check_room t t.responses "response" at;
-          ring_push t.responses at m
-      | Tt_net.Message.Request ->
-          check_room t t.requests "request" at;
-          ring_push t.requests at m)
+  match work with
+  | Message m -> post_message t ~at m
+  | Deferred f -> post_deferred t ~at f
   | Block_fault _ | Page_fault _ ->
       check_room t t.faults "fault" at;
-      ring_push t.faults at work
-  | Deferred f ->
-      check_room t t.deferred "deferred" at;
-      ring_push t.deferred at f);
-  kick t
+      ring_push t.faults at work;
+      kick t

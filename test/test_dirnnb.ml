@@ -302,6 +302,51 @@ let test_rehome_invalidates_home_memo () =
   let _ = run_cpus engine (read_into second) in
   Alcotest.(check (float 0.)) "next read reaches the new home" 2.0 !second
 
+(* The page-indexed rows in front of the directory's table: [entry] returns
+   the same physical entry on every call, [find] never creates one, and
+   [iter] walks in the order of an Inttbl fed the same insertions — blocks
+   of pages around the heap base, below it and far above it (outside the
+   dense window). *)
+let prop_directory_rows =
+  let base = 0x10000 * Addr.blocks_per_page in
+  let block =
+    QCheck.Gen.(
+      map2
+        (fun page i -> (page * Addr.blocks_per_page) + i)
+        (frequency
+           [ (6, int_range 0 6); (2, int_range (-3) (-1));
+             (2, map (fun d -> (1 lsl 20) + d) (int_range 0 2)) ])
+        (int_range 0 (Addr.blocks_per_page - 1)))
+  in
+  QCheck.Test.make ~name:"directory rows agree with the table" ~count:300
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 0 80) (pair bool block)))
+    (fun ops ->
+      let d = Directory.create ~nodes:4 in
+      let model = Tt_util.Inttbl.create 4096 in
+      List.for_all
+        (fun (create, b) ->
+          let block = base + b in
+          let before = Tt_util.Inttbl.find_opt model block in
+          if create then begin
+            let e = Directory.entry d ~block in
+            if before = None then Tt_util.Inttbl.replace model block e;
+            e == Tt_util.Inttbl.find model block
+            && Directory.entry d ~block == e
+          end
+          else
+            match (Directory.find d ~block, before) with
+            | None, None -> true
+            | Some e, Some e' -> e == e'
+            | _ -> false)
+        ops
+      &&
+      let got = ref [] and expected = ref [] in
+      Directory.iter d (fun b e -> got := (b, e) :: !got);
+      Tt_util.Inttbl.iter (fun b e -> expected := (b, e) :: !expected) model;
+      List.length !got = List.length !expected
+      && List.for_all2 (fun (a, e) (b, e') -> a = b && e == e') !got !expected)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "dirnnb"
@@ -327,6 +372,7 @@ let () =
           Alcotest.test_case "pinned home" `Quick test_alloc_pinned_home;
         ] );
       ("random", [ qc prop_random_program ]);
+      ("directory", [ qc prop_directory_rows ]);
       ( "host",
         [
           Alcotest.test_case "hit path allocates nothing" `Quick

@@ -180,6 +180,59 @@ let test_pagemem_user_info () =
   check_int "mode" 3 page.Pagemem.mode;
   check_bool "default user info" true (page.Pagemem.user = Pagemem.No_info)
 
+(* The dense page index agrees with an Inttbl model on every query: vpages
+   around the first mapped page, below it, far above it (outside the dense
+   window), and re-mapped after an unmap.  [iter_pages] keeps the table's
+   order. *)
+let prop_pagemem_dense_index =
+  let base = 0x10000 in
+  let vpage =
+    QCheck.Gen.(
+      frequency
+        [ (6, map (fun d -> base + d) (int_range 0 40));
+          (2, map (fun d -> base - d) (int_range 1 20));
+          (2, map (fun d -> base + (1 lsl 20) + d) (int_range 0 5)) ])
+  in
+  let op =
+    QCheck.Gen.(
+      pair (frequency [ (3, return `Map); (2, return `Unmap); (3, return `Query) ])
+        vpage)
+  in
+  QCheck.Test.make ~name:"dense page index agrees with an Inttbl model"
+    ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 80) op))
+    (fun ops ->
+      let m = mk () in
+      let model = Tt_util.Inttbl.create 256 in
+      let agrees vp =
+        let expect = Tt_util.Inttbl.find_or model vp ~default:Pagemem.no_page in
+        Pagemem.lookup m ~vpage:vp == expect
+        && Pagemem.is_mapped m ~vpage:vp = (expect != Pagemem.no_page)
+        && (match Pagemem.find_page m ~vpage:vp with
+           | Some p -> p == expect
+           | None -> expect == Pagemem.no_page)
+      in
+      List.for_all
+        (fun (op, vp) ->
+          (match op with
+          | `Map when not (Tt_util.Inttbl.mem model vp) ->
+              Tt_util.Inttbl.replace model vp
+                (Pagemem.map m ~vpage:vp ~home:0 ~mode:0 ~init_tag:Tag.Invalid)
+          | `Unmap when Tt_util.Inttbl.mem model vp ->
+              Pagemem.unmap m ~vpage:vp;
+              Tt_util.Inttbl.remove model vp
+          | `Map | `Unmap | `Query -> ());
+          (* drop the MRU slot so the query reaches the index *)
+          Pagemem.invalidate_translation m;
+          agrees vp && agrees (vp + 1) && agrees (vp - 1))
+        ops
+      &&
+      let pages = ref [] and expected = ref [] in
+      Pagemem.iter_pages m (fun vp p -> pages := (vp, p) :: !pages);
+      Tt_util.Inttbl.iter (fun vp p -> expected := (vp, p) :: !expected) model;
+      List.length !pages = List.length !expected
+      && List.for_all2 (fun (a, p) (b, q) -> a = b && p == q) !pages !expected)
+
 (* ---------------- Tlb ---------------- *)
 
 let test_tlb_hit_miss () =
@@ -249,6 +302,7 @@ let () =
             test_pagemem_bytes_cross_page;
           Alcotest.test_case "tags" `Quick test_pagemem_tags;
           Alcotest.test_case "page metadata" `Quick test_pagemem_user_info;
+          qc prop_pagemem_dense_index;
         ] );
       ( "tlb",
         [

@@ -125,6 +125,13 @@ let test_engine_after_overflow () =
           max_int 0 max_time))
     (fun () -> Engine.after e max_int (fun () -> ()))
 
+(* [n] same-time events that only count themselves: enough of them exhaust
+   the seq budget without the queue draining. *)
+let push_filler e n fired =
+  for _ = 1 to n do
+    Engine.after e 0 (fun () -> incr fired)
+  done
+
 (* Schedule past seq_limit coexisting events so [rebase] renumbers the live
    queue, and pin that FIFO order among equal timestamps survives it. *)
 let run_rebase_fifo tiebreak () =
@@ -139,9 +146,7 @@ let run_rebase_fifo tiebreak () =
     Engine.at e 1_000_000 (marker i)
   done;
   let fired = ref 0 in
-  for _ = 1 to seq_limit - 5 do
-    Engine.after e 0 (fun () -> incr fired)
-  done;
+  push_filler e (seq_limit - 5) fired;
   (* ... drain only the time-0 filler: the markers stay queued and keep
      their pre-rebase seqs alive *)
   check_bool "filler drained" false (Engine.run_until e ~limit:0);
@@ -210,6 +215,235 @@ let test_engine_run_until () =
   check_int "one event fired" 1 !fired;
   check_int "pending" 1 (Engine.pending e);
   check_bool "finishes" true (Engine.run_until e ~limit:1000)
+
+(* ---------------- Reservations ---------------- *)
+
+let check_order = Alcotest.(check (list string))
+
+(* A claimed reservation fires where the dispatch it stands in for would
+   have: after the same-time events queued before [reserve], before those
+   queued after it. *)
+let test_reserve_claim_order () =
+  let e = Engine.create () in
+  let r = Engine.reservation e in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  Engine.at e 10 (fun () ->
+      Engine.at e 20 (note "before");
+      check_bool "reserved" true (Engine.reserve e r 20);
+      Engine.at e 20 (note "after");
+      Engine.at e 15 (fun () ->
+          check_bool "claimed" true (Engine.claim e r (note "claimed"))));
+  Engine.run e;
+  check_order "FIFO position kept" [ "before"; "claimed"; "after" ]
+    (List.rev !log)
+
+(* Unclaimed, it is dead as soon as its dispatch would have fired: once a
+   later key fires, or [skip_to] stands in for a later event. *)
+let test_reserve_dies () =
+  let e = Engine.create () in
+  let r = Engine.reservation e in
+  let claims = ref [] in
+  let claim () = claims := Engine.claim e r ignore :: !claims in
+  Engine.at e 10 (fun () ->
+      ignore (Engine.reserve e r 20);
+      (* queued after the reservation: a later key at the same time *)
+      Engine.at e 20 claim);
+  Engine.at e 30 (fun () ->
+      ignore (Engine.reserve e r 40);
+      Engine.skip_to e 45;
+      claim ();
+      ignore (Engine.reserve e r 50);
+      Engine.skip_to e 50;
+      claim ();
+      (* skipping short of it leaves it live *)
+      ignore (Engine.reserve e r 70);
+      Engine.skip_to e 60;
+      claim ());
+  Engine.run e;
+  Alcotest.(check (list bool)) "live only when nothing passed it"
+    [ false; false; false; true ] (List.rev !claims)
+
+(* The queue draining does not restart the seq counter while a reservation
+   is live, or an event pushed later at the reserved time would take a
+   smaller seq and overtake the claimed dispatch. *)
+let test_reserve_blocks_seq_reset () =
+  let e = Engine.create () in
+  let r = Engine.reservation e in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  Engine.at e 10 (fun () ->
+      for _ = 1 to 3 do
+        Engine.at e 12 ignore
+      done;
+      ignore (Engine.reserve e r 20);
+      (* fires on a queue it drains, with the reservation live *)
+      Engine.at e 15 (fun () ->
+          Engine.at e 20 (note "pushed after the drain");
+          ignore (Engine.claim e r (note "claimed"))));
+  Engine.run e;
+  check_order "claimed first" [ "claimed"; "pushed after the drain" ]
+    (List.rev !log)
+
+(* [rebase] renumbers a live reservation along with the queue. *)
+let test_reserve_survives_rebase () =
+  let e = Engine.create () in
+  let r = Engine.reservation e in
+  let log = ref [] in
+  let marker i () = log := i :: !log in
+  let far = 1_000_000 in
+  let fired = ref 0 in
+  Engine.at e 0 (fun () ->
+      Engine.at e far (marker 0);
+      Engine.at e far (marker 1);
+      ignore (Engine.reserve e r far);
+      Engine.at e far (marker 3);
+      push_filler e (1 lsl 20) fired;
+      (* this push overflows seq and renumbers queue and reservation *)
+      Engine.at e far (marker 4));
+  Engine.at e 1 (fun () ->
+      check_bool "still live after rebase" true (Engine.claim e r (marker 2)));
+  Engine.run e;
+  check_int "filler fired" (1 lsl 20) !fired;
+  Alcotest.(check (list int)) "order across rebase" [ 0; 1; 2; 3; 4 ]
+    (List.rev !log)
+
+(* Only [run] without a perturber hands out reservations: [run_until]
+   (watchdog slices), [step] and a tie-break perturber see every event. *)
+let test_reserve_refused () =
+  let e = Engine.create () in
+  let r = Engine.reservation e in
+  let got = ref [] in
+  let try_reserve () = got := Engine.reserve e r (Engine.now e) :: !got in
+  try_reserve ();
+  Engine.at e 1 try_reserve;
+  check_bool "stepped" true (Engine.step e);
+  Engine.at e 2 try_reserve;
+  check_bool "drained" true (Engine.run_until e ~limit:10);
+  Engine.set_tiebreak e (Some (fun _ -> 0));
+  Engine.at e 3 try_reserve;
+  Engine.run e;
+  Alcotest.(check (list bool)) "all refused" [ false; false; false; false ]
+    !got;
+  Engine.set_tiebreak e None;
+  Engine.at e 4 try_reserve;
+  Engine.run e;
+  check_bool "granted under run" true (List.hd !got)
+
+(* The no-op dispatches reservations stand in for would fire last, so [run]
+   ends with [now] at the latest live one. *)
+let test_reserve_run_end () =
+  let e = Engine.create () in
+  let r1 = Engine.reservation e and r2 = Engine.reservation e in
+  Engine.at e 10 (fun () ->
+      ignore (Engine.reserve e r1 50);
+      ignore (Engine.reserve e r2 30));
+  Engine.run e;
+  check_int "now at the latest reservation" 50 (Engine.now e);
+  check_int "nothing queued" 0 (Engine.pending e);
+  check_bool "dead afterwards" false (Engine.claim e r1 ignore)
+
+(* Parity: random multi-controller workloads give the same handler trace,
+   final [now] and tie-break site count under [run] (reservations on) as
+   under [run_until] past the last event (reservations off).  Each
+   controller is the run-to-completion loop of Np/Ctrl in miniature:
+   drain inline while nothing is due, reserve on a trailing yield with an
+   empty queue, claim on the next post. *)
+type ctrl = {
+  ce : Engine.t;
+  cid : int;
+  mutable clock : int;
+  mutable busy : bool;
+  items : (int * int * (unit -> unit)) Queue.t; (* item, cost, onward *)
+  resv : Engine.reservation;
+  mutable self : unit -> unit;
+}
+
+let rec ctrl_dispatch trace c () =
+  if Queue.is_empty c.items then c.busy <- false
+  else begin
+    let item, cost, onward = Queue.pop c.items in
+    trace := (Engine.now c.ce, c.cid, item) :: !trace;
+    c.clock <- c.clock + cost;
+    onward ();
+    if Engine.next_event_time c.ce > c.clock then begin
+      Engine.skip_to c.ce c.clock;
+      ctrl_dispatch trace c ()
+    end
+    else if Queue.is_empty c.items && Engine.reserve c.ce c.resv c.clock then
+      c.busy <- false
+    else Engine.at c.ce c.clock c.self
+  end
+
+let ctrl_post c x =
+  Queue.push x c.items;
+  if not c.busy then begin
+    c.busy <- true;
+    if not (Engine.claim c.ce c.resv c.self) then begin
+      c.clock <- max c.clock (Engine.now c.ce);
+      Engine.at c.ce c.clock c.self
+    end
+  end
+
+let run_workload ~reservations ~salted (ncs, posts, fiber) =
+  let e = Engine.create () in
+  if salted then Engine.set_tiebreak e (Some (fun site -> site * 7));
+  let trace = ref [] in
+  let cs =
+    Array.init ncs (fun cid ->
+        let c =
+          { ce = e; cid; clock = 0; busy = false; items = Queue.create ();
+            resv = Engine.reservation e; self = ignore }
+        in
+        c.self <- ctrl_dispatch trace c;
+        c)
+  in
+  let post item (_, target, cost, onward) =
+    let onward () =
+      match onward with
+      | None -> ()
+      | Some (t2, cost2) ->
+          ctrl_post cs.(t2 mod ncs) (1000 + item, cost2, ignore)
+    in
+    ctrl_post cs.(target mod ncs) (item, cost, onward)
+  in
+  List.iteri
+    (fun i ((time, _, _, _) as p) -> Engine.at e time (fun () -> post i p))
+    posts;
+  let _fiber =
+    Thread.spawn e ~name:"fiber" (fun th ->
+        List.iteri
+          (fun i ((delay, _, _, _) as p) ->
+            Thread.advance th delay;
+            Thread.yield th;
+            post (2000 + i) p)
+          fiber)
+  in
+  if reservations then Engine.run e
+  else check_bool "drained" true (Engine.run_until e ~limit:1_000_000);
+  (List.rev !trace, Engine.now e, Engine.tiebreak_sites e)
+
+let gen_workload =
+  let open QCheck.Gen in
+  let post =
+    (* (time or fiber delay, controller, cost, onward (controller, cost));
+       a narrow time range and zero costs force same-time collisions *)
+    quad (int_range 0 12) (int_range 0 3) (int_range 0 4)
+      (opt (pair (int_range 0 3) (int_range 0 4)))
+  in
+  triple (int_range 1 4) (list_size (int_range 0 25) post)
+    (list_size (int_range 0 10) post)
+
+let prop_reserve_parity =
+  QCheck.Test.make ~name:"reservations: same handler trace as eager dispatch"
+    ~count:300
+    (QCheck.make gen_workload)
+    (fun w ->
+      List.for_all
+        (fun salted ->
+          run_workload ~reservations:true ~salted w
+          = run_workload ~reservations:false ~salted w)
+        [ false; true ])
 
 (* ---------------- Thread ---------------- *)
 
@@ -504,6 +738,22 @@ let () =
           QCheck_alcotest.to_alcotest prop_engine_stable_order;
           Alcotest.test_case "hot path does not allocate" `Quick
             test_engine_hot_path_no_alloc;
+        ] );
+      ( "reservation",
+        [
+          Alcotest.test_case "claim keeps the FIFO position" `Quick
+            test_reserve_claim_order;
+          Alcotest.test_case "dead once a later key fires or is skipped to"
+            `Quick test_reserve_dies;
+          Alcotest.test_case "blocks the seq reset on drain" `Quick
+            test_reserve_blocks_seq_reset;
+          Alcotest.test_case "survives a rebase" `Quick
+            test_reserve_survives_rebase;
+          Alcotest.test_case "refused under run_until, step and a perturber"
+            `Quick test_reserve_refused;
+          Alcotest.test_case "run ends at the latest reservation" `Quick
+            test_reserve_run_end;
+          QCheck_alcotest.to_alcotest prop_reserve_parity;
         ] );
       ( "thread",
         [

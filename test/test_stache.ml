@@ -74,6 +74,49 @@ let test_sharers_overflow_at_seven () =
   Sharers.clear s;
   check_bool "clear resets to pointers" false (Sharers.is_overflowed s)
 
+(* Sharers against a model: a sorted list of unique nodes plus the sticky
+   "overflowed" bit that the seventh distinct sharer sets until [clear].
+   Ten nodes and long op lists cross the six-pointer overflow often. *)
+let prop_sharers_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (6, map (fun n -> `Add n) (int_range 0 9));
+          (3, map (fun n -> `Remove n) (int_range 0 9)); (1, return `Clear) ])
+  in
+  QCheck.Test.make ~name:"sharers agree with a sorted-list model" ~count:500
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 40) op))
+    (fun ops ->
+      let s = Sharers.create ~nodes:10 in
+      let model = ref [] and vector = ref false and overflows = ref 0 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Add n ->
+              if not (List.mem n !model) then begin
+                if (not !vector) && List.length !model = 6 then begin
+                  vector := true;
+                  incr overflows
+                end;
+                model := List.sort compare (n :: !model)
+              end;
+              Sharers.add s n
+          | `Remove n ->
+              model := List.filter (( <> ) n) !model;
+              Sharers.remove s n
+          | `Clear ->
+              model := [];
+              vector := false;
+              Sharers.clear s);
+          Sharers.to_list s = !model
+          && Sharers.count s = List.length !model
+          && Sharers.is_overflowed s = !vector
+          && Sharers.overflow_events s = !overflows
+          && List.for_all
+               (fun n -> Sharers.mem s n = List.mem n !model)
+               (List.init 10 Fun.id))
+        ops)
+
 let test_sharers_range () =
   let s = Sharers.create ~nodes:4 in
   Alcotest.check_raises "out of range"
@@ -460,6 +503,7 @@ let () =
           Alcotest.test_case "overflow at 7 sharers" `Quick
             test_sharers_overflow_at_seven;
           Alcotest.test_case "range check" `Quick test_sharers_range;
+          qc prop_sharers_model;
         ] );
       ( "pages",
         [

@@ -718,6 +718,39 @@ let test_debug_guard_allocates_nothing () =
   let words = Gc.minor_words () -. before in
   Alcotest.(check (float 0.)) "minor words over 10k calls" 0. words
 
+(* ---------------- Dense ---------------- *)
+
+(* Against a map model: every accepted key reads back its latest value
+   through any number of window growths, in both directions; a refused key
+   reads [absent]; keys within a few hundred of each other are never
+   refused. *)
+let prop_dense_matches_model =
+  let key =
+    QCheck.Gen.(
+      frequency
+        [ (9, int_range (-300) 300);
+          (1, map (fun d -> (1 lsl 20) + d) (int_range 0 3)) ])
+  in
+  QCheck.Test.make ~name:"dense index agrees with a map model" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 120) (pair key small_nat)))
+    (fun ops ->
+      let base = 1_000_000 in
+      let d = Tt_util.Dense.create ~absent:(-1) in
+      let model = Hashtbl.create 16 in
+      List.for_all
+        (fun (k, v) ->
+          let k = base + k in
+          let far k = k > base + 300 in
+          let far_held = Hashtbl.fold (fun k _ acc -> acc || far k) model false in
+          let held = Tt_util.Dense.set d k v in
+          if held then Hashtbl.replace model k v;
+          (held || far k || far_held)
+          && Tt_util.Dense.get d k = (if held then v else -1)
+          && Hashtbl.fold
+               (fun k v ok -> ok && Tt_util.Dense.get d k = v)
+               model true)
+        ops)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "util"
@@ -766,6 +799,7 @@ let () =
             test_inttbl_find_raises;
           qc prop_inttbl_matches_hashtbl;
         ] );
+      ("dense", [ qc prop_dense_matches_model ]);
       ( "vec",
         [
           Alcotest.test_case "basic" `Quick test_vec_basic;
