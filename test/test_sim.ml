@@ -739,7 +739,7 @@ let () =
           Alcotest.test_case "hot path does not allocate" `Quick
             test_engine_hot_path_no_alloc;
         ] );
-      ( "reservation",
+      ( "reserve",
         [
           Alcotest.test_case "claim keeps the FIFO position" `Quick
             test_reserve_claim_order;
