@@ -198,89 +198,6 @@ let fastpath_timing_parity () =
      identical with TT_FASTPATH=0)\n\n%!"
     (fst on) (snd on)
 
-(* Crash-stop recovery support must be free when nobody crashes: with no
-   crash schedule configured, the liveness hooks and window checks on the
-   transport's send/retransmit paths are dead branches, so the pinned
-   round trips — including the reliable-transport one, where those
-   branches live — must cost bit-identical cycles with recovery support
-   on and off (scripts/check_all.sh runs the whole suite and the
-   recover grid the same way). *)
-let recovery_timing_parity () =
-  let was = Tt_net.Faults.recovery_enabled () in
-  let cfg =
-    Tt_net.Faults.uniform ~seed:2026 ~drop:0.05 ~dup:0.0125 ~reorder:0.025 ()
-  in
-  let run on =
-    Tt_net.Faults.set_recovery on;
-    Fun.protect
-      ~finally:(fun () -> Tt_net.Faults.set_recovery was)
-      (fun () ->
-        let stache =
-          (fetch_round_trip
-             (H.Machine.typhoon_stache
-                ~reliability:(Tt_net.Reliable.Flaky cfg)))
-            .H.Run.cycles
-        in
-        let dirnnb =
-          (fetch_round_trip
-             (H.Machine.dirnnb ~reliability:(Tt_net.Reliable.Flaky cfg)))
-            .H.Run.cycles
-        in
-        (stache, dirnnb))
-  in
-  let on = run true and off = run false in
-  if on <> off then begin
-    Printf.eprintf
-      "FATAL: crash-recovery support changed simulated timing with no crash \
-       scheduled: on %s, off %s\n"
-      (Printf.sprintf "(stache %d, dirnnb %d)" (fst on) (snd on))
-      (Printf.sprintf "(stache %d, dirnnb %d)" (fst off) (snd off));
-    exit 1
-  end;
-  Printf.printf
-    "recovery timing parity: OK (reliable stache round trip %d cycles, \
-     dirnnb %d, identical with TT_RECOVERY=0)\n\n%!"
-    (fst on) (snd on)
-
-(* The adaptive layer must be free when killed: with TT_ADAPT=0 the
-   observer still counts traffic but nothing ever switches, so a run on
-   the adaptive machine must cost bit-identical simulated cycles to the
-   plain zoo machine with every page left on the default invalidate
-   protocol (scripts/check_all.sh gates the full suite the same
-   way). *)
-let adaptive_parity () =
-  let cycles machine_of =
-    let params = { Params.default with Params.nodes = 8 } in
-    let inst =
-      H.Catalog.make ~name:"synthpc" ~size:H.Catalog.Small ~scale:0.25
-        ~nprocs:8
-    in
-    (H.Run.spmd (machine_of params) ~name:"synthpc" inst.H.Catalog.body)
-      .H.Run.cycles
-  in
-  let was = Sys.getenv_opt "TT_ADAPT" in
-  Unix.putenv "TT_ADAPT" "0";
-  let killed =
-    Fun.protect
-      ~finally:(fun () ->
-        Unix.putenv "TT_ADAPT" (Option.value was ~default:"1"))
-      (fun () -> cycles H.Machine.typhoon_adaptive)
-  in
-  let base =
-    cycles (H.Machine.typhoon_zoo ~policy:Tt_custom.Proto.Stachelike)
-  in
-  if killed <> base then begin
-    Printf.eprintf
-      "FATAL: TT_ADAPT=0 is not free: adaptive machine %d cycles, plain zoo \
-       machine %d\n"
-      killed base;
-    exit 1
-  end;
-  Printf.printf
-    "adaptive kill-switch parity: OK (synthpc %d cycles, identical with \
-     TT_ADAPT=0 and on the plain zoo machine)\n\n%!"
-    killed
-
 (* Figure 4's unit: a tiny EM3D run under the update protocol. *)
 let em3d_tiny_cfg =
   { Tt_app.Em3d.total_nodes = 256; degree = 3; pct_remote = 30; iters = 1;
@@ -448,8 +365,6 @@ let run_bechamel () =
 let () =
   print_endline "=== Tempest & Typhoon: benchmark harness ===";
   fastpath_timing_parity ();
-  recovery_timing_parity ();
-  adaptive_parity ();
   if not fast then reproduce_figures ()
   else print_endline "(TT_BENCH_FAST=1: skipping figure reproduction)\n";
   ablation_summary ();

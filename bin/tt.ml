@@ -12,15 +12,6 @@
 open Cmdliner
 module H = Tt_harness
 
-let machine_names = [ "dirnnb"; "stache"; "update" ]
-
-let make_machine name params =
-  match name with
-  | "dirnnb" -> H.Machine.dirnnb params
-  | "stache" -> H.Machine.typhoon_stache params
-  | "update" -> H.Machine.typhoon_em3d params
-  | other -> invalid_arg (Printf.sprintf "unknown machine %S" other)
-
 (* --- common options --- *)
 
 let nodes_t =
@@ -57,6 +48,13 @@ let resolve_domains = function
   | Some d -> invalid_arg (Printf.sprintf "--domains %d: must be >= 0" d)
   | None -> Params.domains_of_env ()
 
+let machine_t ~names =
+  Arg.(
+    value
+    & opt (enum (List.map (fun n -> (n, n)) names)) "stache"
+    & info [ "m"; "machine" ]
+        ~doc:("Machine: " ^ String.concat ", " names ^ "."))
+
 let note_parallel domains =
   (* stderr, so gate scripts can diff stdout across TT_DOMAINS values *)
   if domains > 1 then
@@ -75,16 +73,6 @@ let proto_conv =
   in
   Arg.conv (parse, Format.pp_print_string)
 
-let proto_t =
-  Arg.(
-    value
-    & opt (some proto_conv) None
-    & info [ "proto" ] ~docv:"PROTO"
-        ~doc:
-          "Coherence protocol for the Typhoon machine: stache, migratory, \
-           prodcons, widerep, delayed or adaptive (overrides \
-           $(b,--machine)).")
-
 (* [tt run]'s arguments, evaluated to the run itself so [tt profile] can
    sample exactly the same cell. *)
 let run_cell_t =
@@ -94,12 +82,6 @@ let run_cell_t =
       & pos 0 (some (enum (List.map (fun n -> (n, n)) H.Catalog.all_names)))
           None
       & info [] ~docv:"APP" ~doc:"Benchmark to run.")
-  in
-  let machine_t =
-    Arg.(
-      value
-      & opt (enum (List.map (fun n -> (n, n)) machine_names)) "stache"
-      & info [ "m"; "machine" ] ~doc:"Machine: dirnnb, stache or update.")
   in
   let size_t =
     Arg.(
@@ -116,17 +98,12 @@ let run_cell_t =
   let stats_t =
     Arg.(value & flag & info [ "stats" ] ~doc:"Dump all statistics counters.")
   in
-  let run app machine_name proto size cache_kb nodes scale seed verify stats
-      () =
+  let run app machine_name size cache_kb nodes scale seed verify stats () =
     let params =
       { Params.default with Params.nodes; seed;
         cpu_cache_bytes = cache_kb * 1024 }
     in
-    let machine_name, machine =
-      match proto with
-      | Some p -> (p, H.Catalog.machine_of_proto ~proto:p params)
-      | None -> (machine_name, make_machine machine_name params)
-    in
+    let machine = H.Machine.of_name machine_name params in
     let inst = H.Catalog.make ~name:app ~size ~scale ~nprocs:nodes in
     let r = H.Run.spmd machine ~name:app inst.H.Catalog.body in
     if verify then begin
@@ -161,8 +138,8 @@ let run_cell_t =
       Format.printf "%a@." Tt_util.Stats.pp r.H.Run.run_stats
   in
   Term.(
-    const run $ app_t $ machine_t $ proto_t $ size_t $ cache_t $ nodes_t
-    $ scale_t $ seed_t $ verify_t $ stats_t)
+    const run $ app_t $ machine_t ~names:H.Machine.names $ size_t $ cache_t
+    $ nodes_t $ scale_t $ seed_t $ verify_t $ stats_t)
 
 let run_cmd =
   let doc = "Run one benchmark on one machine." in
@@ -315,6 +292,15 @@ let scale_cmd =
       value & opt int 256
       & info [ "cache" ] ~doc:"CPU cache size in KB (default 256).")
   in
+  let proto_t =
+    Arg.(
+      value
+      & opt (some proto_conv) None
+      & info [ "proto" ] ~docv:"PROTO"
+          ~doc:
+            ("Coherence protocol for the Typhoon machine: "
+            ^ String.concat ", " H.Catalog.protocols ^ "."))
+  in
   let run apps proto nodes scale cache_kb domains =
     let domains = resolve_domains domains in
     note_parallel domains;
@@ -427,17 +413,15 @@ let proto_cmd =
 
 let verify_cmd =
   let run nodes scale =
-    let machines =
-      [ ("dirnnb", fun p -> H.Machine.dirnnb p);
-        ("stache", fun p -> H.Machine.typhoon_stache p);
-        ("update", fun p -> H.Machine.typhoon_em3d p) ]
-    in
+    let machines = [ "dirnnb"; "stache"; "update" ] in
     let failures = ref 0 in
     List.iter
       (fun app ->
         List.iter
-          (fun (mlabel, make) ->
-            let machine = make { Params.default with Params.nodes } in
+          (fun mlabel ->
+            let machine =
+              H.Machine.of_name mlabel { Params.default with Params.nodes }
+            in
             let inst =
               H.Catalog.make ~name:app ~size:H.Catalog.Small ~scale
                 ~nprocs:nodes
@@ -507,12 +491,6 @@ let faults_cmd =
       & opt (list (enum (List.map (fun n -> (n, n)) H.Catalog.names)))
           H.Catalog.names
       & info [ "apps" ] ~doc:"Comma-separated benchmarks to sweep.")
-  in
-  let machine_t =
-    Arg.(
-      value
-      & opt (enum (List.map (fun n -> (n, n)) H.Faultsweep.machines)) "stache"
-      & info [ "m"; "machine" ] ~doc:"Machine: stache, dirnnb or update.")
   in
   let drops_t =
     Arg.(
@@ -594,11 +572,10 @@ let faults_cmd =
              cells run under the full recovery stack and report how they \
              were brought to verified results.")
   in
-  let run apps machine proto drops seeds crashes request_drop response_drop
-      burst credits spill nodes scale domains =
+  let run apps machine drops seeds crashes request_drop response_drop burst
+      credits spill nodes scale domains =
     let domains = resolve_domains domains in
     note_parallel domains;
-    let machine = Option.value proto ~default:machine in
     let pct = Option.map (fun p -> p /. 100.0) in
     let drops = List.map (fun p -> p /. 100.0) drops in
     let burst = if burst then Some (Tt_net.Faults.bursty ()) else None in
@@ -632,9 +609,9 @@ let faults_cmd =
   in
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(
-      const run $ apps_t $ machine_t $ proto_t $ drops_t $ seeds_t $ crash_t
-      $ req_drop_t $ resp_drop_t $ burst_t $ credits_t $ spill_t $ nodes_t
-      $ scale_t $ domains_t)
+      const run $ apps_t $ machine_t ~names:H.Machine.names $ drops_t
+      $ seeds_t $ crash_t $ req_drop_t $ resp_drop_t $ burst_t $ credits_t
+      $ spill_t $ nodes_t $ scale_t $ domains_t)
 
 (* --- tt recover --- *)
 
@@ -645,12 +622,6 @@ let recover_cmd =
       & opt (list (enum (List.map (fun n -> (n, n)) H.Catalog.names)))
           H.Catalog.names
       & info [ "apps" ] ~doc:"Comma-separated benchmarks to sweep.")
-  in
-  let machine_t =
-    Arg.(
-      value
-      & opt (enum (List.map (fun n -> (n, n)) H.Recovery.machines)) "stache"
-      & info [ "m"; "machine" ] ~doc:"Machine: stache or dirnnb.")
   in
   let victims_t =
     Arg.(
@@ -699,10 +670,6 @@ let recover_cmd =
   let run apps machine victims crash_pcts rejoins seeds nodes scale domains =
     let domains = resolve_domains domains in
     note_parallel domains;
-    if not (Tt_net.Faults.recovery_enabled ()) then
-      print_endline
-        "note: TT_RECOVERY=0 — crash injection is disabled; every cell \
-         runs fault-free";
     let crash_fracs = List.map (fun p -> p /. 100.0) crash_pcts in
     let points =
       H.Recovery.run ~apps ~machine ~victims ~crash_fracs ~rejoins ~seeds
@@ -726,8 +693,8 @@ let recover_cmd =
   in
   Cmd.v (Cmd.info "recover" ~doc)
     Term.(
-      const run $ apps_t $ machine_t $ victims_t $ crash_t $ rejoins_t
-      $ seeds_t $ nodes_t $ scale_t $ domains_t)
+      const run $ apps_t $ machine_t ~names:H.Recovery.machines $ victims_t
+      $ crash_t $ rejoins_t $ seeds_t $ nodes_t $ scale_t $ domains_t)
 
 (* --- tt torture --- *)
 
@@ -744,11 +711,18 @@ let torture_cmd =
   let machines_t =
     Arg.(
       value
-      & opt (list (enum (List.map (fun n -> (n, n)) T.all_machines))) T.machines
+      & opt
+          (list
+             (enum
+                (List.filter_map
+                   (fun n -> if n = "update" then None else Some (n, n))
+                   H.Machine.names)))
+          T.machines
       & info [ "machines" ]
           ~doc:
-            "Comma-separated machines (default: stache,dirnnb; the zoo \
-             protocols and adaptive are also accepted).")
+            "Comma-separated machines (default: stache,dirnnb; every other \
+             machine but update, whose protocol assumes owners-compute, is \
+             also accepted).")
   in
   let drops_t =
     Arg.(
@@ -903,7 +877,7 @@ let list_cmd =
   let run () =
     Printf.printf "benchmarks: %s\nmachines:   %s\nprotocols:  %s\n"
       (String.concat ", " H.Catalog.all_names)
-      (String.concat ", " machine_names)
+      (String.concat ", " H.Machine.names)
       (String.concat ", " H.Catalog.protocols)
   in
   Cmd.v (Cmd.info "list" ~doc:"List benchmarks, machines and protocols.")

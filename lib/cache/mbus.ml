@@ -5,10 +5,3 @@ type snoop_result = Allow of { shared : bool } | Inhibit
 let access_of = function
   | Read -> Tt_mem.Tag.Load
   | Read_invalidate | Invalidate -> Tt_mem.Tag.Store
-
-let pp_transaction ppf t =
-  Format.pp_print_string ppf
-    (match t with
-    | Read -> "Read"
-    | Read_invalidate -> "ReadInvalidate"
-    | Invalidate -> "Invalidate")

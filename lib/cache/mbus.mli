@@ -21,4 +21,3 @@ val access_of : transaction -> Tt_mem.Tag.access
 (** The tag-check semantics of a transaction: [Read] checks as a load, the
     other two as stores. *)
 
-val pp_transaction : Format.formatter -> transaction -> unit

@@ -44,10 +44,7 @@ module Inttbl = Tt_util.Inttbl
 
    Switches happen only at quiesce points ({!Proto.page_quiescent}) and
    charge [c_switch] simulated cycles: the retype flushes the home's
-   translation MRU and TLB entry, so the cost models a remap + shootdown.
-
-   Kill switch: TT_ADAPT=0 keeps every page on the default protocol (the
-   observer still counts, nothing ever switches). *)
+   translation MRU and TLB entry, so the cost models a remap + shootdown. *)
 
 type page = {
   vpage : int;
@@ -65,7 +62,6 @@ type t = {
   sys : System.t;
   stache : Stache.t;
   proto : Proto.t;
-  enabled : bool;
   counters : Stats.t;
   pages : page Inttbl.t; (* vpage -> window state *)
   homed : int Vec.t array; (* per home node: vpages in first-event order *)
@@ -142,7 +138,7 @@ let classify p =
    still in flight fail the quiescence probe and simply wait for the next
    window (the streak is kept). *)
 let on_sync t ~node th =
-  if t.enabled && Vec.length t.homed.(node) > 0 then begin
+  if Vec.length t.homed.(node) > 0 then begin
     Stats.Counter.incr t.c_windows;
     Vec.iter
       (fun vpage ->
@@ -184,22 +180,16 @@ let on_sync t ~node th =
 let release_sample = 8
 
 let on_release t ~node th =
-  if t.enabled then begin
-    t.release_tick.(node) <- t.release_tick.(node) + 1;
-    if t.release_tick.(node) mod release_sample = 0 then on_sync t ~node th
-  end
+  t.release_tick.(node) <- t.release_tick.(node) + 1;
+  if t.release_tick.(node) mod release_sample = 0 then on_sync t ~node th
 
 let install sys stache proto =
-  let enabled =
-    match Sys.getenv_opt "TT_ADAPT" with Some "0" -> false | _ -> true
-  in
   let counters = Stats.create "adaptive" in
   let t =
     {
       sys;
       stache;
       proto;
-      enabled;
       counters;
       pages = Inttbl.create 1024;
       homed = Array.init (System.nnodes sys) (fun _ -> Vec.create ());

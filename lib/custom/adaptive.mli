@@ -21,26 +21,22 @@
     consistent under any access pattern; [Widerep] is release-consistent,
     so data-race-free programs observe nothing weaker than SC while racy
     programs may read diagnosably stale copies (see {!Proto}).  [Delayed]
-    and [Prodcons] are never chosen at runtime.
-
-    Kill switch: with [TT_ADAPT=0] in the environment nothing ever
-    switches (every page stays on the default invalidate protocol). *)
+    and [Prodcons] are never chosen at runtime. *)
 
 type t
 
 val install : Tt_typhoon.System.t -> Tt_stache.Stache.t -> Proto.t -> t
-(** Install the observation callback into [proto].  Reads [TT_ADAPT] once,
-    at construction. *)
+(** Install the observation callback into [proto]. *)
 
 val on_sync : t -> node:int -> Tt_sim.Thread.t -> unit
 (** Barrier hook: reclassify every page [node] homes and switch the
-    stable misfits.  Wire after {!Proto.flush_release} in the machine's
-    [pre_barrier]. *)
+    stable misfits.  Wire after {!Proto.flush_release} at the machine's
+    [Pre_barrier] sync point (and again at [Post_barrier]). *)
 
 val on_release : t -> node:int -> Tt_sim.Thread.t -> unit
 (** Sampled decision point for lock-structured phases: every 8th call
-    per node runs {!on_sync}.  Wire after {!Proto.flush_release} in the
-    machine's [pre_release]. *)
+    per node runs {!on_sync}.  Wire after {!Proto.flush_release} at the
+    machine's [Pre_release] sync point. *)
 
 val switches : t -> int
 (** Total policy switches so far (the shootout records this). *)

@@ -87,8 +87,8 @@ val flush_release : t -> th:Tt_sim.Thread.t -> node:int -> unit
 (** Release-point flush for [node]: post the flush walk to its NP (dirty
     update pushes, prodcons reader pushes) and block the CPU until every
     update sent from this node has been acknowledged.  Free when the node
-    has no un-flushed state.  Wire to {!Tt_harness.Machine.t.pre_barrier}
-    and [pre_release]. *)
+    has no un-flushed state.  Wire to the machine's [Pre_barrier] and
+    [Pre_release] sync points ({!Tt_harness.Machine.add_sync}). *)
 
 val set_observer : t -> (vaddr:int -> event -> unit) option -> unit
 (** Install the adaptive layer's observation callback (host-side, free). *)

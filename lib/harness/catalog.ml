@@ -121,22 +121,7 @@ let data_set_description ~name ~size ~scale =
   | other -> invalid_arg (Printf.sprintf "Catalog: unknown app %S" other))
   ^ suffix
 
-(* --- the protocol registry (the zoo + the two fixed machines) --- *)
-
+(* the protocol shootout's default list: the transparent default, the zoo
+   and the adaptive switcher *)
 let protocols =
   [ "stache"; "migratory"; "prodcons"; "widerep"; "delayed"; "adaptive" ]
-
-let unknown_protocol other =
-  invalid_arg
-    (Printf.sprintf "Catalog: unknown protocol %S (valid: %s)" other
-       (String.concat ", " protocols))
-
-let machine_of_proto ?reliability ?max_stache_pages ~proto params =
-  match proto with
-  | "stache" -> Machine.typhoon_stache ?reliability ?max_stache_pages params
-  | "adaptive" ->
-      Machine.typhoon_adaptive ?reliability ?max_stache_pages params
-  | "migratory" | "prodcons" | "widerep" | "delayed" ->
-      Machine.typhoon_zoo ?reliability ?max_stache_pages
-        ~policy:(Tt_custom.Proto.pol_of_name proto) params
-  | other -> unknown_protocol other

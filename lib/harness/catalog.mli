@@ -30,13 +30,7 @@ val all_names : string list
     channel). *)
 
 val protocols : string list
-(** Protocol names accepted by {!machine_of_proto}: ["stache"] (the
-    transparent default), the zoo (["migratory"], ["prodcons"],
-    ["widerep"], ["delayed"]) and ["adaptive"] (per-page runtime
-    switching). *)
-
-val machine_of_proto :
-  ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int ->
-  proto:string -> Params.t -> Machine.t
-(** The Typhoon machine running the named protocol.
-    @raise Invalid_argument for unknown names, listing the valid ones. *)
+(** The protocol shootout's default list ({!Protozoo.default_protos}), all
+    of them {!Machine.names}: ["stache"] (the transparent default), the zoo
+    (["migratory"], ["prodcons"], ["widerep"], ["delayed"]) and
+    ["adaptive"] (per-page runtime switching). *)

@@ -24,22 +24,6 @@ type point = {
   outcome : outcome;
 }
 
-let machines =
-  [ "stache"; "dirnnb"; "update"; "migratory"; "prodcons"; "widerep";
-    "delayed"; "adaptive" ]
-
-let make_machine ~machine ?reliability params =
-  match machine with
-  | "stache" -> Machine.typhoon_stache ?reliability params
-  | "dirnnb" -> Machine.dirnnb ?reliability params
-  | "update" -> Machine.typhoon_em3d ?reliability params
-  | "migratory" | "prodcons" | "widerep" | "delayed" | "adaptive" ->
-      Catalog.machine_of_proto ?reliability ~proto:machine params
-  | other ->
-      invalid_arg
-        (Printf.sprintf "Faultsweep: unknown machine %S (expected %s)" other
-           (String.concat "|" machines))
-
 (* A drop rate implies correlated dup/reorder rates so one sweep axis
    exercises the whole fault taxonomy.  Per-vnet overrides replace the
    axis rate for that vnet only; the taxonomy still follows each vnet's
@@ -79,7 +63,7 @@ let run_app ?request_drop ?response_drop ?burst ?credits ?spill
     | None -> p
   in
   let base, base_msgs, latency =
-    let m = make_machine ~machine base_params in
+    let m = Machine.of_name machine base_params in
     let app = Catalog.make ~name ~size ~scale ~nprocs:nodes in
     let r = Run.spmd m ~name app.Catalog.body in
     ignore
@@ -147,7 +131,7 @@ let run_app ?request_drop ?response_drop ?burst ?credits ?spill
             Reliable.Flaky
               (config_of ?request_drop ?response_drop ?burst ~drop ~seed ())
           in
-          let m = make_machine ~machine ~reliability params in
+          let m = Machine.of_name ~reliability machine params in
           let watchdog =
             Watchdog.create
               ~max_cycles:((base.Run.cycles * 100) + 5_000_000)

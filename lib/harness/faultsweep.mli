@@ -35,11 +35,6 @@ type point = {
   outcome : outcome;
 }
 
-val machines : string list
-(** Accepted machine names: ["stache"], ["dirnnb"], ["update"], plus the
-    protocol zoo (["migratory"], ["prodcons"], ["widerep"], ["delayed"])
-    and ["adaptive"]. *)
-
 val config_of :
   ?request_drop:float -> ?response_drop:float -> ?burst:Tt_net.Faults.burst ->
   ?crashes:Tt_net.Faults.crash list -> drop:float -> seed:int -> unit ->
@@ -59,7 +54,8 @@ val run :
   ?burst:Tt_net.Faults.burst -> ?credits:int -> ?spill:int ->
   ?size:Catalog.size -> ?scale:float -> ?nodes:int -> ?domains:int ->
   unit -> point list
-(** Defaults: all catalog apps, machine ["stache"], drops [[0.01; 0.05]],
+(** [machine] is any {!Machine.names} entry.
+    Defaults: all catalog apps, machine ["stache"], drops [[0.01; 0.05]],
     seeds [[1; 2; 3]], no crashes, small data sets at scale 0.25 on
     8 nodes.  [request_drop]/[response_drop] apply the same per-vnet
     override to every grid cell (the [drops] axis still sets the other

@@ -5,6 +5,8 @@ module Typhoon = Tt_typhoon.System
 module Dirnnb = Tt_dirnnb.System
 module Stache = Tt_stache.Stache
 
+type point = Pre_barrier | Post_barrier | Pre_release
+
 type t = {
   label : string;
   engine : Engine.t;
@@ -27,18 +29,19 @@ type t = {
   hooks : (string, node:int -> Thread.t -> unit) Hashtbl.t;
   special_allocs :
     (string, node:int -> Thread.t -> ?home:int -> int -> int) Hashtbl.t;
-  (* recovery-layer attachment points, None unless a recovery harness is
-     driving this machine: a post-barrier callback (checkpoint snapshots)
-     and a liveness census for watchdog diagnostics *)
-  mutable on_barrier : (proc:int -> Thread.t -> unit) option;
+  (* the synchronization hook chain, called by Run's environment at every
+     barrier and lock release (see [point]); a no-op unless a protocol or
+     recovery layer extends it with [add_sync] *)
+  mutable sync : point -> proc:int -> Thread.t -> unit;
+  (* liveness census for watchdog diagnostics, None outside recovery runs *)
   mutable liveness : (unit -> string) option;
-  (* release-consistency attachment points for update-family protocols:
-     called by Run's environment before entering a barrier and before
-     releasing a lock, so dirty blocks are flushed (and acks awaited)
-     before any other processor can synchronize past the release point *)
-  mutable pre_barrier : (proc:int -> Thread.t -> unit) option;
-  mutable pre_release : (proc:int -> Thread.t -> unit) option;
 }
+
+let no_sync _ ~proc:_ _ = ()
+
+let add_sync m f =
+  let prev = m.sync in
+  m.sync <- (fun point ~proc th -> prev point ~proc th; f point ~proc th)
 
 let typhoon_stache_full ?reliability ?max_stache_pages params =
   let engine = Engine.create () in
@@ -77,10 +80,8 @@ let typhoon_stache_full ?reliability ?max_stache_pages params =
       deadlock = (fun () -> Typhoon.deadlock_probe sys);
       hooks = Hashtbl.create 4;
       special_allocs = Hashtbl.create 4;
-      on_barrier = None;
+      sync = no_sync;
       liveness = None;
-      pre_barrier = None;
-      pre_release = None;
     }
   in
   machine, sys, stache
@@ -113,10 +114,8 @@ let dirnnb_full ?reliability params =
       deadlock = (fun () -> None);
       hooks = Hashtbl.create 4;
       special_allocs = Hashtbl.create 4;
-      on_barrier = None;
+      sync = no_sync;
       liveness = None;
-      pre_barrier = None;
-      pre_release = None;
     }
   in
   machine, sys
@@ -125,7 +124,7 @@ let dirnnb ?reliability params =
   let m, _ = dirnnb_full ?reliability params in
   m
 
-let typhoon_em3d_full ?reliability ?max_stache_pages params =
+let typhoon_em3d ?reliability ?max_stache_pages params =
   let machine, sys, stache =
     typhoon_stache_full ?reliability ?max_stache_pages params
   in
@@ -147,11 +146,7 @@ let typhoon_em3d_full ?reliability ?max_stache_pages params =
         (fun ~node th ?home bytes ->
           Tt_custom.Em3d_proto.alloc proto ~th ~node ~kind ?home ~bytes ()))
     [ "e"; "h" ];
-  machine, sys, stache, proto
-
-let typhoon_em3d ?reliability ?max_stache_pages params =
-  let m, _, _, _ = typhoon_em3d_full ?reliability ?max_stache_pages params in
-  m
+  machine
 
 module Proto = Tt_custom.Proto
 
@@ -178,9 +173,10 @@ let typhoon_zoo_full ?reliability ?max_stache_pages ~policy params =
           Stats.merge_into ~dst:out (Proto.stats proto);
           out) }
   in
-  let flush ~proc th = Proto.flush_release proto ~th ~node:proc in
-  machine.pre_barrier <- Some flush;
-  machine.pre_release <- Some flush;
+  add_sync machine (fun point ~proc th ->
+      match point with
+      | Pre_barrier | Pre_release -> Proto.flush_release proto ~th ~node:proc
+      | Post_barrier -> ());
   machine, sys, stache, proto
 
 let typhoon_zoo ?reliability ?max_stache_pages ~policy params =
@@ -212,25 +208,21 @@ let typhoon_adaptive_full ?reliability ?max_stache_pages params =
           Stats.merge_into ~dst:out (Tt_custom.Adaptive.stats adapt);
           out) }
   in
-  (* pages start on the default protocol; the barrier hook flushes this
-     node's un-flushed zoo state, then lets the adaptive layer reclassify
-     and switch the pages it homes *)
-  machine.pre_barrier <-
-    Some
-      (fun ~proc th ->
-        Proto.flush_release proto ~th ~node:proc;
-        Tt_custom.Adaptive.on_sync adapt ~node:proc th);
-  (* a second decision point after the barrier completes: remote fetches
-     served by this node's NP while its CPU sat waiting (evidence that
-     landed after the pre-barrier pass) are classified now instead of a
-     whole phase later *)
-  machine.on_barrier <-
-    Some (fun ~proc th -> Tt_custom.Adaptive.on_sync adapt ~node:proc th);
-  machine.pre_release <-
-    Some
-      (fun ~proc th ->
-        Proto.flush_release proto ~th ~node:proc;
-        Tt_custom.Adaptive.on_release adapt ~node:proc th);
+  (* pages start on the default protocol.  Before a barrier the hook
+     flushes this node's un-flushed zoo state, then lets the adaptive layer
+     reclassify and switch the pages it homes.  After the barrier comes a
+     second decision point: remote fetches served by this node's NP while
+     its CPU sat waiting (evidence that landed after the pre-barrier pass)
+     are classified now instead of a whole phase later. *)
+  add_sync machine (fun point ~proc th ->
+      match point with
+      | Pre_barrier ->
+          Proto.flush_release proto ~th ~node:proc;
+          Tt_custom.Adaptive.on_sync adapt ~node:proc th
+      | Post_barrier -> Tt_custom.Adaptive.on_sync adapt ~node:proc th
+      | Pre_release ->
+          Proto.flush_release proto ~th ~node:proc;
+          Tt_custom.Adaptive.on_release adapt ~node:proc th);
   machine, sys, stache, proto, adapt
 
 let typhoon_adaptive ?reliability ?max_stache_pages params =
@@ -238,3 +230,21 @@ let typhoon_adaptive ?reliability ?max_stache_pages params =
     typhoon_adaptive_full ?reliability ?max_stache_pages params
   in
   m
+
+let names =
+  [ "dirnnb"; "stache"; "update"; "migratory"; "prodcons"; "widerep";
+    "delayed"; "adaptive" ]
+
+let of_name ?reliability ?max_stache_pages name params =
+  match name with
+  | "dirnnb" -> dirnnb ?reliability params
+  | "stache" -> typhoon_stache ?reliability ?max_stache_pages params
+  | "update" -> typhoon_em3d ?reliability ?max_stache_pages params
+  | "adaptive" -> typhoon_adaptive ?reliability ?max_stache_pages params
+  | "migratory" | "prodcons" | "widerep" | "delayed" ->
+      typhoon_zoo ?reliability ?max_stache_pages
+        ~policy:(Proto.pol_of_name name) params
+  | other ->
+      invalid_arg
+        (Printf.sprintf "Machine.of_name: unknown machine %S (valid: %s)"
+           other (String.concat ", " names))

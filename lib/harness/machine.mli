@@ -1,8 +1,20 @@
-(** Uniform facade over the two target machines.
+(** Uniform facade over the two target machines, and the catalogue of
+    every named machine ({!names}, {!of_name}).
 
     The experiment runner and the benchmarks program against this record, so
     the same application binary (an {!Tt_app.Env.t} consumer) runs on
     DirNNB, Typhoon/Stache, or Typhoon with a custom protocol installed. *)
+
+(** Where a {!t.sync} hook runs. *)
+type point =
+  | Pre_barrier
+      (** before entering every barrier: update-family protocols flush
+          dirty blocks and await acks here, before any other processor
+          can pass the barrier and read them *)
+  | Post_barrier
+      (** after every barrier release: the checkpoint layer snapshots
+          shared pages here, and the adaptive machine reclassifies *)
+  | Pre_release  (** before every lock release, like [Pre_barrier] *)
 
 type t = {
   label : string;
@@ -38,23 +50,31 @@ type t = {
     (string, node:int -> Tt_sim.Thread.t -> ?home:int -> int -> int) Hashtbl.t;
       (** named allocators for custom-protocol memory; applications reach
           them through {!Tt_app.Env.t.alloc_kind} *)
-  mutable on_barrier : (proc:int -> Tt_sim.Thread.t -> unit) option;
-      (** recovery attachment point: called by {!Run.spmd}'s environment
-          after every barrier release, on every participant — the
-          checkpoint layer snapshots shared pages here.  [None] (never
-          called) unless a recovery harness installs it. *)
+  mutable sync : point -> proc:int -> Tt_sim.Thread.t -> unit;
+      (** the synchronization hook chain: {!Run.spmd}'s environment calls
+          it on every participant at each {!point}.  A no-op until a
+          protocol or recovery layer extends it with {!add_sync}. *)
   mutable liveness : (unit -> string) option;
       (** liveness census (e.g. {!Tt_net.Liveness.summary}) appended to
-          watchdog expiry diagnostics; [None] outside recovery runs. *)
-  mutable pre_barrier : (proc:int -> Tt_sim.Thread.t -> unit) option;
-      (** release-consistency attachment point: called by {!Run.spmd}'s
-          environment {e before} entering every barrier, so update-family
-          protocols flush dirty blocks and await acks before any other
-          processor can pass the barrier and read them.  [None] (never
-          called) unless a protocol layer installs it. *)
-  mutable pre_release : (proc:int -> Tt_sim.Thread.t -> unit) option;
-      (** like {!pre_barrier} but called before every lock release. *)
+          watchdog expiry diagnostics; [None] outside recovery runs.  A
+          diagnostic probe, not a sync point. *)
 }
+
+val add_sync : t -> (point -> proc:int -> Tt_sim.Thread.t -> unit) -> unit
+(** Extend the hook chain: the new hook runs after every hook installed
+    before it, at every point. *)
+
+val names : string list
+(** Every machine {!of_name} builds: ["dirnnb"], ["stache"], ["update"]
+    (the hand-written EM3D protocol), the zoo (["migratory"],
+    ["prodcons"], ["widerep"], ["delayed"]) and ["adaptive"]. *)
+
+val of_name :
+  ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int -> string ->
+  Params.t -> t
+(** The named machine, built by the constructor below that carries it
+    ([max_stache_pages] is ignored on DirNNB).
+    @raise Invalid_argument for unknown names, listing {!names}. *)
 
 val typhoon_stache :
   ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int -> Params.t -> t
@@ -80,17 +100,13 @@ val typhoon_em3d :
     ("Typhoon/Update" in Figure 4).  Exposes hooks ["em3d.sync:<kind>"] and
     the allocator kind ["em3d:<kind>"] for the value arrays. *)
 
-val typhoon_em3d_full :
-  ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int -> Params.t ->
-  t * Tt_typhoon.System.t * Tt_stache.Stache.t * Tt_custom.Em3d_proto.t
-
 val typhoon_zoo :
   ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int ->
   policy:Tt_custom.Proto.pol -> Params.t -> t
 (** Typhoon with Stache plus the protocol zoo installed, every application
     allocation adopted under [policy] (labelled ["typhoon/<policy>"]).
-    Allocations are page-aligned; release-consistency flushes are wired to
-    the pre-barrier and pre-release hooks. *)
+    Allocations are page-aligned; release-consistency flushes run at the
+    [Pre_barrier] and [Pre_release] sync points. *)
 
 val typhoon_zoo_full :
   ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int ->
@@ -102,9 +118,7 @@ val typhoon_adaptive :
 (** Typhoon with the zoo plus per-page adaptive policy switching: pages
     start on the default invalidate protocol and {!Tt_custom.Adaptive}
     reclassifies them around every barrier and every 8th lock release.
-    Allocations are page-aligned like the static zoo machines.  With
-    [TT_ADAPT=0] nothing ever switches: every page keeps the default
-    invalidate protocol for the whole run. *)
+    Allocations are page-aligned like the static zoo machines. *)
 
 val typhoon_adaptive_full :
   ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int -> Params.t ->

@@ -263,14 +263,10 @@ let wire ~machine ~params ~config () =
           va);
     }
   in
-  (* chain behind any machine-level post-barrier hook (the adaptive
-     machine reclassifies pages there) rather than clobbering it *)
-  let prev_on_barrier = m.Machine.on_barrier in
-  m.Machine.on_barrier <-
-    Some
-      (fun ~proc th ->
-        (match prev_on_barrier with Some f -> f ~proc th | None -> ());
-        if proc = 0 then snapshot_epoch ck proto);
+  (* runs after any machine-level hook (the adaptive machine reclassifies
+     pages there) *)
+  Machine.add_sync m (fun point ~proc _ ->
+      if point = Machine.Post_barrier && proc = 0 then snapshot_epoch ck proto);
   m.Machine.liveness <- Some (fun () -> Liveness.summary lv);
   { m; lv; ck; scrubbed; nprocs }
 

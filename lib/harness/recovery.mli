@@ -19,7 +19,7 @@
       purges its tracks ({!Tt_stache.Stache.on_node_death} /
       {!Tt_dirnnb.System.on_node_death});
     - {e checkpoint}: this module snapshots shared pages at barriers
-      (installed through {!Machine.t.on_barrier}) and answers the repair
+      (a [Post_barrier] hook, {!Machine.add_sync}) and answers the repair
       pass's [restore] lookups — a snapshot is handed out only when it
       provably equals the page's current content, so a re-homed page is
       never silently wrong;
@@ -29,11 +29,7 @@
       aborts with a diagnosis and is {e rolled back} — re-executed from a
       clean boot — and verified there ({!Rolled_back}); {!Unrecoverable}
       is reserved for a re-execution that itself fails.  Never silence,
-      never corruption.
-
-    The [TT_RECOVERY=0] kill switch ({!Tt_net.Faults.set_recovery})
-    disables crash injection entirely, keeping every pinned regression row
-    bit-identical to a build without crash support. *)
+      never corruption. *)
 
 type outcome =
   | Masked  (** outage below the detection lease; retransmission hid it *)

@@ -50,21 +50,13 @@ let make_env (machine : Machine.t) ~barrier ~locks ~locks_mu ~proc th =
     prefetch = (fun vaddr -> machine.Machine.mprefetch ~node:proc th vaddr);
     barrier =
       (fun () ->
-        (* release-consistency: flush this proc's dirty updates (and await
-           their acks) before anyone can leave the barrier and read them *)
-        (match machine.Machine.pre_barrier with
-        | Some f -> f ~proc th
-        | None -> ());
+        machine.Machine.sync Machine.Pre_barrier ~proc th;
         Barrier.wait barrier th;
-        match machine.Machine.on_barrier with
-        | Some f -> f ~proc th
-        | None -> ());
+        machine.Machine.sync Machine.Post_barrier ~proc th);
     lock = (fun i -> Lock.acquire (lock_of i) th);
     unlock =
       (fun i ->
-        (match machine.Machine.pre_release with
-        | Some f -> f ~proc th
-        | None -> ());
+        machine.Machine.sync Machine.Pre_release ~proc th;
         Lock.release (lock_of i) th);
     alloc = (fun ?home bytes -> machine.Machine.alloc ~node:proc th ?home bytes);
     alloc_kind =
@@ -140,6 +132,3 @@ let spmd (machine : Machine.t) ~name ?(check = true) ?watchdog body =
     proc_cycles;
     run_stats = machine.Machine.merged_stats ();
   }
-
-let pp_result ppf r =
-  Format.fprintf ppf "%s on %s: %d cycles" r.app_name r.machine_label r.cycles

@@ -23,5 +23,3 @@ val spmd :
 (** [check] (default true) verifies machine invariants after the run.
     [watchdog] (default none) drives the engine under cycle/retransmission
     budgets and raises {!Watchdog.Expired} on livelock. *)
-
-val pp_result : Format.formatter -> result -> unit

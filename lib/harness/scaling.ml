@@ -23,7 +23,7 @@ let run_one ~app ~proto ~nodes ~scale ~cache_kb =
       .Run.cycles
   in
   let dirnnb_cycles = measure (Machine.dirnnb params) in
-  let stache_cycles = measure (Catalog.machine_of_proto ~proto params) in
+  let stache_cycles = measure (Machine.of_name proto params) in
   { app; nodes; dirnnb_cycles; stache_cycles; cpu_s = Sys.time () -. t0 }
 
 let run ?(apps = Catalog.names) ?(proto = "stache") ?(nodes = default_nodes)

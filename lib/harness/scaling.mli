@@ -28,8 +28,8 @@ val run :
   ?cache_kb:int -> ?domains:int -> unit -> point list
 (** Defaults: all five Figure 3 apps, {!default_nodes}, scale 0.25 of the
     small data set, 256 KB CPU caches.  [proto] (default ["stache"])
-    selects the Typhoon-side protocol for the [stache_cycles] column, any
-    of {!Catalog.protocols}.  Points come out app-major in the
+    selects the Typhoon-side machine for the [stache_cycles] column, by its
+    {!Machine.of_name} name.  Points come out app-major in the
     order given.  [domains > 1] fans the (app, nodes) grid cells out over
     that many worker domains ({!Tt_sim.Domains.map}); cycle counts and
     point order are bit-identical to the sequential sweep.  Note [cpu_s]

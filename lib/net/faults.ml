@@ -45,20 +45,6 @@ type config = {
   crashes : crash list;
 }
 
-(* TT_RECOVERY=0 disables crash-stop injection entirely: [create] ignores
-   the config's crash schedule, so every pinned row is bit-identical to the
-   pre-crash-era code by construction (asserted by the recovery parity
-   bench and scripts/check_all.sh). *)
-let recovery_on =
-  ref
-    (match Sys.getenv_opt "TT_RECOVERY" with
-    | Some ("0" | "false" | "off") -> false
-    | Some _ | None -> true)
-
-let set_recovery on = recovery_on := on
-
-let recovery_enabled () = !recovery_on
-
 let uniform ?(seed = 0x7700) ?(drop = 0.0) ?(dup = 0.0) ?(reorder = 0.0)
     ?(max_jitter = 40) ?burst ?(crashes = []) () =
   let r = { drop; dup; reorder } in
@@ -105,26 +91,25 @@ let create config fabric =
   let nlinks = match config.burst with None -> 0 | Some _ -> nnodes * nnodes in
   let down_from = Array.make nnodes max_int in
   let up_from = Array.make nnodes max_int in
-  if recovery_enabled () then
-    List.iter
-      (fun c ->
-        if c.victim < 0 || c.victim >= nnodes then
-          invalid_arg
-            (Printf.sprintf "Faults.create: crash victim %d out of [0,%d)"
-               c.victim nnodes);
-        let j =
-          if c.jitter <= 0 then 0
-          else
-            let g =
-              Prng.create ~seed:(config.seed lxor ((c.victim + 1) * 0x85EBCA6B))
-            in
-            Prng.int g (c.jitter + 1)
-        in
-        let down = c.at + j in
-        down_from.(c.victim) <- down;
-        up_from.(c.victim) <-
-          (match c.rejoin with None -> max_int | Some r -> max (down + 1) r))
-      config.crashes;
+  List.iter
+    (fun c ->
+      if c.victim < 0 || c.victim >= nnodes then
+        invalid_arg
+          (Printf.sprintf "Faults.create: crash victim %d out of [0,%d)"
+             c.victim nnodes);
+      let j =
+        if c.jitter <= 0 then 0
+        else
+          let g =
+            Prng.create ~seed:(config.seed lxor ((c.victim + 1) * 0x85EBCA6B))
+          in
+          Prng.int g (c.jitter + 1)
+      in
+      let down = c.at + j in
+      down_from.(c.victim) <- down;
+      up_from.(c.victim) <-
+        (match c.rejoin with None -> max_int | Some r -> max (down + 1) r))
+    config.crashes;
   {
     fabric;
     prng = Prng.create ~seed:config.seed;

@@ -111,16 +111,6 @@ val per_vnet :
     clean response net, the asymmetry the [tt faults]
     [--request-drop]/[--response-drop] flags expose. *)
 
-val set_recovery : bool -> unit
-(** Kill switch (also [TT_RECOVERY=0] in the environment): when off,
-    {!create} ignores the config's crash schedule entirely, so every
-    pinned row is bit-identical to crash support never having existed.
-    Crash injection consumes no main-stream PRNG draws either way; the
-    switch exists so the claim is enforceable by an A/B gate
-    (scripts/check_all.sh) rather than argued. *)
-
-val recovery_enabled : unit -> bool
-
 type decision = { dropped : bool; reorder_jitter : int; dup_jitter : int }
 (** The complete fault decision for one {!send}: [dropped] wins over the
     rest; [reorder_jitter]/[dup_jitter] of [0] mean no reorder / no dup
@@ -155,7 +145,7 @@ val is_down : t -> node:int -> at:int -> bool
 val crash_window : t -> node:int -> (int * int option) option
 (** The resolved window for [node]: [Some (down, rejoin)] where [rejoin]
     is [None] for a permanent crash-stop; [None] if the node never
-    crashes (including when recovery is switched off). *)
+    crashes. *)
 
 val crash_drop : t -> Message.t -> unit
 (** Swallow a message on behalf of a crashed endpoint: count it under

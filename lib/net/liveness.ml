@@ -3,11 +3,6 @@ module Engine = Tt_sim.Engine
 
 type status = Alive | Suspected | Dead
 
-let status_to_string = function
-  | Alive -> "alive"
-  | Suspected -> "suspected"
-  | Dead -> "dead"
-
 type t = {
   engine : Engine.t;
   net : Reliable.t;

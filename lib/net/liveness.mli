@@ -26,8 +26,6 @@
 
 type status = Alive | Suspected | Dead
 
-val status_to_string : status -> string
-
 type t
 
 val create :

@@ -145,8 +145,6 @@ let fetch_add t ~th ~node counter delta =
   Thread.await th (fun wake ->
       ns.fa_wake <- Some (fun v -> wake_cpu t.sys ~node th (fun () -> wake v)))
 
-let read_counter t ~th ~node counter = fetch_add t ~th ~node counter 0
-
 let alloc_barrier t ~th ~node ~home ~participants =
   ignore node;
   if participants <= 0 then invalid_arg "Msg_sync.alloc_barrier";

@@ -28,9 +28,6 @@ val fetch_add :
     the calling thread for the message round trip (local counters
     short-circuit the network). *)
 
-val read_counter : t -> th:Tt_sim.Thread.t -> node:int -> counter -> int
-(** [fetch_add t ~th ~node c 0]. *)
-
 type barrier
 
 val alloc_barrier :

@@ -25,7 +25,7 @@
 
 type case = {
   litmus : string;  (** {!Litmus.by_name} key *)
-  machine : string;  (** ["stache"] or ["dirnnb"] *)
+  machine : string;  (** a {!Tt_harness.Machine.names} entry *)
   drop : float;  (** 0.0 = Perfect transport; otherwise the
                      {!Tt_harness.Faultsweep.config_of} taxonomy *)
   fault_seed : int;
@@ -65,17 +65,12 @@ type mode =
   | Replay of Trace.t  (** journal decisions, neutral at absent sites *)
 
 val machines : string list
-(** The default grid machines: ["stache"; "dirnnb"]. *)
-
-val zoo_machines : string list
-(** The custom-protocol machines ({!Tt_harness.Catalog.protocols} minus
-    the transparent default, plus ["adaptive"]) — accepted by {!run} and
-    {!grid} but not part of the default grid.  [Delayed] relies on
-    data-race freedom, so racy litmus shapes may legitimately fail with
-    [Sc]/[Stale] there (diagnosed staleness, never silent corruption). *)
-
-val all_machines : string list
-(** [machines @ zoo_machines] — every name {!run} accepts. *)
+(** The default grid machines: ["stache"; "dirnnb"].  {!run} and {!grid}
+    accept every {!Tt_harness.Machine.names} entry except ["update"], whose
+    hand-written protocol assumes owners-compute.  The update family
+    (["widerep"], ["delayed"], ["adaptive"]) relies on data-race freedom,
+    so racy litmus shapes may legitimately fail with [Sc]/[Stale] there
+    (diagnosed staleness, never silent corruption). *)
 
 val kind_to_string : kind -> string
 

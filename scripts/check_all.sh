@@ -2,24 +2,21 @@
 # Every gate, in one pass.  Any failure aborts the chain.
 #
 # 1. Suite matrix: the full test suite runs once per row — the default
-#    configuration, then each simulator kill switch or knob on its own:
+#    configuration, then each simulator knob on its own:
 #      TT_FASTPATH=0  every blocking point takes the full effect
 #                     suspend/resume (the inline fast path is off);
-#      TT_ADAPT=0     every page stays on the default invalidate protocol
-#                     (tests that exercise switching force TT_ADAPT=1);
-#      TT_RECOVERY=0  crash schedules are ignored at Faults.create;
 #      TT_DOMAINS=4   the harness sweeps fan out over 4 worker domains.
 #    The pinned simulated-cycle rows in test_regression.ml must hold in
 #    every row: none of these knobs may move an event.
 # 2. Engine smoke: a 64-node sweep diffed byte for byte against
 #    scripts/expected/scale64.txt, four 32-node Figure 3 cells diffed
 #    against scripts/expected/fig3_32.txt (suspension counters excluded),
-#    and a TT_DEBUG_BLOCK trace that must still reach stderr.
+#    a TT_DEBUG_BLOCK trace that must still reach stderr, and one small
+#    verified run on every machine `tt list` names.
 # 3. Torture: the litmus smoke grid reports no SC violation; the guarded
 #    sabotage knob (TT_SABOTAGE=1) must fail it, be shrunk to a reproducer
 #    artifact, and that artifact must replay to the same violation.
-# 4. Recovery: two recover sweeps print identical tables, and under
-#    TT_RECOVERY=0 the recover command reports the kill switch.
+# 4. Recovery: two recover sweeps print identical tables.
 # 5. Worker-domain determinism: the tt proto shootout (table and JSON
 #    cells), the scale sweep and a fault sweep are byte-identical on one
 #    and four domains.  On hosts with >= 4 cores the parallel scale sweep
@@ -35,8 +32,8 @@
 # 7. The whole-run benchmark's self-test (tiny inputs; fails when a pinned
 #    simulation digest drifts).
 #
-# The bench harness (bench/main.ml) enforces the fast-path, recovery and
-# adaptive timing parities in-process as well.
+# The bench harness (bench/main.ml) enforces the fast-path timing parity
+# in-process as well.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -47,7 +44,7 @@ tmp=$(mktemp -d "${TMPDIR:-/tmp}/tt-check.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
 
 echo "==================== suite matrix ===================="
-for row in default TT_FASTPATH=0 TT_ADAPT=0 TT_RECOVERY=0 TT_DOMAINS=4; do
+for row in default TT_FASTPATH=0 TT_DOMAINS=4; do
   echo "== full suite, $row =="
   if [ "$row" = default ]; then
     dune runtest --force
@@ -87,6 +84,16 @@ if [ "$lines" -lt 1 ]; then
   exit 1
 fi
 
+echo "== every catalogue machine runs and verifies =="
+machines=$("$TT" list | sed -n 's/^machines: *//p' | tr -d ,)
+if [ -z "$machines" ]; then
+  echo "FAIL: tt list printed no machines" >&2
+  exit 1
+fi
+for m in $machines; do
+  "$TT" run ocean --machine "$m" --nodes 4 --scale 0.05 --verify
+done
+
 echo "==================== torture ===================="
 echo "== torture smoke grid =="
 "$TT" torture --smoke
@@ -112,13 +119,6 @@ if [ "$out1" != "$out2" ]; then
   echo "FATAL: two identical recover sweeps printed different tables" >&2
   exit 1
 fi
-
-echo "== recover respects the kill switch =="
-TT_RECOVERY=0 "$TT" recover --apps ocean --victims 3 \
-  | grep -q "TT_RECOVERY=0" || {
-  echo "FATAL: recover under TT_RECOVERY=0 did not report the kill switch" >&2
-  exit 1
-}
 
 echo "==================== worker domains ===================="
 echo "== shootout, 1 vs 4 domains =="
@@ -208,7 +208,7 @@ echo "== dev-profile build prints the same simulation =="
 dune build --profile dev --build-dir "$tmp/dev" bin/tt.exe
 DEV_TT="$tmp/dev/default/bin/tt.exe"
 for cell in "em3d --machine dirnnb" "em3d --machine stache" \
-  "ocean --machine dirnnb" "ocean --machine stache" "em3d --proto widerep"; do
+  "ocean --machine dirnnb" "ocean --machine stache" "em3d --machine widerep"; do
   # $cell is split into words on purpose.
   "$TT" run $cell --nodes 8 --scale 0.1 --stats --verify >"$tmp/rel.txt"
   "$DEV_TT" run $cell --nodes 8 --scale 0.1 --stats --verify >"$tmp/dev.txt"

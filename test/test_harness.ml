@@ -7,6 +7,7 @@ let () = Tt_util.Debug.set_pool_debug true
 
 module Machine = Tt_harness.Machine
 module Run = Tt_harness.Run
+module Catalog = Tt_harness.Catalog
 module Env = Tt_app.Env
 module Engine = Tt_sim.Engine
 module Thread = Tt_sim.Thread
@@ -96,6 +97,71 @@ let test_machines_share_alloc_layout () =
   Alcotest.(check (list int))
     "identical layout" (trace Machine.dirnnb)
     (trace (fun p -> Machine.typhoon_stache p))
+
+(* --- the machine catalogue and its sync-hook chain --- *)
+
+let test_every_machine_builds_and_verifies () =
+  Alcotest.(check (list string))
+    "catalogue"
+    [ "dirnnb"; "stache"; "update"; "migratory"; "prodcons"; "widerep";
+      "delayed"; "adaptive" ]
+    Machine.names;
+  List.iter
+    (fun name ->
+      let machine = Machine.of_name name (params 4) in
+      Alcotest.(check string)
+        (name ^ " label")
+        (if name = "dirnnb" then name else "typhoon/" ^ name)
+        machine.Machine.label;
+      let inst =
+        Catalog.make ~name:"ocean" ~size:Catalog.Small ~scale:0.05 ~nprocs:4
+      in
+      ignore (Run.spmd machine ~name:"ocean" inst.Catalog.body);
+      ignore
+        (Run.spmd machine ~name:"ocean-verify" ~check:false
+           inst.Catalog.verify))
+    Machine.names
+
+let test_sync_hooks_fire_in_install_order () =
+  let machine = Machine.dirnnb (params 4) in
+  let log = ref [] in
+  let hook tag point ~proc _th = log := (tag, point, proc) :: !log in
+  Machine.add_sync machine (hook "first");
+  Machine.add_sync machine (hook "second");
+  ignore
+    (Run.spmd machine ~name:"sync" (fun env ->
+         env.Env.barrier ();
+         env.Env.lock 0;
+         env.Env.unlock 0));
+  (* hooks never block here, so each firing is an adjacent pair *)
+  let rec firings = function
+    | [] -> []
+    | ("first", p, n) :: ("second", p', n') :: rest when p = p' && n = n' ->
+        (p, n) :: firings rest
+    | _ -> Alcotest.fail "hooks did not fire as install-ordered pairs"
+  in
+  let fired = firings (List.rev !log) in
+  List.iter
+    (fun (label, point) ->
+      Alcotest.(check (list int))
+        (label ^ " on every participant")
+        [ 0; 1; 2; 3 ]
+        (List.sort compare
+           (List.filter_map
+              (fun (p, n) -> if p = point then Some n else None)
+              fired)))
+    [ ("pre-barrier", Machine.Pre_barrier);
+      ("post-barrier", Machine.Post_barrier);
+      ("pre-release", Machine.Pre_release) ];
+  (* Post_barrier runs after the release: every participant has arrived *)
+  let rec arrivals_first seen_post = function
+    | [] -> true
+    | (Machine.Pre_barrier, _) :: _ when seen_post -> false
+    | (p, _) :: rest ->
+        arrivals_first (seen_post || p = Machine.Post_barrier) rest
+  in
+  check_bool "no Post_barrier before the last Pre_barrier" true
+    (arrivals_first false fired)
 
 (* Regression: a block fault raised by a thread running ahead of global
    time must not be serviced before the thread's own clock — the NP work
@@ -292,6 +358,13 @@ let () =
             test_prefetch_is_noop_on_dirnnb;
           Alcotest.test_case "identical data layout across machines" `Quick
             test_machines_share_alloc_layout;
+        ] );
+      ( "catalogue",
+        [
+          Alcotest.test_case "every machine builds and verifies" `Quick
+            test_every_machine_builds_and_verifies;
+          Alcotest.test_case "sync hooks fire in install order" `Quick
+            test_sync_hooks_fire_in_install_order;
         ] );
       ( "np-timing",
         [

@@ -514,18 +514,6 @@ let test_reliable_perfect_passthrough () =
 
 (* ---------------- crash-stop failures ---------------- *)
 
-(* Tests that inject crash windows must hold the recovery switch on for
-   their duration: the suite also runs under TT_RECOVERY=0 (see
-   scripts/check_all.sh), where [Faults.create] would otherwise
-   ignore the schedule and the window under test would never open. *)
-let with_recovery_on f () =
-  let prior = Faults.recovery_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Faults.set_recovery prior)
-    (fun () ->
-      Faults.set_recovery true;
-      f ())
-
 let test_bidirectional_link_failed () =
   (* both directions of a pair exhaust their retry budgets against a 100%
      lossy fabric at the same time: the escalation must still be a single
@@ -749,9 +737,9 @@ let () =
           Alcotest.test_case "Peer_dead without a recovery layer" `Quick
             test_peer_dead_raises_without_recovery;
           Alcotest.test_case "crash window heals after rejoin" `Quick
-            (with_recovery_on test_crash_window_heals_after_rejoin);
+            test_crash_window_heals_after_rejoin;
           Alcotest.test_case "liveness verdicts" `Quick
-            (with_recovery_on test_liveness_verdicts);
+            test_liveness_verdicts;
           Alcotest.test_case "scrub neutralizes held queues" `Quick
             test_scrub_unacked_neutralizes;
         ] );

@@ -25,15 +25,6 @@ let check_bool = Alcotest.(check bool)
 
 let params nodes = { Params.default with Params.nodes }
 
-(* force the adaptive kill switch for one test body (the whole suite also
-   runs under TT_ADAPT=0 via scripts/check_all.sh) *)
-let with_adapt v f =
-  let was = Sys.getenv_opt "TT_ADAPT" in
-  Unix.putenv "TT_ADAPT" v;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "TT_ADAPT" (Option.value was ~default:"1"))
-    f
-
 (* regression: retyping a page in place must drop the home's 1-entry MRU
    translation cache, or the next access rides a stale cached mode *)
 let test_mru_flushed_on_policy_switch () =
@@ -87,7 +78,6 @@ let test_mru_flushed_on_rejoin () =
 (* the adaptive machine switches pages on the producer-consumer synthetic
    and still verifies against the oracle *)
 let test_adaptive_switches_and_verifies () =
-  with_adapt "1" @@ fun () ->
   let machine = Machine.typhoon_adaptive (params 8) in
   let inst = Catalog.make ~name:"synthpc" ~size:Catalog.Small ~scale:0.25 ~nprocs:8 in
   let r = Run.spmd machine ~name:"synthpc" inst.Catalog.body in
@@ -95,30 +85,42 @@ let test_adaptive_switches_and_verifies () =
   let switches = Stats.get r.Run.run_stats "switches" in
   check_bool (Printf.sprintf "switches > 0 (got %d)" switches) true (switches > 0)
 
-(* TT_ADAPT=0 is a hard kill switch: nothing switches, results verify *)
-let test_kill_switch_disables_switching () =
-  with_adapt "0" (fun () ->
-      let machine = Machine.typhoon_adaptive (params 8) in
-      let inst =
-        Catalog.make ~name:"synthpc" ~size:Catalog.Small ~scale:0.25 ~nprocs:8
-      in
-      let r = Run.spmd machine ~name:"synthpc" inst.Catalog.body in
-      ignore
-        (Run.spmd machine ~name:"synthpc-verify" ~check:false
-           inst.Catalog.verify);
-      check_int "no switches under TT_ADAPT=0" 0
-        (Stats.get r.Run.run_stats "switches"))
+(* the adaptive layer's observation stream is host-side only: a counting
+   observer on a zoo machine sees events but moves no simulated cycle or
+   message *)
+let test_observer_is_inert () =
+  let run observe =
+    let machine, _, _, proto =
+      Machine.typhoon_zoo_full ~policy:Proto.Widerep (params 8)
+    in
+    let events = ref 0 in
+    if observe then
+      Proto.set_observer proto (Some (fun ~vaddr:_ _ -> incr events));
+    let inst =
+      Catalog.make ~name:"synthpc" ~size:Catalog.Small ~scale:0.25 ~nprocs:8
+    in
+    let r = Run.spmd machine ~name:"synthpc" inst.Catalog.body in
+    let s = r.Run.run_stats in
+    (r.Run.cycles, Stats.get s "msgs.request" + Stats.get s "msgs.response",
+     !events)
+  in
+  let cycles, msgs, _ = run false in
+  let cycles', msgs', events = run true in
+  check_int "cycles" cycles cycles';
+  check_int "messages" msgs msgs';
+  check_bool (Printf.sprintf "observer saw events (got %d)" events) true
+    (events > 0)
 
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   n = 0 || go 0
 
-(* unknown protocol names fail loudly, listing the valid ones *)
+(* unknown machine names fail loudly, listing the valid ones *)
 let test_unknown_protocol_lists_names () =
   let msg =
     try
-      ignore (Catalog.machine_of_proto ~proto:"mesi" (params 4));
+      ignore (Machine.of_name "mesi" (params 4));
       "no exception"
     with Invalid_argument m -> m
   in
@@ -126,7 +128,7 @@ let test_unknown_protocol_lists_names () =
     (fun name ->
       check_bool (Printf.sprintf "%S lists %s" msg name) true
         (contains ~needle:name msg))
-    Catalog.protocols
+    Machine.names
 
 (* --- litmus torture under the zoo --- *)
 
@@ -155,7 +157,6 @@ let test_litmus_clean_under_sc_zoo () =
    only ever as a *diagnosed* SC/staleness violation — a hang, transport
    give-up, invariant breach or protocol crash is a real bug *)
 let test_litmus_diagnosed_under_update_zoo () =
-  with_adapt "1" @@ fun () ->
   let results =
     run_grid
       (torture_cases
@@ -203,7 +204,6 @@ let test_faultsweep_cell_per_protocol () =
 (* --- shootout sanity: tiny grid, adaptive gate holds --- *)
 
 let test_mini_shootout_adaptive_gate () =
-  with_adapt "1" @@ fun () ->
   let cells =
     Protozoo.run ~apps:[ "synthpc" ]
       ~protos:[ "stache"; "widerep"; "adaptive" ]
@@ -225,13 +225,13 @@ let () =
             test_mru_flushed_on_rejoin;
           Alcotest.test_case "unknown protocol lists names" `Quick
             test_unknown_protocol_lists_names;
+          Alcotest.test_case "observer is inert" `Quick
+            test_observer_is_inert;
         ] );
       ( "adaptive",
         [
           Alcotest.test_case "switches and verifies" `Quick
             test_adaptive_switches_and_verifies;
-          Alcotest.test_case "TT_ADAPT=0 kill switch" `Quick
-            test_kill_switch_disables_switching;
           Alcotest.test_case "mini shootout gate" `Slow
             test_mini_shootout_adaptive_gate;
         ] );

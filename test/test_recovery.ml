@@ -2,30 +2,15 @@
    and rejects double-release (satellite of the zero-allocation PR). *)
 let () = Tt_util.Debug.set_pool_debug true
 
-(* Tests for crash-stop recovery: the Recovery harness end to end, the
-   Faultsweep crash axis, and the TT_RECOVERY kill switch. *)
+(* Tests for crash-stop recovery: the Recovery harness end to end and the
+   Faultsweep crash axis. *)
 
-module Engine = Tt_sim.Engine
-module Fabric = Tt_net.Fabric
-module Faults = Tt_net.Faults
 module Recovery = Tt_harness.Recovery
 module Faultsweep = Tt_harness.Faultsweep
 
 let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
-
-(* The grid tests inject crash windows, so they must hold the recovery
-   switch on for their duration: the suite also runs under TT_RECOVERY=0
-   (see scripts/check_all.sh), where [Faults.create] would
-   otherwise ignore the schedule and every cell would run fault-free. *)
-let with_recovery_on f () =
-  let prior = Faults.recovery_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Faults.set_recovery prior)
-    (fun () ->
-      Faults.set_recovery true;
-      f ())
 
 let test_grid_stache () =
   (* the full rejoin axis on one app: every cell must end in verified
@@ -101,46 +86,23 @@ let test_faultsweep_update_crash_rejects () =
   | _ -> Alcotest.fail "update + crash must be refused"
   | exception Invalid_argument _ -> ()
 
-let test_kill_switch () =
-  (* TT_RECOVERY=0 semantics: with recovery off, a crash schedule is
-     ignored at Faults.create, so no window ever exists *)
-  let prior = Faults.recovery_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Faults.set_recovery prior)
-    (fun () ->
-      Faults.set_recovery false;
-      check_bool "switch reads back off" false (Faults.recovery_enabled ());
-      let e = Engine.create () in
-      let f = Fabric.create e ~nodes:2 ~latency:11 () in
-      let fl =
-        Faults.create
-          (Faults.uniform ~seed:1
-             ~crashes:[ Faults.crash ~victim:1 ~at:0 ~rejoin:100 () ]
-             ())
-          f
-      in
-      check_bool "no crash window" true (Faults.crash_window fl ~node:1 = None);
-      check_bool "never down" false (Faults.is_down fl ~node:1 ~at:50))
-
 let () =
   Alcotest.run "recovery"
     [
       ( "grid",
         [
           Alcotest.test_case "stache rejoin axis" `Quick
-            (with_recovery_on test_grid_stache);
+            test_grid_stache;
           Alcotest.test_case "bit-reproducible" `Quick
-            (with_recovery_on test_grid_deterministic);
+            test_grid_deterministic;
           Alcotest.test_case "dirnnb late rejoin" `Quick
-            (with_recovery_on test_grid_dirnnb);
+            test_grid_dirnnb;
         ] );
       ( "faultsweep",
         [
           Alcotest.test_case "crash axis" `Quick
-            (with_recovery_on test_faultsweep_crash_axis);
+            test_faultsweep_crash_axis;
           Alcotest.test_case "update machine refused" `Quick
             test_faultsweep_update_crash_rejects;
         ] );
-      ( "kill-switch",
-        [ Alcotest.test_case "TT_RECOVERY=0" `Quick test_kill_switch ] );
     ]
