@@ -15,13 +15,13 @@ module Inttbl = Tt_util.Inttbl
 (* Scratch argument builders (same discipline as Stache's): the endpoint
    copies args into a pooled message before returning, so no array literal
    is allocated per send. *)
-let scratch1 a0 =
-  let s = Message.Pool.scratch 1 in
+let scratch1 sys a0 =
+  let s = Message.Pool.scratch (System.pool sys) 1 in
   s.(0) <- a0;
   s
 
-let scratch2 a0 a1 =
-  let s = Message.Pool.scratch 2 in
+let scratch2 sys a0 a1 =
+  let s = Message.Pool.scratch (System.pool sys) 2 in
   s.(0) <- a0;
   s.(1) <- a1;
   s
@@ -246,7 +246,7 @@ let push_update_to_sharers t (ep : Tempest.t) ~vaddr (bd : Dir.block_dir) =
       ep.Tempest.charge c_update_extra;
       t.outstanding.(home) <- t.outstanding.(home) + 1;
       ep.Tempest.send_raw ~dst:s ~vnet:Message.Request ~handler:t.h_update
-        ~args:(scratch1 vaddr) ~data)
+        ~args:(scratch1 t.sys vaddr) ~data)
     (Sharers.to_list bd.Dir.sharers)
 
 (* --- message handlers (run on the NP) --- *)
@@ -269,7 +269,7 @@ let on_update t (ep : Tempest.t) ~src ~args ~data =
    else Stats.Counter.incr t.c_updates_stale);
   ep.Tempest.charge c_ack_extra;
   ep.Tempest.send_raw ~dst:src ~vnet:Message.Response ~handler:t.h_ack
-    ~args:(scratch1 vaddr) ~data:Bytes.empty
+    ~args:(scratch1 t.sys vaddr) ~data:Bytes.empty
 
 (* home <- sharer: update acknowledged *)
 let on_ack t (ep : Tempest.t) ~src:_ ~args:_ ~data:_ =
@@ -368,7 +368,7 @@ let on_bulk_confirm t (ep : Tempest.t) ~src ~args ~data:_ =
     else set_verdict i 2
   done;
   ep.Tempest.send_raw ~dst:src ~vnet:Message.Response ~handler:t.h_bulk_adopt
-    ~args:(scratch2 first count) ~data:bm;
+    ~args:(scratch2 t.sys first count) ~data:bm;
   t.outstanding.(home) <- t.outstanding.(home) - 1;
   if t.outstanding.(home) < 0 then invalid_arg "Proto: bulk confirm underflow";
   maybe_wake t home
@@ -447,7 +447,7 @@ let flush_prodcons t (ep : Tempest.t) ~home =
         ep.Tempest.charge c_update_extra;
         let data = ep.Tempest.force_read_block ~vaddr in
         ep.Tempest.send_raw ~dst:r ~vnet:Message.Request ~handler:t.h_push
-          ~args:(scratch1 vaddr) ~data
+          ~args:(scratch1 t.sys vaddr) ~data
       in
       let flush_run first count =
         if count = 0 then ()
@@ -473,7 +473,7 @@ let flush_prodcons t (ep : Tempest.t) ~home =
                  [on_bulk_confirm]) *)
               dep.Tempest.charge c_apply_extra;
               dep.Tempest.send_raw ~dst:home ~vnet:Message.Request
-                ~handler:t.h_bulk_confirm ~args:(scratch2 first count)
+                ~handler:t.h_bulk_confirm ~args:(scratch2 t.sys first count)
                 ~data:Bytes.empty)
         end
         else
@@ -584,7 +584,8 @@ let hooks t =
               (* eager update: harvest the block once the store commits *)
               ep.Tempest.charge 1;
               ep.Tempest.send_raw ~dst:home ~vnet:Message.Request
-                ~handler:t.h_harvest ~args:(scratch1 vaddr) ~data:Bytes.empty
+                ~handler:t.h_harvest ~args:(scratch1 t.sys vaddr)
+                ~data:Bytes.empty
             end;
             ep.Tempest.resume res;
             true
@@ -735,7 +736,7 @@ let flush_release t ~th ~node =
         Thread.advance th c_flush_post;
         t.flush_done.(node) <- false;
         ep.Tempest.send_raw ~dst:node ~vnet:Message.Request ~handler:t.h_flush
-          ~args:(scratch1 0) ~data:Bytes.empty);
+          ~args:(scratch1 t.sys 0) ~data:Bytes.empty);
     Thread.await_unit th (fun wake ->
         t.waiter.(node) <- Some (np_wake t.sys ~node th wake))
   end

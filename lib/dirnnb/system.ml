@@ -57,6 +57,7 @@ module Ctrl = struct
      after the handler runs — protocol handlers may not retain them. *)
   type t = {
     engine : Engine.t;
+    pool : Message.Pool.t;
     mutable clock : int;
     mutable busy : bool;
     mutable ring : Message.t array;
@@ -89,7 +90,7 @@ module Ctrl = struct
       t.count <- t.count - 1;
       t.handled <- t.handled + 1;
       t.exec msg;
-      Message.Pool.release msg;
+      Message.Pool.release t.pool msg;
       (* keep draining inline while no engine event is due at or before the
          controller clock; [skip_to] makes this observably identical to
          rescheduling one event per message (see Np.dispatch) *)
@@ -102,10 +103,10 @@ module Ctrl = struct
       else Engine.at t.engine t.clock t.self
     end
 
-  let create engine =
+  let create engine pool =
     let t =
-      { engine; clock = 0; busy = false; ring = [||]; head = 0; count = 0;
-        handled = 0;
+      { engine; pool; clock = 0; busy = false; ring = [||]; head = 0;
+        count = 0; handled = 0;
         exec = (fun _ -> invalid_arg "Ctrl: exec not installed");
         self = (fun () -> ()); resv = Engine.reservation engine }
     in
@@ -142,21 +143,25 @@ type node = {
   c_invals_received : Stats.counter;
   c_writebacks : Stats.counter;
   c_recalls : Stats.counter;
-  (* blocks with an outstanding miss: wake the CPU, passing the replacement
-     cycles the fill incurred *)
-  pending : (int -> unit) Inttbl.t;
-  (* which request handler each outstanding miss used, so crash recovery
-     can re-issue a request whose home (or response) died with a node *)
-  pending_kind : int Inttbl.t;
+  (* the CPU's outstanding miss: a CPU blocks on its miss, so a node has at
+     most one.  [miss_block] is -1 when there is none; [miss_handler] is
+     the request it sent, so crash recovery can re-issue a request whose
+     home (or response) died with a node; [miss_wake] resumes the CPU,
+     passing the replacement cycles the fill incurred *)
+  mutable miss_block : int;
+  mutable miss_handler : int;
+  mutable miss_wake : int -> unit;
   (* writebacks of ours the home has not yet processed; the CPU must not
      take the directory fast path for such a block or a stale writeback
      would clear ownership it just re-acquired *)
   wb_inflight : int Inttbl.t;
-  (* the CPU's last page-home resolution, valid while [memo_gen] equals the
-     machine's [home_gen]: an access and the typed read or write that
-     follows it resolve the home once, and same-page streaks not at all *)
+  (* the CPU's last page-home resolution and the home's page, valid while
+     [memo_gen] equals the machine's [home_gen]: an access and the typed
+     read or write that follows it resolve the page once, and same-page
+     streaks not at all *)
   mutable memo_vpage : int;
   mutable memo_home : int;
+  mutable memo_page : Pagemem.page;
   mutable memo_gen : int;
 }
 
@@ -167,6 +172,7 @@ type t = {
   net : Reliable.t;
   nodes : node array;
   homes : int Inttbl.t; (* vpage -> home node *)
+  homes_dense : int Tt_util.Dense.t; (* the same bindings; absent = -1 *)
   mutable home_gen : int; (* bumped whenever a page changes home *)
   mutable alloc_cursor : int;
   mutable next_home : int;
@@ -187,6 +193,8 @@ let fabric t = t.fabric
 
 let net t = t.net
 
+let pool t = Fabric.pool t.fabric
+
 let home_mem t i = t.nodes.(i).mem
 
 let cpu_cache t i = t.nodes.(i).cache
@@ -196,29 +204,42 @@ let directory t i = t.nodes.(i).dir
 let node_stats t i = t.nodes.(i).stats
 
 let page_home t ~vpage =
-  let h = Inttbl.find_or t.homes vpage ~default:(-1) in
+  let h = Tt_util.Dense.get t.homes_dense vpage in
+  let h = if h >= 0 then h else Inttbl.find_or t.homes vpage ~default:(-1) in
   if h < 0 then
     invalid_arg (Printf.sprintf "Dirnnb: vpage 0x%x is not allocated" vpage);
   h
 
-(* [page_home] through node [n]'s memo. *)
-let cpu_home t n ~vpage =
-  if vpage = n.memo_vpage && n.memo_gen = t.home_gen then n.memo_home
-  else begin
+let set_home t ~vpage home =
+  Inttbl.replace t.homes vpage home;
+  ignore (Tt_util.Dense.set t.homes_dense vpage home)
+
+(* Resolve [vpage] into node [n]'s memo, unless it is there already. *)
+let memo_page t n ~vpage =
+  if vpage <> n.memo_vpage || n.memo_gen <> t.home_gen then begin
     let h = page_home t ~vpage in
     n.memo_vpage <- vpage;
     n.memo_home <- h;
-    n.memo_gen <- t.home_gen;
-    h
+    n.memo_page <- Pagemem.get_page t.nodes.(h).mem ~vpage;
+    n.memo_gen <- t.home_gen
   end
 
 let map_shared_page t ~vpage ~home =
   if Inttbl.mem t.homes vpage then
     invalid_arg (Printf.sprintf "Dirnnb: vpage 0x%x already allocated" vpage);
-  Inttbl.replace t.homes vpage home;
+  set_home t ~vpage home;
   ignore
     (Pagemem.map t.nodes.(home).mem ~vpage ~home ~mode:0
        ~init_tag:Tag.Read_write)
+
+(* Clear node [n]'s outstanding miss on [block], returning its wake. *)
+let take_miss n block =
+  if n.miss_block <> block then
+    invalid_arg
+      (Printf.sprintf "Dirnnb: node %d got a fill for 0x%x with no miss" n.id
+         block);
+  n.miss_block <- -1;
+  n.miss_wake
 
 let block_data = Bytes.make Addr.block_size '\000'
 (* Data payloads are pure word accounting in DirNNB: values are canonical at
@@ -227,18 +248,18 @@ let block_data = Bytes.make Addr.block_size '\000'
 let send t ~src ~at ~dst ~vnet ~handler ~args ~with_data =
   let data = if with_data then block_data else Bytes.empty in
   Reliable.send t.net ~at
-    (Message.Pool.acquire_raw ~src ~dst ~vnet ~handler ~args ~data)
+    (Message.Pool.acquire_raw (pool t) ~src ~dst ~vnet ~handler ~args ~data)
 
 (* Arity-specific wrappers filling a shared scratch array, so protocol
    sends build no [| ... |] literal per message ([Pool.acquire] copies the
    scratch synchronously). *)
 let send1 t ~src ~at ~dst ~vnet ~handler ~with_data a0 =
-  let args = Message.Pool.scratch 1 in
+  let args = Message.Pool.scratch (pool t) 1 in
   args.(0) <- a0;
   send t ~src ~at ~dst ~vnet ~handler ~args ~with_data
 
 let send2 t ~src ~at ~dst ~vnet ~handler ~with_data a0 a1 =
-  let args = Message.Pool.scratch 2 in
+  let args = Message.Pool.scratch (pool t) 2 in
   args.(0) <- a0;
   args.(1) <- a1;
   send t ~src ~at ~dst ~vnet ~handler ~args ~with_data
@@ -288,16 +309,8 @@ let deliver_grant t home ~requester block grant =
   Ctrl.charge ctrl
     (p.Params.dir_per_msg + if with_data then p.Params.dir_block_send else 0);
   if requester = home.id then begin
-    match Inttbl.find_opt home.pending block with
-    | Some wake ->
-        Inttbl.remove home.pending block;
-        Inttbl.remove home.pending_kind block;
-        let repl = ctrl_fill t home block grant in
-        wake repl
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Dirnnb: home %d self-grant for 0x%x with no miss"
-             home.id block)
+    let wake = take_miss home block in
+    wake (ctrl_fill t home block grant)
   end
   else if grant = grant_upgrade then
     send1 t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:requester
@@ -598,21 +611,13 @@ let ctrl_exec t node msg =
        subsequent invalidate or recall can never slip between grant and
        fill. *)
     Ctrl.charge ctrl 1;
-    match Inttbl.find_opt node.pending block with
-    | Some wake ->
-        Inttbl.remove node.pending block;
-        Inttbl.remove node.pending_kind block;
-        let grant =
-          if handler = h_upgrade_ok then grant_upgrade
-          else if args.(1) = 1 then grant_exclusive
-          else grant_shared
-        in
-        let repl = ctrl_fill t node block grant in
-        wake repl
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Dirnnb: node %d got a fill for 0x%x with no miss"
-             node.id block)
+    let wake = take_miss node block in
+    let grant =
+      if handler = h_upgrade_ok then grant_upgrade
+      else if args.(1) = 1 then grant_exclusive
+      else grant_shared
+    in
+    wake (ctrl_fill t node block grant)
   end
   else if handler = h_noop then
     (* a crash-era message neutralized by the recovery scrub
@@ -644,7 +649,7 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
               ~size_bytes:p.Params.cpu_cache_bytes
               ~assoc:p.Params.cpu_cache_assoc
               ~prng:(Tt_util.Prng.split prng) ();
-          ctrl = Ctrl.create engine;
+          ctrl = Ctrl.create engine (Fabric.pool fabric);
           dir = Directory.create ~nodes:p.Params.nodes;
           stats;
           c_accesses = Stats.counter stats "accesses";
@@ -655,16 +660,19 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
           c_invals_received = Stats.counter stats "invals_received";
           c_writebacks = Stats.counter stats "writebacks";
           c_recalls = Stats.counter stats "recalls";
-          pending = Inttbl.create 4;
-          pending_kind = Inttbl.create 4;
+          miss_block = -1;
+          miss_handler = -1;
+          miss_wake = ignore;
           wb_inflight = Inttbl.create 4;
           memo_vpage = 0;
           memo_home = 0;
+          memo_page = Pagemem.no_page;
           memo_gen = -1 (* matches no generation: nothing resolved yet *);
         })
   in
   let t =
     { engine; params = p; fabric; net; nodes; homes = Inttbl.create 4096;
+      homes_dense = Tt_util.Dense.create ~absent:(-1);
       home_gen = 0;
       alloc_cursor = 0x1000_0000; next_home = 0;
       is_dead = (fun _ -> false); on_dirty = None }
@@ -727,6 +735,11 @@ let fill_after_miss t node th block state =
    grant returns.  A local-home miss that needs directory work (conflicting
    remote copies) pays the local bus cost, not the remote-miss constants. *)
 let miss_via_directory t node th ~home ~handler block =
+  if node.miss_block >= 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Dirnnb: node %d missed on 0x%x with its miss on 0x%x outstanding"
+         node.id block node.miss_block);
   let local = home = node.id in
   if local then begin
     Stats.Counter.incr node.c_local_protocol_misses;
@@ -736,19 +749,20 @@ let miss_via_directory t node th ~home ~handler block =
     Stats.Counter.incr node.c_remote_misses;
     Thread.advance th t.params.Params.remote_miss_base
   end;
-  let margs = Message.Pool.scratch 1 in
+  let margs = Message.Pool.scratch (pool t) 1 in
   margs.(0) <- block;
   let msg =
-    Message.Pool.acquire_raw ~src:node.id ~dst:home ~vnet:Message.Request
-      ~handler ~args:margs ~data:Bytes.empty
+    Message.Pool.acquire_raw (pool t) ~src:node.id ~dst:home
+      ~vnet:Message.Request ~handler ~args:margs ~data:Bytes.empty
   in
   let repl =
     Thread.await th (fun wake ->
-        Inttbl.replace node.pending block (fun repl ->
-            Thread.set_clock th
-              (max (Thread.clock th) node.ctrl.Ctrl.clock);
+        node.miss_block <- block;
+        node.miss_handler <- handler;
+        node.miss_wake <-
+          (fun repl ->
+            Thread.set_clock th (max (Thread.clock th) node.ctrl.Ctrl.clock);
             wake repl);
-        Inttbl.replace node.pending_kind block handler;
         Reliable.send t.net ~at:(Thread.clock th) msg)
   in
   Thread.advance th
@@ -759,7 +773,8 @@ let miss_via_directory t node th ~home ~handler block =
 (* The directory fast path needs no transaction in flight at the home and
    no writeback of ours still travelling to it. *)
 let entry_free n entry block =
-  entry.Directory.busy = None && not (Inttbl.mem n.wb_inflight block)
+  entry.Directory.busy = None
+  && not (Inttbl.length n.wb_inflight > 0 && Inttbl.mem n.wb_inflight block)
 
 let cpu_access t ~node th access vaddr =
   let n = t.nodes.(node) in
@@ -768,7 +783,8 @@ let cpu_access t ~node th access vaddr =
   Thread.advance th 1;
   let vpage = Addr.page_of vaddr in
   Thread.advance th (Tlb.access n.tlb vpage);
-  let home_id = cpu_home t n ~vpage in
+  memo_page t n ~vpage;
+  let home_id = n.memo_home in
   let home = t.nodes.(home_id) in
   let block = Addr.block_of vaddr in
   let local = home_id = node in
@@ -843,31 +859,34 @@ let cpu_access t ~node th access vaddr =
           end
           else miss_via_directory t n th ~home:home_id ~handler:h_readex block)
 
-(* Home memory of [vaddr]'s page, where the typed access lands. *)
-let cpu_home_mem t ~node vaddr =
-  t.nodes.(cpu_home t t.nodes.(node) ~vpage:(Addr.page_of vaddr)).mem
+(* The home's page of [vaddr], where the typed access lands: the memo
+   [cpu_access] filled, unless a stalled miss outlived a re-homing. *)
+let cpu_page t ~node vaddr =
+  let n = t.nodes.(node) in
+  memo_page t n ~vpage:(Addr.page_of vaddr);
+  n.memo_page
 
 let cpu_read_f64 t ~node th vaddr =
   cpu_access t ~node th Tag.Load vaddr;
-  Pagemem.read_f64 (cpu_home_mem t ~node vaddr) ~vaddr
+  Pagemem.page_read_f64 (cpu_page t ~node vaddr) ~vaddr
 
 let cpu_write_f64 t ~node th vaddr v =
   cpu_access t ~node th Tag.Store vaddr;
   (match t.on_dirty with
   | Some f -> f ~vpage:(Addr.page_of vaddr)
   | None -> ());
-  Pagemem.write_f64 (cpu_home_mem t ~node vaddr) ~vaddr v
+  Pagemem.page_write_f64 (cpu_page t ~node vaddr) ~vaddr v
 
 let cpu_read_int t ~node th vaddr =
   cpu_access t ~node th Tag.Load vaddr;
-  Pagemem.read_int (cpu_home_mem t ~node vaddr) ~vaddr
+  Pagemem.page_read_int (cpu_page t ~node vaddr) ~vaddr
 
 let cpu_write_int t ~node th vaddr v =
   cpu_access t ~node th Tag.Store vaddr;
   (match t.on_dirty with
   | Some f -> f ~vpage:(Addr.page_of vaddr)
   | None -> ());
-  Pagemem.write_int (cpu_home_mem t ~node vaddr) ~vaddr v
+  Pagemem.page_write_int (cpu_page t ~node vaddr) ~vaddr v
 
 (* ------------------------------------------------------------------ *)
 (* Crash-stop recovery                                                 *)
@@ -954,7 +973,7 @@ let on_node_death t ~dead ~new_home ~restore =
           Stats.add t.nodes.(new_home).stats "recovery.blocks_restored"
             Addr.blocks_per_page);
       Pagemem.unmap deadn.mem ~vpage;
-      Inttbl.replace t.homes vpage new_home;
+      set_home t ~vpage new_home;
       t.home_gen <- t.home_gen + 1;
       Inttbl.replace rehomed vpage ();
       Stats.incr t.nodes.(new_home).stats "recovery.pages_rehomed";
@@ -1034,23 +1053,17 @@ let on_node_death t ~dead ~new_home ~restore =
     t.nodes;
 
   (* --- re-issue survivors' requests lost with the old home ---------- *)
-  (* The stalled CPU's wake continuation stays registered in [pending];
-     only the request (or its response) died with the victim, so re-send
-     the same request — recorded in [pending_kind] — to the new home. *)
+  (* The stalled CPU's wake stays in its miss slot; only the request (or
+     its response) died with the victim, so re-send the same request to
+     the new home. *)
   Array.iter
     (fun n ->
-      if live n.id then
-        List.iter
-          (fun (block, handler) ->
-            if
-              Inttbl.mem rehomed (block * Addr.block_size / Addr.page_size)
-            then
-              send1 t ~src:n.id ~at:now ~dst:new_home ~vnet:Message.Request
-                ~handler ~with_data:false block)
-          (List.sort compare
-             (Inttbl.fold
-                (fun block handler acc -> (block, handler) :: acc)
-                n.pending_kind [])))
+      if
+        live n.id && n.miss_block >= 0
+        && Inttbl.mem rehomed (n.miss_block * Addr.block_size / Addr.page_size)
+      then
+        send1 t ~src:n.id ~at:now ~dst:new_home ~vnet:Message.Request
+          ~handler:n.miss_handler ~with_data:false n.miss_block)
     t.nodes
 
 (* The victim resumed heartbeating: its cache was emptied and every page
@@ -1061,18 +1074,12 @@ let on_node_rejoin t ~node =
   let n = t.nodes.(node) in
   Inttbl.reset n.wb_inflight;
   n.ctrl.Ctrl.clock <- max n.ctrl.Ctrl.clock (Engine.now t.engine);
-  let now = Engine.now t.engine in
-  List.iter
-    (fun (block, handler) ->
-      let home =
-        page_home t ~vpage:(block * Addr.block_size / Addr.page_size)
-      in
-      send1 t ~src:node ~at:now ~dst:home ~vnet:Message.Request ~handler
-        ~with_data:false block)
-    (List.sort compare
-       (Inttbl.fold
-          (fun block handler acc -> (block, handler) :: acc)
-          n.pending_kind []))
+  if n.miss_block >= 0 then begin
+    let vpage = n.miss_block * Addr.block_size / Addr.page_size in
+    send1 t ~src:node ~at:(Engine.now t.engine) ~dst:(page_home t ~vpage)
+      ~vnet:Message.Request ~handler:n.miss_handler ~with_data:false
+      n.miss_block
+  end
 
 (* Protocol messages executed across all directory controllers: the
    machine's delivery-progress metric for the watchdog (see Np.handled). *)

@@ -15,26 +15,17 @@ type result = {
 
 exception Stuck of string
 
-let make_env (machine : Machine.t) ~barrier ~locks ~locks_mu ~proc th =
-  (* The lock table is lazily populated on first acquire.  All of one
-     machine's threads run on one domain, but under the domains-parallel
-     harness a hook or probe on another domain may look a lock up
-     concurrently, and an unsynchronized table resize is memory-unsafe —
-     so find-or-create holds a mutex.  [Lock.create] only allocates (no
-     engine interaction), so which caller wins the race never changes
-     simulated behavior: everyone proceeds with the single winner. *)
+let make_env (machine : Machine.t) ~barrier ~locks ~proc th =
+  (* The lock table is lazily populated on first acquire.  It is local to
+     one [spmd] call and only that machine's fibers reach it, all on one
+     domain, so it needs no mutex. *)
   let lock_of i =
-    Mutex.lock locks_mu;
-    let l =
-      match Tt_util.Inttbl.find_opt locks i with
-      | Some l -> l
-      | None ->
-          let l = Lock.create machine.Machine.engine () in
-          Tt_util.Inttbl.replace locks i l;
-          l
-    in
-    Mutex.unlock locks_mu;
-    l
+    match Tt_util.Inttbl.find_opt locks i with
+    | Some l -> l
+    | None ->
+        let l = Lock.create machine.Machine.engine () in
+        Tt_util.Inttbl.replace locks i l;
+        l
   in
   {
     Env.proc;
@@ -79,14 +70,13 @@ let spmd (machine : Machine.t) ~name ?(check = true) ?watchdog body =
       ~latency:machine.Machine.mparams.Params.barrier_latency
   in
   let locks = Tt_util.Inttbl.create 16 in
-  let locks_mu = Mutex.create () in
   let threads =
     Array.init nprocs (fun proc ->
         let th =
           Thread.spawn machine.Machine.engine
             ~quantum:machine.Machine.mparams.Params.quantum
             ~name:(Printf.sprintf "%s.cpu%d" name proc)
-            (fun th -> body (make_env machine ~barrier ~locks ~locks_mu ~proc th))
+            (fun th -> body (make_env machine ~barrier ~locks ~proc th))
         in
         (* per-node fast-path observability: every full fiber suspension
            vs every inline (elided) completion *)

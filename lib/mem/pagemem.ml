@@ -164,6 +164,22 @@ let write_f64 t ~vaddr v =
   word_set (page_of_addr t vaddr) (Addr.page_offset vaddr)
     (Int64.bits_of_float v)
 
+let page_read_f64 page ~vaddr =
+  check_word_aligned vaddr;
+  Int64.float_of_bits (word_get page (Addr.page_offset vaddr))
+
+let page_write_f64 page ~vaddr v =
+  check_word_aligned vaddr;
+  word_set page (Addr.page_offset vaddr) (Int64.bits_of_float v)
+
+let page_read_int page ~vaddr =
+  check_word_aligned vaddr;
+  Int64.to_int (word_get page (Addr.page_offset vaddr))
+
+let page_write_int page ~vaddr v =
+  check_word_aligned vaddr;
+  word_set page (Addr.page_offset vaddr) (Int64.of_int v)
+
 let read_int t ~vaddr =
   check_word_aligned vaddr;
   Int64.to_int (word_get (page_of_addr t vaddr) (Addr.page_offset vaddr))

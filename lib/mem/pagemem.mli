@@ -107,6 +107,17 @@ val read_int : t -> vaddr:int -> int
 
 val write_int : t -> vaddr:int -> int -> unit
 
+val page_read_f64 : page -> vaddr:int -> float
+(** {!read_f64} on a page already translated (the CPU access path looks
+    the page up once, for its tag check, and reads it here).
+    @raise Invalid_argument if [vaddr] is not 8-byte aligned. *)
+
+val page_write_f64 : page -> vaddr:int -> float -> unit
+
+val page_read_int : page -> vaddr:int -> int
+
+val page_write_int : page -> vaddr:int -> int -> unit
+
 val read_u8 : t -> vaddr:int -> int
 
 val write_u8 : t -> vaddr:int -> int -> unit

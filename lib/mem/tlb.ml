@@ -1,62 +1,101 @@
+(* The present set is an open-addressed table of keys, sized to twice the
+   capacity so it is never more than half full: a key's first slot is its
+   low bits (pages are clustered, so neighbours take neighbouring slots),
+   and a removal shifts its chain back instead of leaving a tombstone.
+   [order] is the FIFO of inserted keys, a power-of-two int ring; it may
+   hold flushed keys, and a key flushed then refilled appears twice, the
+   older entry evicting the refill early. *)
 type t = {
   entries : int;
   miss_penalty : int;
-  present : unit Tt_util.Inttbl.t;
-  order : int Queue.t; (* FIFO of inserted keys; may contain flushed keys *)
-  (* exact memo of the last key seen present: access streams repeat the
-     same page, and FIFO hits change no state, so a repeat hit needs no
-     table probe.  Cleared whenever that key leaves [present]. *)
-  mutable last : int;
-  mutable last_ok : bool;
+  slots : int array; (* keys, [empty] where free *)
+  mutable present : int;
+  mutable order : int array;
+  mutable head : int;
+  mutable queued : int;
   mutable hits : int;
   mutable misses : int;
 }
 
+let empty = min_int
+
 let create ?(entries = 64) ~miss_penalty () =
-  { entries; miss_penalty; present = Tt_util.Inttbl.create 128;
-    order = Queue.create (); last = 0; last_ok = false; hits = 0; misses = 0 }
+  let rec pow2 n = if n >= 2 * max entries 1 then n else pow2 (2 * n) in
+  { entries; miss_penalty; slots = Array.make (pow2 16) empty; present = 0;
+    order = Array.make 16 0; head = 0; queued = 0; hits = 0; misses = 0 }
 
-let probe t key =
-  (t.last_ok && key = t.last) || Tt_util.Inttbl.mem t.present key
+(* The slot holding [key], or the free slot that ends its chain.  Plain
+   recursion over arguments, not a closure: a lookup allocates nothing. *)
+let rec walk slots key i =
+  let k = Array.unsafe_get slots i in
+  if k = key || k = empty then i
+  else walk slots key ((i + 1) land (Array.length slots - 1))
 
-let forget t key = if key = t.last then t.last_ok <- false
+let slot t key = walk t.slots key (key land (Array.length t.slots - 1))
+
+let probe t key = t.slots.(slot t key) = key
+
+(* Close the hole a removal leaves: each later key of the run that may not
+   sit past the hole (its first slot is not cyclically in (hole, j]) moves
+   back into it, leaving a new hole where it was. *)
+let rec shift slots hole j =
+  let mask = Array.length slots - 1 in
+  let k = slots.(j) in
+  if k = empty then slots.(hole) <- empty
+  else if (hole - k) land mask < (j - k) land mask then begin
+    slots.(hole) <- k;
+    shift slots j ((j + 1) land mask)
+  end
+  else shift slots hole ((j + 1) land mask)
+
+let remove t key =
+  let i = slot t key in
+  shift t.slots i ((i + 1) land (Array.length t.slots - 1));
+  t.present <- t.present - 1
 
 let rec evict_one t =
-  match Queue.take_opt t.order with
-  | None -> ()
-  | Some victim ->
-      (* Stale queue entries (flushed pages) are skipped. *)
-      if Tt_util.Inttbl.mem t.present victim then begin
-        Tt_util.Inttbl.remove t.present victim;
-        forget t victim
-      end
-      else evict_one t
+  if t.queued > 0 then begin
+    let victim = t.order.(t.head) in
+    t.head <- (t.head + 1) land (Array.length t.order - 1);
+    t.queued <- t.queued - 1;
+    (* Stale entries (flushed pages) are skipped. *)
+    if probe t victim then remove t victim else evict_one t
+  end
+
+let push t key =
+  let cap = Array.length t.order in
+  if t.queued = cap then begin
+    let order = Array.make (2 * cap) 0 in
+    for i = 0 to cap - 1 do
+      order.(i) <- t.order.((t.head + i) land (cap - 1))
+    done;
+    t.order <- order;
+    t.head <- 0
+  end;
+  t.order.((t.head + t.queued) land (Array.length t.order - 1)) <- key;
+  t.queued <- t.queued + 1
 
 let access t key =
   if probe t key then begin
     t.hits <- t.hits + 1;
-    t.last <- key;
-    t.last_ok <- true;
     0
   end
   else begin
     t.misses <- t.misses + 1;
-    if Tt_util.Inttbl.length t.present >= t.entries then evict_one t;
-    Tt_util.Inttbl.replace t.present key ();
-    Queue.add key t.order;
-    t.last <- key;
-    t.last_ok <- true;
+    if t.present >= t.entries then evict_one t;
+    t.slots.(slot t key) <- key;
+    t.present <- t.present + 1;
+    push t key;
     t.miss_penalty
   end
 
-let flush_entry t key =
-  Tt_util.Inttbl.remove t.present key;
-  forget t key
+let flush_entry t key = if probe t key then remove t key
 
 let flush_all t =
-  Tt_util.Inttbl.reset t.present;
-  Queue.clear t.order;
-  t.last_ok <- false
+  Array.fill t.slots 0 (Array.length t.slots) empty;
+  t.present <- 0;
+  t.head <- 0;
+  t.queued <- 0
 
 let hits t = t.hits
 

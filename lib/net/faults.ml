@@ -147,7 +147,7 @@ let crash_window t ~node =
 
 let crash_drop t msg =
   Stats.Counter.incr t.c_crash_dropped;
-  Message.Pool.release msg
+  Message.Pool.release (Fabric.pool t.fabric) msg
 
 let set_tap t tap = t.tap <- tap
 
@@ -232,7 +232,7 @@ let send_faulty t ~at msg =
     Stats.Counter.incr t.c_dropped;
     (* the wire's reference dies here: a dropped message never reaches a
        receiver, so nobody downstream will release it *)
-    Message.Pool.release msg
+    Message.Pool.release (Fabric.pool t.fabric) msg
   end
   else begin
     if d.reorder_jitter > 0 then Stats.Counter.incr t.c_reordered;

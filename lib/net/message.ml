@@ -38,6 +38,8 @@ let make ~src ~dst ~vnet ~handler ?(args = [||]) ?(data = Bytes.empty)
 
 let dummy = make ~src:0 ~dst:0 ~vnet:Request ~handler:(-1) ()
 
+type msg = t
+
 module Pool = struct
   (* Freelists are bucketed by (virtual network, argument arity) so a
      recycled record's args array is always exactly the right size and the
@@ -46,44 +48,37 @@ module Pool = struct
      Each bucket is a grow-only array used as a stack: push/pop allocate
      nothing in steady state.
 
-     Buckets and scratch arrays are domain-local (Domain.DLS): under
-     [Tt_sim.Domains.map] several independent simulations run
-     concurrently, and a shared freelist would be both a data race and a
-     cross-run coupling.  Each domain gets its own freelists; a message
-     released on a different domain than it was acquired on simply lands
-     in the releasing domain's freelist, which is harmless imbalance,
-     never corruption. *)
+     A pool belongs to one machine (its {!Fabric}), and a machine runs on
+     one domain, so no lookup by domain is needed and no mutable state is
+     shared between simulations run side by side under
+     [Tt_sim.Domains.map]. *)
 
   let max_args = max_payload_words - 1 (* handler word leaves 19 arg slots *)
 
   let bucket_cap = 512 (* freelist bound per bucket; beyond it, let the GC *)
 
-  type bucket = { mutable items : t array; mutable len : int }
+  type bucket = { mutable items : msg array; mutable len : int }
+
+  (* [scratch.(n)] is the shared argument array of arity [n]: a send site
+     fills it and passes it to [acquire], which copies the values into the
+     pooled message synchronously — so the scratch is free for reuse as
+     soon as acquire returns, and no [| ... |] literal is allocated per
+     send. *)
+  type t = { buckets : bucket array; scratch_arrays : int array array }
 
   let nbuckets = 2 * (max_args + 1)
 
-  let buckets_key =
-    Domain.DLS.new_key (fun () ->
-        Array.init nbuckets (fun _ -> { items = [||]; len = 0 }))
-
-  let buckets () = Domain.DLS.get buckets_key
+  let create () =
+    { buckets = Array.init nbuckets (fun _ -> { items = [||]; len = 0 });
+      scratch_arrays = Array.init (max_args + 1) (fun n -> Array.make n 0) }
 
   let bucket_index vnet nargs =
     (match vnet with Request -> 0 | Response -> max_args + 1) + nargs
 
-  (* Shared scratch argument arrays, one per arity.  A send site fills the
-     scratch of its arity and passes it to [acquire], which copies the
-     values into the pooled message synchronously — so the scratch is free
-     for reuse as soon as acquire returns, and no [| ... |] literal is
-     allocated per send. *)
-  let scratch_key =
-    Domain.DLS.new_key (fun () ->
-        Array.init (max_args + 1) (fun n -> Array.make n 0))
-
-  let scratch n =
+  let scratch p n =
     if n < 0 || n > max_args then
       invalid_arg (Printf.sprintf "Message.Pool.scratch: bad arity %d" n);
-    (Domain.DLS.get scratch_key).(n)
+    Array.unsafe_get p.scratch_arrays n
 
   let grow b seed =
     let cap = Array.length b.items in
@@ -95,7 +90,7 @@ module Pool = struct
   (* The all-labelled core: optional arguments are a hidden allocation —
      the *call site* boxes every supplied value in [Some] — so the
      steady-state send path must go through a signature with none. *)
-  let acquire_full ~src ~dst ~vnet ~handler ~args ~data ~seq ~ack =
+  let acquire_full p ~src ~dst ~vnet ~handler ~args ~data ~seq ~ack =
     let nargs = Array.length args in
     if nargs > max_args then
       (* unpooled fallback for oversized packets ([make] rejects them):
@@ -103,7 +98,7 @@ module Pool = struct
          array it will refill for its next send *)
       make ~src ~dst ~vnet ~handler ~args:(Array.copy args) ~data ~seq ~ack ()
     else begin
-      let b = (buckets ()).(bucket_index vnet nargs) in
+      let b = p.buckets.(bucket_index vnet nargs) in
       if b.len = 0 then begin
         let m =
           { src; dst; vnet; handler; args = Array.copy args; data; seq; ack;
@@ -129,12 +124,12 @@ module Pool = struct
       end
     end
 
-  let acquire_raw ~src ~dst ~vnet ~handler ~args ~data =
-    acquire_full ~src ~dst ~vnet ~handler ~args ~data ~seq:(-1) ~ack:(-1)
+  let acquire_raw p ~src ~dst ~vnet ~handler ~args ~data =
+    acquire_full p ~src ~dst ~vnet ~handler ~args ~data ~seq:(-1) ~ack:(-1)
 
-  let acquire ~src ~dst ~vnet ~handler ?(args = [||]) ?(data = Bytes.empty)
+  let acquire p ~src ~dst ~vnet ~handler ?(args = [||]) ?(data = Bytes.empty)
       ?(seq = -1) ?(ack = -1) () =
-    acquire_full ~src ~dst ~vnet ~handler ~args ~data ~seq ~ack
+    acquire_full p ~src ~dst ~vnet ~handler ~args ~data ~seq ~ack
 
   let retain m =
     if m.pool_rc = 0 then
@@ -142,7 +137,7 @@ module Pool = struct
     else if m.pool_rc > 0 then m.pool_rc <- m.pool_rc + 1
   (* pool_rc < 0: ordinary message, ownership is the GC's problem *)
 
-  let release m =
+  let release p m =
     if m.pool_rc = 0 then
       invalid_arg "Message.Pool.release: message released twice"
     else if m.pool_rc > 0 then begin
@@ -160,7 +155,7 @@ module Pool = struct
           m.ack <- min_int;
           Array.fill m.args 0 nargs min_int
         end;
-        let b = (buckets ()).(bucket_index m.vnet nargs) in
+        let b = p.buckets.(bucket_index m.vnet nargs) in
         if b.len < bucket_cap then begin
           if b.len = Array.length b.items then grow b m;
           b.items.(b.len) <- m;
@@ -171,6 +166,5 @@ module Pool = struct
       end
     end
 
-  let free_count () =
-    Array.fold_left (fun acc b -> acc + b.len) 0 (buckets ())
+  let free_count p = Array.fold_left (fun acc b -> acc + b.len) 0 p.buckets
 end

@@ -13,8 +13,9 @@
 
     Messages come in two flavours sharing one type: ordinary records built
     with {!make} (owned by the GC, [pool_rc = -1]) and pooled records from
-    {!Pool.acquire} (explicitly refcounted and recycled through per-vnet
-    freelists so the steady-state send path allocates nothing). *)
+    {!Pool.acquire} (explicitly refcounted and recycled through the
+    machine's per-vnet freelists so the steady-state send path allocates
+    nothing). *)
 
 type vnet = Request | Response
 
@@ -53,21 +54,35 @@ val dummy : t
 (** A placeholder message for container slots (heap dummies, ring fills).
     Never sent; never released. *)
 
+type msg = t
+(** The message type under a second name, for {!Pool}'s signature, whose
+    own [t] is the pool. *)
+
 (** Explicit-ownership message freelists, bucketed by (vnet, argument
     arity) so a recycled record's args array is always the right size and
     the two deadlock-avoidance nets never share buffers.
 
+    A pool is owned by one machine: its {!Fabric} creates it, and every
+    layer that sends or consumes that machine's messages reaches it through
+    the fabric ({!Fabric.pool}) or the transport over it.  A machine runs on
+    one domain, so the pool needs no lock and no domain-local lookup.
+
     Ownership protocol: {!acquire} returns a message with refcount 1 owned
-    by the caller; whoever consumes the message last calls {!release}.
-    A component that stores a message beyond its turn (e.g. {!Reliable}'s
-    retransmission queue) must {!retain} it first.  Handlers may read a
-    delivered message during the handler call only — after the handler
-    returns, the dispatcher releases it and the record may be recycled into
-    the very next send. *)
+    by the caller; whoever consumes the message last calls {!release} on
+    the same machine's pool.  A component that stores a message beyond its
+    turn (e.g. {!Reliable}'s retransmission queue) must {!retain} it first.
+    Handlers may read a delivered message during the handler call only —
+    after the handler returns, the dispatcher releases it and the record may
+    be recycled into the very next send. *)
 module Pool : sig
+  type t
+
+  val create : unit -> t
+  (** Empty freelists and a fresh set of scratch arrays. *)
+
   val acquire :
-    src:int -> dst:int -> vnet:vnet -> handler:int -> ?args:int array ->
-    ?data:Bytes.t -> ?seq:int -> ?ack:int -> unit -> t
+    t -> src:int -> dst:int -> vnet:vnet -> handler:int -> ?args:int array ->
+    ?data:Bytes.t -> ?seq:int -> ?ack:int -> unit -> msg
   (** Like {!make} but drawing from the freelist when possible.  [args] is
       copied into the message (so callers may pass a {!scratch} array and
       refill it immediately); [data] is referenced, not copied — ownership
@@ -76,30 +91,31 @@ module Pool : sig
       @raise Invalid_argument if the packet exceeds {!max_payload_words}. *)
 
   val acquire_raw :
-    src:int -> dst:int -> vnet:vnet -> handler:int -> args:int array ->
-    data:Bytes.t -> t
+    t -> src:int -> dst:int -> vnet:vnet -> handler:int -> args:int array ->
+    data:Bytes.t -> msg
   (** {!acquire} without optional arguments, for the steady-state send
       path: supplying a value for an optional argument makes the call site
       box it in [Some], so {!acquire}'s convenience costs two minor words
       per supplied option.  [seq]/[ack] start at -1.  Same copy semantics
       as {!acquire}. *)
 
-  val retain : t -> unit
+  val retain : msg -> unit
   (** Add an owner.  No-op on ordinary messages.
       @raise Invalid_argument on a message already in the freelist. *)
 
-  val release : t -> unit
-  (** Drop an owner; on the last release the record returns to its
+  val release : t -> msg -> unit
+  (** Drop an owner; on the last release the record returns to the pool's
       freelist (fields poisoned first under {!Tt_util.Debug.pool_debug}).
       No-op on ordinary messages.
       @raise Invalid_argument on double-release (refcount already 0). *)
 
-  val scratch : int -> int array
-  (** [scratch n] is a shared scratch array of length [n] for building
+  val scratch : t -> int -> int array
+  (** [scratch p n] is the pool's scratch array of length [n] for building
       argument lists without allocating.  Fill it, pass it to {!acquire}
       (which copies synchronously), then reuse it freely.  Not reentrant:
       do not hold a scratch array across another send of the same arity. *)
 
-  val free_count : unit -> int
-  (** Total messages currently sitting in freelists (diagnostics). *)
+  val free_count : t -> int
+  (** Total messages currently sitting in the pool's freelists
+      (diagnostics). *)
 end

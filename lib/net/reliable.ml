@@ -182,7 +182,8 @@ let process_ack st ~owner ~peer ackno =
         (not (Queue.is_empty ch.unacked))
         && (Queue.peek ch.unacked).Message.seq <= ackno
       do
-        Message.Pool.release (Queue.pop ch.unacked);
+        Message.Pool.release (Fabric.pool st.fabric)
+          (Queue.pop ch.unacked);
         progressed := true
       done;
       if !progressed then begin
@@ -216,7 +217,8 @@ and on_ack_timer st ~src ~dst rc gen =
          no protocol payload, so ordering and delivery are best-effort
          (a lost ack is repaired by the sender's retransmission) *)
       let m =
-        Message.Pool.acquire ~src:dst ~dst:src ~vnet:Message.Response
+        Message.Pool.acquire (Fabric.pool st.fabric) ~src:dst ~dst:src
+          ~vnet:Message.Response
           ~handler:ack_handler ~ack:ackno ()
       in
       Faults.send st.faults ~at:(Engine.now st.engine) m
@@ -249,10 +251,11 @@ let on_wire st msg =
   if msg.Message.seq < 0 then begin
     (* unsequenced: standalone acks and liveness heartbeats (consumed
        here) or local short-circuit traffic that bypassed the transport *)
-    if msg.Message.handler = ack_handler then Message.Pool.release msg
+    if msg.Message.handler = ack_handler then
+      Message.Pool.release (Fabric.pool st.fabric) msg
     else if msg.Message.handler = liveness_handler then begin
       (match st.liveness_rx with Some f -> f msg | None -> ());
-      Message.Pool.release msg
+      Message.Pool.release (Fabric.pool st.fabric) msg
     end
     else deliver st msg
   end
@@ -262,7 +265,7 @@ let on_wire st msg =
       (* duplicate of something already delivered (retransmit or fault
          dup); suppress, but refresh the ack so the sender stops *)
       Stats.Counter.incr st.c_dup_dropped;
-      Message.Pool.release msg;
+      Message.Pool.release (Fabric.pool st.fabric) msg;
       rc.need_ack <- true;
       arm_ack st ~src:s ~dst:d rc
     end
@@ -270,7 +273,7 @@ let on_wire st msg =
       (* beyond the reassembly window: drop without acking; the sender's
          retransmission re-offers it once the window has advanced *)
       Stats.Counter.incr st.c_window_drops;
-      Message.Pool.release msg
+      Message.Pool.release (Fabric.pool st.fabric) msg
     end
     else begin
       if msg.Message.seq = rc.expected then begin
@@ -289,7 +292,7 @@ let on_wire st msg =
       end
       else if Inttbl.mem rc.ooo msg.Message.seq then begin
         Stats.Counter.incr st.c_dup_dropped;
-        Message.Pool.release msg
+        Message.Pool.release (Fabric.pool st.fabric) msg
       end
       else Inttbl.replace rc.ooo msg.Message.seq msg;
       rc.need_ack <- true;
@@ -328,9 +331,9 @@ let flaky_send (st : flaky) ~at msg =
     Stats.Counter.incr st.c_data_sent;
     if ch.parked then
       (* peer declared dead: hold for a possible rejoin, never wire it *)
-      Message.Pool.release msg
+      Message.Pool.release (Fabric.pool st.fabric) msg
     else if st.is_dead dst then begin
-      Message.Pool.release msg;
+      Message.Pool.release (Fabric.pool st.fabric) msg;
       park_dead st ch
     end
     else begin
@@ -519,6 +522,8 @@ let scrub_unacked t ~node ~handler =
 let nodes t = Fabric.nodes t.fabric
 
 let latency t = Fabric.latency t.fabric
+
+let pool t = Fabric.pool t.fabric
 
 let stats t = t.counters
 

@@ -115,6 +115,9 @@ val nodes : t -> int
 val latency : t -> int
 (** The wrapped fabric's hop latency (cycles). *)
 
+val pool : t -> Message.Pool.t
+(** The wrapped fabric's message pool ({!Fabric.pool}). *)
+
 val stats : t -> Tt_util.Stats.t
 (** Counters (Flaky only): [reliable.data_sent], [reliable.retransmits],
     [reliable.acks_sent], [reliable.dup_dropped], [reliable.window_drops],

@@ -14,19 +14,19 @@ let dbg vaddr fmt = Tt_util.Debug.log ~key:(Tt_mem.Addr.block_base vaddr) fmt
 (* Shared scratch argument builders: protocol sends pass these to the
    endpoint's [send], which copies them into a pooled message before
    returning, so no [| ... |] literal is allocated per message. *)
-let scratch1 a0 =
-  let s = Message.Pool.scratch 1 in
+let scratch1 sys a0 =
+  let s = Message.Pool.scratch (System.pool sys) 1 in
   s.(0) <- a0;
   s
 
-let scratch2 a0 a1 =
-  let s = Message.Pool.scratch 2 in
+let scratch2 sys a0 a1 =
+  let s = Message.Pool.scratch (System.pool sys) 2 in
   s.(0) <- a0;
   s.(1) <- a1;
   s
 
-let scratch3 a0 a1 a2 =
-  let s = Message.Pool.scratch 3 in
+let scratch3 sys a0 a1 a2 =
+  let s = Message.Pool.scratch (System.pool sys) 3 in
   s.(0) <- a0;
   s.(1) <- a1;
   s.(2) <- a2;
@@ -195,13 +195,13 @@ let send_data t (ep : Tempest.t) ~vaddr ~dst ~rw =
   let data = ep.Tempest.force_read_block ~vaddr in
   ep.Tempest.charge c_resp_extra;
   ep.Tempest.send_raw ~dst ~vnet:Message.Response ~handler:t.h_data
-    ~args:(scratch2 vaddr (if rw then 1 else 0))
+    ~args:(scratch2 t.sys vaddr (if rw then 1 else 0))
     ~data
 
 let send_upgrade_ok t (ep : Tempest.t) ~vaddr ~dst =
   ep.Tempest.charge c_resp_extra;
   ep.Tempest.send_raw ~dst ~vnet:Message.Response ~handler:t.h_upgrade_ok
-    ~args:(scratch1 vaddr) ~data:Bytes.empty
+    ~args:(scratch1 t.sys vaddr) ~data:Bytes.empty
 
 (* Grant the block to [client] assuming all conflicting copies are gone and
    the directory reflects the post-grant state change made by the caller. *)
@@ -324,7 +324,7 @@ let rec serve t (ep : Tempest.t) ~vaddr (bd : Dir.block_dir) client =
               Stats.Counter.incr t.c_inval;
               ep.Tempest.charge c_inval_extra;
               ep.Tempest.send_raw ~dst:s ~vnet:Message.Request ~handler:t.h_inval
-                ~args:(scratch1 vaddr) ~data:Bytes.empty)
+                ~args:(scratch1 t.sys vaddr) ~data:Bytes.empty)
             targets
         end
     (* ---- a remote exclusive copy must be recalled first ---- *)
@@ -341,7 +341,7 @@ let rec serve t (ep : Tempest.t) ~vaddr (bd : Dir.block_dir) client =
         bd.Dir.pending <- Some { Dir.client; acks_left = 1; prev_owner = Some o };
         ep.Tempest.charge c_recall_extra;
         ep.Tempest.send_raw ~dst:o ~vnet:Message.Request ~handler:t.h_recall
-          ~args:(scratch2 vaddr (if ex then 1 else 0)) ~data:Bytes.empty
+          ~args:(scratch2 t.sys vaddr (if ex then 1 else 0)) ~data:Bytes.empty
 
 and finish_pending t ep ~vaddr (bd : Dir.block_dir) =
   let pending = Option.get bd.Dir.pending in
@@ -375,7 +375,7 @@ let on_get t (ep : Tempest.t) ~src ~args ~data:_ =
     Stats.Counter.incr t.c_forwarded;
     ep.Tempest.charge 4;
     ep.Tempest.send_raw ~dst:current_home ~vnet:Message.Request ~handler:t.h_get
-      ~args:(scratch3 vaddr args.(1) requester) ~data:Bytes.empty
+      ~args:(scratch3 t.sys vaddr args.(1) requester) ~data:Bytes.empty
   end
   else begin
     Stats.Counter.incr
@@ -436,7 +436,7 @@ let on_inval t (ep : Tempest.t) ~src ~args ~data:_ =
     ep.Tempest.invalidate ~vaddr;
   ep.Tempest.charge c_inval_extra;
   ep.Tempest.send_raw ~dst:src ~vnet:Message.Response ~handler:t.h_inval_ack
-    ~args:(scratch1 vaddr) ~data:Bytes.empty
+    ~args:(scratch1 t.sys vaddr) ~data:Bytes.empty
 
 (* home <- sharer *)
 let on_inval_ack t (ep : Tempest.t) ~src:_ ~args ~data:_ =
@@ -471,14 +471,14 @@ let on_recall t (ep : Tempest.t) ~src ~args ~data:_ =
       ep.Tempest.downgrade ~vaddr
     end;
     ep.Tempest.send_raw ~dst:src ~vnet:Message.Response ~handler:t.h_recall_data
-      ~args:(scratch3 vaddr 1 (if ex then 1 else 0))
+      ~args:(scratch3 t.sys vaddr 1 (if ex then 1 else 0))
       ~data
   end
   else
     (* our copy is gone (page replaced; the writeback is ahead of this nack
        in FIFO order, so home memory is already current) *)
     ep.Tempest.send_raw ~dst:src ~vnet:Message.Response ~handler:t.h_recall_data
-      ~args:(scratch3 vaddr 0 (if ex then 1 else 0)) ~data:Bytes.empty
+      ~args:(scratch3 t.sys vaddr 0 (if ex then 1 else 0)) ~data:Bytes.empty
 
 (* home <- former owner *)
 let on_recall_data t (ep : Tempest.t) ~src ~args ~data =
@@ -534,7 +534,7 @@ let on_writeback t (ep : Tempest.t) ~src ~args ~data =
     (* NB: no recycle here — [data] is forwarded in the new message *)
     ep.Tempest.send_raw ~dst:current_home ~vnet:Message.Request
       ~handler:t.h_writeback
-      ~args:(scratch2 vaddr src)
+      ~args:(scratch2 t.sys vaddr src)
       ~data
   end
   else begin
@@ -598,7 +598,7 @@ let remote_block_fault t (ep : Tempest.t) (fault : Tempest.fault) =
       (Some fault.Tempest.fault_resumption);
     ep.Tempest.charge c_req_extra;
     ep.Tempest.send_raw ~dst:home ~vnet:Message.Request ~handler:t.h_get
-      ~args:(scratch2 vaddr (kind_code kind)) ~data:Bytes.empty
+      ~args:(scratch2 t.sys vaddr (kind_code kind)) ~data:Bytes.empty
   end
 
 (* Block fault on a home page: operate on the directory directly (§3). *)
@@ -623,8 +623,8 @@ let replace_page t (ep : Tempest.t) ~vpage =
         let data = ep.Tempest.force_read_block ~vaddr in
         ep.Tempest.charge c_writeback_extra;
         ep.Tempest.send_raw ~dst:(ep.Tempest.page_home ~vpage)
-          ~vnet:Message.Request ~handler:t.h_writeback ~args:(scratch1 vaddr)
-          ~data
+          ~vnet:Message.Request ~handler:t.h_writeback
+          ~args:(scratch1 t.sys vaddr) ~data
     | Tag.Read_only | Tag.Invalid ->
         (* read-only copies are dropped silently; the home directory keeps a
            stale sharer entry and future invalidations are simply acked *)
@@ -812,7 +812,7 @@ let prefetch t ~th ~node ~vaddr kind =
         Inttbl.replace ns.pending_remote vaddr None;
         let code = match kind with `Ro -> 0 | `Rw -> 1 in
         ep.Tempest.send_raw ~dst:(home_of t ~vaddr) ~vnet:Message.Request
-          ~handler:t.h_get ~args:(scratch2 vaddr code) ~data:Bytes.empty
+          ~handler:t.h_get ~args:(scratch2 t.sys vaddr code) ~data:Bytes.empty
       end)
 
 let migrate_page t ~th ~node ~vpage ~new_home =

@@ -38,13 +38,13 @@ let stats t = t.counters_stats
 
 (* scratch argument builders (see Tt_net.Message.Pool.scratch): the
    endpoint's [send] copies them into the pooled message synchronously *)
-let scratch1 a0 =
-  let s = Message.Pool.scratch 1 in
+let scratch1 sys a0 =
+  let s = Message.Pool.scratch (System.pool sys) 1 in
   s.(0) <- a0;
   s
 
-let scratch2 a0 a1 =
-  let s = Message.Pool.scratch 2 in
+let scratch2 sys a0 a1 =
+  let s = Message.Pool.scratch (System.pool sys) 2 in
   s.(0) <- a0;
   s.(1) <- a1;
   s
@@ -63,7 +63,7 @@ let on_fa_req t (ep : Tempest.t) ~src ~args ~data:_ =
   let old = cell.value in
   cell.value <- old + delta;
   ep.Tempest.send_raw ~dst:src ~vnet:Message.Response ~handler:t.h_fa_resp
-    ~args:(scratch1 old) ~data:Bytes.empty
+    ~args:(scratch1 t.sys old) ~data:Bytes.empty
 
 let on_fa_resp t (ep : Tempest.t) ~src:_ ~args ~data:_ =
   let node = ep.Tempest.node in
@@ -93,7 +93,7 @@ let on_bar_arrive t (ep : Tempest.t) ~src ~args ~data:_ =
     List.iter
       (fun node ->
         ep.Tempest.send_raw ~dst:node ~vnet:Message.Response ~handler:release
-          ~args:(scratch1 id) ~data:Bytes.empty)
+          ~args:(scratch1 t.sys id) ~data:Bytes.empty)
       waiters
   end
 
@@ -141,7 +141,7 @@ let fetch_add t ~th ~node counter delta =
   System.with_cpu_context t.sys ~node th (fun () ->
       ep.Tempest.send_raw ~dst:counter.c_home ~vnet:Message.Request
         ~handler:t.h_fa_req
-        ~args:(scratch2 counter.c_id delta) ~data:Bytes.empty);
+        ~args:(scratch2 t.sys counter.c_id delta) ~data:Bytes.empty);
   Thread.await th (fun wake ->
       ns.fa_wake <- Some (fun v -> wake_cpu t.sys ~node th (fun () -> wake v)))
 
@@ -161,6 +161,7 @@ let barrier_wait t ~th ~node barrier =
   System.with_cpu_context t.sys ~node th (fun () ->
       ep.Tempest.send_raw ~dst:barrier.b_home ~vnet:Message.Request
         ~handler:t.h_bar_arrive
-        ~args:(scratch2 barrier.b_id barrier.b_participants) ~data:Bytes.empty);
+        ~args:(scratch2 t.sys barrier.b_id barrier.b_participants)
+        ~data:Bytes.empty);
   Thread.await_unit th (fun wake ->
       ns.bar_wake <- Some (fun () -> wake_cpu t.sys ~node th wake))

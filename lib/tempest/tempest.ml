@@ -1,5 +1,3 @@
-module Inttbl = Tt_util.Inttbl
-
 type resumption = { wake : unit -> unit }
 
 let make_resumption wake = { wake }
@@ -65,15 +63,19 @@ type page_fault_handler =
 type status_handler = t -> pending:int -> unit
 
 module Handlers = struct
+  let modes = 16 (* a page mode is 4 bits *)
+
   type tables = {
     messages : (string * message_handler) Tt_util.Vec.t;
-    block_faults : block_fault_handler Inttbl.t;
+    (* indexed by page mode; the options are built at registration, so a
+       fault's lookup neither hashes nor allocates *)
+    block_faults : block_fault_handler option array;
     mutable page_faults : page_fault_handler option;
     mutable status : status_handler option;
   }
 
   let create () =
-    { messages = Tt_util.Vec.create (); block_faults = Inttbl.create 16;
+    { messages = Tt_util.Vec.create (); block_faults = Array.make modes None;
       page_faults = None; status = None }
 
   let register_message t ~name handler =
@@ -88,9 +90,13 @@ module Handlers = struct
   let message_name t id = fst (Tt_util.Vec.get t.messages id)
 
   let set_block_fault t ~mode handler =
-    Inttbl.replace t.block_faults mode handler
+    if mode < 0 || mode >= modes then
+      invalid_arg
+        (Printf.sprintf "Tempest.Handlers.set_block_fault: mode %d" mode);
+    t.block_faults.(mode) <- Some handler
 
-  let block_fault t ~mode = Inttbl.find_opt t.block_faults mode
+  let block_fault t ~mode =
+    if mode < 0 || mode >= modes then None else t.block_faults.(mode)
 
   let set_page_fault t handler = t.page_faults <- Some handler
 

@@ -143,9 +143,12 @@ module Handlers : sig
   val message_name : tables -> int -> string
 
   val set_block_fault : tables -> mode:int -> block_fault_handler -> unit
-  (** One handler per 4-bit page mode (the RTLB dispatch of §5.4). *)
+  (** One handler per 4-bit page mode (the RTLB dispatch of §5.4).
+      @raise Invalid_argument for a mode outside 0..15. *)
 
   val block_fault : tables -> mode:int -> block_fault_handler option
+  (** The handler registered for a mode, [None] if there is none; looking
+      it up allocates nothing. *)
 
   val set_page_fault : tables -> page_fault_handler -> unit
 

@@ -104,6 +104,8 @@ let fabric t = t.fabric
 
 let net t = t.net
 
+let pool t = Fabric.pool t.fabric
+
 let node_of t i = t.nodes.(i)
 
 let node_mem t i = (node_of t i).mem
@@ -163,7 +165,8 @@ let make_endpoint t node =
   in
   let send_raw ~dst ~vnet ~handler ~args ~data =
     let msg =
-      Message.Pool.acquire_raw ~src:node.id ~dst ~vnet ~handler ~args ~data
+      Message.Pool.acquire_raw (pool t) ~src:node.id ~dst ~vnet ~handler ~args
+        ~data
     in
     charge node (Costs.send_base + (Costs.send_per_word * Message.words msg));
     net_send ~at:(exec_clock node) msg
@@ -225,13 +228,13 @@ let make_endpoint t node =
         Pagemem.read_bytes_into node.mem ~vaddr:(src_va + !off) ~dst:data
           ~dst_pos:0 ~len:chunk;
         let last = if !off + chunk >= len then 1 else 0 in
-        let args = Message.Pool.scratch 3 in
+        let args = Message.Pool.scratch (pool t) 3 in
         args.(0) <- dst_va + !off;
         args.(1) <- token;
         args.(2) <- last;
         let msg =
-          Message.Pool.acquire_raw ~src:node.id ~dst ~vnet:Message.Request
-            ~handler:t.bulk_handler_id ~args ~data
+          Message.Pool.acquire_raw (pool t) ~src:node.id ~dst
+            ~vnet:Message.Request ~handler:t.bulk_handler_id ~args ~data
         in
         Np.charge node.np
           (Costs.bulk_packet_overhead
@@ -366,7 +369,7 @@ let np_msg_exec t node (msg : Message.t) =
   handler ep ~src:msg.Message.src ~args:msg.Message.args
     ~data:msg.Message.data;
   return_credit t msg;
-  Message.Pool.release msg
+  Message.Pool.release (pool t) msg
 
 let np_deferred_exec node f =
   np_prologue node;
@@ -382,7 +385,7 @@ let np_exec t node work =
       handler ep ~src:msg.Message.src ~args:msg.Message.args
         ~data:msg.Message.data;
       return_credit t msg;
-      Message.Pool.release msg
+      Message.Pool.release (pool t) msg
   | Np.Block_fault fault ->
       Stats.Counter.incr node.c_block_faults;
       (match
@@ -550,7 +553,9 @@ let suspend_on_fault node th post_fault =
       in
       post_fault resumption)
 
-let rec cpu_access t ~node th access vaddr =
+(* The tag-checked access; returns the page it translated, which the typed
+   read or write then uses without a second lookup. *)
+let rec access_page t ~node th access vaddr =
   let n = node_of t node in
   Stats.Counter.incr n.c_accesses;
   Thread.maybe_yield th;
@@ -564,26 +569,27 @@ let rec cpu_access t ~node th access vaddr =
         Np.post n.np ~at:(Thread.clock th)
           (Np.Page_fault { vaddr; access; resumption }));
     (* retry after the user page-fault handler resumes us *)
-    cpu_access t ~node th access vaddr
+    access_page t ~node th access vaddr
   end
   else begin
     let block = Addr.block_of vaddr in
     match Cache.lookup n.cache ~block with
-    | Some Tt_cache.Cache.Exclusive -> ()
-    | Some Tt_cache.Cache.Shared when access = Tag.Load -> ()
+    | Some Tt_cache.Cache.Exclusive -> page
+    | Some Tt_cache.Cache.Shared when access = Tag.Load -> page
     | Some Tt_cache.Cache.Shared ->
         (* write hit on an unowned line: bus Invalidate transaction,
            snooped against the tag *)
-        let tag = Pagemem.get_tag n.mem ~vaddr in
+        let tag = Pagemem.page_tag page ~index:(Addr.block_index vaddr) in
         if Tag.permits tag Tag.Store then begin
           Stats.Counter.incr n.c_upgrades;
           Thread.advance th t.params.Params.upgrade;
-          Cache.set_state n.cache ~block Tt_cache.Cache.Exclusive
+          Cache.set_state n.cache ~block Tt_cache.Cache.Exclusive;
+          page
         end
         else block_fault t ~node n th access vaddr page
     | None ->
         (* miss: bus Read / Read-invalidate transaction *)
-        let tag = Pagemem.get_tag n.mem ~vaddr in
+        let tag = Pagemem.page_tag page ~index:(Addr.block_index vaddr) in
         if Tag.permits tag access then begin
           Stats.Counter.incr n.c_local_misses;
           Thread.advance th t.params.Params.local_miss;
@@ -595,17 +601,18 @@ let rec cpu_access t ~node th access vaddr =
           in
           (* evictions are silent: values are written through to local
              memory and the perfect write buffer makes writebacks free *)
-          ignore (Cache.insert n.cache ~block ~state)
+          ignore (Cache.insert n.cache ~block ~state);
+          page
         end
         else block_fault t ~node n th access vaddr page
   end
 
 (* The denied bus transaction: inhibit + relinquish-and-retry.  A separate
-   function rather than a closure in [cpu_access], so a hit allocates
+   function rather than a closure in [access_page], so a hit allocates
    nothing. *)
 and block_fault t ~node n th access vaddr page =
   Thread.advance th t.params.Params.fault_detect;
-  let tag = Pagemem.get_tag n.mem ~vaddr in
+  let tag = Pagemem.page_tag page ~index:(Addr.block_index vaddr) in
   let fault =
     {
       Tempest.fault_vaddr = vaddr;
@@ -618,29 +625,30 @@ and block_fault t ~node n th access vaddr page =
   suspend_on_fault n th (fun resumption ->
       Np.post n.np ~at:(Thread.clock th)
         (Np.Block_fault { fault with Tempest.fault_resumption = resumption }));
-  cpu_access t ~node th access vaddr
+  access_page t ~node th access vaddr
+
+let cpu_access t ~node th access vaddr =
+  ignore (access_page t ~node th access vaddr)
 
 let cpu_read_f64 t ~node th vaddr =
-  cpu_access t ~node th Tag.Load vaddr;
-  Pagemem.read_f64 (node_of t node).mem ~vaddr
+  Pagemem.page_read_f64 (access_page t ~node th Tag.Load vaddr) ~vaddr
 
 let cpu_write_f64 t ~node th vaddr v =
-  cpu_access t ~node th Tag.Store vaddr;
+  let page = access_page t ~node th Tag.Store vaddr in
   (match t.on_dirty with
   | Some f -> f ~node ~vpage:(Addr.page_of vaddr) ~forced:false
   | None -> ());
-  Pagemem.write_f64 (node_of t node).mem ~vaddr v
+  Pagemem.page_write_f64 page ~vaddr v
 
 let cpu_read_int t ~node th vaddr =
-  cpu_access t ~node th Tag.Load vaddr;
-  Pagemem.read_int (node_of t node).mem ~vaddr
+  Pagemem.page_read_int (access_page t ~node th Tag.Load vaddr) ~vaddr
 
 let cpu_write_int t ~node th vaddr v =
-  cpu_access t ~node th Tag.Store vaddr;
+  let page = access_page t ~node th Tag.Store vaddr in
   (match t.on_dirty with
   | Some f -> f ~node ~vpage:(Addr.page_of vaddr) ~forced:false
   | None -> ());
-  Pagemem.write_int (node_of t node).mem ~vaddr v
+  Pagemem.page_write_int page ~vaddr v
 
 let merged_stats t =
   let out = Stats.create "typhoon" in

@@ -16,7 +16,10 @@
 # 3. Torture: the litmus smoke grid reports no SC violation; the guarded
 #    sabotage knob (TT_SABOTAGE=1) must fail it, be shrunk to a reproducer
 #    artifact, and that artifact must replay to the same violation.
-# 4. Recovery: two recover sweeps print identical tables.
+# 4. Recovery: the Stache and DirNNB recover grids are diffed byte for byte
+#    against scripts/expected/recover.txt (DirNNB's cells re-issue
+#    survivors' misses and re-send a rejoining node's), and two identical
+#    sweeps print identical tables.
 # 5. Worker-domain determinism: the tt proto shootout (table and JSON
 #    cells), the scale sweep and a fault sweep are byte-identical on one
 #    and four domains.  On hosts with >= 4 cores the parallel scale sweep
@@ -112,6 +115,13 @@ echo "== shrunk artifact must replay to the same violation =="
 "$TT" torture --replay "$tmp/repro"
 
 echo "==================== recovery ===================="
+echo "== recover grids =="
+{
+  "$TT" recover --apps ocean --victims 3
+  "$TT" recover --apps barnes,mp3d --victims 3,7 -m dirnnb
+} >"$tmp/recover.txt"
+diff -u scripts/expected/recover.txt "$tmp/recover.txt"
+
 echo "== recover grid determinism =="
 out1=$("$TT" recover --apps ocean --victims 3)
 out2=$("$TT" recover --apps ocean --victims 3)

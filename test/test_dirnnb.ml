@@ -347,6 +347,26 @@ let prop_directory_rows =
       List.length !got = List.length !expected
       && List.for_all2 (fun (a, e) (b, e') -> a = b && e == e') !got !expected)
 
+(* A node's CPU blocks on its miss, so a node holds one outstanding miss.
+   Two threads on one node breaking that assumption are stopped at the
+   second miss with a message naming both blocks. *)
+let test_second_outstanding_miss_rejected () =
+  let engine, sys = mk () in
+  Dirnnb.map_shared_page sys ~vpage:page ~home:1;
+  let read vaddr th = ignore (Dirnnb.cpu_read_f64 sys ~node:0 th vaddr) in
+  let _a = Thread.spawn engine ~name:"cpu0a" (read base) in
+  let _b = Thread.spawn engine ~name:"cpu0b" (read (base + Addr.block_size)) in
+  match Engine.run engine with
+  | () -> Alcotest.fail "expected the second miss to be rejected"
+  | exception Thread.Failure_in ("cpu0b", Invalid_argument msg) ->
+      Alcotest.(check string)
+        "diagnostic"
+        (Printf.sprintf
+           "Dirnnb: node 0 missed on 0x%x with its miss on 0x%x outstanding"
+           (Addr.block_of (base + Addr.block_size))
+           (Addr.block_of base))
+        msg
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "dirnnb"
@@ -379,5 +399,7 @@ let () =
             test_hit_path_allocates_nothing;
           Alcotest.test_case "re-homing invalidates the home memo" `Quick
             test_rehome_invalidates_home_memo;
+          Alcotest.test_case "one outstanding miss per node" `Quick
+            test_second_outstanding_miss_rejected;
         ] );
     ]

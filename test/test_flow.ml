@@ -193,8 +193,8 @@ let test_flow_deadlock_probe () =
     ~charge:(fun _ _ -> ())
     ~status:(fun _ ~pending:_ -> ());
   let m ~src ~dst =
-    Message.Pool.acquire_raw ~src ~dst ~vnet:Message.Request ~handler:0
-      ~args:[||] ~data:Bytes.empty
+    Message.Pool.acquire_raw (Fabric.pool f) ~src ~dst ~vnet:Message.Request
+      ~handler:0 ~args:[||] ~data:Bytes.empty
   in
   (* each direction: one direct send eats the credit, one send parks *)
   Flow.send_from_handler fl ~at:0 (m ~src:0 ~dst:1);
@@ -233,13 +233,14 @@ let mk_np ~capacity =
 
 let test_np_ring_wraparound_at_capacity () =
   let engine, np = mk_np ~capacity:16 in
+  let pool = Message.Pool.create () in
   let order = ref [] in
   Np.set_msg_exec np (fun m ->
       order := m.Message.handler :: !order;
-      Message.Pool.release m);
+      Message.Pool.release pool m);
   let post i at =
     Np.post_message np ~at
-      (Message.Pool.acquire_raw ~src:0 ~dst:0 ~vnet:Message.Request
+      (Message.Pool.acquire_raw pool ~src:0 ~dst:0 ~vnet:Message.Request
          ~handler:i ~args:[||] ~data:Bytes.empty)
   in
   (* fill half, drain it — the ring's head is now mid-array, so refilling
@@ -255,13 +256,13 @@ let test_np_ring_wraparound_at_capacity () =
   done;
   check_int "ring holds exactly its capacity" 16 (Np.depth np);
   (let m =
-     Message.Pool.acquire_raw ~src:0 ~dst:0 ~vnet:Message.Request ~handler:99
-       ~args:[||] ~data:Bytes.empty
+     Message.Pool.acquire_raw pool ~src:0 ~dst:0 ~vnet:Message.Request
+       ~handler:99 ~args:[||] ~data:Bytes.empty
    in
    match Np.post_message np ~at:1000 m with
    | () -> Alcotest.fail "expected Overload on a full ring"
    | exception Overload.Overload msg ->
-       Message.Pool.release m;
+       Message.Pool.release pool m;
        check_contains "diagnostic names the NP" "npT" msg;
        check_contains "diagnostic names the ring" "request ring full" msg);
   Engine.run engine;

@@ -273,6 +273,127 @@ let test_tlb_stale_queue_entries () =
   check_bool "2 present" true (Tlb.probe t 2);
   check_bool "3 present" true (Tlb.probe t 3)
 
+(* A key flushed then refilled is queued twice; its older entry evicts
+   the key when it reaches the head, even though the key was refilled
+   since, and a younger key survives. *)
+let test_tlb_refill_evicted_by_older_entry () =
+  let t = Tlb.create ~entries:2 ~miss_penalty:1 () in
+  ignore (Tlb.access t 1);
+  Tlb.flush_entry t 1;
+  List.iter (fun k -> ignore (Tlb.access t k)) [ 1; 2; 3 ];
+  (* 3's miss popped 1's first entry: present {2,3}, queue [1; 2; 3] *)
+  Tlb.flush_entry t 2;
+  ignore (Tlb.access t 1);
+  ignore (Tlb.access t 4);
+  check_bool "1 evicted by its older entry" false (Tlb.probe t 1);
+  check_bool "3 survives" true (Tlb.probe t 3);
+  check_bool "4 present" true (Tlb.probe t 4)
+
+(* The hash-table-and-queue TLB the open-addressed one replaced, kept as
+   the reference: a present set, and a FIFO of inserted keys that keeps
+   flushed keys until eviction pops and skips them. *)
+module Ref_tlb = struct
+  type t = {
+    entries : int;
+    miss_penalty : int;
+    present : unit Tt_util.Inttbl.t;
+    order : int Queue.t;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create ~entries ~miss_penalty =
+    { entries; miss_penalty; present = Tt_util.Inttbl.create 128;
+      order = Queue.create (); hits = 0; misses = 0 }
+
+  let probe t key = Tt_util.Inttbl.mem t.present key
+
+  let rec evict_one t =
+    match Queue.take_opt t.order with
+    | None -> ()
+    | Some victim ->
+        if Tt_util.Inttbl.mem t.present victim then
+          Tt_util.Inttbl.remove t.present victim
+        else evict_one t
+
+  let access t key =
+    if probe t key then begin
+      t.hits <- t.hits + 1;
+      0
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      if Tt_util.Inttbl.length t.present >= t.entries then evict_one t;
+      Tt_util.Inttbl.replace t.present key ();
+      Queue.add key t.order;
+      t.miss_penalty
+    end
+
+  let flush_entry t key = Tt_util.Inttbl.remove t.present key
+
+  let flush_all t =
+    Tt_util.Inttbl.reset t.present;
+    Queue.clear t.order
+end
+
+type tlb_op = Access of int | Flush of int | Flush_all
+
+(* Keys fall in four clusters 2^17 pages apart, each straddling a
+   multiple of 2^17: every cluster starts its probe chains in the same
+   slots and runs them across the end of the table.  The clusters
+   together hold a few more keys than the TLB, so evictions, and refills
+   of flushed keys whose stale queue entries are still waiting, are
+   frequent. *)
+let tlb_key c off = ((c + 1) lsl 17) + off - 4
+
+let gen_tlb_op ~span =
+  let open QCheck.Gen in
+  let key = map2 tlb_key (int_bound 3) (int_bound (span - 1)) in
+  frequency
+    [ (12, map (fun k -> Access k) key); (4, map (fun k -> Flush k) key);
+      (1, return Flush_all) ]
+
+let print_tlb_op = function
+  | Access k -> Printf.sprintf "access %d" k
+  | Flush k -> Printf.sprintf "flush %d" k
+  | Flush_all -> "flush_all"
+
+let prop_tlb_matches_reference entries =
+  let span = 2 + ((entries + 3) / 4) in
+  QCheck.Test.make ~count:500
+    ~name:(Printf.sprintf "TLB matches the queue model at %d entries" entries)
+    QCheck.(make ~print:(Print.list print_tlb_op)
+              Gen.(list_size (int_range 1 400) (gen_tlb_op ~span)))
+    (fun ops ->
+      let t = Tlb.create ~entries ~miss_penalty:25 () in
+      let r = Ref_tlb.create ~entries ~miss_penalty:25 in
+      let same_probes () =
+        List.for_all
+          (fun k -> Tlb.probe t k = Ref_tlb.probe r k)
+          (List.concat_map
+             (fun c -> List.init span (tlb_key c))
+             [ 0; 1; 2; 3 ])
+      in
+      List.for_all
+        (fun op ->
+          let penalties_agree =
+            match op with
+            | Access k -> Tlb.access t k = Ref_tlb.access r k
+            | Flush k ->
+                Tlb.flush_entry t k;
+                Ref_tlb.flush_entry r k;
+                true
+            | Flush_all ->
+                Tlb.flush_all t;
+                Ref_tlb.flush_all r;
+                true
+          in
+          penalties_agree
+          && Tlb.hits t = r.Ref_tlb.hits
+          && Tlb.misses t = r.Ref_tlb.misses
+          && same_probes ())
+        ops)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "mem"
@@ -311,5 +432,10 @@ let () =
           Alcotest.test_case "flush" `Quick test_tlb_flush;
           Alcotest.test_case "stale queue entries" `Quick
             test_tlb_stale_queue_entries;
+          Alcotest.test_case "refill evicted by its older entry" `Quick
+            test_tlb_refill_evicted_by_older_entry;
+          qc (prop_tlb_matches_reference 1);
+          qc (prop_tlb_matches_reference 2);
+          qc (prop_tlb_matches_reference 64);
         ] );
     ]

@@ -39,6 +39,11 @@ let expect_invalid name f =
 
 (* ---------------- Message pool semantics ---------------- *)
 
+(* Every machine owns its pool; these tests draw from one machine's. *)
+let machine_pool () = System.pool (snd (mk ()))
+
+let prop_pool = machine_pool ()
+
 (* An acquired message must carry exactly the caller's values in every
    field — nothing left over from the record's previous life.  The pool is
    dirtied first with a same-shape message full of junk so a stale field
@@ -52,15 +57,16 @@ let prop_acquired_message_is_fresh =
       let data_words = min data_words (Message.max_payload_words - 1 - nargs) in
       let data_len = 4 * data_words in
       let junk =
-        Message.Pool.acquire ~src:91 ~dst:92 ~vnet ~handler:93
+        Message.Pool.acquire prop_pool ~src:91 ~dst:92 ~vnet ~handler:93
           ~args:(Array.init nargs (fun i -> 1000 + i))
           ~data:(Bytes.make data_len 'j') ~seq:94 ~ack:95 ()
       in
-      Message.Pool.release junk;
+      Message.Pool.release prop_pool junk;
       let args = Array.init nargs (fun i -> seed + i) in
       let data = Bytes.make data_len 'd' in
       let m =
-        Message.Pool.acquire ~src:3 ~dst:4 ~vnet ~handler:9 ~args ~data ()
+        Message.Pool.acquire prop_pool ~src:3 ~dst:4 ~vnet ~handler:9 ~args
+          ~data ()
       in
       let fresh =
         m.Message.src = 3 && m.Message.dst = 4 && m.Message.vnet = vnet
@@ -72,36 +78,61 @@ let prop_acquired_message_is_fresh =
         && m.Message.seq = -1 && m.Message.ack = -1
         && m.Message.pool_rc = 1
       in
-      Message.Pool.release m;
+      Message.Pool.release prop_pool m;
       fresh)
 
 let test_double_release_raises () =
+  let pool = machine_pool () in
   let m =
-    Message.Pool.acquire ~src:0 ~dst:1 ~vnet:Message.Request ~handler:0 ()
+    Message.Pool.acquire pool ~src:0 ~dst:1 ~vnet:Message.Request ~handler:0 ()
   in
-  Message.Pool.release m;
-  expect_invalid "second release" (fun () -> Message.Pool.release m);
+  Message.Pool.release pool m;
+  expect_invalid "second release" (fun () -> Message.Pool.release pool m);
   expect_invalid "retain of freelisted" (fun () -> Message.Pool.retain m)
 
 let test_retain_adds_an_owner () =
+  let pool = machine_pool () in
   let m =
-    Message.Pool.acquire ~src:0 ~dst:1 ~vnet:Message.Response ~handler:0 ()
+    Message.Pool.acquire pool ~src:0 ~dst:1 ~vnet:Message.Response ~handler:0 ()
   in
   Message.Pool.retain m;
   check_int "two owners" 2 m.Message.pool_rc;
-  Message.Pool.release m;
+  Message.Pool.release pool m;
   check_int "one owner" 1 m.Message.pool_rc;
-  let free0 = Message.Pool.free_count () in
-  Message.Pool.release m;
+  let free0 = Message.Pool.free_count pool in
+  Message.Pool.release pool m;
   check_bool "returned to freelist" true
-    (Message.Pool.free_count () = free0 + 1)
+    (Message.Pool.free_count pool = free0 + 1)
+
+(* A machine's messages recycle through its own pool only: releasing one
+   leaves another machine's freelists untouched, and the next acquire on
+   the same machine hands the record back. *)
+let test_machines_own_their_pools () =
+  let _e, sys = mk () and _e', sys' = mk () in
+  let pool = System.pool sys and other = System.pool sys' in
+  check_bool "the machine's pool is its fabric's" true
+    (pool == Tt_net.Fabric.pool (System.fabric sys));
+  check_bool "two machines, two pools" true (pool != other);
+  let m =
+    Message.Pool.acquire pool ~src:0 ~dst:1 ~vnet:Message.Request ~handler:0 ()
+  in
+  let free_other = Message.Pool.free_count other in
+  Message.Pool.release pool m;
+  check_int "other machine's freelists unchanged" free_other
+    (Message.Pool.free_count other);
+  let m' =
+    Message.Pool.acquire pool ~src:1 ~dst:0 ~vnet:Message.Request ~handler:1 ()
+  in
+  check_bool "record recycled on its own machine" true (m == m');
+  Message.Pool.release pool m'
 
 let test_ordinary_messages_unaffected () =
+  let pool = machine_pool () in
   let m = Message.make ~src:0 ~dst:1 ~vnet:Message.Request ~handler:0 () in
   (* GC-owned messages tolerate any number of retain/release calls *)
   Message.Pool.retain m;
-  Message.Pool.release m;
-  Message.Pool.release m;
+  Message.Pool.release pool m;
+  Message.Pool.release pool m;
   check_int "still ordinary" (-1) m.Message.pool_rc
 
 (* ---------------- Endpoint buffer pools ---------------- *)
@@ -255,6 +286,8 @@ let () =
             test_retain_adds_an_owner;
           Alcotest.test_case "ordinary messages unaffected" `Quick
             test_ordinary_messages_unaffected;
+          Alcotest.test_case "machines own their pools" `Quick
+            test_machines_own_their_pools;
         ] );
       ( "buffer-pool",
         [

@@ -55,6 +55,30 @@ let test_grid_dirnnb () =
   check_bool "verified or diagnosed" true (Recovery.all_passed points);
   check_int "death verdict fired" 1 (List.hd points).Recovery.deaths
 
+(* DirNNB's miss re-issue paths: on barnes a survivor's outstanding miss
+   on a page homed at the victim is re-sent to the new home, and on mp3d
+   the rejoining victim re-sends its own miss.  Every cell must still end
+   verified or diagnosed, and the late-rejoin cells re-home in place. *)
+let test_grid_dirnnb_reissue () =
+  let points =
+    Recovery.run ~apps:[ "barnes"; "mp3d" ] ~machine:"dirnnb"
+      ~victims:[ 3; 7 ] ()
+  in
+  check_int "apps x victims x rejoins" 12 (List.length points);
+  check_bool "verified or diagnosed" true (Recovery.all_passed points);
+  check_bool "a cell re-homed a page and completed in place" true
+    (List.exists
+       (fun p ->
+         p.Recovery.outcome = Recovery.Rehomed && p.Recovery.pages_rehomed > 0)
+       points);
+  check_bool "mp3d's rejoining victim completed in place" true
+    (List.exists
+       (fun p ->
+         p.Recovery.app = "mp3d" && p.Recovery.victim = 7
+         && p.Recovery.rejoin = Recovery.Late
+         && p.Recovery.outcome = Recovery.Rehomed)
+       points)
+
 let test_faultsweep_crash_axis () =
   (* the faults grid's crash column: a crash cell runs under the full
      recovery stack and reports how it reached verified results *)
@@ -97,6 +121,8 @@ let () =
             test_grid_deterministic;
           Alcotest.test_case "dirnnb late rejoin" `Quick
             test_grid_dirnnb;
+          Alcotest.test_case "dirnnb miss re-issue" `Quick
+            test_grid_dirnnb_reissue;
         ] );
       ( "faultsweep",
         [

@@ -197,6 +197,32 @@ let test_page_fault_without_handler_fails () =
     Alcotest.fail "expected failure"
   with Thread.Failure_in _ | Invalid_argument _ -> ()
 
+(* A block fault on a mode with no handler stops the run with a message
+   naming the address, node and mode; a mode outside the 4-bit range
+   cannot be registered. *)
+let test_block_fault_without_handler_fails () =
+  let engine, sys = mk () in
+  (System.endpoint sys 0).Tempest.map_page ~vpage:page ~home:0 ~mode:7
+    ~init_tag:Tag.Invalid;
+  let _th =
+    Thread.spawn engine ~name:"cpu0" (fun th ->
+        ignore (System.cpu_read_f64 sys ~node:0 th base))
+  in
+  (match Engine.run engine with
+  | () -> Alcotest.fail "expected failure"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string)
+        "diagnostic"
+        "Typhoon: block fault at 0x2000000 on node 0, mode 7, but no handler \
+         registered"
+        msg);
+  match
+    Tempest.Handlers.set_block_fault (System.handlers sys) ~mode:16
+      (fun _ _ -> ())
+  with
+  | () -> Alcotest.fail "mode 16 registered"
+  | exception Invalid_argument _ -> ()
+
 (* ---------------- Messaging and the NP ---------------- *)
 
 let test_active_message_roundtrip () =
@@ -429,6 +455,8 @@ let () =
           Alcotest.test_case "page fault dispatch" `Quick test_page_fault_dispatch;
           Alcotest.test_case "missing handler fails loudly" `Quick
             test_page_fault_without_handler_fails;
+          Alcotest.test_case "missing block-fault handler named" `Quick
+            test_block_fault_without_handler_fails;
           Alcotest.test_case "unmap flushes cache+TLB" `Quick
             test_unmap_flushes_cache_and_tlb;
         ] );
