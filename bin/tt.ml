@@ -48,12 +48,19 @@ let resolve_domains = function
   | Some d -> invalid_arg (Printf.sprintf "--domains %d: must be >= 0" d)
   | None -> Params.domains_of_env ()
 
+(* every catalogue machine parses; [names] is the list the help offers, so
+   a command that refuses some machines says so with its own one-line error *)
 let machine_t ~names =
   Arg.(
     value
-    & opt (enum (List.map (fun n -> (n, n)) names)) "stache"
+    & opt (enum (List.map (fun n -> (n, n)) H.Machine.names)) "stache"
     & info [ "m"; "machine" ]
         ~doc:("Machine: " ^ String.concat ", " names ^ "."))
+
+(* a sweep's argument check failed before any run: one line, exit 1 *)
+let refuse cmd msg =
+  Printf.eprintf "tt %s: %s\n" cmd msg;
+  exit 1
 
 let note_parallel domains =
   (* stderr, so gate scripts can diff stdout across TT_DOMAINS values *)
@@ -580,9 +587,11 @@ let faults_cmd =
     let drops = List.map (fun p -> p /. 100.0) drops in
     let burst = if burst then Some (Tt_net.Faults.bursty ()) else None in
     let points =
-      H.Faultsweep.run ~apps ~machine ~drops ~seeds ~crashes
-        ?request_drop:(pct request_drop) ?response_drop:(pct response_drop)
-        ?burst ?credits ?spill ~scale ~nodes ~domains ()
+      try
+        H.Faultsweep.run ~apps ~machine ~drops ~seeds ~crashes
+          ?request_drop:(pct request_drop) ?response_drop:(pct response_drop)
+          ?burst ?credits ?spill ~scale ~nodes ~domains ()
+      with Invalid_argument msg -> refuse "faults" msg
     in
     print_string (H.Faultsweep.render points);
     print_newline ();
@@ -672,8 +681,10 @@ let recover_cmd =
     note_parallel domains;
     let crash_fracs = List.map (fun p -> p /. 100.0) crash_pcts in
     let points =
-      H.Recovery.run ~apps ~machine ~victims ~crash_fracs ~rejoins ~seeds
-        ~scale ~nodes ~domains ()
+      try
+        H.Recovery.run ~apps ~machine ~victims ~crash_fracs ~rejoins ~seeds
+          ~scale ~nodes ~domains ()
+      with Invalid_argument msg -> refuse "recover" msg
     in
     print_string (H.Recovery.render points);
     print_newline ();
@@ -693,8 +704,10 @@ let recover_cmd =
   in
   Cmd.v (Cmd.info "recover" ~doc)
     Term.(
-      const run $ apps_t $ machine_t ~names:H.Recovery.machines $ victims_t
-      $ crash_t $ rejoins_t $ seeds_t $ nodes_t $ scale_t $ domains_t)
+      const run $ apps_t
+      $ machine_t ~names:(H.Machine.recoverable ())
+      $ victims_t $ crash_t $ rejoins_t $ seeds_t $ nodes_t $ scale_t
+      $ domains_t)
 
 (* --- tt torture --- *)
 

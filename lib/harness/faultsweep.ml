@@ -38,20 +38,40 @@ let config_of ?request_drop ?response_drop ?burst ?crashes ~drop ~seed () =
   Faults.per_vnet ~seed ?burst ?crashes ~request:(rates req)
     ~response:(rates resp) ()
 
-let total_msgs stats =
-  Stats.get stats "msgs.request" + Stats.get stats "msgs.response"
+let point ~name ~label ~drop ~crash ~recovery ~seed ~cycles ~base stats outcome
+    =
+  let get = Stats.get stats in
+  {
+    app = name;
+    machine_label = label;
+    drop;
+    crash;
+    recovery;
+    seed;
+    cycles;
+    base_cycles = base.Recovery.result.Run.cycles;
+    data_sent = get "reliable.data_sent";
+    retransmits = get "reliable.retransmits";
+    acks = get "reliable.acks_sent";
+    dropped = get "faults.dropped";
+    duplicated = get "faults.duplicated";
+    reordered = get "faults.reordered";
+    spilled = get "flow.spilled";
+    blocked = get "flow.blocked";
+    outcome;
+  }
 
 let run_app ?request_drop ?response_drop ?burst ?credits ?spill
     ?(crashes = [ None ]) ~machine ~name ~size ~scale ~nodes ~drops ~seeds () =
   (* fault-free baseline under ample default capacities: the oracle every
      faulty run must match, and the yardstick for the watchdog budgets —
      never the overload configuration itself *)
-  let base_params = { Params.default with Params.nodes } in
+  let base = Recovery.baseline ~machine ~name ~size ~scale ~nodes in
   (* grid cells may additionally squeeze the flow-control capacities, so a
      fault storm meets real backpressure (spills, blocked senders) instead
      of unbounded parking *)
   let params =
-    let p = base_params in
+    let p = { Params.default with Params.nodes } in
     let p =
       match credits with
       | Some c ->
@@ -62,19 +82,6 @@ let run_app ?request_drop ?response_drop ?burst ?credits ?spill
     | Some s -> { p with Params.flow_spill_capacity = s }
     | None -> p
   in
-  let base, base_msgs, latency =
-    let m = Machine.of_name machine base_params in
-    let app = Catalog.make ~name ~size ~scale ~nprocs:nodes in
-    let r = Run.spmd m ~name app.Catalog.body in
-    ignore
-      (Run.spmd m ~name:(name ^ "-verify") ~check:false app.Catalog.verify);
-    (r, total_msgs r.Run.run_stats, Reliable.latency m.Machine.net)
-  in
-  (* crash cells share {!Recovery.run}'s geometry: victim 0 goes down at
-     40% of the fault-free runtime, and the rejoin windows sit against the
-     same detection lease (heartbeat period 32 fabric latencies, budget 4) *)
-  let crash_at = max 1 (int_of_float (0.4 *. float_of_int base.Run.cycles)) in
-  let lease = 4 * (32 * latency) in
   List.concat_map
     (fun crash ->
       List.concat_map
@@ -84,115 +91,51 @@ let run_app ?request_drop ?response_drop ?burst ?credits ?spill
     crashes
   |> List.map (fun (crash, drop, seed) ->
          match crash with
-         | Some rj ->
-             let rejoin =
-               match rj with
-               | Recovery.Never -> None
-               | Recovery.Quick -> Some (crash_at + (lease / 2))
-               | Recovery.Late -> Some (crash_at + (4 * lease))
+         | Some rejoin ->
+             (* the recovery harness owns the whole cell, with
+                {!Recovery.run}'s geometry (victim 0 at 40% of the
+                fault-free runtime): liveness wiring, checkpoints,
+                rollback, and oracle verification.  Capacity squeezes
+                ([credits]/[spill]) don't apply to crash cells. *)
+             let c, stats =
+               Recovery.cell ~machine ~name ~size ~scale ~nodes ~base
+                 ~victim:0 ~frac:0.4 ~rejoin ~seed ~faults:(fun ~seed crashes ->
+                   config_of ?request_drop ?response_drop ?burst ~crashes
+                     ~drop ~seed ())
              in
-             let config =
-               config_of ?request_drop ?response_drop ?burst
-                 ~crashes:[ Faults.crash ?rejoin ~victim:0 ~at:crash_at () ]
-                 ~drop ~seed ()
+             point ~name ~label:c.Recovery.machine_label ~drop ~crash
+               ~recovery:(Some c.Recovery.outcome) ~seed
+               ~cycles:c.Recovery.cycles ~base stats
+               (match c.Recovery.failed with
+               | None -> Passed
+               | Some msg -> Failed msg)
+         | None -> (
+             let reliability =
+               Reliable.Flaky
+                 (config_of ?request_drop ?response_drop ?burst ~drop ~seed ())
              in
-             (* the recovery harness owns the whole cell: liveness wiring,
-                checkpoints, rollback, and oracle verification.  Capacity
-                squeezes ([credits]/[spill]) don't apply to crash cells. *)
-             let er =
-               Recovery.exec ~machine ~name ~size ~scale ~nodes ~config ~base
-                 ~base_msgs ()
+             let m = Machine.of_name ~reliability machine params in
+             let finish outcome cycles =
+               point ~name ~label:m.Machine.label ~drop ~crash:None
+                 ~recovery:None ~seed ~cycles ~base
+                 (m.Machine.merged_stats ()) outcome
              in
-             let s = er.Recovery.cell_stats in
-             {
-               app = name;
-               machine_label = er.Recovery.label;
-               drop;
-               crash;
-               recovery = Some er.Recovery.outcome;
-               seed;
-               cycles = er.Recovery.cycles;
-               base_cycles = base.Run.cycles;
-               data_sent = Stats.get s "reliable.data_sent";
-               retransmits = Stats.get s "reliable.retransmits";
-               acks = Stats.get s "reliable.acks_sent";
-               dropped = Stats.get s "faults.dropped";
-               duplicated = Stats.get s "faults.duplicated";
-               reordered = Stats.get s "faults.reordered";
-               spilled = Stats.get s "flow.spilled";
-               blocked = Stats.get s "flow.blocked";
-               outcome =
-                 (match er.Recovery.failed with
-                 | None -> Passed
-                 | Some msg -> Failed msg);
-             }
-         | None ->
-          let reliability =
-            Reliable.Flaky
-              (config_of ?request_drop ?response_drop ?burst ~drop ~seed ())
-          in
-          let m = Machine.of_name ~reliability machine params in
-          let watchdog =
-            Watchdog.create
-              ~max_cycles:((base.Run.cycles * 100) + 5_000_000)
-              ~max_retransmits:((base_msgs * 10) + 100_000)
-              ~max_stall:((base.Run.cycles * 10) + 1_000_000)
-              ()
-          in
-          let app = Catalog.make ~name ~size ~scale ~nprocs:nodes in
-          let finish outcome cycles =
-            let s = m.Machine.merged_stats () in
-            {
-              app = name;
-              machine_label = m.Machine.label;
-              drop;
-              crash = None;
-              recovery = None;
-              seed;
-              cycles;
-              base_cycles = base.Run.cycles;
-              data_sent = Stats.get s "reliable.data_sent";
-              retransmits = Stats.get s "reliable.retransmits";
-              acks = Stats.get s "reliable.acks_sent";
-              dropped = Stats.get s "faults.dropped";
-              duplicated = Stats.get s "faults.duplicated";
-              reordered = Stats.get s "faults.reordered";
-              spilled = Stats.get s "flow.spilled";
-              blocked = Stats.get s "flow.blocked";
-              outcome;
-            }
-          in
-          match
-            let r = Run.spmd m ~name ~watchdog app.Catalog.body in
-            (* the app's own verify checks the final data against its
-               sequential oracle — "results identical to fault-free" *)
-            ignore
-              (Run.spmd m ~name:(name ^ "-verify") ~check:false ~watchdog
-                 app.Catalog.verify);
-            r
-          with
-          | r -> finish Passed r.Run.cycles
-          | exception Reliable.Link_failed msg ->
-              finish (Failed ("Link_failed: " ^ msg)) 0
-          | exception Tt_net.Overload.Overload msg ->
-              finish (Failed ("Overload: " ^ msg)) 0
-          | exception Watchdog.Expired msg -> finish (Failed msg) 0
-          | exception Run.Stuck msg -> finish (Failed msg) 0
-          | exception Failure msg -> finish (Failed msg) 0
-          | exception Invalid_argument msg ->
-              finish (Failed ("Invalid_argument: " ^ msg)) 0)
+             match
+               Recovery.verified_run m ~name
+                 ~watchdog:(Recovery.watchdog base)
+                 (Catalog.make ~name ~size ~scale ~nprocs:nodes)
+             with
+             | r -> finish Passed r.Run.cycles
+             | exception e -> (
+                 match Recovery.diagnose e with
+                 | Some reason -> finish (Failed reason) 0
+                 | None -> raise e)))
 
 let run ?(apps = Catalog.names) ?(machine = "stache")
     ?(drops = [ 0.01; 0.05 ]) ?(seeds = [ 1; 2; 3 ]) ?(crashes = [ None ])
     ?request_drop ?response_drop ?burst ?credits ?spill ?(size = Catalog.Small)
     ?(scale = 0.25) ?(nodes = 8) ?(domains = 0) () =
-  if
-    machine <> "stache" && machine <> "dirnnb"
-    && List.exists Option.is_some crashes
-  then
-    invalid_arg
-      "Faultsweep: custom protocols do not implement the crash-recovery \
-       entry points; use --machine stache or dirnnb with --crash";
+  if List.exists Option.is_some crashes then Recovery.require machine;
   (* parallel unit is the app, not the cell: every faulty cell compares
      against its app's fault-free baseline, so the (baseline, grid) bundle
      stays on one domain and the whole bundle fans out *)

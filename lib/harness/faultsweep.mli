@@ -61,12 +61,13 @@ val run :
     override to every grid cell (the [drops] axis still sets the other
     vnet's rate).  [crashes] adds a crash axis to the grid
     (crashes × drops × seeds): [None] is the ordinary message-faults-only
-    cell, [Some rejoin] additionally crash-stops victim 0 at 40% of the
-    baseline runtime and hands the cell to {!Recovery.exec}, which reports
-    how it was brought to verified results (masked / rehomed /
-    rolled-back) in {!point.recovery}.  Crash cells ignore the
-    [credits]/[spill] squeezes and raise [Invalid_argument] on the
-    ["update"] machine (no recovery entry points).
+    cell, [Some rejoin] is a {!Recovery.cell} that crash-stops victim 0
+    at 40% of the baseline runtime and reports how it was brought to
+    verified results (masked / rehomed / rolled-back) in
+    {!point.recovery}.  Crash cells ignore the [credits]/[spill]
+    squeezes; asking for them on a machine without recovery entry points
+    raises [Invalid_argument] before any run ({!Recovery.require}).
+    A failed cell's message carries {!Recovery.diagnose}'s label.
     [credits]/[spill] squeeze the flow-control capacities for the faulty
     runs (the baseline always uses the ample defaults), so cells exercise
     real backpressure: spilled handler sends, blocked CPU senders, and —

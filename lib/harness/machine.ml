@@ -7,6 +7,16 @@ module Stache = Tt_stache.Stache
 
 type point = Pre_barrier | Post_barrier | Pre_release
 
+type recovery = {
+  set_is_dead : (int -> bool) -> unit;
+  set_on_dirty : (vpage:int -> unit) option -> unit;
+  noop_handler : int;
+  snapshot_page : vpage:int -> Bytes.t option;
+  on_node_death :
+    dead:int -> new_home:int -> restore:(vpage:int -> Bytes.t option) -> unit;
+  on_node_rejoin : node:int -> unit;
+}
+
 type t = {
   label : string;
   engine : Engine.t;
@@ -35,6 +45,7 @@ type t = {
   mutable sync : point -> proc:int -> Thread.t -> unit;
   (* liveness census for watchdog diagnostics, None outside recovery runs *)
   mutable liveness : (unit -> string) option;
+  recovery : recovery option;
 }
 
 let no_sync _ ~proc:_ _ = ()
@@ -82,6 +93,16 @@ let typhoon_stache_full ?reliability ?max_stache_pages params =
       special_allocs = Hashtbl.create 4;
       sync = no_sync;
       liveness = None;
+      recovery =
+        Some
+          {
+            set_is_dead = Stache.set_is_dead stache;
+            set_on_dirty = Typhoon.set_on_dirty sys;
+            noop_handler = Stache.noop_handler stache;
+            snapshot_page = Stache.snapshot_page stache;
+            on_node_death = Stache.on_node_death stache;
+            on_node_rejoin = Stache.on_node_rejoin stache;
+          };
     }
   in
   machine, sys, stache
@@ -116,6 +137,16 @@ let dirnnb_full ?reliability params =
       special_allocs = Hashtbl.create 4;
       sync = no_sync;
       liveness = None;
+      recovery =
+        Some
+          {
+            set_is_dead = Dirnnb.set_is_dead sys;
+            set_on_dirty = Dirnnb.set_on_dirty sys;
+            noop_handler = Dirnnb.noop_handler;
+            snapshot_page = Dirnnb.snapshot_page sys;
+            on_node_death = Dirnnb.on_node_death sys;
+            on_node_rejoin = Dirnnb.on_node_rejoin sys;
+          };
     }
   in
   machine, sys
@@ -132,6 +163,7 @@ let typhoon_em3d ?reliability ?max_stache_pages params =
   let machine =
     { machine with
       label = "typhoon/update";
+      recovery = None;
       merged_stats =
         (fun () ->
           let out = machine.merged_stats () in
@@ -158,6 +190,7 @@ let typhoon_zoo_full ?reliability ?max_stache_pages ~policy params =
   let machine =
     { machine with
       label = "typhoon/" ^ Proto.name_of_pol policy;
+      recovery = None;
       alloc =
         (fun ~node th ?home bytes ->
           (* page-aligned so adopted pages never share with other data *)
@@ -194,6 +227,7 @@ let typhoon_adaptive_full ?reliability ?max_stache_pages params =
   let machine =
     { machine with
       label = "typhoon/adaptive";
+      recovery = None;
       alloc =
         (fun ~node th ?home bytes ->
           (* page-aligned like the static zoo machines, so a retyped page
@@ -248,3 +282,7 @@ let of_name ?reliability ?max_stache_pages name params =
       invalid_arg
         (Printf.sprintf "Machine.of_name: unknown machine %S (valid: %s)"
            other (String.concat ", " names))
+
+let recoverable () =
+  let params = { Params.default with Params.nodes = 1 } in
+  List.filter (fun name -> (of_name name params).recovery <> None) names

@@ -16,6 +16,28 @@ type point =
           shared pages here, and the adaptive machine reclassifies *)
   | Pre_release  (** before every lock release, like [Pre_barrier] *)
 
+(** A machine's crash-recovery entry points, the one interface through
+    which {!Recovery} detects, repairs and checkpoints (DESIGN §6.3 "One
+    recovery contract"). *)
+type recovery = {
+  set_is_dead : (int -> bool) -> unit;
+      (** install the liveness verdict the repair passes consult *)
+  set_on_dirty : (vpage:int -> unit) option -> unit;
+      (** install the checkpoint's dirty observer, fired on every CPU
+          store (never on protocol-forced writes) *)
+  noop_handler : int;
+      (** the no-op sink {!Tt_net.Reliable.scrub_unacked} rewrites
+          undeliverable messages to *)
+  snapshot_page : vpage:int -> Bytes.t option;
+      (** the page's authoritative content, or [None] while home memory
+          is stale *)
+  on_node_death :
+    dead:int -> new_home:int -> restore:(vpage:int -> Bytes.t option) -> unit;
+      (** re-home the victim's pages and purge it from the directories *)
+  on_node_rejoin : node:int -> unit;
+      (** drop a rejoining node's crash-era bookkeeping *)
+}
+
 type t = {
   label : string;
   engine : Tt_sim.Engine.t;
@@ -58,6 +80,10 @@ type t = {
       (** liveness census (e.g. {!Tt_net.Liveness.summary}) appended to
           watchdog expiry diagnostics; [None] outside recovery runs.  A
           diagnostic probe, not a sync point. *)
+  recovery : recovery option;
+      (** [Some] on {!typhoon_stache_full} and {!dirnnb_full}; [None] on
+          the machines whose per-page protocol state lies outside these
+          entry points (["update"], the zoo, ["adaptive"]) *)
 }
 
 val add_sync : t -> (point -> proc:int -> Tt_sim.Thread.t -> unit) -> unit
@@ -75,6 +101,10 @@ val of_name :
 (** The named machine, built by the constructor below that carries it
     ([max_stache_pages] is ignored on DirNNB).
     @raise Invalid_argument for unknown names, listing {!names}. *)
+
+val recoverable : unit -> string list
+(** The {!names} whose machine carries {!t.recovery} entry points, in
+    {!names} order (builds each machine once, at one node). *)
 
 val typhoon_stache :
   ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int -> Params.t -> t

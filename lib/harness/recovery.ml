@@ -5,9 +5,6 @@ module Addr = Tt_mem.Addr
 module Reliable = Tt_net.Reliable
 module Faults = Tt_net.Faults
 module Liveness = Tt_net.Liveness
-module Typhoon = Tt_typhoon.System
-module Dirnnb = Tt_dirnnb.System
-module Stache = Tt_stache.Stache
 module Inttbl = Tt_util.Inttbl
 
 type outcome =
@@ -31,61 +28,73 @@ let rejoin_label = function
   | Late -> "late"
 
 (* ------------------------------------------------------------------ *)
-(* Protocol dispatch: the two machines' recovery entry points           *)
+(* Entry points, diagnosis, and the fault-free baseline               *)
 (* ------------------------------------------------------------------ *)
 
-type proto = St of Typhoon.t * Stache.t | Dn of Dirnnb.t
-
-let machines = [ "stache"; "dirnnb" ]
-
-let make_machine ~machine ?reliability params =
-  match machine with
-  | "stache" ->
-      let m, sys, st = Machine.typhoon_stache_full ?reliability params in
-      (m, St (sys, st))
-  | "dirnnb" ->
-      let m, sys = Machine.dirnnb_full ?reliability params in
-      (m, Dn sys)
-  | other ->
+let entry_points machine (m : Machine.t) =
+  match m.Machine.recovery with
+  | Some rc -> rc
+  | None ->
       invalid_arg
-        (Printf.sprintf "Recovery: unknown machine %S (expected %s)" other
-           (String.concat "|" machines))
+        (Printf.sprintf
+           "machine %S has no crash-recovery entry points (recoverable: %s)"
+           machine
+           (String.concat ", " (Machine.recoverable ())))
 
-let proto_set_is_dead proto f =
-  match proto with
-  | St (_, st) -> Stache.set_is_dead st f
-  | Dn sys -> Dirnnb.set_is_dead sys f
+let require machine =
+  ignore
+    (entry_points machine
+       (Machine.of_name machine { Params.default with Params.nodes = 1 }))
 
-(* Dirty tracking for checkpoint validity.  Only CPU stores change a
-   page's logical content; NP [forced] writes (fills, writeback arrivals)
-   materialize already-tracked values, so they are ignored — a snapshot
-   is only taken when home memory is authoritative ([snapshot_page]), so
-   a pending writeback keeps the dirty bit set until it lands. *)
-let proto_set_on_dirty proto mark =
-  match proto with
-  | St (sys, _) ->
-      Typhoon.set_on_dirty sys
-        (Some (fun ~node:_ ~vpage ~forced -> if not forced then mark ~vpage))
-  | Dn sys -> Dirnnb.set_on_dirty sys (Some (fun ~vpage -> mark ~vpage))
+let diagnose = function
+  | Faults.Unrecoverable msg -> Some ("Unrecoverable: " ^ msg)
+  | Watchdog.Expired msg -> Some ("Watchdog: " ^ msg)
+  | Run.Stuck msg -> Some ("Stuck: " ^ msg)
+  | Reliable.Link_failed msg -> Some ("Link_failed: " ^ msg)
+  | Reliable.Peer_dead msg -> Some ("Peer_dead: " ^ msg)
+  | Tt_net.Overload.Overload msg -> Some ("Overload: " ^ msg)
+  | Failure msg -> Some ("Failure: " ^ msg)
+  | Invalid_argument msg -> Some ("Invalid_argument: " ^ msg)
+  | _ -> None
 
-let proto_noop_handler = function
-  | St (_, st) -> Stache.noop_handler st
-  | Dn _ -> Dirnnb.noop_handler
+type baseline = { result : Run.result; msgs : int; lease : int }
 
-let proto_snapshot_page proto ~vpage =
-  match proto with
-  | St (_, st) -> Stache.snapshot_page st ~vpage
-  | Dn sys -> Dirnnb.snapshot_page sys ~vpage
+let total_msgs stats =
+  Stats.get stats "msgs.request" + Stats.get stats "msgs.response"
 
-let proto_on_node_death proto ~dead ~new_home ~restore =
-  match proto with
-  | St (_, st) -> Stache.on_node_death st ~dead ~new_home ~restore
-  | Dn sys -> Dirnnb.on_node_death sys ~dead ~new_home ~restore
+let verified_run ?watchdog ?body m ~name (app : Catalog.app) =
+  let r =
+    Run.spmd m ~name ?watchdog (Option.value body ~default:app.Catalog.body)
+  in
+  (* the app's own verify checks the final data against its sequential
+     oracle — "results identical to fault-free" *)
+  ignore
+    (Run.spmd m ~name:(name ^ "-verify") ~check:false ?watchdog
+       app.Catalog.verify);
+  r
 
-let proto_on_node_rejoin proto ~node =
-  match proto with
-  | St (_, st) -> Stache.on_node_rejoin st ~node
-  | Dn sys -> Dirnnb.on_node_rejoin sys ~node
+(* one fault-free, verified run on a fresh machine *)
+let fault_free ~machine ~name ~size ~scale ~nodes =
+  let m = Machine.of_name machine { Params.default with Params.nodes } in
+  (m, verified_run m ~name (Catalog.make ~name ~size ~scale ~nprocs:nodes))
+
+let baseline ~machine ~name ~size ~scale ~nodes =
+  let m, r = fault_free ~machine ~name ~size ~scale ~nodes in
+  {
+    result = r;
+    msgs = total_msgs r.Run.run_stats;
+    (* detection lease with Liveness defaults: 4 missed periods of
+       32 fabric latencies each *)
+    lease = 4 * (32 * Reliable.latency m.Machine.net);
+  }
+
+let watchdog base =
+  let cycles = base.result.Run.cycles in
+  Watchdog.create
+    ~max_cycles:((cycles * 100) + 5_000_000)
+    ~max_retransmits:((base.msgs * 10) + 100_000)
+    ~max_stall:((cycles * 10) + 1_000_000)
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Barrier checkpoints                                                  *)
@@ -125,13 +134,13 @@ let track_alloc ck ~vaddr ~bytes =
       end
     done
 
-let snapshot_epoch ck proto =
+let snapshot_epoch ck (rc : Machine.recovery) =
   let todo =
     List.sort compare (Inttbl.fold (fun v () acc -> v :: acc) ck.dirty [])
   in
   List.iter
     (fun vpage ->
-      match proto_snapshot_page proto ~vpage with
+      match rc.snapshot_page ~vpage with
       | Some bytes ->
           Inttbl.replace ck.snaps vpage bytes;
           Inttbl.remove ck.dirty vpage
@@ -156,8 +165,10 @@ type wired = {
 }
 
 let wire ~machine ~params ~config () =
-  let reliability = Reliable.Flaky config in
-  let m0, proto = make_machine ~machine ~reliability params in
+  let m0 =
+    Machine.of_name ~reliability:(Reliable.Flaky config) machine params
+  in
+  let rc = entry_points machine m0 in
   let engine = m0.Machine.engine in
   let net = m0.Machine.net in
   let nprocs = params.Params.nodes in
@@ -168,8 +179,11 @@ let wire ~machine ~params ~config () =
   in
   let lv = Liveness.create engine net in
   let ck = checkpoint_create () in
-  proto_set_on_dirty proto (fun ~vpage -> mark_dirty ck ~vpage);
-  proto_set_is_dead proto (fun n -> Liveness.is_dead lv n);
+  (* only CPU stores change a page's logical content; a snapshot is only
+     taken when home memory is authoritative ([snapshot_page]), so a
+     pending writeback keeps the dirty bit set until it lands *)
+  rc.set_on_dirty (Some (fun ~vpage -> mark_dirty ck ~vpage));
+  rc.set_is_dead (fun n -> Liveness.is_dead lv n);
   let declared_dead = Array.make nprocs false in
   let revived = Array.make nprocs false in
   let frozen = Array.make nprocs [] in
@@ -189,10 +203,9 @@ let wire ~machine ~params ~config () =
       Reliable.on_peer_death net ~node:dead;
       scrubbed :=
         !scrubbed
-        + Reliable.scrub_unacked net ~node:dead
-            ~handler:(proto_noop_handler proto);
+        + Reliable.scrub_unacked net ~node:dead ~handler:rc.noop_handler;
       let new_home = Liveness.lowest_live lv in
-      proto_on_node_death proto ~dead ~new_home
+      rc.on_node_death ~dead ~new_home
         ~restore:(fun ~vpage -> restore ck ~vpage));
   (* Rejoin verdict: scrub the victim's own held pre-crash-era queues,
      replay the parked channels, drop its stale protocol bookkeeping,
@@ -201,9 +214,9 @@ let wire ~machine ~params ~config () =
   Liveness.set_on_alive lv (fun node ->
       scrubbed :=
         !scrubbed
-        + Reliable.scrub_unacked net ~node ~handler:(proto_noop_handler proto);
+        + Reliable.scrub_unacked net ~node ~handler:rc.noop_handler;
       Reliable.on_peer_alive net ~node;
-      proto_on_node_rejoin proto ~node;
+      rc.on_node_rejoin ~node;
       revived.(node) <- true;
       fire_frozen node);
   (* Crash-era execution guard: a victim CPU that touches shared memory
@@ -214,12 +227,12 @@ let wire ~machine ~params ~config () =
      untouched state and the transport's retransmissions mask the outage
      entirely.  A permanent crash parks forever and the watchdog converts
      the survivors' stall into a diagnosed abort. *)
-  let rec guard ~node th =
-    if declared_dead.(node) && not revived.(node) then begin
-      Thread.await_unit th (fun wake -> frozen.(node) <- wake :: frozen.(node));
-      Thread.set_clock th (max (Thread.clock th) (Engine.now engine));
-      guard ~node th
-    end
+  let rec freeze ~node th =
+    Thread.await_unit th (fun wake -> frozen.(node) <- wake :: frozen.(node));
+    Thread.set_clock th (max (Thread.clock th) (Engine.now engine));
+    guard ~node th
+  and guard ~node th =
+    if declared_dead.(node) && not revived.(node) then freeze ~node th
     else
       match Faults.crash_window faults ~node with
       | Some (down, rejoin_at)
@@ -233,16 +246,9 @@ let wire ~machine ~params ~config () =
                   (max r (Engine.now engine + 1))
                   (fun () -> fire_frozen node)
               end;
-              Thread.await_unit th (fun wake ->
-                  frozen.(node) <- wake :: frozen.(node));
-              Thread.set_clock th (max (Thread.clock th) (Engine.now engine));
-              guard ~node th
+              freeze ~node th
           | Some _ -> () (* past its rejoin, never declared dead *)
-          | None ->
-              Thread.await_unit th (fun wake ->
-                  frozen.(node) <- wake :: frozen.(node));
-              Thread.set_clock th (max (Thread.clock th) (Engine.now engine));
-              guard ~node th)
+          | None -> freeze ~node th)
       | _ -> ()
   in
   let m =
@@ -266,118 +272,12 @@ let wire ~machine ~params ~config () =
   (* runs after any machine-level hook (the adaptive machine reclassifies
      pages there) *)
   Machine.add_sync m (fun point ~proc _ ->
-      if point = Machine.Post_barrier && proc = 0 then snapshot_epoch ck proto);
+      if point = Machine.Post_barrier && proc = 0 then snapshot_epoch ck rc);
   m.Machine.liveness <- Some (fun () -> Liveness.summary lv);
   { m; lv; ck; scrubbed; nprocs }
 
 (* ------------------------------------------------------------------ *)
-(* One grid cell: run, classify, roll back if needed                    *)
-(* ------------------------------------------------------------------ *)
-
-type exec_result = {
-  label : string;
-  cycles : int;  (** of the run whose results stand (re-execution if rolled back) *)
-  outcome : outcome;
-  detail : string option;  (** diagnosed abort reason behind a rollback *)
-  deaths : int;
-  revivals : int;
-  scrubbed : int;
-  epochs : int;
-  cell_stats : Stats.t;  (** merged stats of the (possibly aborted) crash run *)
-  failed : string option;
-}
-
-let total_msgs stats =
-  Stats.get stats "msgs.request" + Stats.get stats "msgs.response"
-
-let exec ~machine ~name ~size ~scale ~nodes ~config ~base ~base_msgs () =
-  let params = { Params.default with Params.nodes } in
-  let w = wire ~machine ~params ~config () in
-  let app = Catalog.make ~name ~size ~scale ~nprocs:nodes in
-  let watchdog =
-    Watchdog.create
-      ~max_cycles:((base.Run.cycles * 100) + 5_000_000)
-      ~max_retransmits:((base_msgs * 10) + 100_000)
-      ~max_stall:((base.Run.cycles * 10) + 1_000_000)
-      ()
-  in
-  let engine = w.m.Machine.engine in
-  (* the last proc to finish stops the liveness loops so the event queue
-     can drain *)
-  let finished = ref 0 in
-  let body env =
-    app.Catalog.body env;
-    incr finished;
-    if !finished = w.nprocs then Liveness.stop w.lv
-  in
-  let finish ~cycles ~outcome ~detail ~failed =
-    {
-      label = w.m.Machine.label;
-      cycles;
-      outcome;
-      detail;
-      deaths = Liveness.deaths w.lv;
-      revivals = Liveness.revivals w.lv;
-      scrubbed = !(w.scrubbed);
-      epochs = w.ck.epochs;
-      cell_stats = w.m.Machine.merged_stats ();
-      failed;
-    }
-  in
-  match
-    let r = Run.spmd w.m ~name ~watchdog body in
-    ignore
-      (Run.spmd w.m ~name:(name ^ "-verify") ~check:false ~watchdog
-         app.Catalog.verify);
-    r
-  with
-  | r ->
-      (* completed in place; the verify pass already matched the final
-         data against the app's sequential oracle *)
-      let outcome = if Liveness.deaths w.lv > 0 then Rehomed else Masked in
-      finish ~cycles:r.Run.cycles ~outcome ~detail:None ~failed:None
-  | exception e ->
-      let reason =
-        match e with
-        | Faults.Unrecoverable msg -> "Unrecoverable: " ^ msg
-        | Watchdog.Expired msg -> "Watchdog: " ^ msg
-        | Run.Stuck msg -> "Stuck: " ^ msg
-        | Reliable.Link_failed msg -> "Link_failed: " ^ msg
-        | Reliable.Peer_dead msg -> "Peer_dead: " ^ msg
-        | Tt_net.Overload.Overload msg -> "Overload: " ^ msg
-        | Failure msg -> "Failure: " ^ msg
-        | Invalid_argument msg -> "Invalid_argument: " ^ msg
-        | e -> raise e
-      in
-      (* diagnosed abort: roll back — discard the damaged instance and
-         re-execute from the last consistent cut (modeled as a clean
-         re-execution; [depth] counts the checkpoint epochs of lost work,
-         [added_cycles] the cycles the aborted attempt burned) *)
-      let depth = w.ck.epochs in
-      let added_cycles = Engine.now engine in
-      (match
-         let m2, _ = make_machine ~machine params in
-         let app2 = Catalog.make ~name ~size ~scale ~nprocs:nodes in
-         let r2 = Run.spmd m2 ~name app2.Catalog.body in
-         ignore
-           (Run.spmd m2 ~name:(name ^ "-verify") ~check:false
-              app2.Catalog.verify);
-         r2
-       with
-      | r2 ->
-          finish ~cycles:r2.Run.cycles
-            ~outcome:(Rolled_back { depth; added_cycles })
-            ~detail:(Some reason) ~failed:None
-      | exception e2 ->
-          let msg =
-            Printf.sprintf "%s; re-execution failed: %s" reason
-              (Printexc.to_string e2)
-          in
-          finish ~cycles:0 ~outcome:(Unrecoverable msg) ~detail:(Some reason)
-            ~failed:(Some msg))
-
-(* ------------------------------------------------------------------ *)
-(* The sweep                                                            *)
+(* One crash cell: run, classify, roll back if needed                   *)
 (* ------------------------------------------------------------------ *)
 
 type point = {
@@ -400,82 +300,123 @@ type point = {
   failed : string option;
 }
 
+let cell ~machine ~name ~size ~scale ~nodes ~base ~victim ~frac ~rejoin ~seed
+    ~faults =
+  let crash_at =
+    max 1 (int_of_float (frac *. float_of_int base.result.Run.cycles))
+  in
+  let rejoin_at =
+    match rejoin with
+    | Never -> None
+    | Quick -> Some (crash_at + (base.lease / 2))
+    | Late -> Some (crash_at + (4 * base.lease))
+  in
+  let config =
+    faults ~seed [ Faults.crash ?rejoin:rejoin_at ~victim ~at:crash_at () ]
+  in
+  let params = { Params.default with Params.nodes } in
+  let w = wire ~machine ~params ~config () in
+  let app = Catalog.make ~name ~size ~scale ~nprocs:nodes in
+  let watchdog = watchdog base in
+  let engine = w.m.Machine.engine in
+  (* the last proc to finish stops the liveness loops so the event queue
+     can drain *)
+  let finished = ref 0 in
+  let body env =
+    app.Catalog.body env;
+    incr finished;
+    if !finished = w.nprocs then Liveness.stop w.lv
+  in
+  let finish ~cycles ~outcome ~detail ~failed =
+    let stats = w.m.Machine.merged_stats () in
+    ( {
+        app = name;
+        machine_label = w.m.Machine.label;
+        victim;
+        crash_at;
+        rejoin;
+        seed;
+        base_cycles = base.result.Run.cycles;
+        cycles;
+        deaths = Liveness.deaths w.lv;
+        revivals = Liveness.revivals w.lv;
+        scrubbed = !(w.scrubbed);
+        epochs = w.ck.epochs;
+        pages_rehomed = Stats.get stats "recovery.pages_rehomed";
+        blocks_restored = Stats.get stats "recovery.blocks_restored";
+        outcome;
+        detail;
+        failed;
+      },
+      stats )
+  in
+  match verified_run w.m ~name ~watchdog ~body app with
+  | r ->
+      (* completed in place; the verify pass already matched the final
+         data against the app's sequential oracle *)
+      let outcome = if Liveness.deaths w.lv > 0 then Rehomed else Masked in
+      finish ~cycles:r.Run.cycles ~outcome ~detail:None ~failed:None
+  | exception e ->
+      let reason = match diagnose e with Some d -> d | None -> raise e in
+      (* diagnosed abort: roll back — discard the damaged instance and
+         re-execute from the last consistent cut (modeled as a clean
+         re-execution; [depth] counts the checkpoint epochs of lost work,
+         [added_cycles] the cycles the aborted attempt burned) *)
+      let depth = w.ck.epochs in
+      let added_cycles = Engine.now engine in
+      match fault_free ~machine ~name ~size ~scale ~nodes with
+      | _, r2 ->
+          finish ~cycles:r2.Run.cycles
+            ~outcome:(Rolled_back { depth; added_cycles })
+            ~detail:(Some reason) ~failed:None
+      | exception e2 ->
+          let msg =
+            Printf.sprintf "%s; re-execution failed: %s" reason
+              (Printexc.to_string e2)
+          in
+          finish ~cycles:0 ~outcome:(Unrecoverable msg) ~detail:(Some reason)
+            ~failed:(Some msg)
+
+(* ------------------------------------------------------------------ *)
+(* The sweep                                                            *)
+(* ------------------------------------------------------------------ *)
+
 let run ?(apps = Catalog.names) ?(machine = "stache") ?(victims = [ 0; 3 ])
     ?(crash_fracs = [ 0.4 ]) ?(rejoins = [ Never; Quick; Late ])
     ?(seeds = [ 1 ]) ?(size = Catalog.Small) ?(scale = 0.25) ?(nodes = 8)
     ?(domains = 0) () =
+  require machine;
   List.iter
     (fun v ->
       if v < 0 || v >= nodes then
         invalid_arg (Printf.sprintf "Recovery.run: victim %d of %d nodes" v nodes))
     victims;
+  List.iter
+    (fun frac ->
+      if not (frac > 0.0 && frac < 1.0) then
+        invalid_arg
+          (Printf.sprintf
+             "Recovery.run: crash fraction %g of the baseline run is outside \
+              (0, 1)"
+             frac))
+    crash_fracs;
   (* parallel unit is the app: each crash cell compares against its app's
      fault-free baseline, so the (baseline, grid) bundle stays together *)
   Tt_sim.Domains.map ~domains
     (fun name ->
-      let params = { Params.default with Params.nodes } in
-      let base, base_msgs, latency =
-        let m, _ = make_machine ~machine params in
-        let app = Catalog.make ~name ~size ~scale ~nprocs:nodes in
-        let r = Run.spmd m ~name app.Catalog.body in
-        ignore
-          (Run.spmd m ~name:(name ^ "-verify") ~check:false app.Catalog.verify);
-        (r, total_msgs r.Run.run_stats, Reliable.latency m.Machine.net)
-      in
-      (* detection lease with Liveness defaults: 4 missed periods of
-         32 fabric latencies each *)
-      let lease = 4 * (32 * latency) in
+      let base = baseline ~machine ~name ~size ~scale ~nodes in
       List.concat_map
         (fun victim ->
           List.concat_map
             (fun frac ->
               List.concat_map
-                (fun rj ->
+                (fun rejoin ->
                   List.map
                     (fun seed ->
-                      let crash_at =
-                        max 1
-                          (int_of_float
-                             (frac *. float_of_int base.Run.cycles))
-                      in
-                      let rejoin_at =
-                        match rj with
-                        | Never -> None
-                        | Quick -> Some (crash_at + (lease / 2))
-                        | Late -> Some (crash_at + (4 * lease))
-                      in
-                      let config =
-                        Faults.uniform ~seed
-                          ~crashes:
-                            [ Faults.crash ?rejoin:rejoin_at ~victim
-                                ~at:crash_at () ]
-                          ()
-                      in
-                      let er =
-                        exec ~machine ~name ~size ~scale ~nodes ~config ~base
-                          ~base_msgs ()
-                      in
-                      {
-                        app = name;
-                        machine_label = er.label;
-                        victim;
-                        crash_at;
-                        rejoin = rj;
-                        seed;
-                        base_cycles = base.Run.cycles;
-                        cycles = er.cycles;
-                        deaths = er.deaths;
-                        revivals = er.revivals;
-                        scrubbed = er.scrubbed;
-                        epochs = er.epochs;
-                        pages_rehomed =
-                          Stats.get er.cell_stats "recovery.pages_rehomed";
-                        blocks_restored =
-                          Stats.get er.cell_stats "recovery.blocks_restored";
-                        outcome = er.outcome;
-                        detail = er.detail;
-                        failed = er.failed;
-                      })
+                      fst
+                        (cell ~machine ~name ~size ~scale ~nodes ~base ~victim
+                           ~frac ~rejoin ~seed ~faults:(fun ~seed crashes ->
+                             Faults.uniform ~seed ~crashes ())))
                     seeds)
                 rejoins)
             crash_fracs)

@@ -16,8 +16,8 @@
     - {e repair}: at the verdict the transport parks and scrubs channels
       ({!Tt_net.Reliable.on_peer_death} / [scrub_unacked]) and the
       protocol re-homes the victim's pages onto the lowest live rank and
-      purges its tracks ({!Tt_stache.Stache.on_node_death} /
-      {!Tt_dirnnb.System.on_node_death});
+      purges its tracks, through the machine's own entry points
+      ({!Machine.t.recovery});
     - {e checkpoint}: this module snapshots shared pages at barriers
       (a [Post_barrier] hook, {!Machine.add_sync}) and answers the repair
       pass's [restore] lookups — a snapshot is handed out only when it
@@ -49,38 +49,39 @@ type rejoin = Never | Quick | Late
 
 val rejoin_label : rejoin -> string
 
-val machines : string list
-(** Accepted machine names: ["stache"], ["dirnnb"].  (The custom
-    ["update"] protocol keeps per-node state outside the recovery entry
-    points and is not covered.) *)
+val require : string -> unit
+(** [require machine] checks, before any run, that the named machine
+    carries crash-recovery entry points ({!Machine.t.recovery}).
+    @raise Invalid_argument naming it and the recoverable machines
+    ({!Machine.recoverable}) otherwise. *)
 
-type exec_result = {
-  label : string;
-  cycles : int;
-  outcome : outcome;
-  detail : string option;
-  deaths : int;
-  revivals : int;
-  scrubbed : int;
-  epochs : int;
-  cell_stats : Tt_util.Stats.t;
-  failed : string option;
+val diagnose : exn -> string option
+(** The diagnosis of an aborted run: the exception's message behind its
+    kind's label ([Watchdog: ], [Stuck: ], [Failure: ], [Unrecoverable: ],
+    [Link_failed: ], [Peer_dead: ], [Overload: ], [Invalid_argument: ]),
+    or [None] for an exception no harness should capture. *)
+
+val verified_run :
+  ?watchdog:Watchdog.t -> ?body:(Tt_app.Env.t -> unit) -> Machine.t ->
+  name:string -> Catalog.app -> Run.result
+(** Run [body] (default the app's own) on the machine, then the app's
+    verify pass against its sequential oracle; the body run's result. *)
+
+type baseline = {
+  result : Run.result;  (** the fault-free run: the oracle's yardstick *)
+  msgs : int;  (** its request+response message total *)
+  lease : int;  (** the liveness detection lease, in cycles *)
 }
-(** One fully-classified crash run: [cycles] belongs to the run whose
-    results stand (the re-execution when rolled back), [cell_stats] to
-    the crash run itself, [detail] is the diagnosed abort reason behind a
-    rollback, and [failed] is non-[None] only when the cell could not be
-    brought to verified results at all. *)
 
-val exec :
+val baseline :
   machine:string -> name:string -> size:Catalog.size -> scale:float ->
-  nodes:int -> config:Tt_net.Faults.config -> base:Run.result ->
-  base_msgs:int -> unit -> exec_result
-(** Run one app under [config] (crash schedule and/or message faults)
-    with the full recovery stack wired, against the fault-free baseline
-    [base] (watchdog budgets and oracle yardstick; [base_msgs] its
-    request+response message total).  Also the entry point
-    {!Faultsweep}'s crash cells reuse. *)
+  nodes:int -> baseline
+(** One app's fault-free, verified run on the named machine. *)
+
+val watchdog : baseline -> Watchdog.t
+(** The budgets every faulty run of the app gets: 100x the baseline's
+    cycles and 10x its messages in retransmits, 10x its cycles without
+    delivery, each plus a fixed floor. *)
 
 type point = {
   app : string;
@@ -101,6 +102,24 @@ type point = {
   detail : string option;
   failed : string option;
 }
+(** One classified crash cell: [cycles] belongs to the run whose results
+    stand (the re-execution when rolled back), [detail] is the diagnosed
+    abort reason behind a rollback, and [failed] is non-[None] only when
+    the cell could not be brought to verified results at all. *)
+
+val cell :
+  machine:string -> name:string -> size:Catalog.size -> scale:float ->
+  nodes:int -> base:baseline -> victim:int -> frac:float -> rejoin:rejoin ->
+  seed:int ->
+  faults:(seed:int -> Tt_net.Faults.crash list -> Tt_net.Faults.config) ->
+  point * Tt_util.Stats.t
+(** Crash [victim] at [frac] of [base]'s cycles with the [rejoin] window
+    ([Quick]: half the detection lease; [Late]: four leases), run one app
+    under [faults ~seed crashes] (the crash schedule plus any message
+    faults) with the full recovery stack wired, and classify the outcome.
+    Also returns the crash run's merged stats (the rollback's
+    re-execution leaves them alone).  The cell both {!run} and
+    {!Faultsweep}'s crash axis run. *)
 
 val run :
   ?apps:string list -> ?machine:string -> ?victims:int list ->
@@ -109,13 +128,16 @@ val run :
   unit -> point list
 (** The crash-time × victim × rejoin (× seed) grid over the Fig. 3 apps.
     Each app first takes a fault-free baseline (the oracle and the
-    watchdog yardstick), then every cell crashes [victim] at
+    watchdog yardstick), then every {!cell} crashes [victim] at
     [crash_frac × baseline cycles] with the chosen rejoin window and must
     end in verified results or a diagnosed abort.  Defaults: all catalog
     apps, machine ["stache"], victims [[0; 3]], crash_fracs [[0.4]], all
     three rejoin modes, seed [1], small data sets at scale 0.25 on
     8 nodes.  [domains > 1] fans the per-app bundles out over worker
-    domains with bit-identical points ({!Tt_sim.Domains.map}). *)
+    domains with bit-identical points ({!Tt_sim.Domains.map}).
+    @raise Invalid_argument before any run for a machine without
+    recovery entry points ({!require}), a victim outside the machine, or
+    a crash fraction outside (0, 1) (the crash would miss the run). *)
 
 val all_passed : point list -> bool
 

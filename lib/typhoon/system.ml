@@ -86,10 +86,10 @@ type t = {
   bulk_completions : (unit -> unit) Inttbl.t;
   mutable bulk_handler_id : int;
   (* write observer for the recovery layer's checkpoint dirty tracking:
-     fired on every CPU store ([forced:false]) and every NP forced write
-     ([forced:true]).  Pure bookkeeping — it charges no simulated cycles,
-     so installing it never perturbs timing. *)
-  mutable on_dirty : (node:int -> vpage:int -> forced:bool -> unit) option;
+     fired on every CPU store, never on NP forced writes.  Pure
+     bookkeeping — it charges no simulated cycles, so installing it never
+     perturbs timing. *)
+  mutable on_dirty : (vpage:int -> unit) option;
 }
 
 let engine t = t.engine
@@ -304,9 +304,6 @@ let make_endpoint t node =
         (* the block-transfer buffer keeps the CPU cache coherent (§5.1):
            a forced write invalidates any stale CPU-cached copy *)
         ignore (Cache.invalidate node.cache ~block:(Addr.block_of vaddr));
-        (match t.on_dirty with
-        | Some f -> f ~node:node.id ~vpage:(Addr.page_of vaddr) ~forced:true
-        | None -> ());
         Pagemem.write_block node.mem ~vaddr data);
     recycle_block =
       (fun b ->
@@ -323,9 +320,6 @@ let make_endpoint t node =
         rtlb_access node vaddr;
         charge node Costs.force_word;
         ignore (Cache.invalidate node.cache ~block:(Addr.block_of vaddr));
-        (match t.on_dirty with
-        | Some f -> f ~node:node.id ~vpage:(Addr.page_of vaddr) ~forced:true
-        | None -> ());
         Pagemem.write_i64 node.mem ~vaddr v);
     force_read_f64 =
       (fun ~vaddr ->
@@ -337,9 +331,6 @@ let make_endpoint t node =
         rtlb_access node vaddr;
         charge node Costs.force_word;
         ignore (Cache.invalidate node.cache ~block:(Addr.block_of vaddr));
-        (match t.on_dirty with
-        | Some f -> f ~node:node.id ~vpage:(Addr.page_of vaddr) ~forced:true
-        | None -> ());
         Pagemem.write_f64 node.mem ~vaddr v);
     resume =
       (fun r ->
@@ -636,7 +627,7 @@ let cpu_read_f64 t ~node th vaddr =
 let cpu_write_f64 t ~node th vaddr v =
   let page = access_page t ~node th Tag.Store vaddr in
   (match t.on_dirty with
-  | Some f -> f ~node ~vpage:(Addr.page_of vaddr) ~forced:false
+  | Some f -> f ~vpage:(Addr.page_of vaddr)
   | None -> ());
   Pagemem.page_write_f64 page ~vaddr v
 
@@ -646,7 +637,7 @@ let cpu_read_int t ~node th vaddr =
 let cpu_write_int t ~node th vaddr v =
   let page = access_page t ~node th Tag.Store vaddr in
   (match t.on_dirty with
-  | Some f -> f ~node ~vpage:(Addr.page_of vaddr) ~forced:false
+  | Some f -> f ~vpage:(Addr.page_of vaddr)
   | None -> ());
   Pagemem.page_write_int page ~vaddr v
 

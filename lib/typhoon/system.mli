@@ -51,14 +51,12 @@ val node_stats : t -> int -> Tt_util.Stats.t
 (** Counters: [block_faults], [page_faults], [upgrades], [local_misses],
     [accesses]. *)
 
-val set_on_dirty :
-  t -> (node:int -> vpage:int -> forced:bool -> unit) option -> unit
-(** Install a write observer for checkpoint dirty tracking: fired on every
-    successful CPU store ([forced:false], the writing node's own copy) and
-    every NP forced write ([forced:true] — writebacks, data installs,
-    custom-protocol updates; the observer can filter on the written page's
-    mode).  Pure bookkeeping: charges no simulated cycles, so installing it
-    never changes any run's timing. *)
+val set_on_dirty : t -> (vpage:int -> unit) option -> unit
+(** Install a write observer for checkpoint dirty tracking, fired on every
+    successful CPU store.  NP forced writes (fills, writeback arrivals)
+    install values already tracked at the store that made them, so they
+    do not fire it.  Pure bookkeeping: charges no simulated cycles, so
+    installing it never changes any run's timing. *)
 
 val merged_stats : t -> Tt_util.Stats.t
 (** All node counters plus network traffic and the [flow.*] counters,

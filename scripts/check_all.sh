@@ -18,8 +18,9 @@
 #    artifact, and that artifact must replay to the same violation.
 # 4. Recovery: the Stache and DirNNB recover grids are diffed byte for byte
 #    against scripts/expected/recover.txt (DirNNB's cells re-issue
-#    survivors' misses and re-send a rejoining node's), and two identical
-#    sweeps print identical tables.
+#    survivors' misses and re-send a rejoining node's), the tt faults
+#    crash-axis tables against scripts/expected/faults_crash.txt, and two
+#    identical sweeps print identical tables.
 # 5. Worker-domain determinism: the tt proto shootout (table and JSON
 #    cells), the scale sweep and a fault sweep are byte-identical on one
 #    and four domains.  On hosts with >= 4 cores the parallel scale sweep
@@ -121,6 +122,13 @@ echo "== recover grids =="
   "$TT" recover --apps barnes,mp3d --victims 3,7 -m dirnnb
 } >"$tmp/recover.txt"
 diff -u scripts/expected/recover.txt "$tmp/recover.txt"
+
+echo "== faults crash axis =="
+{
+  "$TT" faults --apps ocean --drops 1 --seeds 1 --crash never,quick,late
+  "$TT" faults --apps barnes --drops 1 --seeds 1 --crash never,late -m dirnnb
+} >"$tmp/faults_crash.txt"
+diff -u scripts/expected/faults_crash.txt "$tmp/faults_crash.txt"
 
 echo "== recover grid determinism =="
 out1=$("$TT" recover --apps ocean --victims 3)

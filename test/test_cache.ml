@@ -5,8 +5,6 @@ let () = Tt_util.Debug.set_pool_debug true
 (* Tests for the set-associative cache model. *)
 
 module Cache = Tt_cache.Cache
-module Mbus = Tt_cache.Mbus
-module Tag = Tt_mem.Tag
 module Prng = Tt_util.Prng
 
 let check_int = Alcotest.(check int)
@@ -139,12 +137,6 @@ let prop_inserted_blocks_hit =
       List.iter (fun b -> ignore (Cache.insert c ~block:b ~state:Cache.Shared)) blocks;
       List.for_all (fun b -> Cache.probe c ~block:b <> None) blocks)
 
-let test_mbus_access_of () =
-  check_bool "read is load" true (Mbus.access_of Mbus.Read = Tag.Load);
-  check_bool "read-inval is store" true
-    (Mbus.access_of Mbus.Read_invalidate = Tag.Store);
-  check_bool "invalidate is store" true (Mbus.access_of Mbus.Invalidate = Tag.Store)
-
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "cache"
@@ -165,5 +157,4 @@ let () =
           qc prop_capacity_bound;
           qc prop_inserted_blocks_hit;
         ] );
-      ("mbus", [ Alcotest.test_case "access_of" `Quick test_mbus_access_of ]);
     ]

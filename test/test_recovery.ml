@@ -7,6 +7,7 @@ let () = Tt_util.Debug.set_pool_debug true
 
 module Recovery = Tt_harness.Recovery
 module Faultsweep = Tt_harness.Faultsweep
+module Machine = Tt_harness.Machine
 
 let check_int = Alcotest.(check int)
 
@@ -100,15 +101,81 @@ let test_faultsweep_crash_axis () =
       | Some _ -> Alcotest.fail "unexpected crash mode")
     points
 
+(* --- the recovery contract: entry points on the machine --- *)
+
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  n = 0 || go 0
+
+let test_catalogue_recovery () =
+  (* exactly the two directory machines carry the entry points; the
+     catalogue's own filter agrees *)
+  let params = { Params.default with Params.nodes = 4 } in
+  List.iter
+    (fun name ->
+      check_bool
+        (Printf.sprintf "%s carries recovery entry points" name)
+        (List.mem name [ "stache"; "dirnnb" ])
+        ((Machine.of_name name params).Machine.recovery <> None))
+    Machine.names;
+  Alcotest.(check (list string))
+    "recoverable" [ "dirnnb"; "stache" ] (Machine.recoverable ())
+
+(* an unrecoverable machine is refused by name before any baseline runs:
+   with an unknown app the baseline would fail with a different message *)
+let refusal f =
+  match f () with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg -> msg
+
+let test_recovery_refuses_machine () =
+  let msg =
+    refusal (fun () ->
+        Recovery.run ~apps:[ "no-such-app" ] ~machine:"migratory" ())
+  in
+  check_bool (Printf.sprintf "%S names the machine" msg) true
+    (contains ~needle:{|"migratory"|} msg)
+
 let test_faultsweep_update_crash_rejects () =
-  (* the custom update protocol has no recovery entry points: asking for
-     crash cells on it must be refused up front, not fail mid-sweep *)
-  match
-    Faultsweep.run ~apps:[ "em3d" ] ~machine:"update"
-      ~crashes:[ Some Recovery.Never ] ()
-  with
-  | _ -> Alcotest.fail "update + crash must be refused"
-  | exception Invalid_argument _ -> ()
+  (* the custom update protocol and the zoo have no recovery entry
+     points: crash cells on them are refused by name up front, not
+     failed mid-sweep *)
+  List.iter
+    (fun machine ->
+      let msg =
+        refusal (fun () ->
+            Faultsweep.run ~apps:[ "no-such-app" ] ~machine
+              ~crashes:[ Some Recovery.Never ] ())
+      in
+      check_bool (Printf.sprintf "%S names %s" msg machine) true
+        (contains ~needle:(Printf.sprintf "%S" machine) msg))
+    [ "update"; "widerep" ]
+
+let test_crash_frac_range () =
+  (* a crash at or past the baseline's end would never happen, and the
+     cell would read as masked with no death *)
+  List.iter
+    (fun (frac, shown) ->
+      let msg =
+        refusal (fun () ->
+            Recovery.run ~apps:[ "ocean" ] ~victims:[ 3 ] ~crash_fracs:[ frac ]
+              ~rejoins:[ Recovery.Never ] ())
+      in
+      check_bool (Printf.sprintf "%S names %s" msg shown) true
+        (contains ~needle:("fraction " ^ shown ^ " of") msg))
+    [ (1.5, "1.5"); (1.0, "1"); (0.0, "0"); (-0.2, "-0.2") ]
+
+let test_diagnose_labels () =
+  let check_label exn expected =
+    Alcotest.(check (option string))
+      expected (Some expected) (Recovery.diagnose exn)
+  in
+  check_label (Tt_harness.Watchdog.Expired "budget") "Watchdog: budget";
+  check_label (Tt_harness.Run.Stuck "drained") "Stuck: drained";
+  check_label (Failure "audit") "Failure: audit";
+  Alcotest.(check (option string))
+    "uncaptured" None (Recovery.diagnose Not_found)
 
 let () =
   Alcotest.run "recovery"
@@ -130,5 +197,16 @@ let () =
             test_faultsweep_crash_axis;
           Alcotest.test_case "update machine refused" `Quick
             test_faultsweep_update_crash_rejects;
+        ] );
+      ( "contract",
+        [
+          Alcotest.test_case "catalogue recovery entry points" `Quick
+            test_catalogue_recovery;
+          Alcotest.test_case "migratory refused by name" `Quick
+            test_recovery_refuses_machine;
+          Alcotest.test_case "crash fraction inside (0, 1)" `Quick
+            test_crash_frac_range;
+          Alcotest.test_case "one diagnosis mapping" `Quick
+            test_diagnose_labels;
         ] );
     ]

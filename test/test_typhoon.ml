@@ -122,6 +122,26 @@ let test_force_ops_bypass_tags () =
   let blk = ep.Tempest.force_read_block ~vaddr:base in
   check_int "block size" 32 (Bytes.length blk)
 
+let test_dirty_observer_cpu_stores_only () =
+  (* NP forced writes install values already tracked where they were
+     stored, so only CPU stores reach the checkpoint's dirty observer *)
+  let engine, sys = mk () in
+  map_rw sys 0;
+  let seen = ref [] in
+  System.set_on_dirty sys (Some (fun ~vpage -> seen := vpage :: !seen));
+  let ep = System.endpoint sys 0 in
+  ep.Tempest.force_write_f64 ~vaddr:base 1.0;
+  ep.Tempest.force_write_i64 ~vaddr:(base + 8) 2L;
+  ep.Tempest.force_write_block ~vaddr:(base + 32) (Bytes.make 32 'x');
+  check_int "forced writes are not dirty events" 0 (List.length !seen);
+  let _th =
+    Thread.spawn engine ~name:"cpu0" (fun th ->
+        System.cpu_write_f64 sys ~node:0 th base 3.0;
+        System.cpu_write_int sys ~node:0 th (base + 8) 4)
+  in
+  Engine.run engine;
+  Alcotest.(check (list int)) "one event per CPU store" [ page; page ] !seen
+
 let test_read_tag () =
   let _, sys = mk () in
   map_rw sys 0;
@@ -444,6 +464,8 @@ let () =
             test_busy_behaves_like_invalid;
           Alcotest.test_case "force ops bypass tags" `Quick
             test_force_ops_bypass_tags;
+          Alcotest.test_case "dirty observer: CPU stores only" `Quick
+            test_dirty_observer_cpu_stores_only;
           Alcotest.test_case "read-tag" `Quick test_read_tag;
           Alcotest.test_case "invalidate drops CPU line" `Quick
             test_invalidate_drops_cpu_line;
