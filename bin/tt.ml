@@ -31,29 +31,62 @@ let verify_t =
 
 let seed_t = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.")
 
-let domains_t =
+(* a choice among catalogue names, each parsed as itself *)
+let names_conv names = Arg.enum (List.map (fun n -> (n, n)) names)
+
+(* the sweeps' defaults: a quarter of the Table 3 data sets on 8 nodes *)
+let sweep_scale_t =
+  Arg.(
+    value & opt float 0.25
+    & info [ "scale" ] ~doc:"Data-set scale factor (default 0.25).")
+
+let sweep_nodes_t =
+  Arg.(value & opt int 8 & info [ "n"; "nodes" ] ~doc:"Number of nodes.")
+
+let cache_t =
+  Arg.(
+    value & opt int 256
+    & info [ "cache" ] ~doc:"CPU cache size in KB (default 256).")
+
+let apps_t names =
   Arg.(
     value
-    & opt (some int) None
-    & info [ "domains" ]
-        ~doc:
-          "Worker domains for the grid sweeps: independent grid cells run \
-           concurrently, one simulation per cell (0 = sequential; default \
-           $(b,TT_DOMAINS), else 0).  Simulated cycles, stats and tables are \
-           bit-identical at every value; only wall-clock changes.")
+    & opt (list (names_conv names)) names
+    & info [ "apps" ] ~doc:"Comma-separated benchmark subset.")
 
-(* flag wins; else TT_DOMAINS; else sequential *)
-let resolve_domains = function
-  | Some d when d >= 0 -> d
-  | Some d -> invalid_arg (Printf.sprintf "--domains %d: must be >= 0" d)
-  | None -> Params.domains_of_env ()
+(* the resolved worker-domain count: flag wins; else TT_DOMAINS; else
+   sequential.  A parallel count is noted on stderr, so gate scripts can
+   diff stdout across TT_DOMAINS values. *)
+let domains_t =
+  let resolve = function
+    | Some d when d < 0 ->
+        invalid_arg (Printf.sprintf "--domains %d: must be >= 0" d)
+    | Some d -> d
+    | None -> Params.domains_of_env ()
+  in
+  let note d =
+    if d > 1 then Printf.eprintf "(parallel harness: %d worker domains)\n%!" d;
+    d
+  in
+  Term.(
+    const (fun d -> note (resolve d))
+    $ Arg.(
+        value
+        & opt (some int) None
+        & info [ "domains" ]
+            ~doc:
+              "Worker domains for the figure and sweep grids: independent \
+               grid cells run concurrently, one simulation per cell (0 = sequential; \
+               default $(b,TT_DOMAINS), else 0).  Simulated cycles, stats \
+               and tables are bit-identical at every value; only \
+               wall-clock changes."))
 
 (* every catalogue machine parses; [names] is the list the help offers, so
    a command that refuses some machines says so with its own one-line error *)
 let machine_t ~names =
   Arg.(
     value
-    & opt (enum (List.map (fun n -> (n, n)) H.Machine.names)) "stache"
+    & opt (names_conv H.Machine.names) "stache"
     & info [ "m"; "machine" ]
         ~doc:("Machine: " ^ String.concat ", " names ^ "."))
 
@@ -62,10 +95,15 @@ let refuse cmd msg =
   Printf.eprintf "tt %s: %s\n" cmd msg;
   exit 1
 
-let note_parallel domains =
-  (* stderr, so gate scripts can diff stdout across TT_DOMAINS values *)
-  if domains > 1 then
-    Printf.eprintf "(parallel harness: %d worker domains)\n%!" domains
+(* [TT_BENCH_JSON], when set, names a file to write [json] to *)
+let write_bench_json what json =
+  match Sys.getenv_opt "TT_BENCH_JSON" with
+  | Some path ->
+      let oc = open_out path in
+      output_string oc json;
+      close_out oc;
+      Printf.printf "(wrote %s to %s)\n" what path
+  | None -> ()
 
 (* --- tt run --- *)
 
@@ -86,8 +124,7 @@ let run_cell_t =
   let app_t =
     Arg.(
       required
-      & pos 0 (some (enum (List.map (fun n -> (n, n)) H.Catalog.all_names)))
-          None
+      & pos 0 (some (names_conv H.Catalog.all_names)) None
       & info [] ~docv:"APP" ~doc:"Benchmark to run.")
   in
   let size_t =
@@ -96,11 +133,6 @@ let run_cell_t =
       & opt (enum [ ("small", H.Catalog.Small); ("large", H.Catalog.Large) ])
           H.Catalog.Small
       & info [ "size" ] ~doc:"Data set: small or large.")
-  in
-  let cache_t =
-    Arg.(
-      value & opt int 256
-      & info [ "cache" ] ~doc:"CPU cache size in KB (Figure 3 sweeps 4..256).")
   in
   let stats_t =
     Arg.(value & flag & info [ "stats" ] ~doc:"Dump all statistics counters.")
@@ -112,13 +144,12 @@ let run_cell_t =
     in
     let machine = H.Machine.of_name machine_name params in
     let inst = H.Catalog.make ~name:app ~size ~scale ~nprocs:nodes in
-    let r = H.Run.spmd machine ~name:app inst.H.Catalog.body in
-    if verify then begin
-      ignore
-        (H.Run.spmd machine ~name:(app ^ "-verify") ~check:false
-           inst.H.Catalog.verify);
-      Printf.printf "verification against the sequential oracle: OK\n"
-    end;
+    let r =
+      if verify then H.Run.verified machine inst
+      else H.Run.spmd machine ~name:app inst.H.Catalog.body
+    in
+    if verify then
+      Printf.printf "verification against the sequential oracle: OK\n";
     Printf.printf "%s (%s, %s) on %s, %d nodes: %d cycles\n" app
       (H.Catalog.size_label size)
       (H.Catalog.data_set_description ~name:app ~size ~scale)
@@ -169,20 +200,15 @@ let profile_cmd =
 (* --- tt fig3 --- *)
 
 let fig3_cmd =
-  let apps_t =
-    Arg.(
-      value
-      & opt (list (enum (List.map (fun n -> (n, n)) H.Catalog.names)))
-          H.Catalog.names
-      & info [ "apps" ] ~doc:"Comma-separated benchmark subset.")
-  in
-  let run apps nodes scale verify =
-    let rows = H.Fig3.run ~apps ~scale ~nodes ~verify () in
-    print_string (H.Fig3.render rows)
+  let run apps nodes scale verify domains =
+    print_string
+      (H.Fig3.render (H.Fig3.run ~apps ~scale ~nodes ~verify ~domains ()))
   in
   let doc = "Reproduce Figure 3 (Typhoon/Stache vs DirNNB)." in
   Cmd.v (Cmd.info "fig3" ~doc)
-    Term.(const run $ apps_t $ nodes_t $ scale_t $ verify_t)
+    Term.(
+      const run $ apps_t H.Catalog.names $ nodes_t $ scale_t $ verify_t
+      $ domains_t)
 
 (* --- tt fig4 --- *)
 
@@ -193,13 +219,13 @@ let fig4_cmd =
       & opt (list int) [ 0; 10; 20; 30; 40; 50 ]
       & info [ "pcts" ] ~doc:"Percentages of non-local edges to sweep.")
   in
-  let run pcts nodes scale verify =
-    let points = H.Fig4.run ~pcts ~scale ~nodes ~verify () in
-    print_string (H.Fig4.render points)
+  let run pcts nodes scale verify domains =
+    print_string
+      (H.Fig4.render (H.Fig4.run ~pcts ~scale ~nodes ~verify ~domains ()))
   in
   let doc = "Reproduce Figure 4 (EM3D custom update protocol)." in
   Cmd.v (Cmd.info "fig4" ~doc)
-    Term.(const run $ pcts_t $ nodes_t $ scale_t $ verify_t)
+    Term.(const run $ pcts_t $ nodes_t $ scale_t $ verify_t $ domains_t)
 
 (* --- tt sweep --- *)
 
@@ -239,26 +265,21 @@ let sweep_cmd =
     in
     List.iter
       (fun remote_pct ->
-        let cfg =
-          { Tt_app.Synth.default with
-            Tt_app.Synth.remote_pct; write_pct; seed;
-            sharing =
-              (if contended then Tt_app.Synth.Locked_counters
-               else Tt_app.Synth.Private_writes) }
+        let app =
+          H.Catalog.synth ~name:"synth"
+            { Tt_app.Synth.default with
+              Tt_app.Synth.remote_pct; write_pct; seed;
+              sharing =
+                (if contended then Tt_app.Synth.Locked_counters
+                 else Tt_app.Synth.Private_writes) }
         in
-        let cycles make =
-          let machine : H.Machine.t =
-            make { Params.default with Params.nodes; seed }
-          in
-          let inst = Tt_app.Synth.make cfg ~nprocs:nodes in
-          let r = H.Run.spmd machine ~name:"synth" inst.Tt_app.Synth.body in
-          ignore
-            (H.Run.spmd machine ~name:"synth-verify" ~check:false
-               inst.Tt_app.Synth.verify);
-          r.H.Run.cycles
+        let cycles machine =
+          (H.Run.cell ~verify:true
+             (app, machine, { Params.default with Params.nodes; seed }))
+            .H.Run.cycles
         in
-        let d = cycles H.Machine.dirnnb in
-        let st = cycles (fun p -> H.Machine.typhoon_stache p) in
+        let d = cycles "dirnnb" in
+        let st = cycles "stache" in
         Tt_util.Tablefmt.add_row table
           [ string_of_int remote_pct; string_of_int d; string_of_int st;
             Printf.sprintf "%.2f" (float_of_int st /. float_of_int d) ])
@@ -276,28 +297,11 @@ let sweep_cmd =
 (* --- tt scale --- *)
 
 let scale_cmd =
-  let apps_t =
-    Arg.(
-      value
-      & opt (list (enum (List.map (fun n -> (n, n)) H.Catalog.names)))
-          H.Catalog.names
-      & info [ "apps" ] ~doc:"Comma-separated benchmark subset.")
-  in
   let nodes_list_t =
     Arg.(
       value
       & opt (list int) H.Scaling.default_nodes
       & info [ "n"; "nodes" ] ~doc:"Comma-separated node counts to sweep.")
-  in
-  let scale_t =
-    Arg.(
-      value & opt float 0.25
-      & info [ "scale" ] ~doc:"Data-set scale factor (default 0.25).")
-  in
-  let cache_t =
-    Arg.(
-      value & opt int 256
-      & info [ "cache" ] ~doc:"CPU cache size in KB (default 256).")
   in
   let proto_t =
     Arg.(
@@ -309,8 +313,6 @@ let scale_cmd =
             ^ String.concat ", " H.Catalog.protocols ^ "."))
   in
   let run apps proto nodes scale cache_kb domains =
-    let domains = resolve_domains domains in
-    note_parallel domains;
     let proto = Option.value proto ~default:"stache" in
     let points =
       H.Scaling.run ~apps ~proto ~nodes ~scale ~cache_kb ~domains ()
@@ -318,13 +320,7 @@ let scale_cmd =
     print_string (H.Scaling.render ~proto points);
     (* host-dependent: kept out of the table so gates can diff it *)
     Printf.printf "(sweep host CPU: %.1fs)\n" (H.Scaling.total_cpu_s points);
-    match Sys.getenv_opt "TT_BENCH_JSON" with
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (H.Scaling.to_json points);
-        close_out oc;
-        Printf.printf "(wrote scaling points to %s)\n" path
-    | None -> ()
+    write_bench_json "scaling points" (H.Scaling.to_json points)
   in
   let doc =
     "Scaling sweep: run the Figure 3 benchmarks on both machines at 64, 128 \
@@ -334,23 +330,16 @@ let scale_cmd =
   in
   Cmd.v (Cmd.info "scale" ~doc)
     Term.(
-      const run $ apps_t $ proto_t $ nodes_list_t $ scale_t $ cache_t
-      $ domains_t)
+      const run $ apps_t H.Catalog.names $ proto_t $ nodes_list_t
+      $ sweep_scale_t $ cache_t $ domains_t)
 
 (* --- tt proto --- *)
 
 let proto_cmd =
-  let apps_t =
-    Arg.(
-      value
-      & opt (list (enum (List.map (fun n -> (n, n)) H.Catalog.all_names)))
-          H.Catalog.all_names
-      & info [ "apps" ] ~doc:"Comma-separated benchmark subset.")
-  in
   let protos_t =
     Arg.(
       value
-      & opt (list proto_conv) H.Protozoo.default_protos
+      & opt (list proto_conv) H.Catalog.protocols
       & info [ "protos" ] ~doc:"Comma-separated protocol subset.")
   in
   let nodes_list_t =
@@ -358,16 +347,6 @@ let proto_cmd =
       value
       & opt (list int) H.Protozoo.default_nodes
       & info [ "n"; "nodes" ] ~doc:"Comma-separated node counts to sweep.")
-  in
-  let scale_t =
-    Arg.(
-      value & opt float 0.25
-      & info [ "scale" ] ~doc:"Data-set scale factor (default 0.25).")
-  in
-  let cache_t =
-    Arg.(
-      value & opt int 256
-      & info [ "cache" ] ~doc:"CPU cache size in KB (default 256).")
   in
   let tolerance_t =
     Arg.(
@@ -378,20 +357,12 @@ let proto_cmd =
              the best static protocol at any grid point (default 5).")
   in
   let run apps protos nodes scale cache_kb tolerance domains =
-    let domains = resolve_domains domains in
-    note_parallel domains;
     let cells =
       H.Protozoo.run ~apps ~protos ~nodes ~scale ~cache_kb ~domains ()
     in
     print_string (H.Protozoo.render cells);
     Printf.printf "(shootout host CPU: %.1fs)\n" (H.Protozoo.total_cpu_s cells);
-    (match Sys.getenv_opt "TT_BENCH_JSON" with
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (H.Protozoo.to_json cells);
-        close_out oc;
-        Printf.printf "(wrote shootout cells to %s)\n" path
-    | None -> ());
+    write_bench_json "shootout cells" (H.Protozoo.to_json cells);
     match H.Protozoo.adaptive_regressions ~tolerance:(tolerance /. 100.0) cells
     with
     | [] ->
@@ -413,41 +384,32 @@ let proto_cmd =
   in
   Cmd.v (Cmd.info "proto" ~doc)
     Term.(
-      const run $ apps_t $ protos_t $ nodes_list_t $ scale_t $ cache_t
-      $ tolerance_t $ domains_t)
+      const run $ apps_t H.Catalog.all_names $ protos_t $ nodes_list_t
+      $ sweep_scale_t $ cache_t $ tolerance_t $ domains_t)
 
 (* --- tt verify --- *)
 
 let verify_cmd =
   let run nodes scale =
-    let machines = [ "dirnnb"; "stache"; "update" ] in
     let failures = ref 0 in
     List.iter
       (fun app ->
         List.iter
-          (fun mlabel ->
-            let machine =
-              H.Machine.of_name mlabel { Params.default with Params.nodes }
+          (fun machine ->
+            let status =
+              match
+                H.Run.cell ~verify:true
+                  ( H.Catalog.make ~name:app ~size:H.Catalog.Small ~scale,
+                    machine,
+                    { Params.default with Params.nodes } )
+              with
+              | m -> Printf.sprintf "OK (%d cycles)" m.H.Run.cycles
+              | exception e ->
+                  incr failures;
+                  "FAILED: " ^ Printexc.to_string e
             in
-            let inst =
-              H.Catalog.make ~name:app ~size:H.Catalog.Small ~scale
-                ~nprocs:nodes
-            in
-            match
-              let r = H.Run.spmd machine ~name:app inst.H.Catalog.body in
-              ignore
-                (H.Run.spmd machine ~name:(app ^ "-verify") ~check:false
-                   inst.H.Catalog.verify);
-              r
-            with
-            | r ->
-                Printf.printf "  %-8s on %-8s OK (%d cycles)\n%!" app mlabel
-                  r.H.Run.cycles
-            | exception e ->
-                incr failures;
-                Printf.printf "  %-8s on %-8s FAILED: %s\n%!" app mlabel
-                  (Printexc.to_string e))
-          machines)
+            Printf.printf "  %-8s on %-9s %s\n%!" app machine status)
+          H.Machine.names)
       H.Catalog.names;
     if !failures = 0 then
       print_endline "all benchmarks match their sequential oracles on every \
@@ -492,13 +454,6 @@ let tables_cmd =
 (* --- tt faults --- *)
 
 let faults_cmd =
-  let apps_t =
-    Arg.(
-      value
-      & opt (list (enum (List.map (fun n -> (n, n)) H.Catalog.names)))
-          H.Catalog.names
-      & info [ "apps" ] ~doc:"Comma-separated benchmarks to sweep.")
-  in
   let drops_t =
     Arg.(
       value
@@ -581,8 +536,6 @@ let faults_cmd =
   in
   let run apps machine drops seeds crashes request_drop response_drop burst
       credits spill nodes scale domains =
-    let domains = resolve_domains domains in
-    note_parallel domains;
     let pct = Option.map (fun p -> p /. 100.0) in
     let drops = List.map (fun p -> p /. 100.0) drops in
     let burst = if burst then Some (Tt_net.Faults.bursty ()) else None in
@@ -608,30 +561,15 @@ let faults_cmd =
      injection) behind the user-level reliable transport, verifying results \
      against the fault-free oracle and reporting retransmit overhead."
   in
-  let scale_t =
-    Arg.(
-      value & opt float 0.25
-      & info [ "scale" ] ~doc:"Data-set scale factor (default 0.25).")
-  in
-  let nodes_t =
-    Arg.(value & opt int 8 & info [ "n"; "nodes" ] ~doc:"Number of nodes.")
-  in
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(
-      const run $ apps_t $ machine_t ~names:H.Machine.names $ drops_t
-      $ seeds_t $ crash_t $ req_drop_t $ resp_drop_t $ burst_t $ credits_t
-      $ spill_t $ nodes_t $ scale_t $ domains_t)
+      const run $ apps_t H.Catalog.names $ machine_t ~names:H.Machine.names
+      $ drops_t $ seeds_t $ crash_t $ req_drop_t $ resp_drop_t $ burst_t
+      $ credits_t $ spill_t $ sweep_nodes_t $ sweep_scale_t $ domains_t)
 
 (* --- tt recover --- *)
 
 let recover_cmd =
-  let apps_t =
-    Arg.(
-      value
-      & opt (list (enum (List.map (fun n -> (n, n)) H.Catalog.names)))
-          H.Catalog.names
-      & info [ "apps" ] ~doc:"Comma-separated benchmarks to sweep.")
-  in
   let victims_t =
     Arg.(
       value
@@ -668,17 +606,7 @@ let recover_cmd =
       value & opt (list int) [ 1 ]
       & info [ "seeds" ] ~doc:"Comma-separated fault-model seeds.")
   in
-  let scale_t =
-    Arg.(
-      value & opt float 0.25
-      & info [ "scale" ] ~doc:"Data-set scale factor (default 0.25).")
-  in
-  let nodes_t =
-    Arg.(value & opt int 8 & info [ "n"; "nodes" ] ~doc:"Number of nodes.")
-  in
   let run apps machine victims crash_pcts rejoins seeds nodes scale domains =
-    let domains = resolve_domains domains in
-    note_parallel domains;
     let crash_fracs = List.map (fun p -> p /. 100.0) crash_pcts in
     let points =
       try
@@ -704,10 +632,10 @@ let recover_cmd =
   in
   Cmd.v (Cmd.info "recover" ~doc)
     Term.(
-      const run $ apps_t
+      const run $ apps_t H.Catalog.names
       $ machine_t ~names:(H.Machine.recoverable ())
-      $ victims_t $ crash_t $ rejoins_t $ seeds_t $ nodes_t $ scale_t
-      $ domains_t)
+      $ victims_t $ crash_t $ rejoins_t $ seeds_t $ sweep_nodes_t
+      $ sweep_scale_t $ domains_t)
 
 (* --- tt torture --- *)
 
@@ -717,7 +645,7 @@ let torture_cmd =
   let litmus_t =
     Arg.(
       value
-      & opt (list (enum (List.map (fun n -> (n, n)) L.names))) L.names
+      & opt (list (names_conv L.names)) L.names
       & info [ "litmus" ]
           ~doc:"Comma-separated litmus shapes (default: all).")
   in
@@ -725,11 +653,7 @@ let torture_cmd =
     Arg.(
       value
       & opt
-          (list
-             (enum
-                (List.filter_map
-                   (fun n -> if n = "update" then None else Some (n, n))
-                   H.Machine.names)))
+          (list (names_conv (List.filter (( <> ) "update") H.Machine.names)))
           T.machines
       & info [ "machines" ]
           ~doc:
@@ -802,8 +726,6 @@ let torture_cmd =
   in
   let run litmus machines drops seeds iters perturb_rate no_shrink smoke out
       table replay domains =
-    let domains = resolve_domains domains in
-    note_parallel domains;
     let litmus, machines, drops, seeds, iters, perturb_rate =
       if smoke then
         (L.names, T.machines, [ 0.0; 5.0 ], T.default_seeds, 4, 0.25)

@@ -21,6 +21,13 @@ val make :
 (** [scale] < 1.0 shrinks the Table 3 data set for wall-clock-bounded runs
     (recorded in run output).  @raise Invalid_argument for unknown names. *)
 
+val em3d : Tt_app.Em3d.config -> nprocs:int -> app
+(** EM3D at any configuration (Figure 4 sweeps [pct_remote]);
+    [work_items] is its edge count. *)
+
+val synth : name:string -> Tt_app.Synth.config -> nprocs:int -> app
+(** A synthetic workload under [name]; [work_items] counts operations. *)
+
 val data_set_description : name:string -> size:size -> scale:float -> string
 (** e.g. "12x12x12" — the Table 3 cell, adjusted for scale. *)
 
@@ -30,7 +37,8 @@ val all_names : string list
     channel). *)
 
 val protocols : string list
-(** The protocol shootout's default list ({!Protozoo.default_protos}), all
-    of them {!Machine.names}: ["stache"] (the transparent default), the zoo
-    (["migratory"], ["prodcons"], ["widerep"], ["delayed"]) and
-    ["adaptive"] (per-page runtime switching). *)
+(** The protocol shootout's default list ({!Protozoo.run}):
+    {!Machine.names} without ["dirnnb"] and the EM3D-only ["update"] —
+    ["stache"] (the transparent default), the zoo (["migratory"],
+    ["prodcons"], ["widerep"], ["delayed"]) and ["adaptive"] (per-page
+    runtime switching). *)

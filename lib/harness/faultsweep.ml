@@ -105,10 +105,7 @@ let run_app ?request_drop ?response_drop ?burst ?credits ?spill
              in
              point ~name ~label:c.Recovery.machine_label ~drop ~crash
                ~recovery:(Some c.Recovery.outcome) ~seed
-               ~cycles:c.Recovery.cycles ~base stats
-               (match c.Recovery.failed with
-               | None -> Passed
-               | Some msg -> Failed msg)
+               ~cycles:c.Recovery.cycles ~base stats Passed
          | None -> (
              let reliability =
                Reliable.Flaky
@@ -121,8 +118,7 @@ let run_app ?request_drop ?response_drop ?burst ?credits ?spill
                  (m.Machine.merged_stats ()) outcome
              in
              match
-               Recovery.verified_run m ~name
-                 ~watchdog:(Recovery.watchdog base)
+               Run.verified m ~watchdog:(Recovery.watchdog base)
                  (Catalog.make ~name ~size ~scale ~nprocs:nodes)
              with
              | r -> finish Passed r.Run.cycles

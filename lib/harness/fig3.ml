@@ -18,38 +18,41 @@ let config_label (size, cache) =
 
 let ratio c = float_of_int c.stache_cycles /. float_of_int c.dirnnb_cycles
 
-let run_one ~name ~size ~cache ~scale ~nodes ~verify =
-  let params =
-    Params.with_cache { Params.default with Params.nodes } cache
-  in
-  let measure machine =
-    let app = Catalog.make ~name ~size ~scale ~nprocs:nodes in
-    let r = Run.spmd machine ~name:app.Catalog.app_name app.Catalog.body in
-    if verify then
-      ignore
-        (Run.spmd machine ~name:(name ^ "-verify") ~check:false
-           app.Catalog.verify);
-    r.Run.cycles
-  in
-  let dirnnb_cycles = measure (Machine.dirnnb params) in
-  let stache_cycles = measure (Machine.typhoon_stache params) in
-  { config_label = config_label (size, cache); dirnnb_cycles; stache_cycles }
-
 let run ?(apps = Catalog.names) ?(scale = 1.0) ?(nodes = 32) ?(verify = false)
-    () =
+    ?(domains = 0) () =
+  let grid =
+    List.concat_map
+      (fun name ->
+        List.concat_map
+          (fun config -> [ (name, config, "dirnnb"); (name, config, "stache") ])
+          configs)
+      apps
+  in
+  let cycles =
+    Tt_sim.Domains.map ~domains
+      (fun (name, (size, cache), machine) ->
+        let params =
+          Params.with_cache { Params.default with Params.nodes } cache
+        in
+        (Run.cell ~verify (Catalog.make ~name ~size ~scale, machine, params))
+          .Run.cycles)
+      grid
+    |> List.combine grid
+  in
+  let get key = List.assoc key cycles in
   List.map
     (fun name ->
-      let cells =
-        List.map
-          (fun (size, cache) ->
-            run_one ~name ~size ~cache ~scale ~nodes ~verify)
-          configs
-      in
       {
         bench = name;
         data_set =
           Catalog.data_set_description ~name ~size:Catalog.Small ~scale;
-        cells;
+        cells =
+          List.map
+            (fun config ->
+              { config_label = config_label config;
+                dirnnb_cycles = get (name, config, "dirnnb");
+                stache_cycles = get (name, config, "stache") })
+            configs;
       })
     apps
 

@@ -19,9 +19,11 @@ val configs : (Catalog.size * int) list
 
 val run :
   ?apps:string list -> ?scale:float -> ?nodes:int -> ?verify:bool ->
-  unit -> row list
+  ?domains:int -> unit -> row list
 (** Defaults: all five apps, scale 1.0 (paper data sets), 32 nodes, verify
-    off (the oracle check roughly doubles wall-clock). *)
+    off (the oracle check roughly doubles wall-clock).  Each (app,
+    configuration, machine) is one {!Run.cell}; [domains > 1] fans them
+    out bit-identically ({!Tt_sim.Domains.map}). *)
 
 val ratio : cell -> float
 

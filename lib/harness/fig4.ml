@@ -6,36 +6,36 @@ type point = {
 }
 
 let run ?(pcts = [ 0; 10; 20; 30; 40; 50 ]) ?(scale = 1.0) ?(nodes = 32)
-    ?(verify = false) () =
+    ?(verify = false) ?(domains = 0) () =
   let base = Tt_app.Em3d.large in
   let base = if scale = 1.0 then base else Tt_app.Em3d.scale base scale in
-  List.map
-    (fun pct_remote ->
-      let cfg = { base with Tt_app.Em3d.pct_remote } in
-      let inst = Tt_app.Em3d.make cfg ~nprocs:nodes in
-      let steady_edges = inst.Tt_app.Em3d.edges * cfg.Tt_app.Em3d.iters in
-      let measure machine =
-        let r = Run.spmd machine ~name:"em3d" inst.Tt_app.Em3d.body in
-        if verify then
-          ignore
-            (Run.spmd machine ~name:"em3d-verify" ~check:false
-               inst.Tt_app.Em3d.verify);
+  let grid =
+    List.concat_map
+      (fun pct -> [ (pct, "dirnnb"); (pct, "stache"); (pct, "update") ])
+      pcts
+  in
+  let params = { Params.default with Params.nodes } in
+  let per_edge =
+    Tt_sim.Domains.map ~domains
+      (fun (pct, machine) ->
+        let c = { base with Tt_app.Em3d.pct_remote = pct } in
+        let m = Run.cell ~verify (Catalog.em3d c, machine, params) in
         (* The paper's y-axis is execution cycles per edge *handled by one
            processor*: execution time (max processor cycles) divided by the
            edges each processor traverses.  The warm-up iteration's cycles
            are included, so count its edges too. *)
         let edges_per_proc =
-          (steady_edges + inst.Tt_app.Em3d.edges) / nodes
+          m.Run.work_items * (c.Tt_app.Em3d.iters + 1) / nodes
         in
-        float_of_int r.Run.cycles /. float_of_int edges_per_proc
-      in
-      let params = { Params.default with Params.nodes } in
-      {
-        pct_remote;
-        dirnnb = measure (Machine.dirnnb params);
-        stache = measure (Machine.typhoon_stache params);
-        update = measure (Machine.typhoon_em3d params);
-      })
+        float_of_int m.Run.cycles /. float_of_int edges_per_proc)
+      grid
+    |> List.combine grid
+  in
+  let get key = List.assoc key per_edge in
+  List.map
+    (fun pct ->
+      { pct_remote = pct; dirnnb = get (pct, "dirnnb");
+        stache = get (pct, "stache"); update = get (pct, "update") })
     pcts
 
 let render points =

@@ -13,9 +13,11 @@ type point = {
 }
 
 val run :
-  ?pcts:int list -> ?scale:float -> ?nodes:int -> ?verify:bool -> unit ->
-  point list
-(** Defaults: 0,10,20,30,40,50 %, scale 1.0 (large data set), 32 nodes. *)
+  ?pcts:int list -> ?scale:float -> ?nodes:int -> ?verify:bool ->
+  ?domains:int -> unit -> point list
+(** Defaults: 0,10,20,30,40,50 %, scale 1.0 (large data set), 32 nodes,
+    verify off.  Each (percentage, machine) is one {!Run.cell}; [domains >
+    1] fans them out bit-identically ({!Tt_sim.Domains.map}). *)
 
 val render : point list -> string
 

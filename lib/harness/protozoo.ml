@@ -12,31 +12,7 @@ type cell = {
 
 let default_nodes = [ 8; 16 ]
 
-let default_protos = Catalog.protocols
-
-let run_one ~app ~proto ~nodes ~scale ~cache_kb =
-  let t0 = Sys.time () in
-  let params =
-    Params.with_cache { Params.default with Params.nodes } (cache_kb * 1024)
-  in
-  let machine = Machine.of_name proto params in
-  let inst = Catalog.make ~name:app ~size:Catalog.Small ~scale ~nprocs:nodes in
-  let r = Run.spmd machine ~name:app inst.Catalog.body in
-  (* every cell is verified against the app's sequential oracle *)
-  ignore
-    (Run.spmd machine ~name:(app ^ "-verify") ~check:false inst.Catalog.verify);
-  let s = r.Run.run_stats in
-  {
-    app;
-    proto;
-    nodes;
-    cycles = r.Run.cycles;
-    msgs = Tt_util.Stats.get s "msgs.request" + Tt_util.Stats.get s "msgs.response";
-    switches = Tt_util.Stats.get s "switches";
-    cpu_s = Sys.time () -. t0;
-  }
-
-let run ?(apps = Catalog.all_names) ?(protos = default_protos)
+let run ?(apps = Catalog.all_names) ?(protos = Catalog.protocols)
     ?(nodes = default_nodes) ?(scale = 0.25) ?(cache_kb = 256) ?(domains = 0)
     () =
   let grid =
@@ -59,9 +35,19 @@ let run ?(apps = Catalog.all_names) ?(protos = default_protos)
       apps
   in
   (* cells are self-contained simulations, so they fan out over worker
-     domains bit-identically (same guarantee as the scaling sweep) *)
+     domains bit-identically (same guarantee as the scaling sweep); every
+     cell is verified against the app's sequential oracle *)
   Tt_sim.Domains.map ~domains
-    (fun (app, proto, n) -> run_one ~app ~proto ~nodes:n ~scale ~cache_kb)
+    (fun (app, proto, nodes) ->
+      let params =
+        Params.with_cache { Params.default with Params.nodes } (cache_kb * 1024)
+      in
+      let m =
+        Run.cell ~verify:true
+          (Catalog.make ~name:app ~size:Catalog.Small ~scale, proto, params)
+      in
+      { app; proto; nodes; cycles = m.Run.cycles; msgs = m.Run.msgs;
+        switches = m.Run.switches; cpu_s = m.Run.cpu_s })
     grid
 
 (* --- analysis --- *)
@@ -87,29 +73,35 @@ let best_static cells ~app ~nodes =
       else best)
     None cells
 
-(* Adaptive-vs-best-static gate: for every (app, nodes) point that has both
-   rows, adaptive must be within [tolerance] of the best static protocol.
-   Returns the offending descriptions (empty = pass). *)
+(* every (app, nodes) point that has both an adaptive row and a static
+   one, in sorted order: (adaptive cell, best static cell) *)
+let adaptive_vs_best cells =
+  List.sort_uniq compare (List.map (fun c -> (c.app, c.nodes)) cells)
+  |> List.filter_map (fun (app, nodes) ->
+         match
+           (cell_of cells ~app ~nodes ~proto:"adaptive",
+            best_static cells ~app ~nodes)
+         with
+         | Some a, Some b -> Some (a, b)
+         | _ -> None)
+
+(* Adaptive-vs-best-static gate: at every such point adaptive must be
+   within [tolerance] of the best static protocol.  Returns the offending
+   descriptions (empty = pass). *)
 let adaptive_regressions ?(tolerance = 0.05) cells =
-  let points =
-    List.sort_uniq compare (List.map (fun c -> (c.app, c.nodes)) cells)
-  in
   List.filter_map
-    (fun (app, nodes) ->
-      match cell_of cells ~app ~nodes ~proto:"adaptive", best_static cells ~app ~nodes with
-      | Some a, Some b ->
-          let limit =
-            int_of_float (ceil (float_of_int b.cycles *. (1.0 +. tolerance)))
-          in
-          if a.cycles > limit then
-            Some
-              (Printf.sprintf
-                 "%s at %d nodes: adaptive %d cycles > %.0f%% over best \
-                  static (%s, %d cycles)"
-                 app nodes a.cycles (tolerance *. 100.0) b.proto b.cycles)
-          else None
-      | _ -> None)
-    points
+    (fun (a, b) ->
+      let limit =
+        int_of_float (ceil (float_of_int b.cycles *. (1.0 +. tolerance)))
+      in
+      if a.cycles > limit then
+        Some
+          (Printf.sprintf
+             "%s at %d nodes: adaptive %d cycles > %.0f%% over best static \
+              (%s, %d cycles)"
+             a.app a.nodes a.cycles (tolerance *. 100.0) b.proto b.cycles)
+      else None)
+    (adaptive_vs_best cells)
 
 (* EM3D headline: cycles saved by the update protocol over the invalidate
    baseline, in percent, per node count (Figure 4's point). *)
@@ -159,24 +151,15 @@ let render cells =
     cells;
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Tt_util.Tablefmt.render table);
-  let points =
-    List.sort_uniq compare (List.map (fun c -> (c.app, c.nodes)) cells)
-  in
   List.iter
-    (fun (app, nodes) ->
-      match
-        cell_of cells ~app ~nodes ~proto:"adaptive", best_static cells ~app ~nodes
-      with
-      | Some a, Some b ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "%s at %d nodes: best static %s (%d cycles), adaptive %d \
-                cycles (%+.1f%%)\n"
-               app nodes b.proto b.cycles a.cycles
-               (100.0
-               *. ((float_of_int a.cycles /. float_of_int b.cycles) -. 1.0)))
-      | _ -> ())
-    points;
+    (fun (a, b) ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "%s at %d nodes: best static %s (%d cycles), adaptive %d cycles \
+            (%+.1f%%)\n"
+           a.app a.nodes b.proto b.cycles a.cycles
+           (100.0 *. ((float_of_int a.cycles /. float_of_int b.cycles) -. 1.0))))
+    (adaptive_vs_best cells);
   List.iter
     (fun (nodes, win) ->
       Buffer.add_string buf
@@ -212,23 +195,14 @@ let to_json cells =
             win))
      wins;
    Buffer.add_string buf "},\n");
-  let worst = ref 0.0 in
-  let points =
-    List.sort_uniq compare (List.map (fun c -> (c.app, c.nodes)) cells)
+  let worst =
+    List.fold_left
+      (fun worst (a, b) ->
+        let over = (float_of_int a.cycles /. float_of_int b.cycles) -. 1.0 in
+        if over > worst then over else worst)
+      0.0 (adaptive_vs_best cells)
   in
-  List.iter
-    (fun (app, nodes) ->
-      match
-        cell_of cells ~app ~nodes ~proto:"adaptive", best_static cells ~app ~nodes
-      with
-      | Some a, Some b ->
-          let over =
-            (float_of_int a.cycles /. float_of_int b.cycles) -. 1.0
-          in
-          if over > !worst then worst := over
-      | _ -> ())
-    points;
   Buffer.add_string buf
     (Printf.sprintf "  \"adaptive_max_over_best_static_pct\": %.1f\n}\n"
-       (100.0 *. !worst));
+       (100.0 *. worst));
   Buffer.contents buf

@@ -22,29 +22,18 @@ type cell = {
 val default_nodes : int list
 (** [[8; 16]] *)
 
-val default_protos : string list
-(** {!Catalog.protocols} *)
-
 val run :
   ?apps:string list -> ?protos:string list -> ?nodes:int list ->
   ?scale:float -> ?cache_kb:int -> ?domains:int -> unit -> cell list
-(** Run the grid (small data sets, default scale 0.25).  When the apps
-    include ["em3d"] and [protos] is the default, an ["update"] reference
-    row is added for it.  [domains > 1] fans the cells out bit-identically
+(** Run the grid (small data sets, default scale 0.25, default [protos]
+    {!Catalog.protocols}), one verified {!Run.cell} per cell.  When the
+    apps include ["em3d"] and [protos] lacks ["update"], an ["update"]
+    reference row is added for it.  [domains > 1] fans the cells out bit-identically
     ({!Tt_sim.Domains.map}). *)
-
-val best_static :
-  cell list -> app:string -> nodes:int -> cell option
-(** The cheapest non-adaptive generic protocol at one grid point
-    (excludes the EM3D ["update"] reference row). *)
 
 val adaptive_regressions : ?tolerance:float -> cell list -> string list
 (** Grid points where adaptive exceeds the best static protocol by more
     than [tolerance] (default 5%); empty means the adaptive gate passes. *)
-
-val em3d_update_wins : cell list -> (int * float) list
-(** Per node count: percent of cycles the EM3D update protocol saves over
-    the invalidate baseline (the Figure 4 headline). *)
 
 val render : cell list -> string
 (** Deterministic table plus per-point adaptive-vs-best-static and EM3D

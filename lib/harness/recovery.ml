@@ -59,30 +59,13 @@ let diagnose = function
 
 type baseline = { result : Run.result; msgs : int; lease : int }
 
-let total_msgs stats =
-  Stats.get stats "msgs.request" + Stats.get stats "msgs.response"
-
-let verified_run ?watchdog ?body m ~name (app : Catalog.app) =
-  let r =
-    Run.spmd m ~name ?watchdog (Option.value body ~default:app.Catalog.body)
-  in
-  (* the app's own verify checks the final data against its sequential
-     oracle — "results identical to fault-free" *)
-  ignore
-    (Run.spmd m ~name:(name ^ "-verify") ~check:false ?watchdog
-       app.Catalog.verify);
-  r
-
-(* one fault-free, verified run on a fresh machine *)
-let fault_free ~machine ~name ~size ~scale ~nodes =
-  let m = Machine.of_name machine { Params.default with Params.nodes } in
-  (m, verified_run m ~name (Catalog.make ~name ~size ~scale ~nprocs:nodes))
-
 let baseline ~machine ~name ~size ~scale ~nodes =
-  let m, r = fault_free ~machine ~name ~size ~scale ~nodes in
+  let m = Machine.of_name machine { Params.default with Params.nodes } in
+  let r = Run.verified m (Catalog.make ~name ~size ~scale ~nprocs:nodes) in
+  let get = Stats.get r.Run.run_stats in
   {
     result = r;
-    msgs = total_msgs r.Run.run_stats;
+    msgs = get "msgs.request" + get "msgs.response";
     (* detection lease with Liveness defaults: 4 missed periods of
        32 fabric latencies each *)
     lease = 4 * (32 * Reliable.latency m.Machine.net);
@@ -318,7 +301,6 @@ let cell ~machine ~name ~size ~scale ~nodes ~base ~victim ~frac ~rejoin ~seed
   let w = wire ~machine ~params ~config () in
   let app = Catalog.make ~name ~size ~scale ~nprocs:nodes in
   let watchdog = watchdog base in
-  let engine = w.m.Machine.engine in
   (* the last proc to finish stops the liveness loops so the event queue
      can drain *)
   let finished = ref 0 in
@@ -327,7 +309,7 @@ let cell ~machine ~name ~size ~scale ~nodes ~base ~victim ~frac ~rejoin ~seed
     incr finished;
     if !finished = w.nprocs then Liveness.stop w.lv
   in
-  let finish ~cycles ~outcome ~detail ~failed =
+  let finish ~cycles ~outcome ~detail =
     let stats = w.m.Machine.merged_stats () in
     ( {
         app = name;
@@ -346,36 +328,27 @@ let cell ~machine ~name ~size ~scale ~nodes ~base ~victim ~frac ~rejoin ~seed
         blocks_restored = Stats.get stats "recovery.blocks_restored";
         outcome;
         detail;
-        failed;
+        failed = None;
       },
       stats )
   in
-  match verified_run w.m ~name ~watchdog ~body app with
+  match Run.verified w.m ~watchdog { app with Catalog.body } with
   | r ->
       (* completed in place; the verify pass already matched the final
          data against the app's sequential oracle *)
       let outcome = if Liveness.deaths w.lv > 0 then Rehomed else Masked in
-      finish ~cycles:r.Run.cycles ~outcome ~detail:None ~failed:None
+      finish ~cycles:r.Run.cycles ~outcome ~detail:None
   | exception e ->
       let reason = match diagnose e with Some d -> d | None -> raise e in
       (* diagnosed abort: roll back — discard the damaged instance and
-         re-execute from the last consistent cut (modeled as a clean
-         re-execution; [depth] counts the checkpoint epochs of lost work,
-         [added_cycles] the cycles the aborted attempt burned) *)
-      let depth = w.ck.epochs in
-      let added_cycles = Engine.now engine in
-      match fault_free ~machine ~name ~size ~scale ~nodes with
-      | _, r2 ->
-          finish ~cycles:r2.Run.cycles
-            ~outcome:(Rolled_back { depth; added_cycles })
-            ~detail:(Some reason) ~failed:None
-      | exception e2 ->
-          let msg =
-            Printf.sprintf "%s; re-execution failed: %s" reason
-              (Printexc.to_string e2)
-          in
-          finish ~cycles:0 ~outcome:(Unrecoverable msg) ~detail:(Some reason)
-            ~failed:(Some msg)
+         re-execute from the last consistent cut, modeled as a clean
+         re-execution.  That run is deterministic and fault-free: it is the
+         verified baseline, whose cycles stand.  [depth] counts the
+         checkpoint epochs of lost work, [added_cycles] the cycles the
+         aborted attempt burned. *)
+      let added_cycles = Engine.now w.m.Machine.engine in
+      finish ~cycles:base.result.Run.cycles ~detail:(Some reason)
+        ~outcome:(Rolled_back { depth = w.ck.epochs; added_cycles })
 
 (* ------------------------------------------------------------------ *)
 (* The sweep                                                            *)
@@ -455,23 +428,16 @@ let render points =
         [ p.app; p.machine_label; string_of_int p.victim;
           string_of_int p.crash_at; rejoin_label p.rejoin;
           string_of_int p.seed; string_of_int p.cycles;
-          (if p.cycles = 0 then "-"
-           else
-             Printf.sprintf "%.2f"
-               (float_of_int p.cycles /. float_of_int p.base_cycles));
+          Printf.sprintf "%.2f"
+            (float_of_int p.cycles /. float_of_int p.base_cycles);
           string_of_int p.deaths; string_of_int p.revivals;
           string_of_int p.scrubbed; string_of_int p.epochs;
           string_of_int p.pages_rehomed; string_of_int p.blocks_restored;
-          (let truncate s =
-             if String.length s <= 48 then s else String.sub s 0 45 ^ "..."
-           in
-           match p.failed with
-          | Some msg -> "FAIL: " ^ truncate msg
-          | None -> (
-              outcome_label p.outcome
-              ^
-              match p.detail with
-              | Some d -> " [" ^ truncate d ^ "]"
-              | None -> "")) ])
+          (outcome_label p.outcome
+          ^
+          match p.detail with
+          | Some d when String.length d <= 48 -> " [" ^ d ^ "]"
+          | Some d -> " [" ^ String.sub d 0 45 ^ "...]"
+          | None -> "") ])
     points;
   Tt_util.Tablefmt.render t

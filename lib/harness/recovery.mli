@@ -27,18 +27,21 @@
       the application's own verify oracle ({!Masked} when the outage
       stayed under the detection lease, {!Rehomed} when recovery ran), or
       aborts with a diagnosis and is {e rolled back} — re-executed from a
-      clean boot — and verified there ({!Rolled_back}); {!Unrecoverable}
-      is reserved for a re-execution that itself fails.  Never silence,
-      never corruption. *)
+      clean boot, which is the deterministic fault-free run the verified
+      baseline already took ({!Rolled_back}).  Never silence, never
+      corruption. *)
 
 type outcome =
   | Masked  (** outage below the detection lease; retransmission hid it *)
   | Rehomed  (** death verdict fired, recovery ran, run completed in place *)
   | Rolled_back of { depth : int; added_cycles : int }
-      (** diagnosed abort, then verified re-execution; [depth] counts the
-          barrier-checkpoint epochs of lost work, [added_cycles] the
-          simulated cycles the aborted attempt burned *)
-  | Unrecoverable of string  (** even the re-execution failed *)
+      (** diagnosed abort, then re-execution from a clean boot (the
+          verified baseline's run); [depth] counts the barrier-checkpoint
+          epochs of lost work, [added_cycles] the simulated cycles the
+          aborted attempt burned *)
+  | Unrecoverable of string
+      (** no cell produces it since a rollback reuses the verified
+          baseline; kept because the whole-run benchmark matches on it *)
 
 val outcome_label : outcome -> string
 
@@ -61,12 +64,6 @@ val diagnose : exn -> string option
     [Link_failed: ], [Peer_dead: ], [Overload: ], [Invalid_argument: ]),
     or [None] for an exception no harness should capture. *)
 
-val verified_run :
-  ?watchdog:Watchdog.t -> ?body:(Tt_app.Env.t -> unit) -> Machine.t ->
-  name:string -> Catalog.app -> Run.result
-(** Run [body] (default the app's own) on the machine, then the app's
-    verify pass against its sequential oracle; the body run's result. *)
-
 type baseline = {
   result : Run.result;  (** the fault-free run: the oracle's yardstick *)
   msgs : int;  (** its request+response message total *)
@@ -76,7 +73,9 @@ type baseline = {
 val baseline :
   machine:string -> name:string -> size:Catalog.size -> scale:float ->
   nodes:int -> baseline
-(** One app's fault-free, verified run on the named machine. *)
+(** One app's fault-free, verified run on the named machine
+    ({!Run.verified}).  Deterministic, so it doubles as a rolled-back
+    cell's clean re-execution. *)
 
 val watchdog : baseline -> Watchdog.t
 (** The budgets every faulty run of the app gets: 100x the baseline's
@@ -103,9 +102,10 @@ type point = {
   failed : string option;
 }
 (** One classified crash cell: [cycles] belongs to the run whose results
-    stand (the re-execution when rolled back), [detail] is the diagnosed
-    abort reason behind a rollback, and [failed] is non-[None] only when
-    the cell could not be brought to verified results at all. *)
+    stand (the baseline's when rolled back), and [detail] is the
+    diagnosed abort reason behind a rollback.  [failed] is always [None]
+    now that a rollback reuses the verified baseline; it stays because
+    the whole-run benchmark reads it. *)
 
 val cell :
   machine:string -> name:string -> size:Catalog.size -> scale:float ->
@@ -117,8 +117,7 @@ val cell :
     ([Quick]: half the detection lease; [Late]: four leases), run one app
     under [faults ~seed crashes] (the crash schedule plus any message
     faults) with the full recovery stack wired, and classify the outcome.
-    Also returns the crash run's merged stats (the rollback's
-    re-execution leaves them alone).  The cell both {!run} and
+    Also returns the crash run's merged stats.  The cell both {!run} and
     {!Faultsweep}'s crash axis run. *)
 
 val run :

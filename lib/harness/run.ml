@@ -122,3 +122,37 @@ let spmd (machine : Machine.t) ~name ?(check = true) ?watchdog body =
     proc_cycles;
     run_stats = machine.Machine.merged_stats ();
   }
+
+let verified ?watchdog machine (app : Catalog.app) =
+  let r = spmd machine ~name:app.Catalog.app_name ?watchdog app.Catalog.body in
+  (* the app's own pass checks the final data against its sequential
+     oracle; it raises on the first mismatch *)
+  ignore
+    (spmd machine ~name:(app.Catalog.app_name ^ "-verify") ~check:false
+       ?watchdog app.Catalog.verify);
+  r
+
+type measure = {
+  cycles : int;
+  msgs : int;
+  switches : int;
+  work_items : int;
+  cpu_s : float;
+}
+
+let cell ~verify (app, machine, params) =
+  let t0 = Sys.time () in
+  let m = Machine.of_name machine params in
+  let app = app ~nprocs:params.Params.nodes in
+  let r =
+    if verify then verified m app
+    else spmd m ~name:app.Catalog.app_name app.Catalog.body
+  in
+  let get = Stats.get r.run_stats in
+  {
+    cycles = r.cycles;
+    msgs = get "msgs.request" + get "msgs.response";
+    switches = get "switches";
+    work_items = app.Catalog.work_items;
+    cpu_s = Sys.time () -. t0;
+  }

@@ -10,31 +10,39 @@ let default_nodes = [ 64; 128; 256 ]
 
 let ratio p = float_of_int p.stache_cycles /. float_of_int p.dirnnb_cycles
 
-let run_one ~app ~proto ~nodes ~scale ~cache_kb =
-  let t0 = Sys.time () in
-  let params =
-    Params.with_cache { Params.default with Params.nodes } (cache_kb * 1024)
-  in
-  let measure machine =
-    let inst =
-      Catalog.make ~name:app ~size:Catalog.Small ~scale ~nprocs:nodes
-    in
-    (Run.spmd machine ~name:inst.Catalog.app_name inst.Catalog.body)
-      .Run.cycles
-  in
-  let dirnnb_cycles = measure (Machine.dirnnb params) in
-  let stache_cycles = measure (Machine.of_name proto params) in
-  { app; nodes; dirnnb_cycles; stache_cycles; cpu_s = Sys.time () -. t0 }
-
 let run ?(apps = Catalog.names) ?(proto = "stache") ?(nodes = default_nodes)
     ?(scale = 0.25) ?(cache_kb = 256) ?(domains = 0) () =
-  (* Each grid cell is a self-contained pair of simulations — machines,
-     fabrics, threads all private to the cell — so the cells fan out over
-     worker domains untouched and the cycle columns are bit-identical to
-     the sequential sweep; only wall-clock changes. *)
-  List.concat_map (fun app -> List.map (fun n -> (app, n)) nodes) apps
-  |> Tt_sim.Domains.map ~domains (fun (app, n) ->
-         run_one ~app ~proto ~nodes:n ~scale ~cache_kb)
+  (* Each grid cell is a self-contained simulation — machine, fabric,
+     threads all private to the cell — so the cells fan out over worker
+     domains untouched and the cycle columns are bit-identical to the
+     sequential sweep; only wall-clock changes. *)
+  let points =
+    List.concat_map (fun app -> List.map (fun n -> (app, n)) nodes) apps
+  in
+  let grid =
+    List.concat_map (fun (app, n) -> [ (app, n, "dirnnb"); (app, n, proto) ])
+      points
+  in
+  let measured =
+    Tt_sim.Domains.map ~domains
+      (fun (app, n, machine) ->
+        let params =
+          Params.with_cache
+            { Params.default with Params.nodes = n }
+            (cache_kb * 1024)
+        in
+        Run.cell ~verify:false
+          (Catalog.make ~name:app ~size:Catalog.Small ~scale, machine, params))
+      grid
+    |> List.combine grid
+  in
+  let get key = List.assoc key measured in
+  List.map
+    (fun (app, n) ->
+      let d = get (app, n, "dirnnb") and t = get (app, n, proto) in
+      { app; nodes = n; dirnnb_cycles = d.Run.cycles;
+        stache_cycles = t.Run.cycles; cpu_s = d.Run.cpu_s +. t.Run.cpu_s })
+    points
 
 let render ?(proto = "stache") points =
   let typhoon_col =

@@ -11,8 +11,10 @@
 # 2. Engine smoke: a 64-node sweep diffed byte for byte against
 #    scripts/expected/scale64.txt, four 32-node Figure 3 cells diffed
 #    against scripts/expected/fig3_32.txt (suspension counters excluded),
-#    a TT_DEBUG_BLOCK trace that must still reach stderr, and one small
-#    verified run on every machine `tt list` names.
+#    small verified Figure 3/4, shootout and synthetic sweeps diffed
+#    against scripts/expected/experiments.txt, a TT_DEBUG_BLOCK trace that
+#    must still reach stderr, and tt verify: every benchmark on every
+#    machine against its sequential oracle.
 # 3. Torture: the litmus smoke grid reports no SC violation; the guarded
 #    sabotage knob (TT_SABOTAGE=1) must fail it, be shrunk to a reproducer
 #    artifact, and that artifact must replay to the same violation.
@@ -22,10 +24,11 @@
 #    crash-axis tables against scripts/expected/faults_crash.txt, and two
 #    identical sweeps print identical tables.
 # 5. Worker-domain determinism: the tt proto shootout (table and JSON
-#    cells), the scale sweep and a fault sweep are byte-identical on one
-#    and four domains.  On hosts with >= 4 cores the parallel scale sweep
-#    must also beat the sequential one by TT_CHECK_SPEEDUP_MIN (default
-#    1.5x); smaller hosts skip the speedup check.
+#    cells), the scale sweep, Figure 3 and a fault sweep are
+#    byte-identical on one and four domains.  On hosts with >= 4 cores the
+#    parallel scale sweep must also beat the sequential one by
+#    TT_CHECK_SPEEDUP_MIN (default 1.5x); smaller hosts skip the speedup
+#    check.
 # 6. Build flags and profiler: lib/ compiles with -inline (lib/dune) and
 #    perfbench/ does not, so the benchmark's host-speed yardstick compiles
 #    unchanged; the default (release) profile keeps the dev profile's
@@ -77,6 +80,16 @@ for app in em3d barnes; do
 done | grep -v suspensions >"$tmp/fig3_32.txt"
 diff -u scripts/expected/fig3_32.txt "$tmp/fig3_32.txt"
 
+echo "== small figures, shootout and synthetic sweeps =="
+{
+  "$TT" fig3 --apps ocean,em3d --nodes 8 --scale 0.05 --verify
+  "$TT" fig4 --pcts 0,50 --nodes 8 --scale 0.02 --verify
+  "$TT" proto --apps em3d,synthpc -n 8 --scale 0.1
+  "$TT" sweep -n 8 --remote 0,40
+  "$TT" sweep -n 8 --remote 0,40 --contended
+} | grep -v "host CPU" >"$tmp/experiments.txt"
+diff -u scripts/expected/experiments.txt "$tmp/experiments.txt"
+
 # 8388636 is a global DirNNB block of ocean's grid at this size.
 echo "== per-block trace, TT_DEBUG_BLOCK=8388636 =="
 TT_DEBUG_BLOCK=8388636 "$TT" run ocean --machine dirnnb --nodes 4 \
@@ -88,15 +101,8 @@ if [ "$lines" -lt 1 ]; then
   exit 1
 fi
 
-echo "== every catalogue machine runs and verifies =="
-machines=$("$TT" list | sed -n 's/^machines: *//p' | tr -d ,)
-if [ -z "$machines" ]; then
-  echo "FAIL: tt list printed no machines" >&2
-  exit 1
-fi
-for m in $machines; do
-  "$TT" run ocean --machine "$m" --nodes 4 --scale 0.05 --verify
-done
+echo "== every benchmark verifies on every catalogue machine =="
+"$TT" verify -n 4 --scale 0.05
 
 echo "==================== torture ===================="
 echo "== torture smoke grid =="
@@ -162,6 +168,11 @@ diff -u "$tmp/seq.txt" "$tmp/par.txt"
 seq_s=$((t1 - t0))
 par_s=$((t2 - t1))
 echo "(sequential ${seq_s}s wall, parallel ${par_s}s wall)"
+
+echo "== Figure 3, TT_DOMAINS=0 vs TT_DOMAINS=4 =="
+TT_DOMAINS=0 "$TT" fig3 --nodes 8 --scale 0.05 >"$tmp/seq.txt"
+TT_DOMAINS=4 "$TT" fig3 --nodes 8 --scale 0.05 2>/dev/null >"$tmp/par.txt"
+diff -u "$tmp/seq.txt" "$tmp/par.txt"
 
 echo "== fault sweep, TT_DOMAINS=0 vs TT_DOMAINS=4 =="
 TT_DOMAINS=0 "$TT" faults --apps em3d,mp3d --drops 5 --seeds 1 -n 4 \

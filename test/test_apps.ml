@@ -33,9 +33,7 @@ let verified_run name (mk : Params.t -> Machine.t) =
     Catalog.make ~name ~size:Catalog.Small ~scale:(tiny_scale name)
       ~nprocs:nodes
   in
-  let r = Run.spmd machine ~name app.Catalog.body in
-  ignore (Run.spmd machine ~name:(name ^ "-verify") ~check:false app.Catalog.verify);
-  r
+  Run.verified machine app
 
 let test_app_matches_oracle name () =
   List.iter
@@ -52,8 +50,7 @@ let test_em3d_matches_oracle_on_update_machine () =
     Catalog.make ~name:"em3d" ~size:Catalog.Small ~scale:(tiny_scale "em3d")
       ~nprocs:nodes
   in
-  ignore (Run.spmd machine ~name:"em3d" app.Catalog.body);
-  ignore (Run.spmd machine ~name:"em3d-verify" ~check:false app.Catalog.verify)
+  ignore (Run.verified machine app)
 
 let test_runs_are_deterministic () =
   (* identical seeds → identical cycle counts, on both machines *)

@@ -116,11 +116,61 @@ let test_every_machine_builds_and_verifies () =
       let inst =
         Catalog.make ~name:"ocean" ~size:Catalog.Small ~scale:0.05 ~nprocs:4
       in
-      ignore (Run.spmd machine ~name:"ocean" inst.Catalog.body);
-      ignore
-        (Run.spmd machine ~name:"ocean-verify" ~check:false
-           inst.Catalog.verify))
+      ignore (Run.verified machine inst))
     Machine.names
+
+(* the shootout's protocols are the catalogue minus dirnnb and update, in
+   catalogue order: [tt list] and [tt proto]'s default grid print them *)
+let test_protocols_derive_from_catalogue () =
+  Alcotest.(check (list string))
+    "protocols"
+    [ "stache"; "migratory"; "prodcons"; "widerep"; "delayed"; "adaptive" ]
+    Catalog.protocols
+
+(* a stub app: each processor works [100 * (proc + 1)] cycles; its verify
+   pass works one cycle and, when [bad], fails processor 0's oracle *)
+let stub ?(bad = false) () =
+  { Catalog.app_name = "stub";
+    body = (fun env -> env.Env.work (100 * (env.Env.proc + 1)));
+    verify =
+      (fun env ->
+        env.Env.work 1;
+        if bad && env.Env.proc = 0 then failwith "stub oracle mismatch");
+    work_items = 7 }
+
+let test_verified_returns_the_body_run () =
+  let r = Run.verified (Machine.dirnnb (params 4)) (stub ()) in
+  check_int "the body's cycles, not the verify pass's" 400 r.Run.cycles;
+  Alcotest.(check string) "named after the app" "stub" r.Run.app_name
+
+(* the oracle's failure surfaces from its verify-pass fiber *)
+let oracle_failure =
+  Thread.Failure_in ("stub-verify.cpu0", Failure "stub oracle mismatch")
+
+let test_verified_lets_a_failing_oracle_escape () =
+  Alcotest.check_raises "oracle failure" oracle_failure (fun () ->
+      ignore (Run.verified (Machine.dirnnb (params 4)) (stub ~bad:true ())))
+
+(* a cell builds its machine by name and one fresh app instance per run *)
+let test_cell_builds_a_fresh_app () =
+  let built = ref [] in
+  let app ~nprocs =
+    built := nprocs :: !built;
+    stub ()
+  in
+  let m = Run.cell ~verify:true (app, "stache", params 4) in
+  Alcotest.(check (list int)) "one instance, at the cell's nodes" [ 4 ] !built;
+  check_int "cycles" 400 m.Run.cycles;
+  check_int "work items" 7 m.Run.work_items;
+  check_int "no traffic" 0 m.Run.msgs;
+  ignore (Run.cell ~verify:false (app, "dirnnb", params 2));
+  Alcotest.(check (list int)) "a second cell, a second instance" [ 2; 4 ]
+    !built;
+  Alcotest.check_raises "verified cells run the oracle" oracle_failure
+    (fun () ->
+      ignore
+        (Run.cell ~verify:true
+           ((fun ~nprocs:_ -> stub ~bad:true ()), "update", params 2)))
 
 let test_sync_hooks_fire_in_install_order () =
   let machine = Machine.dirnnb (params 4) in
@@ -365,6 +415,17 @@ let () =
             test_every_machine_builds_and_verifies;
           Alcotest.test_case "sync hooks fire in install order" `Quick
             test_sync_hooks_fire_in_install_order;
+          Alcotest.test_case "protocols derive from the catalogue" `Quick
+            test_protocols_derive_from_catalogue;
+        ] );
+      ( "cell",
+        [
+          Alcotest.test_case "verified returns the body run" `Quick
+            test_verified_returns_the_body_run;
+          Alcotest.test_case "verified lets a failing oracle escape" `Quick
+            test_verified_lets_a_failing_oracle_escape;
+          Alcotest.test_case "a cell builds a fresh app" `Quick
+            test_cell_builds_a_fresh_app;
         ] );
       ( "np-timing",
         [

@@ -77,6 +77,14 @@ let test_scaling_parallel_parity () =
   check_int "grid size" 4 (List.length seq);
   check_bool "parallel sweep bit-identical" true (seq = sweep 3)
 
+let test_fig3_parallel_parity () =
+  let rows domains =
+    H.Fig3.run ~apps:[ "ocean"; "em3d" ] ~scale:0.05 ~nodes:4 ~domains ()
+  in
+  let seq = rows 0 in
+  check_int "rows" 2 (List.length seq);
+  check_bool "parallel rows bit-identical" true (seq = rows 2)
+
 let test_faultsweep_parallel_parity () =
   let sweep domains =
     H.Faultsweep.run ~apps:[ "em3d"; "mp3d" ] ~drops:[ 0.05 ] ~seeds:[ 1 ]
@@ -145,6 +153,8 @@ let () =
         [
           Alcotest.test_case "scaling sweep parity" `Slow
             test_scaling_parallel_parity;
+          Alcotest.test_case "fig3 rows parity" `Slow
+            test_fig3_parallel_parity;
           Alcotest.test_case "fault sweep parity" `Slow
             test_faultsweep_parallel_parity;
           Alcotest.test_case "torture grid parity" `Slow

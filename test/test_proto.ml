@@ -80,8 +80,7 @@ let test_mru_flushed_on_rejoin () =
 let test_adaptive_switches_and_verifies () =
   let machine = Machine.typhoon_adaptive (params 8) in
   let inst = Catalog.make ~name:"synthpc" ~size:Catalog.Small ~scale:0.25 ~nprocs:8 in
-  let r = Run.spmd machine ~name:"synthpc" inst.Catalog.body in
-  ignore (Run.spmd machine ~name:"synthpc-verify" ~check:false inst.Catalog.verify);
+  let r = Run.verified machine inst in
   let switches = Stats.get r.Run.run_stats "switches" in
   check_bool (Printf.sprintf "switches > 0 (got %d)" switches) true (switches > 0)
 

@@ -47,6 +47,31 @@ let test_grid_deterministic () =
   in
   check_bool "identical point lists" true (sweep () = sweep ())
 
+(* a rolled-back cell reports the fault-free baseline instead of running
+   the app again: sound only because the baseline is deterministic *)
+let test_rollback_reuses_baseline () =
+  let base () =
+    Recovery.baseline ~machine:"stache" ~name:"ocean"
+      ~size:Tt_harness.Catalog.Small ~scale:0.25 ~nodes:8
+  in
+  let b1 = base () and b2 = base () in
+  check_int "baseline cycles" b1.Recovery.result.Tt_harness.Run.cycles
+    b2.Recovery.result.Tt_harness.Run.cycles;
+  check_int "baseline msgs" b1.Recovery.msgs b2.Recovery.msgs;
+  match
+    Recovery.run ~apps:[ "ocean" ] ~victims:[ 3 ] ~rejoins:[ Recovery.Never ]
+      ()
+  with
+  | [ p ] -> (
+      match p.Recovery.outcome with
+      | Recovery.Rolled_back _ ->
+          check_int "the baseline's cycles"
+            b1.Recovery.result.Tt_harness.Run.cycles p.Recovery.cycles;
+          check_int "base_cycles" p.Recovery.base_cycles p.Recovery.cycles
+      | o -> Alcotest.failf "expected a rollback, got %s"
+               (Recovery.outcome_label o))
+  | points -> Alcotest.failf "expected one cell, got %d" (List.length points)
+
 let test_grid_dirnnb () =
   let points =
     Recovery.run ~apps:[ "ocean" ] ~machine:"dirnnb" ~victims:[ 3 ]
@@ -186,6 +211,8 @@ let () =
             test_grid_stache;
           Alcotest.test_case "bit-reproducible" `Quick
             test_grid_deterministic;
+          Alcotest.test_case "rollback reuses the baseline" `Quick
+            test_rollback_reuses_baseline;
           Alcotest.test_case "dirnnb late rejoin" `Quick
             test_grid_dirnnb;
           Alcotest.test_case "dirnnb miss re-issue" `Quick
