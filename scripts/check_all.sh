@@ -21,8 +21,10 @@
 # 4. Recovery: the Stache and DirNNB recover grids are diffed byte for byte
 #    against scripts/expected/recover.txt (DirNNB's cells re-issue
 #    survivors' misses and re-send a rejoining node's), the tt faults
-#    crash-axis tables against scripts/expected/faults_crash.txt, and two
-#    identical sweeps print identical tables.
+#    crash-axis tables against scripts/expected/faults_crash.txt, lossy
+#    fault sweeps (1% and 5% drops, bursts, two credits; Stache and DirNNB,
+#    every cell oracle-verified) against scripts/expected/faults_lossy.txt,
+#    and two identical sweeps print identical tables.
 # 5. Worker-domain determinism: the tt proto shootout (table and JSON
 #    cells), the scale sweep, Figure 3 and a fault sweep are
 #    byte-identical on one and four domains.  On hosts with >= 4 cores the
@@ -135,6 +137,14 @@ echo "== faults crash axis =="
   "$TT" faults --apps barnes --drops 1 --seeds 1 --crash never,late -m dirnnb
 } >"$tmp/faults_crash.txt"
 diff -u scripts/expected/faults_crash.txt "$tmp/faults_crash.txt"
+
+echo "== faults lossy transport =="
+{
+  "$TT" faults --apps em3d,mp3d,barnes --drops 1,5 --seeds 1,2 --burst \
+    --credits 2 --scale 0.1
+  "$TT" faults --apps mp3d,barnes --drops 1,5 --seeds 1,2 -m dirnnb --scale 0.1
+} >"$tmp/faults_lossy.txt"
+diff -u scripts/expected/faults_lossy.txt "$tmp/faults_lossy.txt"
 
 echo "== recover grid determinism =="
 out1=$("$TT" recover --apps ocean --victims 3)
