@@ -192,7 +192,7 @@ let profile_cmd =
   in
   let doc =
     "Run one cell as $(b,tt run) does (same arguments, same output) under a \
-     SIGPROF sampling profiler, then report where the host time went: by \
+     wall-clock sampling profiler, then report where the host time went: by \
      CPU fiber versus engine event, by function and by module."
   in
   Cmd.v (Cmd.info "profile" ~doc) Term.(const profile $ run_cell_t)

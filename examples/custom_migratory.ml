@@ -1,4 +1,4 @@
-(* Writing a coherence protocol from scratch against raw Tempest.
+(* Writing a coherence protocol from the ground up against raw Tempest.
 
    Migratory data — objects that are read-and-then-written by one processor
    at a time (work queues, reduction cells) — is a worst case for an
@@ -67,13 +67,13 @@ let rec serve t (ep : Tempest.t) block =
         Hashtbl.replace t.owners block requester;
         ep.Tempest.charge 6;
         ep.Tempest.send ~dst:requester ~vnet:Message.Response ~handler:t.h_data
-          ~args:[| block |] ~data ();
+          ~args:[| block |] ~data;
         serve t ep block
       end
       else begin
         ep.Tempest.charge 4;
         ep.Tempest.send ~dst:owner ~vnet:Message.Request ~handler:t.h_recall
-          ~args:[| block |] ()
+          ~args:[| block |] ~data:Bytes.empty
       end)
 
 let install sys stache =
@@ -101,7 +101,7 @@ let install sys stache =
         ep.Tempest.charge 4;
         (* send it home; home forwards to the waiting requester *)
         ep.Tempest.send ~dst:src ~vnet:Message.Response ~handler:t.h_data
-          ~args:[| block; 1 |] ~data ());
+          ~args:[| block; 1 |] ~data);
   t.h_data <-
     reg "mig.data" (fun ep ~src:_ ~args ~data ->
         let block = args.(0) in
@@ -128,7 +128,8 @@ let install sys stache =
       f.Tempest.fault_resumption;
     ep.Tempest.charge 6;
     ep.Tempest.send ~dst:(Stache.home_of stache ~vaddr:block)
-      ~vnet:Message.Request ~handler:t.h_get ~args:[| block |] ()
+      ~vnet:Message.Request ~handler:t.h_get ~args:[| block |]
+      ~data:Bytes.empty
   in
   Tempest.Handlers.set_block_fault tables ~mode:mode_mig_home (fault);
   Tempest.Handlers.set_block_fault tables ~mode:mode_mig_remote (fault);

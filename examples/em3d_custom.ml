@@ -13,6 +13,7 @@
      dune exec examples/em3d_custom.exe *)
 
 module Machine = Tt_harness.Machine
+module Catalog = Tt_harness.Catalog
 module Run = Tt_harness.Run
 module Em3d = Tt_app.Em3d
 
@@ -29,19 +30,15 @@ let () =
     cfg.Em3d.total_nodes cfg.Em3d.degree cfg.Em3d.pct_remote cfg.Em3d.iters
     nodes;
   let params = { Params.default with Params.nodes = nodes } in
+  (* every machine must produce the oracle's values: [Run.verified] raises
+     on the first mismatch *)
   let results =
     List.map
-      (fun (label, make) ->
-        let machine : Machine.t = make params in
-        let inst = Em3d.make cfg ~nprocs:nodes in
-        let r = Run.spmd machine ~name:"em3d" inst.Em3d.body in
-        (* every machine must produce the oracle's values *)
-        ignore
-          (Run.spmd machine ~name:"em3d-verify" ~check:false inst.Em3d.verify);
-        (label, r))
-      [ ("dirnnb", (fun p -> Machine.dirnnb p));
-        ("stache", fun p -> Machine.typhoon_stache p);
-        ("update", fun p -> Machine.typhoon_em3d p) ]
+      (fun name ->
+        ( name,
+          Run.verified (Machine.of_name name params)
+            (Catalog.em3d cfg ~nprocs:nodes) ))
+      [ "dirnnb"; "stache"; "update" ]
   in
   let base_cycles =
     match results with (_, r) :: _ -> r.Run.cycles | [] -> assert false

@@ -24,7 +24,7 @@ let initial ~n x y z k =
   (1.0 +. f x) *. (1.3 +. f y) *. (0.8 +. f z) +. (0.1 *. float_of_int k)
 
 (* The per-iteration math, shared verbatim by the SPMD body and the oracle
-   through the [get]/[set] accessors (u = state, r = rhs scratch).
+   through the [get]/[set] accessors (u = state, r = rhs work array).
    Sequence: rhs stencil; x-sweep; y-sweep; z-sweep; update. *)
 module Kernel = struct
   let rhs ~n ~get_u ~set_r ~range_z ~work =

@@ -26,7 +26,7 @@ type t = {
   prefetch : int -> unit;
   (* synchronization *)
   barrier : unit -> unit;
-  lock : int -> unit;  (** acquire lock [i] from the global pool *)
+  lock : int -> unit;  (** acquire lock [i] from the global lock table *)
   unlock : int -> unit;
   (* shared-heap allocation; call from processor 0 during setup phases *)
   alloc : ?home:int -> int -> int;

@@ -119,7 +119,7 @@ let on_get t (ep : Tempest.t) ~src ~args ~data:_ =
   Sharers.add sh src;
   ep.Tempest.charge c_get_extra;
   let data = ep.Tempest.force_read_block ~vaddr in
-  ep.Tempest.send_raw ~dst:src ~vnet:Message.Response ~handler:t.h_data
+  ep.Tempest.send ~dst:src ~vnet:Message.Response ~handler:t.h_data
     ~args:[| vaddr |] ~data
 
 (* consumer <- home: fetched data *)
@@ -173,7 +173,7 @@ let on_flush t (ep : Tempest.t) ~src:_ ~args ~data:_ =
             List.iter
               (fun consumer ->
                 Stats.incr t.counters "updates_sent";
-                ep.Tempest.send_raw ~dst:consumer ~vnet:Message.Request
+                ep.Tempest.send ~dst:consumer ~vnet:Message.Request
                   ~handler:t.h_update ~args:[| vaddr; step |] ~data)
               (Sharers.to_list sh)
           end)
@@ -196,7 +196,7 @@ let remote_block_fault t (ep : Tempest.t) (fault : Tempest.fault) =
   Inttbl.replace t.pending.(node) vaddr fault.Tempest.fault_resumption;
   ep.Tempest.charge 4;
   let home = Stache.home_of t.stache ~vaddr in
-  ep.Tempest.send_raw ~dst:home ~vnet:Message.Request ~handler:t.h_get
+  ep.Tempest.send ~dst:home ~vnet:Message.Request ~handler:t.h_get
     ~args:[| vaddr |] ~data:Bytes.empty
 
 let home_block_fault _t (_ep : Tempest.t) (fault : Tempest.fault) =
@@ -249,7 +249,7 @@ let flush_and_wait t ~th ~node ~kind =
       let step = ks.flush_step in
       ks.flush_step <- ks.flush_step + 1;
       Thread.advance th 5;
-      ep.Tempest.send_raw ~dst:node ~vnet:Message.Request ~handler:t.h_flush
+      ep.Tempest.send ~dst:node ~vnet:Message.Request ~handler:t.h_flush
         ~args:[| kid; step |] ~data:Bytes.empty);
   (* 2. fuzzy barrier: wait until all updates we are owed this step arrived *)
   let step = ks.wait_step in

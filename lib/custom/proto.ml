@@ -12,20 +12,6 @@ module Stats = Tt_util.Stats
 module Vec = Tt_util.Vec
 module Inttbl = Tt_util.Inttbl
 
-(* Scratch argument builders (same discipline as Stache's): the endpoint
-   copies args into a pooled message before returning, so no array literal
-   is allocated per send. *)
-let scratch1 sys a0 =
-  let s = Message.Pool.scratch (System.pool sys) 1 in
-  s.(0) <- a0;
-  s
-
-let scratch2 sys a0 a1 =
-  let s = Message.Pool.scratch (System.pool sys) 2 in
-  s.(0) <- a0;
-  s.(1) <- a1;
-  s
-
 (* ------------------------------------------------------------------ *)
 (* Shared custom-protocol plumbing (extracted from the EM3D protocol)  *)
 (* ------------------------------------------------------------------ *)
@@ -245,8 +231,8 @@ let push_update_to_sharers t (ep : Tempest.t) ~vaddr (bd : Dir.block_dir) =
       Stats.Counter.incr t.c_updates_sent;
       ep.Tempest.charge c_update_extra;
       t.outstanding.(home) <- t.outstanding.(home) + 1;
-      ep.Tempest.send_raw ~dst:s ~vnet:Message.Request ~handler:t.h_update
-        ~args:(scratch1 t.sys vaddr) ~data)
+      ep.Tempest.send ~dst:s ~vnet:Message.Request ~handler:t.h_update
+        ~args:[| vaddr |] ~data)
     (Sharers.to_list bd.Dir.sharers)
 
 (* --- message handlers (run on the NP) --- *)
@@ -268,8 +254,8 @@ let on_update t (ep : Tempest.t) ~src ~args ~data =
    end
    else Stats.Counter.incr t.c_updates_stale);
   ep.Tempest.charge c_ack_extra;
-  ep.Tempest.send_raw ~dst:src ~vnet:Message.Response ~handler:t.h_ack
-    ~args:(scratch1 t.sys vaddr) ~data:Bytes.empty
+  ep.Tempest.send ~dst:src ~vnet:Message.Response ~handler:t.h_ack
+    ~args:[| vaddr |] ~data:Bytes.empty
 
 (* home <- sharer: update acknowledged *)
 let on_ack t (ep : Tempest.t) ~src:_ ~args:_ ~data:_ =
@@ -367,8 +353,8 @@ let on_bulk_confirm t (ep : Tempest.t) ~src ~args ~data:_ =
     end
     else set_verdict i 2
   done;
-  ep.Tempest.send_raw ~dst:src ~vnet:Message.Response ~handler:t.h_bulk_adopt
-    ~args:(scratch2 t.sys first count) ~data:bm;
+  ep.Tempest.send ~dst:src ~vnet:Message.Response ~handler:t.h_bulk_adopt
+    ~args:[| first; count |] ~data:bm;
   t.outstanding.(home) <- t.outstanding.(home) - 1;
   if t.outstanding.(home) < 0 then invalid_arg "Proto: bulk confirm underflow";
   maybe_wake t home
@@ -446,8 +432,8 @@ let flush_prodcons t (ep : Tempest.t) ~home =
         Stats.Counter.incr t.c_pushes_sent;
         ep.Tempest.charge c_update_extra;
         let data = ep.Tempest.force_read_block ~vaddr in
-        ep.Tempest.send_raw ~dst:r ~vnet:Message.Request ~handler:t.h_push
-          ~args:(scratch1 t.sys vaddr) ~data
+        ep.Tempest.send ~dst:r ~vnet:Message.Request ~handler:t.h_push
+          ~args:[| vaddr |] ~data
       in
       let flush_run first count =
         if count = 0 then ()
@@ -472,8 +458,8 @@ let flush_prodcons t (ep : Tempest.t) ~home =
                  confirms which blocks stayed clean in flight (see
                  [on_bulk_confirm]) *)
               dep.Tempest.charge c_apply_extra;
-              dep.Tempest.send_raw ~dst:home ~vnet:Message.Request
-                ~handler:t.h_bulk_confirm ~args:(scratch2 t.sys first count)
+              dep.Tempest.send ~dst:home ~vnet:Message.Request
+                ~handler:t.h_bulk_confirm ~args:[| first; count |]
                 ~data:Bytes.empty)
         end
         else
@@ -583,8 +569,8 @@ let hooks t =
             if p = Widerep then begin
               (* eager update: harvest the block once the store commits *)
               ep.Tempest.charge 1;
-              ep.Tempest.send_raw ~dst:home ~vnet:Message.Request
-                ~handler:t.h_harvest ~args:(scratch1 t.sys vaddr)
+              ep.Tempest.send ~dst:home ~vnet:Message.Request
+                ~handler:t.h_harvest ~args:[| vaddr |]
                 ~data:Bytes.empty
             end;
             ep.Tempest.resume res;
@@ -735,8 +721,8 @@ let flush_release t ~th ~node =
     System.with_cpu_context t.sys ~node th (fun () ->
         Thread.advance th c_flush_post;
         t.flush_done.(node) <- false;
-        ep.Tempest.send_raw ~dst:node ~vnet:Message.Request ~handler:t.h_flush
-          ~args:(scratch1 t.sys 0) ~data:Bytes.empty);
+        ep.Tempest.send ~dst:node ~vnet:Message.Request ~handler:t.h_flush
+          ~args:[| 0 |] ~data:Bytes.empty);
     Thread.await_unit th (fun wake ->
         t.waiter.(node) <- Some (np_wake t.sys ~node th wake))
   end

@@ -53,11 +53,9 @@ let grant_upgrade = 2
 module Ctrl = struct
   (* The inbox is a circular ring (power-of-two capacity) and the dispatch
      event is one preallocated closure, so accepting and draining protocol
-     messages allocates nothing.  Messages are released back to their pool
-     after the handler runs — protocol handlers may not retain them. *)
+     messages allocates nothing. *)
   type t = {
     engine : Engine.t;
-    pool : Message.Pool.t;
     mutable clock : int;
     mutable busy : bool;
     mutable ring : Message.t array;
@@ -90,7 +88,6 @@ module Ctrl = struct
       t.count <- t.count - 1;
       t.handled <- t.handled + 1;
       t.exec msg;
-      Message.Pool.release t.pool msg;
       (* keep draining inline while no engine event is due at or before the
          controller clock; [skip_to] makes this observably identical to
          rescheduling one event per message (see Np.dispatch) *)
@@ -103,9 +100,9 @@ module Ctrl = struct
       else Engine.at t.engine t.clock t.self
     end
 
-  let create engine pool =
+  let create engine =
     let t =
-      { engine; pool; clock = 0; busy = false; ring = [||]; head = 0;
+      { engine; clock = 0; busy = false; ring = [||]; head = 0;
         count = 0; handled = 0;
         exec = (fun _ -> invalid_arg "Ctrl: exec not installed");
         self = (fun () -> ()); resv = Engine.reservation engine }
@@ -193,8 +190,6 @@ let fabric t = t.fabric
 
 let net t = t.net
 
-let pool t = Fabric.pool t.fabric
-
 let home_mem t i = t.nodes.(i).mem
 
 let cpu_cache t i = t.nodes.(i).cache
@@ -245,24 +240,9 @@ let block_data = Bytes.make Addr.block_size '\000'
 (* Data payloads are pure word accounting in DirNNB: values are canonical at
    the home memory (write-through-for-values model, DESIGN.md §4). *)
 
-let send t ~src ~at ~dst ~vnet ~handler ~args ~with_data =
+let send t ~src ~at ~dst ~vnet ~handler ~with_data args =
   let data = if with_data then block_data else Bytes.empty in
-  Reliable.send t.net ~at
-    (Message.Pool.acquire_raw (pool t) ~src ~dst ~vnet ~handler ~args ~data)
-
-(* Arity-specific wrappers filling a shared scratch array, so protocol
-   sends build no [| ... |] literal per message ([Pool.acquire] copies the
-   scratch synchronously). *)
-let send1 t ~src ~at ~dst ~vnet ~handler ~with_data a0 =
-  let args = Message.Pool.scratch (pool t) 1 in
-  args.(0) <- a0;
-  send t ~src ~at ~dst ~vnet ~handler ~args ~with_data
-
-let send2 t ~src ~at ~dst ~vnet ~handler ~with_data a0 a1 =
-  let args = Message.Pool.scratch (pool t) 2 in
-  args.(0) <- a0;
-  args.(1) <- a1;
-  send t ~src ~at ~dst ~vnet ~handler ~args ~with_data
+  Reliable.send t.net ~at (Message.make ~src ~dst ~vnet ~handler ~args ~data)
 
 (* Eviction of an exclusively-held line: hardware writeback to home. *)
 let writeback t node ~at block =
@@ -272,8 +252,8 @@ let writeback t node ~at block =
   Inttbl.replace node.wb_inflight block
     (1 + Option.value ~default:0 (Inttbl.find_opt node.wb_inflight block));
   let home = page_home t ~vpage:(block * Addr.block_size / Addr.page_size) in
-  send1 t ~src:node.id ~at ~dst:home ~vnet:Message.Request
-    ~handler:h_writeback ~with_data:true block
+  send t ~src:node.id ~at ~dst:home ~vnet:Message.Request
+    ~handler:h_writeback ~with_data:true [| block |]
 
 (* Fill a granted line at the requesting node's controller; returns the
    replacement cost (charged to the CPU when it resumes). *)
@@ -313,12 +293,12 @@ let deliver_grant t home ~requester block grant =
     wake (ctrl_fill t home block grant)
   end
   else if grant = grant_upgrade then
-    send1 t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:requester
-      ~vnet:Message.Response ~handler:h_upgrade_ok ~with_data:false block
+    send t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:requester
+      ~vnet:Message.Response ~handler:h_upgrade_ok ~with_data:false [| block |]
   else
-    send2 t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:requester
-      ~vnet:Message.Response ~handler:h_data ~with_data:true block
-      (if grant = grant_exclusive then 1 else 0)
+    send t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:requester
+      ~vnet:Message.Response ~handler:h_data ~with_data:true
+      [| block; (if grant = grant_exclusive then 1 else 0) |]
 
 (* Register a sharer, honouring the limited-pointer ablation: past the
    pointer limit the entry degrades to "broadcast on invalidation". *)
@@ -408,9 +388,9 @@ let rec start_txn t home kind requester block =
               entry.Directory.busy <-
                 Some { Directory.kind; requester; acks_left = 1 };
               Ctrl.charge ctrl p.Params.dir_per_msg;
-              send2 t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:o
-                ~vnet:Message.Request ~handler:h_recall ~with_data:false block
-                0
+              send t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:o
+                ~vnet:Message.Request ~handler:h_recall ~with_data:false
+                [| block; 0 |]
           | Some _ | None ->
               note_sharer t home entry requester;
               reply_data ~ex:false)
@@ -421,9 +401,9 @@ let rec start_txn t home kind requester block =
               entry.Directory.busy <-
                 Some { Directory.kind; requester; acks_left = 1 };
               Ctrl.charge ctrl p.Params.dir_per_msg;
-              send2 t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:o
-                ~vnet:Message.Request ~handler:h_recall ~with_data:false block
-                1
+              send t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:o
+                ~vnet:Message.Request ~handler:h_recall ~with_data:false
+                [| block; 1 |]
           | Some _ | None ->
               let victims = inval_victims t home entry ~requester in
               if victims = [] then begin
@@ -439,9 +419,9 @@ let rec start_txn t home kind requester block =
                 List.iter
                   (fun s ->
                     Ctrl.charge ctrl p.Params.dir_per_msg;
-                    send1 t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:s
+                    send t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:s
                       ~vnet:Message.Request ~handler:h_inval
-                      ~with_data:false block)
+                      ~with_data:false [| block |])
                   victims
               end)
       | Directory.Upgrade ->
@@ -466,9 +446,9 @@ let rec start_txn t home kind requester block =
               List.iter
                 (fun s ->
                   Ctrl.charge ctrl p.Params.dir_per_msg;
-                  send1 t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:s
+                  send t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:s
                     ~vnet:Message.Request ~handler:h_inval ~with_data:false
-                    block)
+                    [| block |])
                 victims
             end
           end)
@@ -564,8 +544,9 @@ let ctrl_exec t node msg =
       if ex then ignore (Cache.invalidate node.cache ~block)
       else Cache.downgrade node.cache ~block;
     Ctrl.charge ctrl p.Params.dir_per_msg;
-    send1 t ~src:node.id ~at:ctrl.Ctrl.clock ~dst:msg.Message.src
-      ~vnet:Message.Response ~handler:h_recall_data ~with_data:present block
+    send t ~src:node.id ~at:ctrl.Ctrl.clock ~dst:msg.Message.src
+      ~vnet:Message.Response ~handler:h_recall_data ~with_data:present
+      [| block |]
   end
   else if handler = h_inval then begin
     Stats.Counter.incr node.c_invals_received;
@@ -574,8 +555,8 @@ let ctrl_exec t node msg =
       (p.Params.remote_inval + (if present then p.Params.repl_shared else 0));
     ignore (Cache.invalidate node.cache ~block);
     Ctrl.charge ctrl p.Params.dir_per_msg;
-    send1 t ~src:node.id ~at:ctrl.Ctrl.clock ~dst:msg.Message.src
-      ~vnet:Message.Response ~handler:h_inval_ack ~with_data:false block
+    send t ~src:node.id ~at:ctrl.Ctrl.clock ~dst:msg.Message.src
+      ~vnet:Message.Response ~handler:h_inval_ack ~with_data:false [| block |]
   end
   else if handler = h_recall_data then begin
     Ctrl.charge ctrl (p.Params.dir_op + p.Params.dir_block_recv);
@@ -649,7 +630,7 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
               ~size_bytes:p.Params.cpu_cache_bytes
               ~assoc:p.Params.cpu_cache_assoc
               ~prng:(Tt_util.Prng.split prng) ();
-          ctrl = Ctrl.create engine (Fabric.pool fabric);
+          ctrl = Ctrl.create engine;
           dir = Directory.create ~nodes:p.Params.nodes;
           stats;
           c_accesses = Stats.counter stats "accesses";
@@ -749,11 +730,9 @@ let miss_via_directory t node th ~home ~handler block =
     Stats.Counter.incr node.c_remote_misses;
     Thread.advance th t.params.Params.remote_miss_base
   end;
-  let margs = Message.Pool.scratch (pool t) 1 in
-  margs.(0) <- block;
   let msg =
-    Message.Pool.acquire_raw (pool t) ~src:node.id ~dst:home
-      ~vnet:Message.Request ~handler ~args:margs ~data:Bytes.empty
+    Message.make ~src:node.id ~dst:home ~vnet:Message.Request ~handler
+      ~args:[| block |] ~data:Bytes.empty
   in
   let repl =
     Thread.await th (fun wake ->
@@ -1062,8 +1041,8 @@ let on_node_death t ~dead ~new_home ~restore =
         live n.id && n.miss_block >= 0
         && Inttbl.mem rehomed (n.miss_block * Addr.block_size / Addr.page_size)
       then
-        send1 t ~src:n.id ~at:now ~dst:new_home ~vnet:Message.Request
-          ~handler:n.miss_handler ~with_data:false n.miss_block)
+        send t ~src:n.id ~at:now ~dst:new_home ~vnet:Message.Request
+          ~handler:n.miss_handler ~with_data:false [| n.miss_block |])
     t.nodes
 
 (* The victim resumed heartbeating: its cache was emptied and every page
@@ -1076,9 +1055,9 @@ let on_node_rejoin t ~node =
   n.ctrl.Ctrl.clock <- max n.ctrl.Ctrl.clock (Engine.now t.engine);
   if n.miss_block >= 0 then begin
     let vpage = n.miss_block * Addr.block_size / Addr.page_size in
-    send1 t ~src:node ~at:(Engine.now t.engine) ~dst:(page_home t ~vpage)
+    send t ~src:node ~at:(Engine.now t.engine) ~dst:(page_home t ~vpage)
       ~vnet:Message.Request ~handler:n.miss_handler ~with_data:false
-      n.miss_block
+      [| n.miss_block |]
   end
 
 (* Protocol messages executed across all directory controllers: the

@@ -131,19 +131,25 @@ let summarize ~interval_s ~cpu_s ~caller stacks =
 
 let interval_s = 0.001
 
+(* A wall-clock timer, not [ITIMER_PROF]: Linux checks a process CPU-time
+   timer only on a scheduler tick that finds the process running, so on a
+   loaded host most expiries are never noticed (1-3 signals per 100 ms of
+   CPU time beside a busy simulator, against ~25 alone).  [ITIMER_REAL] is
+   a high-resolution timer that expires whether or not the process runs;
+   a signal raised while it is switched out is handled when it resumes. *)
 let sample f =
   let stacks = ref [] in
   let caller = names (Printexc.get_callstack max_depth) in
   let handler _ = stacks := Printexc.get_callstack max_depth :: !stacks in
-  let previous = Sys.signal Sys.sigprof (Sys.Signal_handle handler) in
+  let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle handler) in
   let set period =
     ignore
-      (Unix.setitimer Unix.ITIMER_PROF
+      (Unix.setitimer Unix.ITIMER_REAL
          { Unix.it_interval = period; it_value = period })
   in
   let stop () =
     set 0.0;
-    Sys.set_signal Sys.sigprof previous
+    Sys.set_signal Sys.sigalrm previous
   in
   let t0 = Sys.time () in
   set interval_s;
@@ -176,7 +182,8 @@ let pp ppf t =
     | _ -> []
   in
   Format.fprintf ppf
-    "profile: %d samples over %.2f s of CPU time (period %.3f ms requested)@."
+    "profile: %d samples over %.2f s of CPU time (period %.3f ms of wall \
+     time requested)@."
     t.samples t.cpu_s (t.interval_s *. 1000.0);
   List.iter
     (fun (w, n) ->

@@ -1,7 +1,12 @@
 (** Sampling host-time profiler ([tt profile]).
 
-    [sample f] runs [f] under a [SIGPROF] interval timer (process CPU
-    time).  The signal handler records [Printexc.get_callstack]; nothing
+    [sample f] runs [f] under a wall-clock interval timer ([ITIMER_REAL],
+    [SIGALRM]).  A process CPU-time timer ([ITIMER_PROF]) would be the
+    textbook choice, but Linux notices its expiries only on scheduler ticks
+    that find the process running: on a loaded host it delivers a small
+    fraction of the samples, sometimes none.  For the single CPU-bound run
+    that [tt profile] samples, wall time and CPU time coincide on an idle
+    host.  The signal handler records [Printexc.get_callstack]; nothing
     else runs in it.  The handler and timer exist only for the duration of
     [sample], so code that never calls it is unaffected.
 
@@ -39,8 +44,9 @@ type t = {
 
 val sample : (unit -> 'a) -> 'a * t
 (** [sample f] is [f ()] and its profile, sampled once per millisecond
-    of process CPU time (the kernel may coarsen the period; the report
-    gives the CPU time and the sample count). *)
+    of wall-clock time while [f] runs (a signal raised while the process
+    is switched out is handled when it resumes; the report gives the CPU
+    time and the sample count). *)
 
 val summarize :
   interval_s:float -> cpu_s:float -> caller:string array ->

@@ -22,7 +22,6 @@ type t = {
   port_free : int array; (* contention model: next free time per dst port *)
   receivers : (Message.t -> unit) option array;
   inflight : Message.t Tt_util.Intheap.t;
-  pool : Message.Pool.t; (* this machine's message freelists *)
   mutable fseq : int;
   mutable deliver_fn : unit -> unit; (* preallocated; set once in [create] *)
   counters : Stats.t;
@@ -63,7 +62,6 @@ let create engine ~nodes ~latency ?(local_latency = 1) ?words_per_cycle
       capacity; words_per_cycle; port_free = Array.make nodes 0;
       receivers = Array.make nodes None;
       inflight = Tt_util.Intheap.create ~capacity:64 ~dummy:Message.dummy ();
-      pool = Message.Pool.create ();
       fseq = 0;
       deliver_fn = (fun () -> ());
       counters;
@@ -80,8 +78,6 @@ let create engine ~nodes ~latency ?(local_latency = 1) ?words_per_cycle
 let nodes t = t.node_count
 
 let latency t = t.net_latency
-
-let pool t = t.pool
 
 let stats t = t.counters
 

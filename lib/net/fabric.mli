@@ -27,10 +27,6 @@ val nodes : t -> int
 
 val latency : t -> int
 
-val pool : t -> Message.Pool.t
-(** The machine's message pool: every layer on this fabric acquires and
-    releases its messages here. *)
-
 val set_receiver : t -> node:int -> (Message.t -> unit) -> unit
 (** Must be set for every node before traffic reaches it. *)
 

@@ -145,9 +145,7 @@ let crash_window t ~node =
       ( t.down_from.(node),
         if t.up_from.(node) = max_int then None else Some t.up_from.(node) )
 
-let crash_drop t msg =
-  Stats.Counter.incr t.c_crash_dropped;
-  Message.Pool.release (Fabric.pool t.fabric) msg
+let crash_drop t = Stats.Counter.incr t.c_crash_dropped
 
 let set_tap t tap = t.tap <- tap
 
@@ -228,20 +226,12 @@ let send_faulty t ~at msg =
     | Some f -> f ~site:t.site natural
   in
   t.site <- t.site + 1;
-  if d.dropped then begin
-    Stats.Counter.incr t.c_dropped;
-    (* the wire's reference dies here: a dropped message never reaches a
-       receiver, so nobody downstream will release it *)
-    Message.Pool.release (Fabric.pool t.fabric) msg
-  end
+  if d.dropped then Stats.Counter.incr t.c_dropped
   else begin
     if d.reorder_jitter > 0 then Stats.Counter.incr t.c_reordered;
     Fabric.send t.fabric ~at:(at + d.reorder_jitter) msg;
     if d.dup_jitter > 0 then begin
       Stats.Counter.incr t.c_duplicated;
-      (* the copy on the wire is a second reference; the receive path
-         releases each delivered instance independently *)
-      Message.Pool.retain msg;
       Fabric.send t.fabric ~at:(at + d.dup_jitter) msg
     end
   end
@@ -250,7 +240,7 @@ let send t ~at msg =
   (* A crashed source's network interface is dead silicon: the send
      vanishes before the fault model even sees it — no PRNG draw, no tap
      site, so crash schedules never shift the pinned main-stream order. *)
-  if is_down t ~node:msg.Message.src ~at then crash_drop t msg
+  if is_down t ~node:msg.Message.src ~at then crash_drop t
   else send_faulty t ~at msg
 
 (* Out-of-band send for the liveness protocol: bypasses the fault model's
@@ -260,5 +250,5 @@ let send t ~at msg =
    ends.  A down destination is checked again at delivery by the reliable
    layer; the send-time check here just short-circuits the common case. *)
 let send_oob t ~at msg =
-  if is_down t ~node:msg.Message.src ~at then crash_drop t msg
+  if is_down t ~node:msg.Message.src ~at then crash_drop t
   else Fabric.send t.fabric ~at msg

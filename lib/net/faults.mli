@@ -147,10 +147,10 @@ val crash_window : t -> node:int -> (int * int option) option
     is [None] for a permanent crash-stop; [None] if the node never
     crashes. *)
 
-val crash_drop : t -> Message.t -> unit
-(** Swallow a message on behalf of a crashed endpoint: count it under
-    [faults.crash_dropped] and release the wire's reference.  Used by
-    {!Reliable} for deliveries whose destination is down. *)
+val crash_drop : t -> unit
+(** Count a message swallowed on behalf of a crashed endpoint under
+    [faults.crash_dropped].  Used by {!Reliable} for deliveries whose
+    destination is down. *)
 
 val set_tap : t -> (site:int -> decision -> decision) option -> unit
 (** Install (or remove) a decision tap.  When set, every {!send} first

@@ -21,7 +21,7 @@ module Thread = Tt_sim.Thread
    responses may overtake parked requests (and fresh responses may
    overtake parked requests) — the same priority the NP dispatch loop
    gives the response network, and the reason the response vnet's separate
-   credit pool always retains enough credit to drain (§5.1). *)
+   credits always leave enough to drain (§5.1). *)
 
 type item = {
   i_seq : int; (* pair-local park order, spanning both sub-queues *)

@@ -19,7 +19,7 @@
       (§5.1's second-level status-handler dispatch), which releases parked
       messages in order, wakes blocked threads, and finally reports the
       remaining backlog to the node's registered status handler;
-    - the response vnet has its own credit pool, so parked responses never
+    - the response vnet has its own credits, so parked responses never
       wait on request credits and the NP's response-first priority (the
       deadlock-avoidance argument of §5.1) survives parking: parked
       responses may overtake parked requests, never the reverse.

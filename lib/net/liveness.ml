@@ -33,9 +33,8 @@ let heartbeat t ~node =
     if peer <> node then begin
       Stats.Counter.incr t.c_heartbeats;
       let m =
-        Message.Pool.acquire (Reliable.pool t.net) ~src:node ~dst:peer
-          ~vnet:Message.Response
-          ~handler:Reliable.liveness_handler ()
+        Message.make ~src:node ~dst:peer ~vnet:Message.Response
+          ~handler:Reliable.liveness_handler ~args:[||] ~data:Bytes.empty
       in
       Reliable.send_oob t.net ~at:now m
     end

@@ -163,9 +163,6 @@ and on_retx_timer st ch gen =
     Queue.iter
       (fun m ->
         Stats.Counter.incr st.c_retransmits;
-        (* each resend puts one more reference on the wire; the receive
-           path releases every arriving instance independently *)
-        Message.Pool.retain m;
         Faults.send st.faults ~at:now m)
       ch.unacked;
     ch.rto <- min (2 * ch.rto) st.rto_cap;
@@ -182,8 +179,7 @@ let process_ack st ~owner ~peer ackno =
         (not (Queue.is_empty ch.unacked))
         && (Queue.peek ch.unacked).Message.seq <= ackno
       do
-        Message.Pool.release (Fabric.pool st.fabric)
-          (Queue.pop ch.unacked);
+        ignore (Queue.pop ch.unacked);
         progressed := true
       done;
       if !progressed then begin
@@ -217,10 +213,10 @@ and on_ack_timer st ~src ~dst rc gen =
          no protocol payload, so ordering and delivery are best-effort
          (a lost ack is repaired by the sender's retransmission) *)
       let m =
-        Message.Pool.acquire (Fabric.pool st.fabric) ~src:dst ~dst:src
-          ~vnet:Message.Response
-          ~handler:ack_handler ~ack:ackno ()
+        Message.make ~src:dst ~dst:src ~vnet:Message.Response
+          ~handler:ack_handler ~args:[||] ~data:Bytes.empty
       in
+      m.Message.ack <- ackno;
       Faults.send st.faults ~at:(Engine.now st.engine) m
     end
   end
@@ -235,28 +231,23 @@ let deliver st msg =
             handler=%d)"
            msg.Message.dst msg.Message.src msg.Message.dst msg.Message.handler)
 
-(* Ownership: each arriving instance carries one wire reference.  It is
-   either consumed here (ack-only, duplicate, window drop: released),
-   handed to the application via [deliver] (the dispatcher releases it
-   after the handler returns), or parked in the reassembly table (the
-   table's reference; released back to the app when drained). *)
+(* Each arriving instance is consumed here (ack-only, heartbeat,
+   duplicate, window drop), handed to the application via [deliver], or
+   parked in the reassembly table until the gap before it fills. *)
 let on_wire st msg =
   let s = msg.Message.src and d = msg.Message.dst in
   (* a crashed destination's endpoint is deaf: the delivery vanishes before
      any transport state (acks, sequencing, liveness) can observe it *)
   if Faults.is_down st.faults ~node:d ~at:(Engine.now st.engine) then
-    Faults.crash_drop st.faults msg
+    Faults.crash_drop st.faults
   else begin
   if msg.Message.ack >= 0 then process_ack st ~owner:d ~peer:s msg.Message.ack;
   if msg.Message.seq < 0 then begin
     (* unsequenced: standalone acks and liveness heartbeats (consumed
        here) or local short-circuit traffic that bypassed the transport *)
-    if msg.Message.handler = ack_handler then
-      Message.Pool.release (Fabric.pool st.fabric) msg
-    else if msg.Message.handler = liveness_handler then begin
-      (match st.liveness_rx with Some f -> f msg | None -> ());
-      Message.Pool.release (Fabric.pool st.fabric) msg
-    end
+    if msg.Message.handler = ack_handler then ()
+    else if msg.Message.handler = liveness_handler then
+      (match st.liveness_rx with Some f -> f msg | None -> ())
     else deliver st msg
   end
   else begin
@@ -265,15 +256,13 @@ let on_wire st msg =
       (* duplicate of something already delivered (retransmit or fault
          dup); suppress, but refresh the ack so the sender stops *)
       Stats.Counter.incr st.c_dup_dropped;
-      Message.Pool.release (Fabric.pool st.fabric) msg;
       rc.need_ack <- true;
       arm_ack st ~src:s ~dst:d rc
     end
     else if msg.Message.seq >= rc.expected + st.window then begin
       (* beyond the reassembly window: drop without acking; the sender's
          retransmission re-offers it once the window has advanced *)
-      Stats.Counter.incr st.c_window_drops;
-      Message.Pool.release (Fabric.pool st.fabric) msg
+      Stats.Counter.incr st.c_window_drops
     end
     else begin
       if msg.Message.seq = rc.expected then begin
@@ -290,10 +279,8 @@ let on_wire st msg =
         in
         drain ()
       end
-      else if Inttbl.mem rc.ooo msg.Message.seq then begin
-        Stats.Counter.incr st.c_dup_dropped;
-        Message.Pool.release (Fabric.pool st.fabric) msg
-      end
+      else if Inttbl.mem rc.ooo msg.Message.seq then
+        Stats.Counter.incr st.c_dup_dropped
       else Inttbl.replace rc.ooo msg.Message.seq msg;
       rc.need_ack <- true;
       arm_ack st ~src:s ~dst:d rc
@@ -319,23 +306,18 @@ let flaky_send (st : flaky) ~at msg =
           rc.need_ack <- false;
           ackno
     in
-    (* stamp the transport envelope in place: the caller has handed its
-       reference over, and nobody else can see the message yet *)
+    (* stamp the transport envelope in place: the caller has handed the
+       message over, and nobody else can see it yet *)
     msg.Message.seq <- ch.next_seq;
     msg.Message.ack <- ack;
     ch.next_seq <- ch.next_seq + 1;
-    (* the retransmission queue holds its own reference until acked; the
-       caller's reference rides the wire *)
-    Message.Pool.retain msg;
+    (* the retransmission queue keeps the message until it is acked *)
     Queue.add msg ch.unacked;
     Stats.Counter.incr st.c_data_sent;
     if ch.parked then
       (* peer declared dead: hold for a possible rejoin, never wire it *)
-      Message.Pool.release (Fabric.pool st.fabric) msg
-    else if st.is_dead dst then begin
-      Message.Pool.release (Fabric.pool st.fabric) msg;
-      park_dead st ch
-    end
+      ()
+    else if st.is_dead dst then park_dead st ch
     else begin
       if not ch.timer_armed then arm_retx st ch;
       Faults.send st.faults ~at msg
@@ -463,7 +445,6 @@ let on_peer_alive t ~node =
             Queue.iter
               (fun m ->
                 Stats.Counter.incr st.c_rejoin_retransmits;
-                Message.Pool.retain m;
                 Faults.send st.faults ~at:now m)
               ch.unacked;
             arm_retx st ch
@@ -522,8 +503,6 @@ let scrub_unacked t ~node ~handler =
 let nodes t = Fabric.nodes t.fabric
 
 let latency t = Fabric.latency t.fabric
-
-let pool t = Fabric.pool t.fabric
 
 let stats t = t.counters
 

@@ -84,8 +84,7 @@ val set_death_notice : t -> (src:int -> dst:int -> unit) option -> unit
     uses to take over.  Flaky only. *)
 
 val set_liveness_receiver : t -> (Message.t -> unit) -> unit
-(** Consumer for arriving {!liveness_handler} messages (the transport
-    releases each message after the callback returns).  Flaky only. *)
+(** Consumer for arriving {!liveness_handler} messages.  Flaky only. *)
 
 val on_peer_death : t -> node:int -> unit
 (** Park every channel toward [node] now (verdict notification): cancel
@@ -114,9 +113,6 @@ val nodes : t -> int
 
 val latency : t -> int
 (** The wrapped fabric's hop latency (cycles). *)
-
-val pool : t -> Message.Pool.t
-(** The wrapped fabric's message pool ({!Fabric.pool}). *)
 
 val stats : t -> Tt_util.Stats.t
 (** Counters (Flaky only): [reliable.data_sent], [reliable.retransmits],

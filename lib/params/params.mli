@@ -57,7 +57,7 @@ type t = {
           sender out of credits parks (CPU) or spills (NP handler) until
           the receiver's NP finishes a message and returns the credit *)
   flow_response_credits : int;
-      (** same, response vnet — kept separate so responses always retain
+      (** same, response vnet — kept separate so responses always keep
           enough credit to drain (§5.1's deadlock-avoidance priority) *)
   flow_spill_capacity : int;
       (** per-node cap on the user-level overflow (spill) buffer; an NP

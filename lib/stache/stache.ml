@@ -11,27 +11,6 @@ let dbg_on vaddr = Tt_util.Debug.on ~key:(Tt_mem.Addr.block_base vaddr)
 
 let dbg vaddr fmt = Tt_util.Debug.log ~key:(Tt_mem.Addr.block_base vaddr) fmt
 
-(* Shared scratch argument builders: protocol sends pass these to the
-   endpoint's [send], which copies them into a pooled message before
-   returning, so no [| ... |] literal is allocated per message. *)
-let scratch1 sys a0 =
-  let s = Message.Pool.scratch (System.pool sys) 1 in
-  s.(0) <- a0;
-  s
-
-let scratch2 sys a0 a1 =
-  let s = Message.Pool.scratch (System.pool sys) 2 in
-  s.(0) <- a0;
-  s.(1) <- a1;
-  s
-
-let scratch3 sys a0 a1 a2 =
-  let s = Message.Pool.scratch (System.pool sys) 3 in
-  s.(0) <- a0;
-  s.(1) <- a1;
-  s.(2) <- a2;
-  s
-
 (* Guarded protocol-sabotage knob: when on, [on_inval] acknowledges the
    home node's invalidation without actually dropping the read-only copy,
    so subsequent reads on the sharer can return stale data — the seeded
@@ -194,14 +173,13 @@ let touch_dir (ep : Tempest.t) ~vaddr = ep.touch (Dir.dir_key ~vaddr)
 let send_data t (ep : Tempest.t) ~vaddr ~dst ~rw =
   let data = ep.Tempest.force_read_block ~vaddr in
   ep.Tempest.charge c_resp_extra;
-  ep.Tempest.send_raw ~dst ~vnet:Message.Response ~handler:t.h_data
-    ~args:(scratch2 t.sys vaddr (if rw then 1 else 0))
-    ~data
+  ep.Tempest.send ~dst ~vnet:Message.Response ~handler:t.h_data
+    ~args:[| vaddr; (if rw then 1 else 0) |] ~data
 
 let send_upgrade_ok t (ep : Tempest.t) ~vaddr ~dst =
   ep.Tempest.charge c_resp_extra;
-  ep.Tempest.send_raw ~dst ~vnet:Message.Response ~handler:t.h_upgrade_ok
-    ~args:(scratch1 t.sys vaddr) ~data:Bytes.empty
+  ep.Tempest.send ~dst ~vnet:Message.Response ~handler:t.h_upgrade_ok
+    ~args:[| vaddr |] ~data:Bytes.empty
 
 (* Grant the block to [client] assuming all conflicting copies are gone and
    the directory reflects the post-grant state change made by the caller. *)
@@ -323,8 +301,8 @@ let rec serve t (ep : Tempest.t) ~vaddr (bd : Dir.block_dir) client =
             (fun s ->
               Stats.Counter.incr t.c_inval;
               ep.Tempest.charge c_inval_extra;
-              ep.Tempest.send_raw ~dst:s ~vnet:Message.Request ~handler:t.h_inval
-                ~args:(scratch1 t.sys vaddr) ~data:Bytes.empty)
+              ep.Tempest.send ~dst:s ~vnet:Message.Request ~handler:t.h_inval
+                ~args:[| vaddr |] ~data:Bytes.empty)
             targets
         end
     (* ---- a remote exclusive copy must be recalled first ---- *)
@@ -340,8 +318,8 @@ let rec serve t (ep : Tempest.t) ~vaddr (bd : Dir.block_dir) client =
         Stats.Counter.incr t.c_recall;
         bd.Dir.pending <- Some { Dir.client; acks_left = 1; prev_owner = Some o };
         ep.Tempest.charge c_recall_extra;
-        ep.Tempest.send_raw ~dst:o ~vnet:Message.Request ~handler:t.h_recall
-          ~args:(scratch2 t.sys vaddr (if ex then 1 else 0)) ~data:Bytes.empty
+        ep.Tempest.send ~dst:o ~vnet:Message.Request ~handler:t.h_recall
+          ~args:[| vaddr; (if ex then 1 else 0) |] ~data:Bytes.empty
 
 and finish_pending t ep ~vaddr (bd : Dir.block_dir) =
   let pending = Option.get bd.Dir.pending in
@@ -374,8 +352,8 @@ let on_get t (ep : Tempest.t) ~src ~args ~data:_ =
   if current_home <> ep.Tempest.node then begin
     Stats.Counter.incr t.c_forwarded;
     ep.Tempest.charge 4;
-    ep.Tempest.send_raw ~dst:current_home ~vnet:Message.Request ~handler:t.h_get
-      ~args:(scratch3 t.sys vaddr args.(1) requester) ~data:Bytes.empty
+    ep.Tempest.send ~dst:current_home ~vnet:Message.Request ~handler:t.h_get
+      ~args:[| vaddr; args.(1); requester |] ~data:Bytes.empty
   end
   else begin
     Stats.Counter.incr
@@ -401,7 +379,6 @@ let on_data t (ep : Tempest.t) ~src:_ ~args ~data =
   | Some pending ->
       Inttbl.remove ns.pending_remote vaddr;
       ep.Tempest.force_write_block ~vaddr data;
-      ep.Tempest.recycle_block data;
       (if rw then ep.Tempest.set_rw ~vaddr else ep.Tempest.set_ro ~vaddr);
       ep.Tempest.charge c_arrival_extra;
       (match pending with
@@ -435,8 +412,8 @@ let on_inval t (ep : Tempest.t) ~src ~args ~data:_ =
   else if ep.Tempest.page_mapped ~vpage:(Addr.page_of vaddr) then
     ep.Tempest.invalidate ~vaddr;
   ep.Tempest.charge c_inval_extra;
-  ep.Tempest.send_raw ~dst:src ~vnet:Message.Response ~handler:t.h_inval_ack
-    ~args:(scratch1 t.sys vaddr) ~data:Bytes.empty
+  ep.Tempest.send ~dst:src ~vnet:Message.Response ~handler:t.h_inval_ack
+    ~args:[| vaddr |] ~data:Bytes.empty
 
 (* home <- sharer *)
 let on_inval_ack t (ep : Tempest.t) ~src:_ ~args ~data:_ =
@@ -470,15 +447,14 @@ let on_recall t (ep : Tempest.t) ~src ~args ~data:_ =
       ep.Tempest.set_ro ~vaddr;
       ep.Tempest.downgrade ~vaddr
     end;
-    ep.Tempest.send_raw ~dst:src ~vnet:Message.Response ~handler:t.h_recall_data
-      ~args:(scratch3 t.sys vaddr 1 (if ex then 1 else 0))
-      ~data
+    ep.Tempest.send ~dst:src ~vnet:Message.Response ~handler:t.h_recall_data
+      ~args:[| vaddr; 1; (if ex then 1 else 0) |] ~data
   end
   else
     (* our copy is gone (page replaced; the writeback is ahead of this nack
        in FIFO order, so home memory is already current) *)
-    ep.Tempest.send_raw ~dst:src ~vnet:Message.Response ~handler:t.h_recall_data
-      ~args:(scratch3 t.sys vaddr 0 (if ex then 1 else 0)) ~data:Bytes.empty
+    ep.Tempest.send ~dst:src ~vnet:Message.Response ~handler:t.h_recall_data
+      ~args:[| vaddr; 0; (if ex then 1 else 0) |] ~data:Bytes.empty
 
 (* home <- former owner *)
 let on_recall_data t (ep : Tempest.t) ~src ~args ~data =
@@ -488,10 +464,7 @@ let on_recall_data t (ep : Tempest.t) ~src ~args ~data =
   let bd = Dir.block_of ep ~vaddr in
   touch_dir ep ~vaddr;
   ep.Tempest.charge c_ack_extra;
-  if present then begin
-    ep.Tempest.force_write_block ~vaddr data;
-    ep.Tempest.recycle_block data
-  end;
+  if present then ep.Tempest.force_write_block ~vaddr data;
   match bd.Dir.pending with
   | None -> ()
   | Some pending ->
@@ -531,11 +504,8 @@ let on_writeback t (ep : Tempest.t) ~src ~args ~data =
   if current_home <> ep.Tempest.node then begin
     Stats.Counter.incr t.c_forwarded;
     ep.Tempest.charge 4;
-    (* NB: no recycle here — [data] is forwarded in the new message *)
-    ep.Tempest.send_raw ~dst:current_home ~vnet:Message.Request
-      ~handler:t.h_writeback
-      ~args:(scratch2 t.sys vaddr src)
-      ~data
+    ep.Tempest.send ~dst:current_home ~vnet:Message.Request
+      ~handler:t.h_writeback ~args:[| vaddr; src |] ~data
   end
   else begin
   Stats.Counter.incr t.c_writeback;
@@ -543,7 +513,6 @@ let on_writeback t (ep : Tempest.t) ~src ~args ~data =
   touch_dir ep ~vaddr;
   ep.Tempest.charge c_writeback_extra;
   ep.Tempest.force_write_block ~vaddr data;
-  ep.Tempest.recycle_block data;
   match bd.Dir.state with
   | Dir.Remote_excl o when o = src ->
       bd.Dir.state <- Dir.Idle;
@@ -553,11 +522,8 @@ let on_writeback t (ep : Tempest.t) ~src ~args ~data =
 
 (* Recovery sink: the scrub ({!Tt_net.Reliable.scrub_unacked}) rewrites
    held crash-era messages to this handler, so replayed queues keep their
-   sequence numbers but land harmlessly.  Data payloads are pooled blocks
-   and must go back to the pool. *)
-let on_noop _t (ep : Tempest.t) ~src:_ ~args:_ ~data =
-  ep.Tempest.charge 1;
-  if Bytes.length data = Addr.block_size then ep.Tempest.recycle_block data
+   sequence numbers but land harmlessly. *)
+let on_noop _t (ep : Tempest.t) ~src:_ ~args:_ ~data:_ = ep.Tempest.charge 1
 
 (* ------------------------------------------------------------------ *)
 (* Fault handlers                                                      *)
@@ -597,8 +563,8 @@ let remote_block_fault t (ep : Tempest.t) (fault : Tempest.fault) =
     Inttbl.replace ns.pending_remote vaddr
       (Some fault.Tempest.fault_resumption);
     ep.Tempest.charge c_req_extra;
-    ep.Tempest.send_raw ~dst:home ~vnet:Message.Request ~handler:t.h_get
-      ~args:(scratch2 t.sys vaddr (kind_code kind)) ~data:Bytes.empty
+    ep.Tempest.send ~dst:home ~vnet:Message.Request ~handler:t.h_get
+      ~args:[| vaddr; kind_code kind |] ~data:Bytes.empty
   end
 
 (* Block fault on a home page: operate on the directory directly (§3). *)
@@ -622,9 +588,9 @@ let replace_page t (ep : Tempest.t) ~vpage =
         (* the only up-to-date copy: send it home *)
         let data = ep.Tempest.force_read_block ~vaddr in
         ep.Tempest.charge c_writeback_extra;
-        ep.Tempest.send_raw ~dst:(ep.Tempest.page_home ~vpage)
+        ep.Tempest.send ~dst:(ep.Tempest.page_home ~vpage)
           ~vnet:Message.Request ~handler:t.h_writeback
-          ~args:(scratch1 t.sys vaddr) ~data
+          ~args:[| vaddr |] ~data
     | Tag.Read_only | Tag.Invalid ->
         (* read-only copies are dropped silently; the home directory keeps a
            stale sharer entry and future invalidations are simply acked *)
@@ -811,8 +777,8 @@ let prefetch t ~th ~node ~vaddr kind =
         ep.Tempest.set_busy ~vaddr;
         Inttbl.replace ns.pending_remote vaddr None;
         let code = match kind with `Ro -> 0 | `Rw -> 1 in
-        ep.Tempest.send_raw ~dst:(home_of t ~vaddr) ~vnet:Message.Request
-          ~handler:t.h_get ~args:(scratch2 t.sys vaddr code) ~data:Bytes.empty
+        ep.Tempest.send ~dst:(home_of t ~vaddr) ~vnet:Message.Request
+          ~handler:t.h_get ~args:[| vaddr; code |] ~data:Bytes.empty
       end)
 
 let migrate_page t ~th ~node ~vpage ~new_home =

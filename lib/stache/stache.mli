@@ -136,7 +136,7 @@ val set_is_dead : t -> (int -> bool) -> unit
 val noop_handler : t -> int
 (** Handler id of the registered recovery no-op sink ([stache.noop]) —
     the rewrite target for {!Tt_net.Reliable.scrub_unacked}.  It charges
-    one NP instruction and recycles pooled data payloads.
+    one NP instruction and ignores its payload.
     @raise Invalid_argument before {!install}. *)
 
 val snapshot_page : t -> vpage:int -> Bytes.t option

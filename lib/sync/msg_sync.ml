@@ -36,19 +36,6 @@ type t = {
 
 let stats t = t.counters_stats
 
-(* scratch argument builders (see Tt_net.Message.Pool.scratch): the
-   endpoint's [send] copies them into the pooled message synchronously *)
-let scratch1 sys a0 =
-  let s = Message.Pool.scratch (System.pool sys) 1 in
-  s.(0) <- a0;
-  s
-
-let scratch2 sys a0 a1 =
-  let s = Message.Pool.scratch (System.pool sys) 2 in
-  s.(0) <- a0;
-  s.(1) <- a1;
-  s
-
 (* resume helper: align the CPU clock with the local NP before waking *)
 let wake_cpu sys ~node th wake =
   Thread.set_clock th
@@ -62,8 +49,8 @@ let on_fa_req t (ep : Tempest.t) ~src ~args ~data:_ =
   ep.Tempest.charge 4;
   let old = cell.value in
   cell.value <- old + delta;
-  ep.Tempest.send_raw ~dst:src ~vnet:Message.Response ~handler:t.h_fa_resp
-    ~args:(scratch1 t.sys old) ~data:Bytes.empty
+  ep.Tempest.send ~dst:src ~vnet:Message.Response ~handler:t.h_fa_resp
+    ~args:[| old |] ~data:Bytes.empty
 
 let on_fa_resp t (ep : Tempest.t) ~src:_ ~args ~data:_ =
   let node = ep.Tempest.node in
@@ -92,8 +79,8 @@ let on_bar_arrive t (ep : Tempest.t) ~src ~args ~data:_ =
     Vec.clear cell.waiters;
     List.iter
       (fun node ->
-        ep.Tempest.send_raw ~dst:node ~vnet:Message.Response ~handler:release
-          ~args:(scratch1 t.sys id) ~data:Bytes.empty)
+        ep.Tempest.send ~dst:node ~vnet:Message.Response ~handler:release
+          ~args:[| id |] ~data:Bytes.empty)
       waiters
   end
 
@@ -139,9 +126,8 @@ let fetch_add t ~th ~node counter delta =
     invalid_arg "Msg_sync.fetch_add: already one outstanding on this node";
   let ep = System.endpoint t.sys node in
   System.with_cpu_context t.sys ~node th (fun () ->
-      ep.Tempest.send_raw ~dst:counter.c_home ~vnet:Message.Request
-        ~handler:t.h_fa_req
-        ~args:(scratch2 t.sys counter.c_id delta) ~data:Bytes.empty);
+      ep.Tempest.send ~dst:counter.c_home ~vnet:Message.Request
+        ~handler:t.h_fa_req ~args:[| counter.c_id; delta |] ~data:Bytes.empty);
   Thread.await th (fun wake ->
       ns.fa_wake <- Some (fun v -> wake_cpu t.sys ~node th (fun () -> wake v)))
 
@@ -159,9 +145,9 @@ let barrier_wait t ~th ~node barrier =
     invalid_arg "Msg_sync.barrier_wait: already waiting on this node";
   let ep = System.endpoint t.sys node in
   System.with_cpu_context t.sys ~node th (fun () ->
-      ep.Tempest.send_raw ~dst:barrier.b_home ~vnet:Message.Request
+      ep.Tempest.send ~dst:barrier.b_home ~vnet:Message.Request
         ~handler:t.h_bar_arrive
-        ~args:(scratch2 t.sys barrier.b_id barrier.b_participants)
+        ~args:[| barrier.b_id; barrier.b_participants |]
         ~data:Bytes.empty);
   Thread.await_unit th (fun wake ->
       ns.bar_wake <- Some (fun () -> wake_cpu t.sys ~node th wake))

@@ -18,11 +18,8 @@ type t = {
   charge : int -> unit;
   touch : int -> unit;
   send :
-    dst:int -> vnet:Tt_net.Message.vnet -> handler:int ->
-    ?args:int array -> ?data:Bytes.t -> unit -> unit;
-  send_raw :
-    dst:int -> vnet:Tt_net.Message.vnet -> handler:int ->
-    args:int array -> data:Bytes.t -> unit;
+    dst:int -> vnet:Tt_net.Message.vnet -> handler:int -> args:int array ->
+    data:Bytes.t -> unit;
   bulk_transfer :
     dst:int -> src_va:int -> dst_va:int -> len:int ->
     on_complete:(unit -> unit) -> unit;
@@ -44,7 +41,6 @@ type t = {
   downgrade : vaddr:int -> unit;
   force_read_block : vaddr:int -> Bytes.t;
   force_write_block : vaddr:int -> Bytes.t -> unit;
-  recycle_block : Bytes.t -> unit;
   force_read_i64 : vaddr:int -> int64;
   force_write_i64 : vaddr:int -> int64 -> unit;
   force_read_f64 : vaddr:int -> float;

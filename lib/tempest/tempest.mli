@@ -48,19 +48,15 @@ type t = {
           identified by an arbitrary stable key *)
   (* --- §2.1 messaging --- *)
   send :
-    dst:int -> vnet:Tt_net.Message.vnet -> handler:int ->
-    ?args:int array -> ?data:Bytes.t -> unit -> unit;
+    dst:int -> vnet:Tt_net.Message.vnet -> handler:int -> args:int array ->
+    data:Bytes.t -> unit;
       (** inject an active message; at the destination the registered handler
           runs on the NP.  Requests must use [vnet:Request], responses
-          [vnet:Response] (deadlock avoidance, §5.1). *)
-  send_raw :
-    dst:int -> vnet:Tt_net.Message.vnet -> handler:int ->
-    args:int array -> data:Bytes.t -> unit;
-      (** [send] without the optional-argument sugar: supplying an optional
-          argument boxes it in [Some] at the call site, so protocol hot
-          paths use this form (with a {!Tt_net.Message.Pool.scratch} args
-          array and [Bytes.empty] for no data) to send without allocating
-          a single word. *)
+          [vnet:Response] (deadlock avoidance, §5.1).  Pass [[||]] and
+          [Bytes.empty] for a message without arguments or data.  The
+          message references [args] and [data] without copying them: the
+          sender hands both over and must not change them afterwards, and
+          the receiving handler may keep them. *)
   (* --- §2.2 bulk transfer --- *)
   bulk_transfer :
     dst:int -> src_va:int -> dst_va:int -> len:int ->
@@ -92,13 +88,9 @@ type t = {
           (Shared) line, so a later store raises a bus transaction that the
           tag check can deny; used together with [set_ro] *)
   force_read_block : vaddr:int -> Bytes.t;
-      (** 32-byte load without tag check *)
+      (** 32-byte load without tag check, into a fresh buffer the caller
+          owns (it may send it as message data) *)
   force_write_block : vaddr:int -> Bytes.t -> unit;
-  recycle_block : Bytes.t -> unit;
-      (** hand a consumed 32-byte message buffer back to the endpoint's
-          block-buffer pool so a later [force_read_block] can reuse it.
-          Only call this when the handler is done with the buffer AND the
-          buffer is not being forwarded in another message. *)
   force_read_i64 : vaddr:int -> int64;
   force_write_i64 : vaddr:int -> int64 -> unit;
   force_read_f64 : vaddr:int -> float;
@@ -113,6 +105,8 @@ type t = {
     the node they execute on. *)
 
 type message_handler = t -> src:int -> args:int array -> data:Bytes.t -> unit
+(** A message handler may keep what it is given: [args] and [data] belong
+    to the delivered message, which nothing reuses. *)
 
 type block_fault_handler = t -> fault -> unit
 

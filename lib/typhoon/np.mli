@@ -47,9 +47,7 @@ val set_exec : t -> (work -> unit) -> unit
 val set_msg_exec : t -> (Tt_net.Message.t -> unit) -> unit
 (** Install a direct message executor, bypassing the [work] variant box
     that the default (routing through [set_exec]'s function) would
-    allocate per message.  The executor owns the delivered message and
-    must release it (see {!Tt_net.Message.Pool}) after the handler
-    returns. *)
+    allocate per message. *)
 
 val set_deferred_exec : t -> ((unit -> unit) -> unit) -> unit
 (** Same, for deferred chores. *)

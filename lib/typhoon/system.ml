@@ -15,37 +15,6 @@ module Inttbl = Tt_util.Inttbl
 
 type executor = Np_ctx | Cpu_ctx of Thread.t
 
-(* Fixed-size stack of recycled buffers of one length (32-byte cache
-   blocks, 64-byte bulk packets).  An array stack, not a list: pushing a
-   cons cell would allocate on every recycle and defeat the point. *)
-type bufpool = { bufs : Bytes.t array; mutable n : int }
-
-let pool_make cap = { bufs = Array.make cap Bytes.empty; n = 0 }
-
-let pool_take p size =
-  if p.n > 0 then begin
-    p.n <- p.n - 1;
-    let b = p.bufs.(p.n) in
-    p.bufs.(p.n) <- Bytes.empty;
-    b
-  end
-  else Bytes.create size
-
-let pool_put p b =
-  if Tt_util.Debug.pool_debug () then begin
-    (* a buffer released twice would be handed to two owners and silently
-       corrupt one of them; scan the pool and fail loudly instead *)
-    for i = 0 to p.n - 1 do
-      if p.bufs.(i) == b then
-        invalid_arg "recycle_block: buffer released twice"
-    done;
-    Bytes.fill b 0 (Bytes.length b) '\xde'
-  end;
-  if p.n < Array.length p.bufs then begin
-    p.bufs.(p.n) <- b;
-    p.n <- p.n + 1
-  end
-
 type node = {
   id : int;
   mem : Pagemem.t;
@@ -59,18 +28,9 @@ type node = {
   c_local_misses : Stats.counter;
   c_block_faults : Stats.counter;
   c_page_faults : Stats.counter;
-  (* recycled 32-byte block buffers so [force_read_block] does not
-     allocate per block transfer, and recycled 64-byte packet buffers for
-     [bulk_transfer] chunks *)
-  block_pool : bufpool;
-  bulk_pool : bufpool;
   mutable ctx : executor;
   mutable endpoint : Tempest.t option;
 }
-
-let block_pool_cap = 64
-
-let bulk_pool_cap = 64
 
 let bulk_chunk_size = 64
 
@@ -103,8 +63,6 @@ let handlers t = t.tables
 let fabric t = t.fabric
 
 let net t = t.net
-
-let pool t = Fabric.pool t.fabric
 
 let node_of t i = t.nodes.(i)
 
@@ -163,16 +121,10 @@ let make_endpoint t node =
     | Np_ctx -> Flow.send_from_handler t.flow ~at msg
     | Cpu_ctx th -> Flow.send_from_cpu t.flow ~at th msg
   in
-  let send_raw ~dst ~vnet ~handler ~args ~data =
-    let msg =
-      Message.Pool.acquire_raw (pool t) ~src:node.id ~dst ~vnet ~handler ~args
-        ~data
-    in
+  let send ~dst ~vnet ~handler ~args ~data =
+    let msg = Message.make ~src:node.id ~dst ~vnet ~handler ~args ~data in
     charge node (Costs.send_base + (Costs.send_per_word * Message.words msg));
     net_send ~at:(exec_clock node) msg
-  in
-  let send ~dst ~vnet ~handler ?(args = [||]) ?(data = Bytes.empty) () =
-    send_raw ~dst ~vnet ~handler ~args ~data
   in
   let touch key =
     match Cache.lookup (Np.dcache node.np) ~block:key with
@@ -213,28 +165,22 @@ let make_endpoint t node =
     (* Packetize [bulk_chunk_size] bytes at a time; packets are generated
        as deferred NP work so the transfer overlaps computation and yields
        to message handling (§5.2).  One chore closure carries the whole
-       transfer, re-posting itself per packet; full-size chunks draw their
-       buffer from the node's bulk pool (the receive handler recycles
-       them), short tails are allocated at their exact size so the packet's
-       word count — and thus its timing — is unchanged. *)
+       transfer, re-posting itself per packet; each chunk gets a fresh
+       buffer of its exact size, so a short tail's packet word count — and
+       thus its timing — is that of the bytes it carries. *)
     let off = ref 0 in
     let rec chore () =
       try
         let chunk = min bulk_chunk_size (len - !off) in
-        let data =
-          if chunk = bulk_chunk_size then pool_take node.bulk_pool chunk
-          else Bytes.create chunk
-        in
+        let data = Bytes.create chunk in
         Pagemem.read_bytes_into node.mem ~vaddr:(src_va + !off) ~dst:data
           ~dst_pos:0 ~len:chunk;
         let last = if !off + chunk >= len then 1 else 0 in
-        let args = Message.Pool.scratch (pool t) 3 in
-        args.(0) <- dst_va + !off;
-        args.(1) <- token;
-        args.(2) <- last;
         let msg =
-          Message.Pool.acquire_raw (pool t) ~src:node.id ~dst
-            ~vnet:Message.Request ~handler:t.bulk_handler_id ~args ~data
+          Message.make ~src:node.id ~dst ~vnet:Message.Request
+            ~handler:t.bulk_handler_id
+            ~args:[| dst_va + !off; token; last |]
+            ~data
         in
         Np.charge node.np
           (Costs.bulk_packet_overhead
@@ -258,7 +204,6 @@ let make_endpoint t node =
     charge = (fun n -> charge node n);
     touch;
     send;
-    send_raw;
     bulk_transfer;
     map_page;
     unmap_page;
@@ -294,7 +239,7 @@ let make_endpoint t node =
       (fun ~vaddr ->
         rtlb_access node vaddr;
         charge node Costs.force_block;
-        let buf = pool_take node.block_pool Addr.block_size in
+        let buf = Bytes.create Addr.block_size in
         Pagemem.read_block_into node.mem ~vaddr ~dst:buf ~dst_pos:0;
         buf);
     force_write_block =
@@ -305,11 +250,6 @@ let make_endpoint t node =
            a forced write invalidates any stale CPU-cached copy *)
         ignore (Cache.invalidate node.cache ~block:(Addr.block_of vaddr));
         Pagemem.write_block node.mem ~vaddr data);
-    recycle_block =
-      (fun b ->
-        let len = Bytes.length b in
-        if len = Addr.block_size then pool_put node.block_pool b
-        else if len = bulk_chunk_size then pool_put node.bulk_pool b);
     force_read_i64 =
       (fun ~vaddr ->
         rtlb_access node vaddr;
@@ -343,9 +283,6 @@ let np_prologue node =
   node.ctx <- Np_ctx;
   Np.charge node.np Costs.dispatch
 
-(* Execute one delivered message: dispatch to the registered user handler,
-   then return the message to its pool — a handler may read the message
-   only for the duration of the call. *)
 (* End-to-end credit return: the sender's credit comes back when the
    receiving NP has *executed* the message's handler, not on mere arrival —
    finite NP queues are covered by the same credits as the wire. *)
@@ -353,14 +290,17 @@ let return_credit t (msg : Message.t) =
   Flow.credit_return t.flow ~src:msg.Message.src ~dst:msg.Message.dst
     msg.Message.vnet
 
-let np_msg_exec t node (msg : Message.t) =
-  np_prologue node;
-  let ep = Option.get node.endpoint in
+(* Execute one delivered message: dispatch to the registered user handler,
+   which may keep what it is given. *)
+let dispatch_message t ep (msg : Message.t) =
   let handler = Tempest.Handlers.message t.tables msg.Message.handler in
   handler ep ~src:msg.Message.src ~args:msg.Message.args
     ~data:msg.Message.data;
-  return_credit t msg;
-  Message.Pool.release (pool t) msg
+  return_credit t msg
+
+let np_msg_exec t node msg =
+  np_prologue node;
+  dispatch_message t (Option.get node.endpoint) msg
 
 let np_deferred_exec node f =
   np_prologue node;
@@ -371,12 +311,7 @@ let np_exec t node work =
   np_prologue node;
   let ep = Option.get node.endpoint in
   (match work with
-  | Np.Message msg ->
-      let handler = Tempest.Handlers.message t.tables msg.Message.handler in
-      handler ep ~src:msg.Message.src ~args:msg.Message.args
-        ~data:msg.Message.data;
-      return_credit t msg;
-      Message.Pool.release (pool t) msg
+  | Np.Message msg -> dispatch_message t ep msg
   | Np.Block_fault fault ->
       Stats.Counter.incr node.c_block_faults;
       (match
@@ -451,8 +386,6 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
           c_local_misses = Stats.counter stats "local_misses";
           c_block_faults = Stats.counter stats "block_faults";
           c_page_faults = Stats.counter stats "page_faults";
-          block_pool = pool_make block_pool_cap;
-          bulk_pool = pool_make bulk_pool_cap;
           ctx = Np_ctx;
           endpoint = None;
         })
@@ -509,9 +442,6 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
       ep.Tempest.charge (Bytes.length data / 4);
       Pagemem.write_bytes (node_mem t ep.Tempest.node) ~vaddr:dst_va data
     end;
-    (* the packet's payload buffer is fully consumed: recycle it into this
-       node's bulk pool for outgoing transfers *)
-    ep.Tempest.recycle_block data;
     if last = 1 then begin
       match Inttbl.find_opt t.bulk_completions token with
       | Some complete ->

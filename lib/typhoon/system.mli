@@ -33,10 +33,6 @@ val fabric : t -> Tt_net.Fabric.t
 
 val net : t -> Tt_net.Reliable.t
 
-val pool : t -> Tt_net.Message.Pool.t
-(** The machine's message pool ({!Tt_net.Fabric.pool}): protocol libraries
-    build argument lists in its scratch arrays. *)
-
 val endpoint : t -> int -> Tempest.t
 
 val node_mem : t -> int -> Tt_mem.Pagemem.t

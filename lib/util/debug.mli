@@ -21,17 +21,3 @@ val on : key:int -> bool
 val log : key:int -> ('a, unit, string, unit) format4 -> 'a
 (** [log ~key fmt …] prints to stderr iff [on ~key].  Guard each call with
     {!on}: unguarded, it formats the message on every call. *)
-
-(** {2 Buffer-pool debugging} *)
-
-val set_pool_debug : bool -> unit
-(** Enable/disable pool debugging at runtime (the test suite turns it on).
-    Initial value comes from the [TT_POOL_DEBUG] environment variable
-    ([1] or [true] enables it). *)
-
-val pool_debug : unit -> bool
-(** When true, released pool buffers are poisoned (filled with [0xDE]) so
-    use-after-release reads garbage deterministically, and releasing the
-    same buffer twice is rejected with [Invalid_argument] instead of
-    silently aliasing one buffer under two owners.  Released pooled
-    messages likewise get their mutable fields poisoned. *)

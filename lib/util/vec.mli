@@ -34,8 +34,8 @@ val clear : 'a t -> unit
 
 val reset : 'a t -> unit
 (** Empty the vector but keep its storage for reuse (no allocation on the
-    next pushes).  The retained array still references the old elements;
-    use only where that retention is harmless (e.g. waiter lists holding
+    next pushes).  The kept array still references the old elements;
+    use only where holding them is harmless (e.g. waiter lists holding
     run-lifetime threads). *)
 
 val truncate : 'a t -> int -> unit

@@ -1,7 +1,3 @@
-(* Whole-suite invariant: pool-debug mode poisons released pool buffers
-   and rejects double-release (satellite of the zero-allocation PR). *)
-let () = Tt_util.Debug.set_pool_debug true
-
 (* Application-level tests: every benchmark must reproduce its sequential
    oracle on every machine, and runs must be deterministic. *)
 

@@ -1,7 +1,3 @@
-(* Whole-suite invariant: pool-debug mode poisons released pool buffers
-   and rejects double-release (satellite of the zero-allocation PR). *)
-let () = Tt_util.Debug.set_pool_debug true
-
 (* Shape assertions for the reproduced experiments (DESIGN.md §3):
 
    1. when the working set exceeds the CPU cache, Typhoon/Stache beats

@@ -1,7 +1,3 @@
-(* Whole-suite invariant: pool-debug mode poisons released pool buffers
-   and rejects double-release (satellite of the zero-allocation PR). *)
-let () = Tt_util.Debug.set_pool_debug true
-
 (* Tests for the Tempest extensions beyond the paper's core evaluation:
    user-level synchronization (§2 footnote), nonbinding prefetch (§5.4's
    Busy tag) and explicit page migration (§7). *)

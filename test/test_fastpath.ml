@@ -1,7 +1,3 @@
-(* Whole-suite invariant: pool-debug mode poisons released pool buffers
-   and rejects double-release (satellite of the zero-allocation PR). *)
-let () = Tt_util.Debug.set_pool_debug true
-
 (* Equivalence tests for the suspension-free fast path.
 
    TT_FASTPATH=1 elides the effect suspend/resume whenever a waker fires

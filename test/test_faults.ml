@@ -1,7 +1,3 @@
-(* Whole-suite invariant: pool-debug mode poisons released pool buffers
-   and rejects double-release (satellite of the zero-allocation PR). *)
-let () = Tt_util.Debug.set_pool_debug true
-
 (* Tier-1 fault-tolerance tests: a small fault-matrix smoke over the Fig. 3
    apps, determinism of faulty runs, and termination guarantees (watchdog
    budgets, dead-link escalation). *)

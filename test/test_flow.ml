@@ -1,7 +1,3 @@
-(* Whole-suite invariant: pool-debug mode poisons released pool buffers
-   and rejects double-release (satellite of the zero-allocation PR). *)
-let () = Tt_util.Debug.set_pool_debug true
-
 (* Finite buffering (§5.1): credit-based backpressure, the overflow/spill
    path with status-handler drains, graceful Overload aborts, NP ring
    capacities, and the watchdog's stall/deadlock detection.
@@ -106,7 +102,7 @@ let test_cpu_sender_blocks_and_resumes () =
         for _ = 1 to 20 do
           (* a tail send is the one suspension with_cpu_context allows *)
           System.with_cpu_context sys ~node:0 th (fun () ->
-              ep.Tempest.send_raw ~dst:1 ~vnet:Message.Request
+              ep.Tempest.send ~dst:1 ~vnet:Message.Request
                 ~handler:sink ~args:[||] ~data:Bytes.empty)
         done)
   in
@@ -140,7 +136,7 @@ let test_handler_sends_spill_and_drain () =
      the overflow buffer, never block *)
   Np.post_deferred (System.node_np sys 1) ~at:0 (fun () ->
       for _ = 1 to 20 do
-        ep1.Tempest.send_raw ~dst:0 ~vnet:Message.Request ~handler:sink
+        ep1.Tempest.send ~dst:0 ~vnet:Message.Request ~handler:sink
           ~args:[||] ~data:Bytes.empty
       done);
   Engine.run engine;
@@ -167,7 +163,7 @@ let test_spill_overflow_aborts_with_diagnostic () =
   Np.post_deferred (System.node_np sys 1) ~at:0 (fun () ->
       (* 1 direct + 4 spilled fill everything; the 6th must abort *)
       for _ = 1 to 10 do
-        ep1.Tempest.send_raw ~dst:0 ~vnet:Message.Request ~handler:sink
+        ep1.Tempest.send ~dst:0 ~vnet:Message.Request ~handler:sink
           ~args:[||] ~data:Bytes.empty
       done);
   match Engine.run engine with
@@ -193,8 +189,8 @@ let test_flow_deadlock_probe () =
     ~charge:(fun _ _ -> ())
     ~status:(fun _ ~pending:_ -> ());
   let m ~src ~dst =
-    Message.Pool.acquire_raw (Fabric.pool f) ~src ~dst ~vnet:Message.Request
-      ~handler:0 ~args:[||] ~data:Bytes.empty
+    Message.make ~src ~dst ~vnet:Message.Request ~handler:0 ~args:[||]
+      ~data:Bytes.empty
   in
   (* each direction: one direct send eats the credit, one send parks *)
   Flow.send_from_handler fl ~at:0 (m ~src:0 ~dst:1);
@@ -233,15 +229,12 @@ let mk_np ~capacity =
 
 let test_np_ring_wraparound_at_capacity () =
   let engine, np = mk_np ~capacity:16 in
-  let pool = Message.Pool.create () in
   let order = ref [] in
-  Np.set_msg_exec np (fun m ->
-      order := m.Message.handler :: !order;
-      Message.Pool.release pool m);
+  Np.set_msg_exec np (fun m -> order := m.Message.handler :: !order);
   let post i at =
     Np.post_message np ~at
-      (Message.Pool.acquire_raw pool ~src:0 ~dst:0 ~vnet:Message.Request
-         ~handler:i ~args:[||] ~data:Bytes.empty)
+      (Message.make ~src:0 ~dst:0 ~vnet:Message.Request ~handler:i ~args:[||]
+         ~data:Bytes.empty)
   in
   (* fill half, drain it — the ring's head is now mid-array, so refilling
      to exactly the capacity wraps the ring around the array boundary *)
@@ -256,13 +249,12 @@ let test_np_ring_wraparound_at_capacity () =
   done;
   check_int "ring holds exactly its capacity" 16 (Np.depth np);
   (let m =
-     Message.Pool.acquire_raw pool ~src:0 ~dst:0 ~vnet:Message.Request
-       ~handler:99 ~args:[||] ~data:Bytes.empty
+     Message.make ~src:0 ~dst:0 ~vnet:Message.Request ~handler:99 ~args:[||]
+       ~data:Bytes.empty
    in
    match Np.post_message np ~at:1000 m with
    | () -> Alcotest.fail "expected Overload on a full ring"
    | exception Overload.Overload msg ->
-       Message.Pool.release pool m;
        check_contains "diagnostic names the NP" "npT" msg;
        check_contains "diagnostic names the ring" "request ring full" msg);
   Engine.run engine;

@@ -1,7 +1,3 @@
-(* Whole-suite invariant: pool-debug mode poisons released pool buffers
-   and rejects double-release (satellite of the zero-allocation PR). *)
-let () = Tt_util.Debug.set_pool_debug true
-
 (* Tests for the harness layer: the machine facade, the SPMD runner, and
    regression tests for subtle simulator timing semantics. *)
 
@@ -255,9 +251,9 @@ let test_np_wait_then_run () =
   let ep = System.endpoint sys 0 in
   (* two self-sends: both arrive at t+1 and execute in order *)
   ep.Tempest.send ~dst:0 ~vnet:Tt_net.Message.Request ~handler:h
-    ~args:[| 1 |] ();
+    ~args:[| 1 |] ~data:Bytes.empty;
   ep.Tempest.send ~dst:0 ~vnet:Tt_net.Message.Request ~handler:h
-    ~args:[| 2 |] ();
+    ~args:[| 2 |] ~data:Bytes.empty;
   Engine.run engine;
   Alcotest.(check (list int)) "both ran in order" [ 1; 2 ] (List.rev !order)
 
@@ -387,7 +383,7 @@ let test_profile_samples_and_restores () =
   check_int "result passes through" 1 r;
   check_bool "took samples" true (p.Profile.samples > 0);
   check_bool "handler removed afterwards" true
-    (Sys.signal Sys.sigprof Sys.Signal_default = Sys.Signal_default)
+    (Sys.signal Sys.sigalrm Sys.Signal_default = Sys.Signal_default)
 
 let () =
   Alcotest.run "harness"

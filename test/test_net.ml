@@ -1,7 +1,3 @@
-(* Whole-suite invariant: pool-debug mode poisons released pool buffers
-   and rejects double-release (satellite of the zero-allocation PR). *)
-let () = Tt_util.Debug.set_pool_debug true
-
 (* Tests for active messages and the interconnect. *)
 
 module Engine = Tt_sim.Engine
@@ -22,7 +18,7 @@ let contains s sub =
 
 let msg ?(src = 0) ?(dst = 1) ?(vnet = Message.Request) ?(handler = 0)
     ?(args = [||]) ?(data = Bytes.empty) () =
-  Message.make ~src ~dst ~vnet ~handler ~args ~data ()
+  Message.make ~src ~dst ~vnet ~handler ~args ~data
 
 (* ---------------- Message ---------------- *)
 
@@ -176,7 +172,7 @@ let test_fabric_bandwidth_property =
              let at = !t in
              let m =
                Message.make ~src ~dst ~vnet:Message.Request ~handler:i
-                 ~args:(Array.make nargs 0) ()
+                 ~args:(Array.make nargs 0) ~data:Bytes.empty
              in
              (* shadow accounting *)
              let occupancy = (Message.words m + w - 1) / w in

@@ -108,8 +108,8 @@ let test_torture_parallel_parity () =
   check_bool "parallel grid bit-identical" true (seq = T.run_grid ~domains:3 cases)
 
 (* A whole machine simulation must be domain-relocatable: running the same
-   pinned round trip inside a fresh Domain.spawn (fresh DLS: message-pool
-   freelists, scratch arrays) must cost the identical simulated cycles. *)
+   pinned round trip inside a fresh Domain.spawn (fresh domain-local
+   state) must cost the identical simulated cycles. *)
 let round_trip () =
   let params = { Params.default with Params.nodes = 4 } in
   let machine = H.Machine.typhoon_stache params in

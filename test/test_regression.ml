@@ -1,7 +1,3 @@
-(* Whole-suite invariant: pool-debug mode poisons released pool buffers
-   and rejects double-release (satellite of the zero-allocation PR). *)
-let () = Tt_util.Debug.set_pool_debug true
-
 (* Simulated-cycle regression pins.
 
    The simulator's hot paths (event queue, counters, page translation) are

@@ -1,7 +1,3 @@
-(* Whole-suite invariant: pool-debug mode poisons released pool buffers
-   and rejects double-release (satellite of the zero-allocation PR). *)
-let () = Tt_util.Debug.set_pool_debug true
-
 (* End-to-end smoke tests: the same SPMD programs must run and produce
    identical data on both machines, with plausible relative timing. *)
 

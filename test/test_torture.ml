@@ -1,7 +1,3 @@
-(* Whole-suite invariant: pool-debug mode poisons released pool buffers
-   and rejects double-release (satellite of the zero-allocation PR). *)
-let () = Tt_util.Debug.set_pool_debug true
-
 (* Tier-1 tests for the consistency torture subsystem: the SC outcome
    oracle, a small deterministic litmus grid over both machines, schedule
    perturbation, trace record/replay, the sabotage-driven shrink pipeline,

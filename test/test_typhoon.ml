@@ -1,7 +1,3 @@
-(* Whole-suite invariant: pool-debug mode poisons released pool buffers
-   and rejects double-release (satellite of the zero-allocation PR). *)
-let () = Tt_util.Debug.set_pool_debug true
-
 (* Tests for the Typhoon machine: Table 1 semantics end-to-end, fault
    dispatch, NP scheduling, bulk transfer, cost charging. *)
 
@@ -257,12 +253,13 @@ let test_active_message_roundtrip () =
     Tempest.Handlers.register_message (System.handlers sys) ~name:"ping"
       (fun ep ~src ~args ~data:_ ->
         ep.Tempest.send ~dst:src ~vnet:Message.Response ~handler:!reply
-          ~args:[| args.(0) * 2 |] ())
+          ~args:[| args.(0) * 2 |] ~data:Bytes.empty)
   in
   reply := h_pong;
   ignore h_ping;
   let ep0 = System.endpoint sys 0 in
-  ep0.Tempest.send ~dst:2 ~vnet:Message.Request ~handler:h_ping ~args:[| 21 |] ();
+  ep0.Tempest.send ~dst:2 ~vnet:Message.Request ~handler:h_ping ~args:[| 21 |]
+    ~data:Bytes.empty;
   Engine.run engine;
   Alcotest.(check (list (pair int int))) "pong received" [ (2, 42) ] !got
 
@@ -273,7 +270,8 @@ let test_np_charges_cycles () =
       (fun ep ~src:_ ~args:_ ~data:_ -> ep.Tempest.charge 1000)
   in
   let ep0 = System.endpoint sys 0 in
-  ep0.Tempest.send ~dst:1 ~vnet:Message.Request ~handler:h ();
+  ep0.Tempest.send ~dst:1 ~vnet:Message.Request ~handler:h ~args:[||]
+    ~data:Bytes.empty;
   Engine.run engine;
   check_bool "np clock advanced by handler" true
     (Np.clock (System.node_np sys 1) >= 1000);
@@ -300,14 +298,17 @@ let test_np_response_priority () =
       (fun _ ~src:_ ~args:_ ~data:_ -> order := `Resp :: !order)
   in
   let ep0 = System.endpoint sys 0 in
-  ep0.Tempest.send ~dst:1 ~vnet:Message.Request ~handler:h_block ();
+  ep0.Tempest.send ~dst:1 ~vnet:Message.Request ~handler:h_block ~args:[||]
+    ~data:Bytes.empty;
   (* both of these arrive while the NP is executing h_block *)
   Engine.after engine 5 (fun () ->
       let ep2 = System.endpoint sys 2 in
-      ep2.Tempest.send ~dst:1 ~vnet:Message.Request ~handler:h_req ());
+      ep2.Tempest.send ~dst:1 ~vnet:Message.Request ~handler:h_req ~args:[||]
+        ~data:Bytes.empty);
   Engine.after engine 10 (fun () ->
       let ep3 = System.endpoint sys 3 in
-      ep3.Tempest.send ~dst:1 ~vnet:Message.Response ~handler:h_resp ());
+      ep3.Tempest.send ~dst:1 ~vnet:Message.Response ~handler:h_resp
+        ~args:[||] ~data:Bytes.empty);
   Engine.run engine;
   Alcotest.(check bool) "response ran before request" true
     (!order = [ `Req; `Resp ] (* reversed: Resp first *))

@@ -1,7 +1,3 @@
-(* Whole-suite invariant: pool-debug mode poisons released pool buffers
-   and rejects double-release (satellite of the zero-allocation PR). *)
-let () = Tt_util.Debug.set_pool_debug true
-
 (* Unit and property tests for tt_util: PRNG, int heap, int-keyed table,
    vector, bit set, statistics, table formatting, trace guard. *)
 
