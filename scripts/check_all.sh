@@ -24,7 +24,9 @@
 #    crash-axis tables against scripts/expected/faults_crash.txt, lossy
 #    fault sweeps (1% and 5% drops, bursts, two credits; Stache and DirNNB,
 #    every cell oracle-verified) against scripts/expected/faults_lossy.txt,
-#    and two identical sweeps print identical tables.
+#    em3d and appbt recover grids (unrecoverable, watchdog-stall, rehomed
+#    and masked cells) against scripts/expected/recover_apps.txt, and two
+#    identical sweeps print identical tables.
 # 5. Worker-domain determinism: the tt proto shootout (table and JSON
 #    cells), the scale sweep, Figure 3 and a fault sweep are
 #    byte-identical on one and four domains.  On hosts with >= 4 cores the
@@ -145,6 +147,13 @@ echo "== faults lossy transport =="
   "$TT" faults --apps mp3d,barnes --drops 1,5 --seeds 1,2 -m dirnnb --scale 0.1
 } >"$tmp/faults_lossy.txt"
 diff -u scripts/expected/faults_lossy.txt "$tmp/faults_lossy.txt"
+
+echo "== recover grids, em3d and appbt =="
+{
+  "$TT" recover --apps em3d,appbt --victims 3 --scale 0.1
+  "$TT" recover --apps em3d,appbt --victims 3 --scale 0.1 -m dirnnb
+} >"$tmp/recover_apps.txt"
+diff -u scripts/expected/recover_apps.txt "$tmp/recover_apps.txt"
 
 echo "== recover grid determinism =="
 out1=$("$TT" recover --apps ocean --victims 3)

@@ -600,26 +600,45 @@ let test_crash_window_heals_after_rejoin () =
     (Stats.get (Option.get (Reliable.fault_stats r)) "faults.crash_dropped"
     >= 1)
 
-let test_liveness_verdicts () =
-  (* lease/heartbeat detection over a crash window: one death verdict once
-     the victim has been silent past the lease, one revival verdict after
-     its heartbeats resume; the election picks the lowest live rank *)
+(* A [nodes]-node flaky fabric with receivers that drop everything, a
+   liveness detector over it, and its verdict hooks recording
+   [(node, cycle)] pairs (newest first). *)
+let liveness_rig ~nodes crashes =
   let e = Engine.create () in
-  let f = Fabric.create e ~nodes:4 ~latency:11 () in
-  let cfg =
-    Faults.uniform ~seed:1
-      ~crashes:[ Faults.crash ~victim:2 ~at:500 ~rejoin:20_000 () ]
-      ()
+  let f = Fabric.create e ~nodes ~latency:11 () in
+  let r =
+    Reliable.create e f (Reliable.Flaky (Faults.uniform ~seed:1 ~crashes ()))
   in
-  let r = Reliable.create e f (Reliable.Flaky cfg) in
-  for n = 0 to 3 do
+  for n = 0 to nodes - 1 do
     Reliable.set_receiver r ~node:n (fun _ -> ())
   done;
   let lv = Tt_net.Liveness.create e r in
   let dead_seen = ref [] and alive_seen = ref [] in
-  Tt_net.Liveness.set_on_dead lv (fun n -> dead_seen := n :: !dead_seen);
-  Tt_net.Liveness.set_on_alive lv (fun n -> alive_seen := n :: !alive_seen);
-  (* period = 32 × latency = 352, lease = 4 periods = 1408 *)
+  Tt_net.Liveness.set_on_dead lv (fun n ->
+      dead_seen := (n, Engine.now e) :: !dead_seen);
+  Tt_net.Liveness.set_on_alive lv (fun n ->
+      alive_seen := (n, Engine.now e) :: !alive_seen);
+  (e, r, lv, dead_seen, alive_seen)
+
+let liveness_counts r lv =
+  ( Stats.get (Tt_net.Liveness.stats lv) "liveness.heartbeats",
+    Stats.get (Option.get (Reliable.fault_stats r)) "faults.crash_dropped" )
+
+let check_verdicts what expected got =
+  Alcotest.(check (list (pair int int))) what expected (List.rev got)
+
+let test_liveness_verdicts () =
+  (* lease/heartbeat detection over a crash window: one death verdict once
+     the victim has been silent past the lease, one revival verdict after
+     its heartbeats resume; the election picks the lowest live rank.
+     Period = 32 x latency = 352, lease = 4 periods = 1408; node n beats
+     at 1 + n + 352k, heard 11 cycles later, and the monitor ticks at
+     528 + 352k.  Victim 2's last beat before the crash is heard at 366,
+     so the first tick past 366 + 1408 (1936) kills it; its first beat
+     after the rejoin (20067) is heard at 20078. *)
+  let e, r, lv, dead_seen, alive_seen =
+    liveness_rig ~nodes:4 [ Faults.crash ~victim:2 ~at:500 ~rejoin:20_000 () ]
+  in
   ignore (Engine.run_until e ~limit:10_000);
   check_bool "declared dead" true (Tt_net.Liveness.is_dead lv 2);
   check_int "one death verdict" 1 (Tt_net.Liveness.deaths lv);
@@ -628,9 +647,37 @@ let test_liveness_verdicts () =
   check_bool "revived after heartbeats resumed" false
     (Tt_net.Liveness.is_dead lv 2);
   check_int "one revival verdict" 1 (Tt_net.Liveness.revivals lv);
-  Alcotest.(check (list int)) "death hook" [ 2 ] !dead_seen;
-  Alcotest.(check (list int)) "revival hook" [ 2 ] !alive_seen;
+  check_verdicts "death hook at the first tick past the lease"
+    [ (2, 1936) ] !dead_seen;
+  check_verdicts "revival hook when the first resumed beat lands"
+    [ (2, 20078) ] !alive_seen;
+  let heartbeats, crash_dropped = liveness_counts r lv in
+  check_int "one heartbeat per (beat, peer)" 1032 heartbeats;
+  check_int "beats the crash window swallowed" 330 crash_dropped;
   Tt_net.Liveness.stop lv
+
+let test_liveness_beat_heard_by_nobody () =
+  (* both of node 0's peers are down, so its beats reach nobody: the
+     agreed row must not count them as heard, and node 0 is declared dead
+     with them.  Node 1's rejoin makes node 0 audible again, so both come
+     back; node 2 never does. *)
+  let e, r, lv, dead_seen, alive_seen =
+    liveness_rig ~nodes:3
+      [
+        Faults.crash ~victim:1 ~at:500 ~rejoin:5_000 ();
+        Faults.crash ~victim:2 ~at:500 ();
+      ]
+  in
+  ignore (Engine.run_until e ~limit:10_000);
+  Tt_net.Liveness.stop lv;
+  check_verdicts "everyone silent past the lease"
+    [ (0, 1936); (1, 1936); (2, 1936) ] !dead_seen;
+  check_verdicts "node 1's rejoin revives both"
+    [ (0, 5292); (1, 5293) ] !alive_seen;
+  check_bool "node 2 stays dead" true (Tt_net.Liveness.is_dead lv 2);
+  let heartbeats, crash_dropped = liveness_counts r lv in
+  check_int "one heartbeat per (beat, peer)" 174 heartbeats;
+  check_int "beats the crash windows swallowed" 134 crash_dropped
 
 let test_scrub_unacked_neutralizes () =
   (* scrubbing rewrites held messages' handlers to the recovery no-op in
@@ -736,6 +783,8 @@ let () =
             test_crash_window_heals_after_rejoin;
           Alcotest.test_case "liveness verdicts" `Quick
             test_liveness_verdicts;
+          Alcotest.test_case "liveness beat heard by nobody" `Quick
+            test_liveness_beat_heard_by_nobody;
           Alcotest.test_case "scrub neutralizes held queues" `Quick
             test_scrub_unacked_neutralizes;
         ] );
