@@ -68,7 +68,7 @@ let baseline ~machine ~name ~size ~scale ~nodes =
     msgs = get "msgs.request" + get "msgs.response";
     (* detection lease with Liveness defaults: 4 missed periods of
        32 fabric latencies each *)
-    lease = 4 * (32 * Reliable.latency m.Machine.net);
+    lease = 4 * (32 * Tt_net.Fabric.latency (Reliable.fabric m.Machine.net));
   }
 
 let watchdog base =

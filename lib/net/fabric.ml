@@ -79,6 +79,8 @@ let nodes t = t.node_count
 
 let latency t = t.net_latency
 
+let words_per_cycle t = t.words_per_cycle
+
 let stats t = t.counters
 
 let set_receiver t ~node f =

@@ -27,6 +27,9 @@ val nodes : t -> int
 
 val latency : t -> int
 
+val words_per_cycle : t -> int option
+(** The contention model's port bandwidth; [None] when contention-free. *)
+
 val set_receiver : t -> node:int -> (Message.t -> unit) -> unit
 (** Must be set for every node before traffic reaches it. *)
 

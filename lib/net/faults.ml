@@ -242,13 +242,3 @@ let send t ~at msg =
      site, so crash schedules never shift the pinned main-stream order. *)
   if is_down t ~node:msg.Message.src ~at then crash_drop t
   else send_faulty t ~at msg
-
-(* Out-of-band send for the liveness protocol: bypasses the fault model's
-   PRNG entirely (heartbeats must not perturb the pinned draw order, and a
-   lossy fabric delaying a heartbeat is modelled by the lease budget, not
-   by per-message faults) but still respects crash-stop windows on both
-   ends.  A down destination is checked again at delivery by the reliable
-   layer; the send-time check here just short-circuits the common case. *)
-let send_oob t ~at msg =
-  if is_down t ~node:msg.Message.src ~at then crash_drop t
-  else Fabric.send t.fabric ~at msg

@@ -131,12 +131,6 @@ val send : t -> at:int -> Message.t -> unit
     PRNG draw, no tap site — counted as [faults.crash_dropped].  (A down
     {e destination} is handled at delivery time by {!Reliable}.) *)
 
-val send_oob : t -> at:int -> Message.t -> unit
-(** Out-of-band send for the liveness protocol: bypasses the fault model's
-    PRNG and rates entirely (no drop/dup/reorder draws — lost heartbeats
-    are modelled by the lease budget, not per-message faults) but still
-    drops sends from a crashed source.  Goes straight to {!Fabric.send}. *)
-
 val is_down : t -> node:int -> at:int -> bool
 (** Whether [node] is inside a crash-stop window at cycle [at].  Pure:
     windows are resolved once at {!create} (per-victim jitter drawn from
@@ -150,7 +144,8 @@ val crash_window : t -> node:int -> (int * int option) option
 val crash_drop : t -> unit
 (** Count a message swallowed on behalf of a crashed endpoint under
     [faults.crash_dropped].  Used by {!Reliable} for deliveries whose
-    destination is down. *)
+    destination is down, and by {!Liveness} for heartbeats a crash window
+    swallows. *)
 
 val set_tap : t -> (site:int -> decision -> decision) option -> unit
 (** Install (or remove) a decision tap.  When set, every {!send} first

@@ -5,18 +5,20 @@ type status = Alive | Suspected | Dead
 
 type t = {
   engine : Engine.t;
-  net : Reliable.t;
+  faults : Faults.t;
   nnodes : int;
+  latency : int;
   period : int;
   lease_budget : int;
-  (* last cycle at which any node heard a heartbeat from peer i.  The
-     out-of-band channel is PRNG-exempt and the fabric's latency is
-     constant, so every live observer hears every heartbeat at the same
-     cycle: the per-observer matrices of a real gossip protocol collapse
-     into one agreed row, and the verdict below is system-wide and
-     deterministic by construction rather than by quorum. *)
+  (* last cycle at which any node heard a heartbeat from peer i.  Fabric
+     latency is constant and beats skip the fault PRNG, so every live
+     observer hears a beat at the same cycle: the per-observer matrices of
+     a real gossip protocol collapse into one agreed row, and the verdict
+     below is system-wide and deterministic by construction rather than by
+     quorum. *)
   last_heard : int array;
   statuses : status array;
+  mutable arrivals : (unit -> unit) array;  (* preallocated, one per node *)
   mutable on_dead : int -> unit;
   mutable on_alive : int -> unit;
   mutable stopped : bool;
@@ -27,31 +29,44 @@ type t = {
   c_revivals : Stats.counter;
 }
 
+(* One beat is one event: it reaches every peer [latency] cycles later,
+   all at the same cycle, so the n-1 point-to-point deliveries it stands
+   for would fire back to back and only the first to reach a live peer
+   could change any state.  A crashed sender's NIC swallows the beat at
+   the source, and a crashed peer's endpoint at delivery, one
+   [faults.crash_dropped] per lost copy. *)
 let heartbeat t ~node =
   let now = Engine.now t.engine in
-  for peer = 0 to t.nnodes - 1 do
-    if peer <> node then begin
-      Stats.Counter.incr t.c_heartbeats;
-      let m =
-        Message.make ~src:node ~dst:peer ~vnet:Message.Response
-          ~handler:Reliable.liveness_handler ~args:[||] ~data:Bytes.empty
-      in
-      Reliable.send_oob t.net ~at:now m
-    end
-  done
+  Stats.Counter.add t.c_heartbeats (t.nnodes - 1);
+  if Faults.is_down t.faults ~node ~at:now then
+    for _ = 2 to t.nnodes do
+      Faults.crash_drop t.faults
+    done
+  else Engine.at t.engine (now + t.latency) t.arrivals.(node)
 
-let on_heartbeat t msg =
-  let peer = msg.Message.src in
-  t.last_heard.(peer) <- Engine.now t.engine;
-  match t.statuses.(peer) with
+let on_heartbeat t ~node =
+  t.last_heard.(node) <- Engine.now t.engine;
+  match t.statuses.(node) with
   | Alive -> ()
-  | Suspected -> t.statuses.(peer) <- Alive
+  | Suspected -> t.statuses.(node) <- Alive
   | Dead ->
       (* a declared-dead node speaking again is a rejoin: flip the verdict
          first so the revival hook sees the new world *)
-      t.statuses.(peer) <- Alive;
+      t.statuses.(node) <- Alive;
       Stats.Counter.incr t.c_revivals;
-      t.on_alive peer
+      t.on_alive node
+
+(* [node]'s beat lands: heard if at least one peer's endpoint is up. *)
+let arrive t ~node =
+  let now = Engine.now t.engine in
+  let heard = ref false in
+  for peer = 0 to t.nnodes - 1 do
+    if peer <> node then
+      if Faults.is_down t.faults ~node:peer ~at:now then
+        Faults.crash_drop t.faults
+      else heard := true
+  done;
+  if !heard then on_heartbeat t ~node
 
 let monitor t =
   let now = Engine.now t.engine in
@@ -71,31 +86,41 @@ let monitor t =
   done
 
 let create ?period ?(lease_budget = 4) engine net =
-  (match Reliable.policy net with
-  | Reliable.Flaky _ -> ()
-  | Reliable.Perfect ->
-      invalid_arg
-        "Liveness.create: needs a Flaky transport (a perfect fabric has \
-         nothing to detect)");
+  let faults =
+    match Reliable.faults net with
+    | Some f -> f
+    | None ->
+        invalid_arg
+          "Liveness.create: needs a Flaky transport (a perfect fabric has \
+           nothing to detect)"
+  in
+  let fabric = Reliable.fabric net in
+  if Fabric.words_per_cycle fabric <> None then
+    invalid_arg
+      "Liveness.create: the fabric models link bandwidth (words_per_cycle); \
+       port contention would give each observer its own arrival cycle, and \
+       the agreed last-heard row needs one";
   if lease_budget < 2 then invalid_arg "Liveness.create: lease budget < 2";
-  let lat = Reliable.latency net in
+  let latency = Fabric.latency fabric in
   let period =
     match period with
     | Some p -> if p <= 0 then invalid_arg "Liveness.create: period <= 0" else p
-    | None -> 32 * lat
+    | None -> 32 * latency
   in
-  let nnodes = Reliable.nodes net in
+  let nnodes = Fabric.nodes fabric in
   let counters = Stats.create "liveness" in
   let now = Engine.now engine in
   let t =
     {
       engine;
-      net;
+      faults;
       nnodes;
+      latency;
       period;
       lease_budget;
       last_heard = Array.make nnodes now;
       statuses = Array.make nnodes Alive;
+      arrivals = [||];
       on_dead = (fun _ -> ());
       on_alive = (fun _ -> ());
       stopped = false;
@@ -106,7 +131,7 @@ let create ?period ?(lease_budget = 4) engine net =
       c_revivals = Stats.counter counters "liveness.revivals";
     }
   in
-  Reliable.set_liveness_receiver net (fun msg -> on_heartbeat t msg);
+  t.arrivals <- Array.init nnodes (fun node () -> arrive t ~node);
   Reliable.set_liveness net ~is_dead:(fun node -> t.statuses.(node) = Dead);
   (* staggered per-node heartbeat loops plus one monitor loop; each event
      re-arms itself until [stop] bumps the epoch *)

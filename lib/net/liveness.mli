@@ -1,23 +1,26 @@
-(** User-level failure detection: a lease/heartbeat protocol on its own
-    logical channel.
+(** User-level failure detection: a lease/heartbeat protocol.
 
     Tempest puts policy in user software; this module is the {e detection}
     policy for crash-stop failures.  Every node broadcasts a heartbeat each
-    [period] on the transport's out-of-band liveness channel
-    ({!Reliable.liveness_handler}: unsequenced, unacked, fault-PRNG-exempt
-    — only crash-stop windows can swallow it).  A monitor declares a peer
-    {e dead} once it has been silent longer than [lease_budget × period]
-    (and {e suspected} past half that), and feeds the verdict back into
+    [period]: unsequenced, unacked and exempt from the fault PRNG, so only
+    crash-stop windows can swallow it.  A monitor declares a peer {e dead}
+    once it has been silent longer than [lease_budget × period] (and
+    {e suspected} past half that), and feeds the verdict back into
     {!Reliable.set_liveness} so retransmission storms toward dead peers
     become prompt {!Reliable.Peer_dead} notifications (or recovery-layer
     callbacks).  A declared-dead peer whose heartbeats resume is flipped
     back to alive — the rejoin path.
 
-    Because the out-of-band channel bypasses the fault PRNG and the fabric
-    latency is constant, every live observer hears each heartbeat at the
-    same cycle, so the per-observer suspicion matrices of a real gossip
-    protocol collapse into one agreed, deterministic system-wide verdict
-    (documented as a modelling simplification in DESIGN.md §6).
+    Because beats skip the fault PRNG and the fabric latency is constant,
+    every live observer hears a beat at the same cycle, so the
+    per-observer suspicion matrices of a real gossip protocol collapse into
+    one agreed, deterministic system-wide verdict (documented as a
+    modelling simplification in DESIGN.md §6).  A beat is therefore
+    simulated as one event, [latency] cycles after it is sent: it counts
+    one [faults.crash_dropped] per peer whose endpoint is down at that
+    cycle (or per peer, at the send, if the sender is down) and is heard
+    if any peer's is up.  Beats never touch the fabric, so they appear in
+    none of its [msgs.*]/[words.*] counters.
 
     The heartbeat and monitor loops re-arm themselves forever, which would
     keep the event queue from draining: call {!stop} when the application
@@ -33,11 +36,12 @@ val create :
 (** Starts the per-node heartbeat loops (staggered one cycle apart) and
     the monitor loop immediately.  [period] defaults to 32× the fabric
     latency; [lease_budget] (missed periods before a death verdict)
-    defaults to 4.  Also installs itself as the transport's liveness
-    receiver and verdict ({!Reliable.set_liveness_receiver} /
-    {!Reliable.set_liveness}).
-    @raise Invalid_argument under a [Perfect] transport, or on a
-    non-positive period or a lease budget below 2. *)
+    defaults to 4.  Also installs itself as the transport's verdict
+    ({!Reliable.set_liveness}).
+    @raise Invalid_argument under a [Perfect] transport, over a fabric
+    with a link-bandwidth model ([words_per_cycle]: port contention would
+    give each observer its own arrival cycle), or on a non-positive period
+    or a lease budget below 2. *)
 
 val set_on_dead : t -> (int -> unit) -> unit
 (** Hook fired once per death verdict, with the dead node's rank. *)
@@ -70,5 +74,5 @@ val summary : t -> string
     ["7/8 alive, dead [3]"]. *)
 
 val stats : t -> Tt_util.Stats.t
-(** Counters: [liveness.heartbeats], [liveness.deaths],
-    [liveness.revivals]. *)
+(** Counters: [liveness.heartbeats] (one per beat and peer),
+    [liveness.deaths], [liveness.revivals]. *)

@@ -10,8 +10,6 @@ exception Peer_dead of string
 
 let ack_handler = -1
 
-let liveness_handler = -2
-
 (* Sender-side state for one (owner, peer) pair: the owner stamps every
    outgoing message with the next sequence number and keeps it queued until
    the peer's cumulative ack covers it. *)
@@ -56,11 +54,9 @@ type flaky = {
   (* liveness wiring: [is_dead] is the user-level protocol's verdict
      (default: nobody is ever dead — bit-identical to the pre-liveness
      code); [death_notice] converts a dead-peer encounter into a callback
-     instead of a [Peer_dead] raise; [liveness_rx] consumes out-of-band
-     heartbeat messages (transport handler [liveness_handler]). *)
+     instead of a [Peer_dead] raise. *)
   mutable is_dead : int -> bool;
   mutable death_notice : (src:int -> dst:int -> unit) option;
-  mutable liveness_rx : (Message.t -> unit) option;
   c_data_sent : Stats.counter;
   c_retransmits : Stats.counter;
   c_acks_sent : Stats.counter;
@@ -231,24 +227,21 @@ let deliver st msg =
             handler=%d)"
            msg.Message.dst msg.Message.src msg.Message.dst msg.Message.handler)
 
-(* Each arriving instance is consumed here (ack-only, heartbeat,
-   duplicate, window drop), handed to the application via [deliver], or
+(* Each arriving instance is consumed here (ack-only, duplicate, window
+   drop), handed to the application via [deliver], or
    parked in the reassembly table until the gap before it fills. *)
 let on_wire st msg =
   let s = msg.Message.src and d = msg.Message.dst in
   (* a crashed destination's endpoint is deaf: the delivery vanishes before
-     any transport state (acks, sequencing, liveness) can observe it *)
+     any transport state (acks, sequencing) can observe it *)
   if Faults.is_down st.faults ~node:d ~at:(Engine.now st.engine) then
     Faults.crash_drop st.faults
   else begin
   if msg.Message.ack >= 0 then process_ack st ~owner:d ~peer:s msg.Message.ack;
   if msg.Message.seq < 0 then begin
-    (* unsequenced: standalone acks and liveness heartbeats (consumed
-       here) or local short-circuit traffic that bypassed the transport *)
-    if msg.Message.handler = ack_handler then ()
-    else if msg.Message.handler = liveness_handler then
-      (match st.liveness_rx with Some f -> f msg | None -> ())
-    else deliver st msg
+    (* unsequenced: standalone acks (consumed here) or local short-circuit
+       traffic that bypassed the transport *)
+    if msg.Message.handler = ack_handler then () else deliver st msg
   end
   else begin
     let rc = rstate st ~src:s ~dst:d in
@@ -354,7 +347,6 @@ let create ?base_rto ?rto_cap ?(max_retries = 10) ?ack_delay ?(window = 512)
             apps = Array.make n None;
             is_dead = (fun _ -> false);
             death_notice = None;
-            liveness_rx = None;
             c_data_sent = Stats.counter counters "reliable.data_sent";
             c_retransmits = Stats.counter counters "reliable.retransmits";
             c_acks_sent = Stats.counter counters "reliable.acks_sent";
@@ -386,11 +378,6 @@ let set_receiver t ~node f =
         invalid_arg "Reliable.set_receiver";
       st.apps.(node) <- Some f
 
-let send_oob t ~at msg =
-  match t.flaky with
-  | None -> Fabric.send t.fabric ~at msg
-  | Some st -> Faults.send_oob st.faults ~at msg
-
 let set_liveness t ~is_dead =
   match t.flaky with
   | None -> invalid_arg "Reliable.set_liveness: Perfect transport"
@@ -400,11 +387,6 @@ let set_death_notice t f =
   match t.flaky with
   | None -> invalid_arg "Reliable.set_death_notice: Perfect transport"
   | Some st -> st.death_notice <- f
-
-let set_liveness_receiver t f =
-  match t.flaky with
-  | None -> invalid_arg "Reliable.set_liveness_receiver: Perfect transport"
-  | Some st -> st.liveness_rx <- Some f
 
 (* Called on the liveness verdict: every channel toward the dead node stops
    its retransmit clock (the queue is kept — see [park_dead]).  Channels
@@ -468,7 +450,7 @@ let on_peer_alive t ~node =
    receiver's per-pair ordering stays intact when the queues are replayed
    after a rejoin: the stale protocol payloads are neutralized without
    tearing a hole in the sequence space.  Transport-internal unsequenced
-   messages (acks, heartbeats; negative handler ids) are left alone.
+   messages (acks; negative handler ids) are left alone.
    Returns the number of messages scrubbed. *)
 let scrub_unacked t ~node ~handler =
   match t.flaky with
@@ -500,9 +482,7 @@ let scrub_unacked t ~node ~handler =
       done;
       !n
 
-let nodes t = Fabric.nodes t.fabric
-
-let latency t = Fabric.latency t.fabric
+let fabric t = t.fabric
 
 let stats t = t.counters
 

@@ -36,12 +36,6 @@ exception Peer_dead of string
     prompt, diagnosed notification that replaces a full retransmission
     storm.  With a recovery layer installed the channel parks instead. *)
 
-val liveness_handler : int
-(** Reserved transport handler id ([-2], next to the ack handler's [-1])
-    for out-of-band liveness heartbeats: unsequenced, consumed inside the
-    transport ({!set_liveness_receiver}), never delivered to the
-    application receiver — the liveness protocol's own logical channel. *)
-
 type t
 
 val create :
@@ -65,12 +59,6 @@ val set_receiver : t -> node:int -> (Message.t -> unit) -> unit
 (** Drop-in replacement for {!Fabric.set_receiver}; under [Flaky] the
     callback sees exactly-once, per-pair in-order messages. *)
 
-val send_oob : t -> at:int -> Message.t -> unit
-(** Out-of-band send for liveness heartbeats: unsequenced, unacked, never
-    retransmitted, and exempt from the fault model's PRNG
-    ({!Faults.send_oob}) — but still swallowed when the source is inside a
-    crash-stop window.  Under [Perfect] it is a plain {!Fabric.send}. *)
-
 val set_liveness : t -> is_dead:(int -> bool) -> unit
 (** Install the user-level liveness verdict.  Retransmit timers and new
     sends consult it: a channel whose destination is declared dead parks
@@ -82,9 +70,6 @@ val set_death_notice : t -> (src:int -> dst:int -> unit) option -> unit
 (** When set, a dead-peer encounter parks the channel and invokes the
     callback instead of raising {!Peer_dead} — the hook the recovery layer
     uses to take over.  Flaky only. *)
-
-val set_liveness_receiver : t -> (Message.t -> unit) -> unit
-(** Consumer for arriving {!liveness_handler} messages.  Flaky only. *)
 
 val on_peer_death : t -> node:int -> unit
 (** Park every channel toward [node] now (verdict notification): cancel
@@ -108,11 +93,8 @@ val scrub_unacked : t -> node:int -> handler:int -> int
     of messages scrubbed; [0] under [Perfect].
     @raise Invalid_argument for a negative (transport-internal) handler. *)
 
-val nodes : t -> int
-(** Fabric size (node count). *)
-
-val latency : t -> int
-(** The wrapped fabric's hop latency (cycles). *)
+val fabric : t -> Fabric.t
+(** The wrapped fabric (its size, latency and bandwidth model). *)
 
 val stats : t -> Tt_util.Stats.t
 (** Counters (Flaky only): [reliable.data_sent], [reliable.retransmits],

@@ -679,6 +679,32 @@ let test_liveness_beat_heard_by_nobody () =
   check_int "one heartbeat per (beat, peer)" 174 heartbeats;
   check_int "beats the crash windows swallowed" 134 crash_dropped
 
+let test_liveness_events_per_period () =
+  (* a beat is one event: per period, n beat-loop events, n arrivals and
+     one monitor tick, where n-1 fabric deliveries per beat made it
+     n + n(n-1) + 1 *)
+  let nodes = 4 and periods = 100 in
+  let e, _, lv, _, _ = liveness_rig ~nodes [] in
+  let fired = ref 0 in
+  Engine.set_trace e (Some (fun _ -> incr fired));
+  ignore (Engine.run_until e ~limit:(periods * Tt_net.Liveness.period lv));
+  Tt_net.Liveness.stop lv;
+  let bound = ((2 * nodes) + 1) * (periods + 1) in
+  check_bool
+    (Printf.sprintf "%d events in %d periods, at most %d" !fired periods bound)
+    true (!fired <= bound)
+
+let test_liveness_refuses_bandwidth_model () =
+  (* port contention gives each observer its own arrival cycle, which the
+     one agreed last-heard row cannot represent *)
+  let e = Engine.create () in
+  let f = Fabric.create e ~nodes:4 ~latency:11 ~words_per_cycle:2 () in
+  let r = Reliable.create e f (Reliable.Flaky (Faults.uniform ())) in
+  match Tt_net.Liveness.create e r with
+  | _ -> Alcotest.fail "a bandwidth-model fabric must be refused"
+  | exception Invalid_argument why ->
+      check_bool ("names the reason: " ^ why) true (contains why "bandwidth")
+
 let test_scrub_unacked_neutralizes () =
   (* scrubbing rewrites held messages' handlers to the recovery no-op in
      both directions while preserving sequence numbers, so a later replay
@@ -785,6 +811,10 @@ let () =
             test_liveness_verdicts;
           Alcotest.test_case "liveness beat heard by nobody" `Quick
             test_liveness_beat_heard_by_nobody;
+          Alcotest.test_case "liveness events per period" `Quick
+            test_liveness_events_per_period;
+          Alcotest.test_case "liveness refuses a bandwidth model" `Quick
+            test_liveness_refuses_bandwidth_model;
           Alcotest.test_case "scrub neutralizes held queues" `Quick
             test_scrub_unacked_neutralizes;
         ] );
