@@ -335,8 +335,9 @@ end
 type tlb_op = Access of int | Flush of int | Flush_all
 
 (* Keys fall in four clusters 2^17 pages apart, each straddling a
-   multiple of 2^17: every cluster starts its probe chains in the same
-   slots and runs them across the end of the table.  The clusters
+   multiple of 2^17: under a low-bits first slot every cluster would start
+   its probe chains in the same slots and run them across the end of the
+   table.  The clusters
    together hold a few more keys than the TLB, so evictions, and refills
    of flushed keys whose stale queue entries are still waiting, are
    frequent. *)
@@ -390,6 +391,104 @@ let prop_tlb_matches_reference entries =
           && same_probes ())
         ops)
 
+(* The FIFO contract in the fewest words: the present keys, and every
+   inserted key oldest first, flushed ones kept until eviction pops and
+   skips them. *)
+module List_tlb = struct
+  type t = {
+    entries : int;
+    mutable present : int list;
+    mutable fifo : int list;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create entries = { entries; present = []; fifo = []; hits = 0; misses = 0 }
+
+  let probe t key = List.mem key t.present
+
+  let flush_entry t key = t.present <- List.filter (( <> ) key) t.present
+
+  let rec evict_one t =
+    match t.fifo with
+    | [] -> ()
+    | victim :: rest ->
+        t.fifo <- rest;
+        if probe t victim then flush_entry t victim else evict_one t
+
+  let access t key =
+    if probe t key then begin
+      t.hits <- t.hits + 1;
+      0
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      if List.length t.present >= t.entries then evict_one t;
+      t.present <- key :: t.present;
+      t.fifo <- t.fifo @ [ key ];
+      25
+    end
+
+  let flush_all t =
+    t.present <- [];
+    t.fifo <- []
+end
+
+(* Keys [base + stride * i]: unit strides, powers of two up to 2^20 (all
+   one low-bits slot apart, or in one slot) and an odd stride, so every
+   hashed chain shape the table can build is met, eviction and refills of
+   flushed keys included. *)
+let prop_tlb_strided_matches_list_model entries =
+  let span = entries + 3 in
+  let cases =
+    let open QCheck.Gen in
+    let op =
+      frequency
+        [ (12, map (fun i -> Access i) (int_bound (span - 1)));
+          (4, map (fun i -> Flush i) (int_bound (span - 1)));
+          (1, return Flush_all) ]
+    in
+    triple
+      (oneofl [ 1; 2; 3; 64; 128; 4096; 1 lsl 17; 1 lsl 20 ])
+      (int_range 0 (1 lsl 24))
+      (list_size (int_range 1 300) op)
+  in
+  QCheck.Test.make ~count:300
+    ~name:
+      (Printf.sprintf "TLB over strided keys matches a list FIFO at %d entries"
+         entries)
+    QCheck.(
+      make
+        ~print:(fun (stride, base, ops) ->
+          Printf.sprintf "stride %d base %d: %s" stride base
+            (Print.list print_tlb_op ops))
+        cases)
+    (fun (stride, base, ops) ->
+      let key i = base + (stride * i) in
+      let t = Tlb.create ~entries ~miss_penalty:25 () in
+      let m = List_tlb.create entries in
+      List.for_all
+        (fun op ->
+          let penalties_agree =
+            match op with
+            | Access i -> Tlb.access t (key i) = List_tlb.access m (key i)
+            | Flush i ->
+                Tlb.flush_entry t (key i);
+                List_tlb.flush_entry m (key i);
+                true
+            | Flush_all ->
+                Tlb.flush_all t;
+                List_tlb.flush_all m;
+                true
+          in
+          penalties_agree
+          && Tlb.hits t = m.List_tlb.hits
+          && Tlb.misses t = m.List_tlb.misses
+          && List.for_all
+               (fun i -> Tlb.probe t (key i) = List_tlb.probe m (key i))
+               (List.init span Fun.id))
+        ops)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "mem"
@@ -433,5 +532,8 @@ let () =
           qc (prop_tlb_matches_reference 1);
           qc (prop_tlb_matches_reference 2);
           qc (prop_tlb_matches_reference 64);
+          qc (prop_tlb_strided_matches_list_model 1);
+          qc (prop_tlb_strided_matches_list_model 8);
+          qc (prop_tlb_strided_matches_list_model 64);
         ] );
     ]
