@@ -228,8 +228,8 @@ let deliver st msg =
            msg.Message.dst msg.Message.src msg.Message.dst msg.Message.handler)
 
 (* Each arriving instance is consumed here (ack-only, duplicate, window
-   drop), handed to the application via [deliver], or
-   parked in the reassembly table until the gap before it fills. *)
+   drop), handed to the application via [deliver], or parked in the
+   reassembly table until the gap before it fills. *)
 let on_wire st msg =
   let s = msg.Message.src and d = msg.Message.dst in
   (* a crashed destination's endpoint is deaf: the delivery vanishes before
