@@ -54,32 +54,25 @@ let apps_t names =
     & opt (list (names_conv names)) names
     & info [ "apps" ] ~doc:"Comma-separated benchmark subset.")
 
-(* the resolved worker-domain count: flag wins; else TT_DOMAINS; else
-   sequential.  A parallel count is noted on stderr, so gate scripts can
-   diff stdout across TT_DOMAINS values. *)
+(* the worker-domain count.  A parallel count is noted on stderr, so gate
+   scripts can diff stdout across --domains values. *)
 let domains_t =
-  let resolve = function
-    | Some d when d < 0 ->
-        invalid_arg (Printf.sprintf "--domains %d: must be >= 0" d)
-    | Some d -> d
-    | None -> Params.domains_of_env ()
-  in
-  let note d =
+  let check d =
+    if d < 0 then invalid_arg (Printf.sprintf "--domains %d: must be >= 0" d);
     if d > 1 then Printf.eprintf "(parallel harness: %d worker domains)\n%!" d;
     d
   in
   Term.(
-    const (fun d -> note (resolve d))
+    const check
     $ Arg.(
-        value
-        & opt (some int) None
+        value & opt int 0
         & info [ "domains" ]
             ~doc:
               "Worker domains for the figure and sweep grids: independent \
-               grid cells run concurrently, one simulation per cell (0 = sequential; \
-               default $(b,TT_DOMAINS), else 0).  Simulated cycles, stats \
-               and tables are bit-identical at every value; only \
-               wall-clock changes."))
+               grid cells run concurrently, one simulation per cell \
+               (default 0 = sequential).  Simulated cycles, stats and \
+               tables are bit-identical at every value; only wall-clock \
+               changes."))
 
 (* every catalogue machine parses; [names] is the list the help offers, so
    a command that refuses some machines says so with its own one-line error *)

@@ -31,8 +31,6 @@ type t
 
 val mode_custom_home : int
 
-val mode_custom_remote : int
-
 val install : Tt_typhoon.System.t -> Tt_stache.Stache.t -> t
 (** Must be installed after Stache: it wraps Stache's page-fault handler so
     non-custom pages keep their transparent behaviour. *)

@@ -40,10 +40,6 @@ type t
 
 type pol = Stachelike | Migratory | Prodcons | Widerep | Delayed
 
-val pol_names : string list
-(** The zoo policies' CLI names: ["migratory"; "prodcons"; "widerep";
-    "delayed"] (excluding ["stache"], the transparent default). *)
-
 val pol_of_name : string -> pol
 (** @raise Invalid_argument on unknown names, listing the valid ones. *)
 

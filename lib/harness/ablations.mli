@@ -1,7 +1,7 @@
 (** Ablation studies for the design choices DESIGN.md calls out.
 
-    Each returns measured numbers so callers (the CLI, the benchmark
-    harness, tests) can render or assert on them. *)
+    Each returns measured numbers so callers (the CLI, tests) can render
+    or assert on them. *)
 
 type directory_result = {
   full_map_cycles : int;

@@ -130,18 +130,15 @@ val typhoon_em3d :
     ("Typhoon/Update" in Figure 4).  Exposes hooks ["em3d.sync:<kind>"] and
     the allocator kind ["em3d:<kind>"] for the value arrays. *)
 
-val typhoon_zoo :
-  ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int ->
-  policy:Tt_custom.Proto.pol -> Params.t -> t
-(** Typhoon with Stache plus the protocol zoo installed, every application
-    allocation adopted under [policy] (labelled ["typhoon/<policy>"]).
-    Allocations are page-aligned; release-consistency flushes run at the
-    [Pre_barrier] and [Pre_release] sync points. *)
-
 val typhoon_zoo_full :
   ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int ->
   policy:Tt_custom.Proto.pol -> Params.t ->
   t * Tt_typhoon.System.t * Tt_stache.Stache.t * Tt_custom.Proto.t
+(** Typhoon with Stache plus the protocol zoo installed, every application
+    allocation adopted under [policy] (labelled ["typhoon/<policy>"]).
+    Allocations are page-aligned; release-consistency flushes run at the
+    [Pre_barrier] and [Pre_release] sync points.  {!of_name} builds the
+    zoo machines through it. *)
 
 val typhoon_adaptive :
   ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int -> Params.t -> t

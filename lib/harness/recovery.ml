@@ -66,9 +66,7 @@ let baseline ~machine ~name ~size ~scale ~nodes =
   {
     result = r;
     msgs = get "msgs.request" + get "msgs.response";
-    (* detection lease with Liveness defaults: 4 missed periods of
-       32 fabric latencies each *)
-    lease = 4 * (32 * Tt_net.Fabric.latency (Reliable.fabric m.Machine.net));
+    lease = Tt_net.Liveness.lease (Reliable.fabric m.Machine.net);
   }
 
 let watchdog base =

@@ -9,7 +9,6 @@ type t = {
   nnodes : int;
   latency : int;
   period : int;
-  lease_budget : int;
   (* last cycle at which any node heard a heartbeat from peer i.  Fabric
      latency is constant and beats skip the fault PRNG, so every live
      observer hears a beat at the same cycle: the per-observer matrices of
@@ -68,9 +67,14 @@ let arrive t ~node =
   done;
   if !heard then on_heartbeat t ~node
 
-let monitor t =
+(* a beat every 32 fabric latencies; a peer silent for four periods is
+   dead *)
+let period_of fabric = 32 * Fabric.latency fabric
+
+let lease fabric = 4 * period_of fabric
+
+let monitor t ~lease =
   let now = Engine.now t.engine in
-  let lease = t.period * t.lease_budget in
   for peer = 0 to t.nnodes - 1 do
     let silent = now - t.last_heard.(peer) in
     match t.statuses.(peer) with
@@ -85,7 +89,7 @@ let monitor t =
         else t.statuses.(peer) <- Alive
   done
 
-let create ?period ?(lease_budget = 4) engine net =
+let create engine net =
   let faults =
     match Reliable.faults net with
     | Some f -> f
@@ -100,13 +104,7 @@ let create ?period ?(lease_budget = 4) engine net =
       "Liveness.create: the fabric models link bandwidth (words_per_cycle); \
        port contention would give each observer its own arrival cycle, and \
        the agreed last-heard row needs one";
-  if lease_budget < 2 then invalid_arg "Liveness.create: lease budget < 2";
-  let latency = Fabric.latency fabric in
-  let period =
-    match period with
-    | Some p -> if p <= 0 then invalid_arg "Liveness.create: period <= 0" else p
-    | None -> 32 * latency
-  in
+  let period = period_of fabric and lease = lease fabric in
   let nnodes = Fabric.nodes fabric in
   let counters = Stats.create "liveness" in
   let now = Engine.now engine in
@@ -115,9 +113,8 @@ let create ?period ?(lease_budget = 4) engine net =
       engine;
       faults;
       nnodes;
-      latency;
+      latency = Fabric.latency fabric;
       period;
-      lease_budget;
       last_heard = Array.make nnodes now;
       statuses = Array.make nnodes Alive;
       arrivals = [||];
@@ -143,7 +140,7 @@ let create ?period ?(lease_budget = 4) engine net =
   in
   let rec monitor_loop epoch () =
     if (not t.stopped) && epoch = t.epoch then begin
-      monitor t;
+      monitor t ~lease;
       Engine.after engine t.period (monitor_loop epoch)
     end
   in

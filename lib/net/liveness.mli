@@ -4,7 +4,7 @@
     policy for crash-stop failures.  Every node broadcasts a heartbeat each
     [period]: unsequenced, unacked and exempt from the fault PRNG, so only
     crash-stop windows can swallow it.  A monitor declares a peer {e dead}
-    once it has been silent longer than [lease_budget × period] (and
+    once it has been silent longer than the {!lease} (and
     {e suspected} past half that), and feeds the verdict back into
     {!Reliable.set_liveness} so retransmission storms toward dead peers
     become prompt {!Reliable.Peer_dead} notifications (or recovery-layer
@@ -31,17 +31,19 @@ type status = Alive | Suspected | Dead
 
 type t
 
-val create :
-  ?period:int -> ?lease_budget:int -> Tt_sim.Engine.t -> Reliable.t -> t
+val lease : Fabric.t -> int
+(** The detection lease over [fabric], in cycles: four heartbeat periods
+    of 32 fabric latencies each.  A peer silent longer than this is
+    declared dead at the next monitor tick. *)
+
+val create : Tt_sim.Engine.t -> Reliable.t -> t
 (** Starts the per-node heartbeat loops (staggered one cycle apart) and
-    the monitor loop immediately.  [period] defaults to 32× the fabric
-    latency; [lease_budget] (missed periods before a death verdict)
-    defaults to 4.  Also installs itself as the transport's verdict
-    ({!Reliable.set_liveness}).
-    @raise Invalid_argument under a [Perfect] transport, over a fabric
+    the monitor loop immediately, with a period of 32 fabric latencies and
+    the {!lease} of four periods.  Also installs itself as the transport's
+    verdict ({!Reliable.set_liveness}).
+    @raise Invalid_argument under a [Perfect] transport, or over a fabric
     with a link-bandwidth model ([words_per_cycle]: port contention would
-    give each observer its own arrival cycle), or on a non-positive period
-    or a lease budget below 2. *)
+    give each observer its own arrival cycle). *)
 
 val set_on_dead : t -> (int -> unit) -> unit
 (** Hook fired once per death verdict, with the dead node's rank. *)

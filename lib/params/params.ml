@@ -100,17 +100,3 @@ let validate t =
   else if t.np_queue_capacity <= 0 then err "np_queue_capacity must be positive"
   else if t.fabric_capacity <= 0 then err "fabric_capacity must be positive"
   else Ok ()
-
-(* TT_DOMAINS is a simulator-implementation knob read from the
-   environment, like TT_FASTPATH, not a machine parameter — it must never
-   appear in [t], where it could leak into labels or pinned outputs. *)
-let domains_of_env () =
-  match Sys.getenv_opt "TT_DOMAINS" with
-  | None | Some "" -> 0
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 0 -> n
-      | Some _ | None ->
-          invalid_arg
-            (Printf.sprintf
-               "TT_DOMAINS=%s: expected a non-negative domain count" s))

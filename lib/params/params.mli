@@ -80,11 +80,3 @@ val with_cache : t -> int -> t
 
 val validate : t -> (unit, string) result
 (** Sanity-check the record (positive sizes, power-of-two caches, …). *)
-
-val domains_of_env : unit -> int
-(** The [TT_DOMAINS] worker-domain count for the parallel harness sweeps
-    ({!Tt_sim.Domains.map}): [0] (default, or unset/empty) means
-    sequential, [n >= 1] requests [n] worker domains.  Raises
-    [Invalid_argument] on a malformed value.  A simulator knob like
-    [TT_FASTPATH], deliberately not a field of {!t}: it changes
-    wall-clock behavior only, never simulated cycles or stats. *)

@@ -6,8 +6,8 @@
 
     We keep that exact representation: up to six explicit node pointers,
     overflowing into a 32-bit-capable bit vector (32-node systems fit).
-    Conversions are counted so the pointer/bit-vector ablation bench can
-    report how often overflow happens. *)
+    Conversions are counted ({!overflow_events}), so a caller can report
+    how often overflow happens. *)
 
 type t
 

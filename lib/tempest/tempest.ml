@@ -83,8 +83,6 @@ module Handlers = struct
       invalid_arg (Printf.sprintf "Tempest.Handlers.message: bad id %d" id);
     snd (Tt_util.Vec.get t.messages id)
 
-  let message_name t id = fst (Tt_util.Vec.get t.messages id)
-
   let set_block_fault t ~mode handler =
     if mode < 0 || mode >= modes then
       invalid_arg

@@ -134,8 +134,6 @@ module Handlers : sig
   val message : tables -> int -> message_handler
   (** @raise Invalid_argument for an unregistered id. *)
 
-  val message_name : tables -> int -> string
-
   val set_block_fault : tables -> mode:int -> block_fault_handler -> unit
   (** One handler per 4-bit page mode (the RTLB dispatch of §5.4).
       @raise Invalid_argument for a mode outside 0..15. *)

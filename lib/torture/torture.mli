@@ -74,8 +74,6 @@ val machines : string list
 
 val kind_to_string : kind -> string
 
-val kind_of_string : string -> kind
-
 val run : ?mode:mode -> ?tweak_params:(Params.t -> Params.t) -> case -> result
 (** Execute one case.  Observable (SC/stale) violations recorded before a
     crash take priority over the crash itself, so the shrinker keys on
@@ -88,9 +86,6 @@ val run : ?mode:mode -> ?tweak_params:(Params.t -> Params.t) -> case -> result
     encoding is a stable artifact format).  A run wedged by exhausted
     capacities surfaces as [Fail Hang] carrying the watchdog's or the
     overflow path's diagnostic, never as a silent hang. *)
-
-val default_drops : float list
-(** [[0.0; 0.05]] — a perfect and a faulty transport column. *)
 
 val default_seeds : int list
 (** [[1..8]]. *)

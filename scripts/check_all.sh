@@ -1,13 +1,12 @@
 #!/bin/sh
 # Every gate, in one pass.  Any failure aborts the chain.
 #
-# 1. Suite matrix: the full test suite runs once per row — the default
-#    configuration, then each simulator knob on its own:
-#      TT_FASTPATH=0  every blocking point takes the full effect
-#                     suspend/resume (the inline fast path is off);
-#      TT_DOMAINS=4   the harness sweeps fan out over 4 worker domains.
+# 1. Suite matrix: the full test suite runs twice — the default
+#    configuration, then with TT_FASTPATH=0, where every blocking point
+#    takes the full effect suspend/resume (the inline fast path is off).
 #    The pinned simulated-cycle rows in test_regression.ml must hold in
-#    every row: none of these knobs may move an event.
+#    both rows: the fast path may not move an event.  Worker-domain parity
+#    is tested in-process (test_parallel.ml) and by section 5.
 # 2. Engine smoke: a 64-node sweep diffed byte for byte against
 #    scripts/expected/scale64.txt, four 32-node Figure 3 cells diffed
 #    against scripts/expected/fig3_32.txt (suspension counters excluded),
@@ -29,10 +28,10 @@
 #    identical sweeps print identical tables.
 # 5. Worker-domain determinism: the tt proto shootout (table and JSON
 #    cells), the scale sweep, Figure 3 and a fault sweep are
-#    byte-identical on one and four domains.  On hosts with >= 4 cores the
-#    parallel scale sweep must also beat the sequential one by
-#    TT_CHECK_SPEEDUP_MIN (default 1.5x); smaller hosts skip the speedup
-#    check.
+#    byte-identical on one (or no) worker domain and on four.  On hosts
+#    with >= 4 cores the parallel scale sweep must also beat the
+#    sequential one by TT_CHECK_SPEEDUP_MIN (default 1.5x); smaller hosts
+#    skip the speedup check.
 # 6. Build flags and profiler: lib/ compiles with -inline (lib/dune) and
 #    perfbench/ does not, so the benchmark's host-speed yardstick compiles
 #    unchanged; the default (release) profile keeps the dev profile's
@@ -42,9 +41,6 @@
 #    samples and prints exactly tt run's output ahead of its report.
 # 7. The whole-run benchmark's self-test (tiny inputs; fails when a pinned
 #    simulation digest drifts).
-#
-# The bench harness (bench/main.ml) enforces the fast-path timing parity
-# in-process as well.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -55,7 +51,7 @@ tmp=$(mktemp -d "${TMPDIR:-/tmp}/tt-check.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
 
 echo "==================== suite matrix ===================="
-for row in default TT_FASTPATH=0 TT_DOMAINS=4; do
+for row in default TT_FASTPATH=0; do
   echo "== full suite, $row =="
   if [ "$row" = default ]; then
     dune runtest --force
@@ -174,12 +170,12 @@ done
 diff -u "$tmp/table-1.txt" "$tmp/table-4.txt"
 diff -u "$tmp/cells-1.json" "$tmp/cells-4.json"
 
-echo "== scale sweep, TT_DOMAINS=0 vs TT_DOMAINS=4 =="
+echo "== scale sweep, --domains 0 vs --domains 4 =="
 t0=$(date +%s)
-TT_DOMAINS=0 "$TT" scale --apps em3d,ocean -n 64,128 --scale 0.1 \
+"$TT" scale --apps em3d,ocean -n 64,128 --scale 0.1 --domains 0 \
   | grep -v "host CPU" >"$tmp/seq.txt"
 t1=$(date +%s)
-TT_DOMAINS=4 "$TT" scale --apps em3d,ocean -n 64,128 --scale 0.1 \
+"$TT" scale --apps em3d,ocean -n 64,128 --scale 0.1 --domains 4 \
   2>/dev/null | grep -v "host CPU" >"$tmp/par.txt"
 t2=$(date +%s)
 cat "$tmp/seq.txt"
@@ -188,16 +184,16 @@ seq_s=$((t1 - t0))
 par_s=$((t2 - t1))
 echo "(sequential ${seq_s}s wall, parallel ${par_s}s wall)"
 
-echo "== Figure 3, TT_DOMAINS=0 vs TT_DOMAINS=4 =="
-TT_DOMAINS=0 "$TT" fig3 --nodes 8 --scale 0.05 >"$tmp/seq.txt"
-TT_DOMAINS=4 "$TT" fig3 --nodes 8 --scale 0.05 2>/dev/null >"$tmp/par.txt"
+echo "== Figure 3, --domains 0 vs --domains 4 =="
+"$TT" fig3 --nodes 8 --scale 0.05 --domains 0 >"$tmp/seq.txt"
+"$TT" fig3 --nodes 8 --scale 0.05 --domains 4 2>/dev/null >"$tmp/par.txt"
 diff -u "$tmp/seq.txt" "$tmp/par.txt"
 
-echo "== fault sweep, TT_DOMAINS=0 vs TT_DOMAINS=4 =="
-TT_DOMAINS=0 "$TT" faults --apps em3d,mp3d --drops 5 --seeds 1 -n 4 \
-  --scale 0.1 >"$tmp/seq.txt"
-TT_DOMAINS=4 "$TT" faults --apps em3d,mp3d --drops 5 --seeds 1 -n 4 \
-  --scale 0.1 2>/dev/null >"$tmp/par.txt"
+echo "== fault sweep, --domains 0 vs --domains 4 =="
+"$TT" faults --apps em3d,mp3d --drops 5 --seeds 1 -n 4 --scale 0.1 \
+  --domains 0 >"$tmp/seq.txt"
+"$TT" faults --apps em3d,mp3d --drops 5 --seeds 1 -n 4 --scale 0.1 \
+  --domains 4 2>/dev/null >"$tmp/par.txt"
 diff -u "$tmp/seq.txt" "$tmp/par.txt"
 
 ncores=$( (nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null) || echo 1)

@@ -649,6 +649,14 @@ let test_liveness_verdicts () =
   check_int "one revival verdict" 1 (Tt_net.Liveness.revivals lv);
   check_verdicts "death hook at the first tick past the lease"
     [ (2, 1936) ] !dead_seen;
+  (* the exported lease is the one the monitor applies: the death lands
+     on the first tick (half a period, then every period) past 366 + lease *)
+  let lease = Tt_net.Liveness.lease (Reliable.fabric r) in
+  let period = Tt_net.Liveness.period lv in
+  check_int "lease is four periods of 32 latencies" (4 * 32 * 11) lease;
+  let half = period / 2 in
+  check_int "death at the first tick past 366 + lease" 1936
+    (half + ((((366 + lease - half) / period) + 1) * period));
   check_verdicts "revival hook when the first resumed beat lands"
     [ (2, 20078) ] !alive_seen;
   let heartbeats, crash_dropped = liveness_counts r lv in

@@ -5,7 +5,8 @@
    - Domains.map: results come back in input order for every worker
      count, and a failure re-raises the earliest failing item's
      exception, as a sequential List.map would.
-   - Harness sweeps: scaling / fault / torture grids fan out over domains
+   - Harness sweeps: scaling / Figure 3 / Figure 4 / fault / recover /
+     torture grids fan out over domains
      with bit-identical points, and a whole machine simulation is
      domain-relocatable (same cycles when run inside Domain.spawn). *)
 
@@ -85,6 +86,24 @@ let test_fig3_parallel_parity () =
   check_int "rows" 2 (List.length seq);
   check_bool "parallel rows bit-identical" true (seq = rows 2)
 
+let test_fig4_parallel_parity () =
+  let points domains =
+    H.Fig4.run ~pcts:[ 0; 50 ] ~scale:0.02 ~nodes:4 ~domains ()
+  in
+  let seq = points 0 in
+  check_int "points" 2 (List.length seq);
+  check_bool "parallel points bit-identical" true (seq = points 2)
+
+let test_recovery_parallel_parity () =
+  let sweep domains =
+    H.Recovery.run ~apps:[ "ocean"; "em3d" ] ~victims:[ 3 ]
+      ~rejoins:[ H.Recovery.Never ] ~scale:0.05 ~nodes:4 ~domains ()
+  in
+  let seq = sweep 0 in
+  check_int "grid size" 2 (List.length seq);
+  check_bool "every cell passed" true (H.Recovery.all_passed seq);
+  check_bool "parallel grid bit-identical" true (seq = sweep 2)
+
 let test_faultsweep_parallel_parity () =
   let sweep domains =
     H.Faultsweep.run ~apps:[ "em3d"; "mp3d" ] ~drops:[ 0.05 ] ~seeds:[ 1 ]
@@ -155,6 +174,10 @@ let () =
             test_scaling_parallel_parity;
           Alcotest.test_case "fig3 rows parity" `Slow
             test_fig3_parallel_parity;
+          Alcotest.test_case "fig4 points parity" `Slow
+            test_fig4_parallel_parity;
+          Alcotest.test_case "recover grid parity" `Slow
+            test_recovery_parallel_parity;
           Alcotest.test_case "fault sweep parity" `Slow
             test_faultsweep_parallel_parity;
           Alcotest.test_case "torture grid parity" `Slow

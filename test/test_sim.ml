@@ -506,25 +506,40 @@ let test_thread_unpark_idle_rejected () =
        "Thread t: woken with no blocking operation in flight (slot idle)")
     (fun () -> Thread.unpark th)
 
-(* Fast-path slot: a waker that fires before registration returns must
-   deliver its value inline, with no fiber suspension. *)
+(* Fast-path slot: a waker that fires before registration returns delivers
+   its value inline, with no fiber suspension.  100 such awaits, in both
+   modes whatever TT_FASTPATH says: the fast path completes all but the one
+   suspension forced after a streak of 64 elisions; with it off, every
+   await suspends. *)
 let test_thread_wake_before_registration_returns () =
-  let e = Engine.create () in
-  let ns = Stats.create "slot" in
-  let got = ref 0 in
-  let _th =
-    Thread.spawn e ~name:"t" (fun th ->
-        Thread.set_suspend_counters th
-          ~taken:(Stats.counter ns "suspensions_taken")
-          ~elided:(Stats.counter ns "suspensions_elided");
-        got := Thread.await th (fun wake -> wake 42))
+  let awaits () =
+    let e = Engine.create () in
+    let ns = Stats.create "slot" in
+    let sum = ref 0 in
+    let _th =
+      Thread.spawn e ~name:"t" (fun th ->
+          Thread.set_suspend_counters th
+            ~taken:(Stats.counter ns "suspensions_taken")
+            ~elided:(Stats.counter ns "suspensions_elided");
+          for i = 1 to 100 do
+            sum := !sum + Thread.await th (fun wake -> wake i)
+          done)
+    in
+    Engine.run e;
+    check_int "every value delivered" 5050 !sum;
+    (Stats.get ns "suspensions_taken", Stats.get ns "suspensions_elided")
   in
-  Engine.run e;
-  check_int "value delivered inline" 42 !got;
-  if Thread.fastpath_enabled () then begin
-    check_int "no suspension taken" 0 (Stats.get ns "suspensions_taken");
-    check_int "one suspension elided" 1 (Stats.get ns "suspensions_elided")
-  end
+  let run fastpath =
+    let prev = Thread.fastpath_enabled () in
+    Thread.set_fastpath fastpath;
+    Fun.protect ~finally:(fun () -> Thread.set_fastpath prev) awaits
+  in
+  let taken, elided = run true in
+  check_int "fast path: one forced suspension" 1 taken;
+  check_int "fast path: the rest elided" 99 elided;
+  let taken, elided = run false in
+  check_int "slow path: every await suspends" 100 taken;
+  check_int "slow path: none elided" 0 elided
 
 (* A wake that fires during registration while a same-time event is already
    queued must NOT run the continuation inline: the queued event holds the
