@@ -745,8 +745,16 @@ let torture_cmd =
             exit 1)
     | None ->
         let drops = List.map (fun p -> p /. 100.0) drops in
+        (* TT_SABOTAGE=1 seeds Stache's coherence bug in every case: the
+           self-check that the grid catches and shrinks a real violation *)
+        let sabotage =
+          match Sys.getenv_opt "TT_SABOTAGE" with
+          | Some ("1" | "true" | "yes") -> true
+          | Some _ | None -> false
+        in
         let cases =
-          T.grid ~litmus ~machines ~drops ~seeds ~iters ~perturb_rate ()
+          T.grid ~litmus ~machines ~drops ~seeds ~iters ~perturb_rate
+            ~sabotage ()
         in
         let results = T.run_grid ~domains cases in
         let failed = T.failures results in

@@ -85,16 +85,16 @@ let install sys stache =
       mig_pages = Hashtbl.create 64; h_get = -1; h_recall = -1; h_data = -1 }
   in
   let tables = System.handlers sys in
-  let reg name f = Tempest.Handlers.register_message tables ~name f in
+  let reg f = Tempest.Handlers.register_message tables f in
   t.h_get <-
-    reg "mig.get" (fun ep ~src ~args ~data:_ ->
+    reg (fun ep ~src ~args ~data:_ ->
         let block = args.(0) in
         ep.Tempest.charge 4;
         Queue.add src (queue_of t block);
         (* only kick the service loop for the new head *)
         if Queue.length (queue_of t block) = 1 then serve t ep block);
   t.h_recall <-
-    reg "mig.recall" (fun ep ~src ~args ~data:_ ->
+    reg (fun ep ~src ~args ~data:_ ->
         let block = args.(0) in
         let data = ep.Tempest.force_read_block ~vaddr:block in
         ep.Tempest.invalidate ~vaddr:block;
@@ -103,7 +103,7 @@ let install sys stache =
         ep.Tempest.send ~dst:src ~vnet:Message.Response ~handler:t.h_data
           ~args:[| block; 1 |] ~data);
   t.h_data <-
-    reg "mig.data" (fun ep ~src:_ ~args ~data ->
+    reg (fun ep ~src:_ ~args ~data ->
         let block = args.(0) in
         let via_home = Array.length args > 1 in
         ep.Tempest.force_write_block ~vaddr:block data;

@@ -220,11 +220,11 @@ let install sys stache =
     }
   in
   let tables = System.handlers sys in
-  let reg name f = Tempest.Handlers.register_message tables ~name (f t) in
-  t.h_get <- reg "em3d.get" on_get;
-  t.h_data <- reg "em3d.data" on_data;
-  t.h_update <- reg "em3d.update" on_update;
-  t.h_flush <- reg "em3d.flush" on_flush;
+  let reg f = Tempest.Handlers.register_message tables (f t) in
+  t.h_get <- reg on_get;
+  t.h_data <- reg on_data;
+  t.h_update <- reg on_update;
+  t.h_flush <- reg on_flush;
   Tempest.Handlers.set_block_fault tables ~mode:mode_custom_home
     (home_block_fault t);
   Tempest.Handlers.set_block_fault tables ~mode:mode_custom_remote

@@ -632,14 +632,14 @@ let install sys stache =
     }
   in
   let tables = System.handlers sys in
-  let reg name f = Tempest.Handlers.register_message tables ~name (f t) in
-  t.h_update <- reg "proto.update" on_update;
-  t.h_ack <- reg "proto.update_ack" on_ack;
-  t.h_push <- reg "proto.push" on_push;
-  t.h_flush <- reg "proto.flush" on_flush;
-  t.h_harvest <- reg "proto.harvest" on_harvest;
-  t.h_bulk_confirm <- reg "proto.bulk_confirm" on_bulk_confirm;
-  t.h_bulk_adopt <- reg "proto.bulk_adopt" on_bulk_adopt;
+  let reg f = Tempest.Handlers.register_message tables (f t) in
+  t.h_update <- reg on_update;
+  t.h_ack <- reg on_ack;
+  t.h_push <- reg on_push;
+  t.h_flush <- reg on_flush;
+  t.h_harvest <- reg on_harvest;
+  t.h_bulk_confirm <- reg on_bulk_confirm;
+  t.h_bulk_adopt <- reg on_bulk_adopt;
   Stache.set_policy stache (Some (hooks t));
   t
 

@@ -11,6 +11,7 @@ module Reliable = Tt_net.Reliable
 module Stats = Tt_util.Stats
 module Bitset = Tt_util.Bitset
 module Inttbl = Tt_util.Inttbl
+module Homes = Tt_mem.Homes
 
 (* Per-block protocol trace (TT_DEBUG_BLOCK = global block number). *)
 let dbg_on block = Tt_util.Debug.on ~key:block
@@ -153,7 +154,7 @@ type node = {
      would clear ownership it just re-acquired *)
   wb_inflight : int Inttbl.t;
   (* the CPU's last page-home resolution and the home's page, valid while
-     [memo_gen] equals the machine's [home_gen]: an access and the typed
+     [memo_gen] equals the home map's generation: an access and the typed
      read or write that follows it resolve the page once, and same-page
      streaks not at all *)
   mutable memo_vpage : int;
@@ -168,11 +169,7 @@ type t = {
   fabric : Fabric.t;
   net : Reliable.t;
   nodes : node array;
-  homes : int Inttbl.t; (* vpage -> home node *)
-  homes_dense : int Tt_util.Dense.t; (* the same bindings; absent = -1 *)
-  mutable home_gen : int; (* bumped whenever a page changes home *)
-  mutable alloc_cursor : int;
-  mutable next_home : int;
+  heap : Homes.t; (* the shared heap and its page-home map *)
   (* crash-stop recovery: the liveness verdict, and the write observer for
      checkpoint dirty tracking (every store lands in home memory, so one
      callback site per typed store covers all value mutation) *)
@@ -198,34 +195,27 @@ let directory t i = t.nodes.(i).dir
 
 let node_stats t i = t.nodes.(i).stats
 
-let page_home t ~vpage =
-  let h = Tt_util.Dense.get t.homes_dense vpage in
-  let h = if h >= 0 then h else Inttbl.find_or t.homes vpage ~default:(-1) in
-  if h < 0 then
-    invalid_arg (Printf.sprintf "Dirnnb: vpage 0x%x is not allocated" vpage);
-  h
-
-let set_home t ~vpage home =
-  Inttbl.replace t.homes vpage home;
-  ignore (Tt_util.Dense.set t.homes_dense vpage home)
+let page_home t ~vpage = Homes.home t.heap ~vpage
 
 (* Resolve [vpage] into node [n]'s memo, unless it is there already. *)
 let memo_page t n ~vpage =
-  if vpage <> n.memo_vpage || n.memo_gen <> t.home_gen then begin
+  let gen = Homes.generation t.heap in
+  if vpage <> n.memo_vpage || n.memo_gen <> gen then begin
     let h = page_home t ~vpage in
     n.memo_vpage <- vpage;
     n.memo_home <- h;
     n.memo_page <- Pagemem.get_page t.nodes.(h).mem ~vpage;
-    n.memo_gen <- t.home_gen
+    n.memo_gen <- gen
   end
 
-let map_shared_page t ~vpage ~home =
-  if Inttbl.mem t.homes vpage then
-    invalid_arg (Printf.sprintf "Dirnnb: vpage 0x%x already allocated" vpage);
-  set_home t ~vpage home;
+let map_home_page t ~vpage ~home =
   ignore
     (Pagemem.map t.nodes.(home).mem ~vpage ~home ~mode:0
        ~init_tag:Tag.Read_write)
+
+let map_shared_page t ~vpage ~home =
+  Homes.bind t.heap ~vpage ~home;
+  map_home_page t ~vpage ~home
 
 (* Clear node [n]'s outstanding miss on [block], returning its wake. *)
 let take_miss n block =
@@ -652,10 +642,8 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
         })
   in
   let t =
-    { engine; params = p; fabric; net; nodes; homes = Inttbl.create 4096;
-      homes_dense = Tt_util.Dense.create ~absent:(-1);
-      home_gen = 0;
-      alloc_cursor = 0x1000_0000; next_home = 0;
+    { engine; params = p; fabric; net; nodes;
+      heap = Homes.create ~nodes:p.Params.nodes;
       is_dead = (fun _ -> false); on_dirty = None }
   in
   Array.iter
@@ -666,37 +654,11 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
     nodes;
   t
 
-let alloc t ~th ~node ?home ?(align = 8) ~bytes () =
-  ignore node;
-  if bytes <= 0 then invalid_arg "Dirnnb.alloc: non-positive size";
-  if align <= 0 || align land (align - 1) <> 0 then
-    invalid_arg "Dirnnb.alloc: alignment must be a power of two";
+let alloc t ~th ~node:_ ?home ?(align = 8) ~bytes () =
   Thread.advance th 10;
-  let round_up v a = (v + a - 1) land lnot (a - 1) in
-  let start = round_up t.alloc_cursor align in
-  let start =
-    match home, Inttbl.find_opt t.homes (Addr.page_of start) with
-    | Some h, Some existing when existing <> h ->
-        round_up start Addr.page_size
-    | (Some _ | None), _ -> start
-  in
-  let first = Addr.page_of start and last = Addr.page_of (start + bytes - 1) in
-  for vpage = first to last do
-    if not (Inttbl.mem t.homes vpage) then begin
-      let h =
-        match home with
-        | Some h -> h
-        | None ->
-            let h = t.next_home in
-            t.next_home <- (t.next_home + 1) mod Array.length t.nodes;
-            h
-      in
+  Homes.alloc t.heap ~home ~align ~bytes ~place:(fun ~vpage ~home ->
       Thread.advance th 50;
-      map_shared_page t ~vpage ~home:h
-    end
-  done;
-  t.alloc_cursor <- start + bytes;
-  start
+      map_home_page t ~vpage ~home)
 
 (* ------------------------------------------------------------------ *)
 (* CPU access path                                                     *)
@@ -882,9 +844,9 @@ let noop_handler = h_noop
    only fails for unallocated pages.  Zero simulated cost — the
    checkpoint copy is modeled as overlapped with the barrier. *)
 let snapshot_page t ~vpage =
-  match Inttbl.find_opt t.homes vpage with
-  | None -> None
-  | Some home -> (
+  match Homes.find t.heap vpage with
+  | -1 -> None
+  | home -> (
       match Pagemem.find_page t.nodes.(home).mem ~vpage with
       | None -> None
       | Some page -> Some (Bytes.copy page.Pagemem.data))
@@ -927,10 +889,9 @@ let on_node_death t ~dead ~new_home ~restore =
 
   (* --- re-home pages homed on the victim ---------------------------- *)
   let dead_pages =
-    List.sort compare
-      (Inttbl.fold
-         (fun vpage home acc -> if home = dead then vpage :: acc else acc)
-         t.homes [])
+    List.filter_map
+      (fun (vpage, home) -> if home = dead then Some vpage else None)
+      (Homes.bindings t.heap)
   in
   let rehomed = Inttbl.create 16 in
   List.iter
@@ -952,8 +913,7 @@ let on_node_death t ~dead ~new_home ~restore =
           Stats.add t.nodes.(new_home).stats "recovery.blocks_restored"
             Addr.blocks_per_page);
       Pagemem.unmap deadn.mem ~vpage;
-      set_home t ~vpage new_home;
-      t.home_gen <- t.home_gen + 1;
+      Homes.rehome t.heap ~vpage ~home:new_home;
       Inttbl.replace rehomed vpage ();
       Stats.incr t.nodes.(new_home).stats "recovery.pages_rehomed";
       (* rebuild the directory from the survivors' cache states — the
@@ -1112,9 +1072,9 @@ let check_invariants t =
       Cache.iter node.cache (fun block state ->
           if state = Cache.Exclusive then begin
             let vpage = block * Addr.block_size / Addr.page_size in
-            match Inttbl.find_opt t.homes vpage with
-            | None -> ()
-            | Some home_id -> (
+            match Homes.find t.heap vpage with
+            | -1 -> ()
+            | home_id -> (
                 let entry = Directory.entry t.nodes.(home_id).dir ~block in
                 match entry.Directory.owner with
                 | Some o when o = node.id -> ()
@@ -1165,9 +1125,9 @@ let check_invariants t =
       Cache.iter node.cache (fun block state ->
           if state = Cache.Shared then begin
             let vpage = block * Addr.block_size / Addr.page_size in
-            match Inttbl.find_opt t.homes vpage with
-            | None -> ()
-            | Some home_id -> (
+            match Homes.find t.heap vpage with
+            | -1 -> ()
+            | home_id -> (
                 match Directory.find t.nodes.(home_id).dir ~block with
                 | None ->
                     fail

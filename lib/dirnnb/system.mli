@@ -27,19 +27,22 @@ val fabric : t -> Tt_net.Fabric.t
 val net : t -> Tt_net.Reliable.t
 
 val map_shared_page : t -> vpage:int -> home:int -> unit
-(** Allocate the backing page at [home] and record the global translation.
-    Pages are placed by the allocator (round-robin by default, matching the
-    paper's "no careful data placement" setup). *)
+(** Bind [vpage] to [home] in the page-home map and allocate its backing
+    page there, outside the allocator (tests place pages by hand).
+    @raise Invalid_argument if [vpage] already has a home. *)
 
 val page_home : t -> vpage:int -> int
-(** @raise Invalid_argument for an unallocated page. *)
+(** The page's home, read from the machine's one {!Tt_mem.Homes} map.
+    @raise Invalid_argument for an unallocated page. *)
 
 val alloc :
   t -> th:Tt_sim.Thread.t -> node:int -> ?home:int -> ?align:int ->
   bytes:int -> unit -> int
-(** Bump allocator over the shared segment with round-robin page placement —
-    the same placement policy as Stache's allocator, so both systems see
-    identical data layouts for identical allocation sequences. *)
+(** Allocate from the shared segment through {!Tt_mem.Homes}, the same
+    allocator and round-robin placement Stache uses (matching the paper's
+    "no careful data placement" setup), so both systems see identical
+    data layouts and homes for identical allocation sequences.  Charges
+    10 cycles plus 50 per fresh page. *)
 
 val home_mem : t -> int -> Tt_mem.Pagemem.t
 

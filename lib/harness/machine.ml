@@ -54,15 +54,10 @@ let add_sync m f =
   let prev = m.sync in
   m.sync <- (fun point ~proc th -> prev point ~proc th; f point ~proc th)
 
-let typhoon_stache_full ?reliability ?max_stache_pages params =
+let typhoon_stache_full ?reliability params =
   let engine = Engine.create () in
   let sys = Typhoon.create ?reliability engine params in
-  let max_stache_pages =
-    match max_stache_pages with
-    | Some _ as v -> v
-    | None -> params.Params.stache_max_pages
-  in
-  let stache = Stache.install sys ?max_stache_pages () in
+  let stache = Stache.install sys in
   let machine =
     {
       label = "typhoon/stache";
@@ -107,8 +102,8 @@ let typhoon_stache_full ?reliability ?max_stache_pages params =
   in
   machine, sys, stache
 
-let typhoon_stache ?reliability ?max_stache_pages params =
-  let m, _, _ = typhoon_stache_full ?reliability ?max_stache_pages params in
+let typhoon_stache ?reliability params =
+  let m, _, _ = typhoon_stache_full ?reliability params in
   m
 
 let dirnnb_full ?reliability params =
@@ -155,10 +150,8 @@ let dirnnb ?reliability params =
   let m, _ = dirnnb_full ?reliability params in
   m
 
-let typhoon_em3d ?reliability ?max_stache_pages params =
-  let machine, sys, stache =
-    typhoon_stache_full ?reliability ?max_stache_pages params
-  in
+let typhoon_em3d ?reliability params =
+  let machine, sys, stache = typhoon_stache_full ?reliability params in
   let proto = Tt_custom.Em3d_proto.install sys stache in
   let machine =
     { machine with
@@ -182,10 +175,8 @@ let typhoon_em3d ?reliability ?max_stache_pages params =
 
 module Proto = Tt_custom.Proto
 
-let typhoon_zoo_full ?reliability ?max_stache_pages ~policy params =
-  let machine, sys, stache =
-    typhoon_stache_full ?reliability ?max_stache_pages params
-  in
+let typhoon_zoo_full ?reliability ~policy params =
+  let machine, sys, stache = typhoon_stache_full ?reliability params in
   let proto = Proto.install sys stache in
   let machine =
     { machine with
@@ -212,16 +203,12 @@ let typhoon_zoo_full ?reliability ?max_stache_pages ~policy params =
       | Post_barrier -> ());
   machine, sys, stache, proto
 
-let typhoon_zoo ?reliability ?max_stache_pages ~policy params =
-  let m, _, _, _ =
-    typhoon_zoo_full ?reliability ?max_stache_pages ~policy params
-  in
+let typhoon_zoo ?reliability ~policy params =
+  let m, _, _, _ = typhoon_zoo_full ?reliability ~policy params in
   m
 
-let typhoon_adaptive_full ?reliability ?max_stache_pages params =
-  let machine, sys, stache =
-    typhoon_stache_full ?reliability ?max_stache_pages params
-  in
+let typhoon_adaptive_full ?reliability params =
+  let machine, sys, stache = typhoon_stache_full ?reliability params in
   let proto = Proto.install sys stache in
   let adapt = Tt_custom.Adaptive.install sys stache proto in
   let machine =
@@ -259,25 +246,22 @@ let typhoon_adaptive_full ?reliability ?max_stache_pages params =
           Tt_custom.Adaptive.on_release adapt ~node:proc th);
   machine, sys, stache, proto, adapt
 
-let typhoon_adaptive ?reliability ?max_stache_pages params =
-  let m, _, _, _, _ =
-    typhoon_adaptive_full ?reliability ?max_stache_pages params
-  in
+let typhoon_adaptive ?reliability params =
+  let m, _, _, _, _ = typhoon_adaptive_full ?reliability params in
   m
 
 let names =
   [ "dirnnb"; "stache"; "update"; "migratory"; "prodcons"; "widerep";
     "delayed"; "adaptive" ]
 
-let of_name ?reliability ?max_stache_pages name params =
+let of_name ?reliability name params =
   match name with
   | "dirnnb" -> dirnnb ?reliability params
-  | "stache" -> typhoon_stache ?reliability ?max_stache_pages params
-  | "update" -> typhoon_em3d ?reliability ?max_stache_pages params
-  | "adaptive" -> typhoon_adaptive ?reliability ?max_stache_pages params
+  | "stache" -> typhoon_stache ?reliability params
+  | "update" -> typhoon_em3d ?reliability params
+  | "adaptive" -> typhoon_adaptive ?reliability params
   | "migratory" | "prodcons" | "widerep" | "delayed" ->
-      typhoon_zoo ?reliability ?max_stache_pages
-        ~policy:(Proto.pol_of_name name) params
+      typhoon_zoo ?reliability ~policy:(Proto.pol_of_name name) params
   | other ->
       invalid_arg
         (Printf.sprintf "Machine.of_name: unknown machine %S (valid: %s)"

@@ -95,11 +95,8 @@ val names : string list
     (the hand-written EM3D protocol), the zoo (["migratory"],
     ["prodcons"], ["widerep"], ["delayed"]) and ["adaptive"]. *)
 
-val of_name :
-  ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int -> string ->
-  Params.t -> t
-(** The named machine, built by the constructor below that carries it
-    ([max_stache_pages] is ignored on DirNNB).
+val of_name : ?reliability:Tt_net.Reliable.policy -> string -> Params.t -> t
+(** The named machine, built by the constructor below that carries it.
     @raise Invalid_argument for unknown names, listing {!names}. *)
 
 val recoverable : unit -> string list
@@ -107,14 +104,14 @@ val recoverable : unit -> string list
     {!names} order (builds each machine once, at one node). *)
 
 val typhoon_stache :
-  ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int -> Params.t -> t
+  ?reliability:Tt_net.Reliable.policy -> Params.t -> t
 (** A fresh Typhoon machine with the Stache library installed.
     [reliability] (default [Perfect]) selects the transport policy: under
     [Flaky cfg] all remote traffic crosses a {!Tt_net.Faults} injector and
     the user-level {!Tt_net.Reliable} transport. *)
 
 val typhoon_stache_full :
-  ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int -> Params.t ->
+  ?reliability:Tt_net.Reliable.policy -> Params.t ->
   t * Tt_typhoon.System.t * Tt_stache.Stache.t
 (** Like {!typhoon_stache} but also returns the underlying system and
     protocol handles (used by tests and by custom-protocol setups). *)
@@ -125,14 +122,14 @@ val dirnnb_full :
   ?reliability:Tt_net.Reliable.policy -> Params.t -> t * Tt_dirnnb.System.t
 
 val typhoon_em3d :
-  ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int -> Params.t -> t
+  ?reliability:Tt_net.Reliable.policy -> Params.t -> t
 (** Typhoon with Stache plus the EM3D delayed-update protocol installed
     ("Typhoon/Update" in Figure 4).  Exposes hooks ["em3d.sync:<kind>"] and
     the allocator kind ["em3d:<kind>"] for the value arrays. *)
 
 val typhoon_zoo_full :
-  ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int ->
-  policy:Tt_custom.Proto.pol -> Params.t ->
+  ?reliability:Tt_net.Reliable.policy -> policy:Tt_custom.Proto.pol ->
+  Params.t ->
   t * Tt_typhoon.System.t * Tt_stache.Stache.t * Tt_custom.Proto.t
 (** Typhoon with Stache plus the protocol zoo installed, every application
     allocation adopted under [policy] (labelled ["typhoon/<policy>"]).
@@ -141,13 +138,13 @@ val typhoon_zoo_full :
     zoo machines through it. *)
 
 val typhoon_adaptive :
-  ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int -> Params.t -> t
+  ?reliability:Tt_net.Reliable.policy -> Params.t -> t
 (** Typhoon with the zoo plus per-page adaptive policy switching: pages
     start on the default invalidate protocol and {!Tt_custom.Adaptive}
     reclassifies them around every barrier and every 8th lock release.
     Allocations are page-aligned like the static zoo machines. *)
 
 val typhoon_adaptive_full :
-  ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int -> Params.t ->
+  ?reliability:Tt_net.Reliable.policy -> Params.t ->
   t * Tt_typhoon.System.t * Tt_stache.Stache.t * Tt_custom.Proto.t
   * Tt_custom.Adaptive.t

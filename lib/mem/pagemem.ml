@@ -12,7 +12,6 @@ type page = {
 
 type t = {
   node_id : int;
-  capacity : int option;
   pages : page Tt_util.Inttbl.t; (* the record: [iter_pages] walks it *)
   dense : page Tt_util.Dense.t; (* the same bindings, for the lookup *)
   (* 1-entry MRU translation cache: memory access streams are heavily
@@ -27,16 +26,14 @@ let no_page =
   { data = Bytes.empty; tags = Bytes.empty; mode = -1; home = -1;
     user = No_info }
 
-let create ?max_pages ~node () =
-  { node_id = node; capacity = max_pages; pages = Tt_util.Inttbl.create 256;
+let create ~node () =
+  { node_id = node; pages = Tt_util.Inttbl.create 256;
     dense = Tt_util.Dense.create ~absent:no_page; mru_vpage = -1;
     mru_page = no_page }
 
 let node t = t.node_id
 
 let page_count t = Tt_util.Inttbl.length t.pages
-
-let max_pages t = t.capacity
 
 let is_mapped t ~vpage =
   vpage = t.mru_vpage
@@ -83,12 +80,6 @@ let map t ~vpage ~home ~mode ~init_tag =
     invalid_arg
       (Printf.sprintf "Pagemem.map: node %d, vpage 0x%x already mapped"
          t.node_id vpage);
-  (match t.capacity with
-  | Some cap when page_count t >= cap ->
-      invalid_arg
-        (Printf.sprintf "Pagemem.map: node %d out of physical pages (%d)"
-           t.node_id cap)
-  | Some _ | None -> ());
   let page =
     { data = Bytes.make Addr.page_size '\000';
       tags = Bytes.make Addr.blocks_per_page '\000';

@@ -10,8 +10,7 @@
     Modelling note (see DESIGN.md §5): the paper's RTLB is indexed by
     *physical* page; because every node maps a virtual page to at most one
     frame at a time, indexing by virtual page is behaviourally identical, so
-    we key everything by virtual page and dispense with explicit frames.  A
-    page-count ceiling stands in for physical-memory capacity.
+    we key everything by virtual page and dispense with explicit frames.
 
     Lookups go through a 1-entry MRU translation cache (invalidated on
     {!unmap}): same-page access streaks — the overwhelmingly common case —
@@ -34,15 +33,11 @@ type page = {
 
 type t
 
-val create : ?max_pages:int -> node:int -> unit -> t
-(** [max_pages] bounds the number of simultaneously mapped pages (physical
-    capacity); default unbounded. *)
+val create : node:int -> unit -> t
 
 val node : t -> int
 
 val page_count : t -> int
-
-val max_pages : t -> int option
 
 val is_mapped : t -> vpage:int -> bool
 
@@ -61,7 +56,7 @@ val get_page : t -> vpage:int -> page
 
 val map : t -> vpage:int -> home:int -> mode:int -> init_tag:Tag.t -> page
 (** Allocate and map a zeroed page.
-    @raise Invalid_argument if already mapped or out of capacity. *)
+    @raise Invalid_argument if already mapped. *)
 
 val unmap : t -> vpage:int -> unit
 (** @raise Invalid_argument if not mapped. *)

@@ -12,11 +12,13 @@ let seq_bits = 20
 
 let seq_limit = 1 lsl seq_bits
 
+(* A message from a node to itself short-circuits the network (§5.1). *)
+let local_latency = 1
+
 type t = {
   engine : Tt_sim.Engine.t;
   node_count : int;
   net_latency : int;
-  local_latency : int;
   capacity : int; (* max messages in flight; [max_int] = unbounded *)
   words_per_cycle : int option;
   port_free : int array; (* contention model: next free time per dst port *)
@@ -49,8 +51,7 @@ let deliver t =
            msg.Message.dst msg.Message.src msg.Message.dst msg.Message.handler
            (Message.vnet_to_string msg.Message.vnet))
 
-let create engine ~nodes ~latency ?(local_latency = 1) ?words_per_cycle
-    ?(capacity = max_int) () =
+let create engine ~nodes ~latency ?words_per_cycle ?(capacity = max_int) () =
   if nodes <= 0 then invalid_arg "Fabric.create";
   (match words_per_cycle with
   | Some w when w <= 0 -> invalid_arg "Fabric.create: bad bandwidth"
@@ -58,7 +59,7 @@ let create engine ~nodes ~latency ?(local_latency = 1) ?words_per_cycle
   if capacity <= 0 then invalid_arg "Fabric.create: bad capacity";
   let counters = Stats.create "network" in
   let t =
-    { engine; node_count = nodes; net_latency = latency; local_latency;
+    { engine; node_count = nodes; net_latency = latency;
       capacity; words_per_cycle; port_free = Array.make nodes 0;
       receivers = Array.make nodes None;
       inflight = Tt_util.Intheap.create ~capacity:64 ~dummy:Message.dummy ();
@@ -142,7 +143,7 @@ let send t ~at msg =
   let lat =
     if msg.Message.src = msg.Message.dst then begin
       Stats.Counter.incr t.c_msgs_local;
-      t.local_latency
+      local_latency
     end
     else t.net_latency
   in

@@ -5,8 +5,7 @@
     … contention").  Each node registers one receiver — its network
     interface (NP or hardware directory controller) — which is invoked as an
     engine event at the arrival time.  Messages from a node to itself
-    short-circuit the network (§5.1) and are delivered after
-    [local_latency] (default 1 cycle).
+    short-circuit the network (§5.1) and are delivered after 1 cycle.
 
     Per-virtual-network message and word counts are recorded for the traffic
     comparisons behind Figures 3 and 4. *)
@@ -14,8 +13,8 @@
 type t
 
 val create :
-  Tt_sim.Engine.t -> nodes:int -> latency:int -> ?local_latency:int ->
-  ?words_per_cycle:int -> ?capacity:int -> unit -> t
+  Tt_sim.Engine.t -> nodes:int -> latency:int -> ?words_per_cycle:int ->
+  ?capacity:int -> unit -> t
 (** [words_per_cycle] enables the optional contention model: arrivals at a
     node are serialized through its network port at that payload bandwidth
     (the paper's model is contention-free; this is the [ablation] knob).

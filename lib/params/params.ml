@@ -25,6 +25,7 @@ type t = {
   np_dcache_miss : int;
   fault_detect : int;
   stache_max_pages : int option;
+  sabotage : bool;
   dir_limited_pointers : int option;
   link_words_per_cycle : int option;
   flow_request_credits : int;
@@ -64,6 +65,7 @@ let default =
     np_dcache_miss = 29;
     fault_detect = 10;
     stache_max_pages = None;
+    sabotage = false;
     dir_limited_pointers = None;
     link_words_per_cycle = None;
     (* ample by default: the reliable transport's send window is 512 per

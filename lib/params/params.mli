@@ -42,6 +42,10 @@ type t = {
           Not in Table 2; modelled as 10 cycles. *)
   stache_max_pages : int option;
       (** cap on stache pages per node; [None] = all of local memory *)
+  sabotage : bool;
+      (** Stache's seeded coherence bug for validating the torture
+          harness: invalidations are acknowledged without dropping the
+          read-only copy.  [false] in every production run. *)
   dir_limited_pointers : int option;
       (** DirNNB ablation: [Some i] keeps at most [i] precise sharer
           pointers per block and falls back to broadcast invalidation on

@@ -5,27 +5,12 @@ module Tag = Tt_mem.Tag
 module Message = Tt_net.Message
 module Stats = Tt_util.Stats
 module Inttbl = Tt_util.Inttbl
+module Homes = Tt_mem.Homes
 
 (* Per-block protocol trace (TT_DEBUG_BLOCK = block-base virtual address). *)
 let dbg_on vaddr = Tt_util.Debug.on ~key:(Tt_mem.Addr.block_base vaddr)
 
 let dbg vaddr fmt = Tt_util.Debug.log ~key:(Tt_mem.Addr.block_base vaddr) fmt
-
-(* Guarded protocol-sabotage knob: when on, [on_inval] acknowledges the
-   home node's invalidation without actually dropping the read-only copy,
-   so subsequent reads on the sharer can return stale data — the seeded
-   coherence bug the torture harness (Tt_torture) must catch and shrink.
-   Off unless TT_SABOTAGE is set in the environment or {!set_sabotage} is
-   called; never enabled by any production code path. *)
-let sabotage =
-  ref
-    (match Sys.getenv_opt "TT_SABOTAGE" with
-    | Some ("1" | "true" | "yes") -> true
-    | Some _ | None -> false)
-
-let set_sabotage on = sabotage := on
-
-let sabotage_enabled () = !sabotage
 
 let mode_home = 1
 
@@ -36,9 +21,6 @@ let mode_remote = 2
    ordinary [mode_remote] stached pages; only the home end is retyped, so
    the invariant auditor knows the page plays by its policy's rules. *)
 let mode_proto_home = 5
-
-(* Shared heap segment: a large user-reserved address range (§2.3). *)
-let heap_base = 0x1000_0000
 
 (* Handler instruction counts beyond the endpoint primitives' built-in
    costs, tuned so the common paths match §6: 14 NP instructions to request
@@ -65,7 +47,6 @@ type node_state = {
   pending_remote : Tempest.resumption option Inttbl.t;
       (* block base va -> suspended CPU waiting for data, or [None] for an
          outstanding nonbinding prefetch (the Busy tag's purpose, §5.4) *)
-  local_homes : int Inttbl.t; (* vpage -> home (local cache) *)
   stache_fifo : int Queue.t; (* stached vpages in mapping order *)
 }
 
@@ -98,15 +79,18 @@ type policy_hooks = {
 type t = {
   sys : System.t;
   mutable policy : policy_hooks option;
-  registry : int Inttbl.t; (* vpage -> home: distributed mapping table *)
+  heap : Homes.t; (* the shared heap and its page-home map *)
   node_states : node_state array;
-  max_stache_pages : int option;
+  max_stache_pages : int option; (* [Params.stache_max_pages] *)
+  (* [Params.sabotage]: the seeded coherence bug the torture harness
+     (Tt_torture) must catch and shrink — [on_inval] acknowledges without
+     dropping the read-only copy, so the sharer can read stale data *)
+  sabotage : bool;
   counters : Stats.t;
   (* hot-path counters, pre-resolved from [counters] at install time so the
      protocol handlers never hash key strings per message *)
   c_inval : Stats.counter;
   c_recall : Stats.counter;
-  c_forwarded : Stats.counter;
   c_get_ro : Stats.counter;
   c_get_rw : Stats.counter;
   c_upgrade : Stats.counter;
@@ -116,8 +100,6 @@ type t = {
   c_writeback : Stats.counter;
   c_page_replacements : Stats.counter;
   c_sabotaged_invals : Stats.counter;
-  mutable alloc_cursor : int;
-  mutable next_home : int; (* round-robin cursor *)
   (* message handler ids, assigned at install *)
   mutable h_get : int;
   mutable h_data : int;
@@ -156,13 +138,7 @@ let kind_of_code = function
 
 let node_state t i = t.node_states.(i)
 
-let home_of t ~vaddr =
-  match Inttbl.find_opt t.registry (Addr.page_of vaddr) with
-  | Some h -> h
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Stache.home_of: 0x%x is not an allocated shared \
-                         address" vaddr)
+let home_of t ~vaddr = Homes.home t.heap ~vpage:(Addr.page_of vaddr)
 
 (* ------------------------------------------------------------------ *)
 (* Home-side protocol engine                                           *)
@@ -341,29 +317,16 @@ and drain_waiters t ep ~vaddr bd =
 (* Message handlers                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* home <- requester: get a block.  After a page migration, stale local
-   home caches still aim requests at the old home, which forwards them to
-   the page's current home (preserving the original requester in the
-   arguments). *)
+(* home <- requester: get a block *)
 let on_get t (ep : Tempest.t) ~src ~args ~data:_ =
   let vaddr = args.(0) and kind = kind_of_code args.(1) in
-  let requester = if Array.length args > 2 then args.(2) else src in
-  let current_home = home_of t ~vaddr in
-  if current_home <> ep.Tempest.node then begin
-    Stats.Counter.incr t.c_forwarded;
-    ep.Tempest.charge 4;
-    ep.Tempest.send ~dst:current_home ~vnet:Message.Request ~handler:t.h_get
-      ~args:[| vaddr; args.(1); requester |] ~data:Bytes.empty
-  end
-  else begin
-    Stats.Counter.incr
-      (match kind with `Ro -> t.c_get_ro | `Rw -> t.c_get_rw | `Up -> t.c_upgrade);
-    (match t.policy with
-    | Some ph -> ph.ph_note_get ~vaddr ~requester ~kind
-    | None -> ());
-    let bd = Dir.block_of ep ~vaddr in
-    serve t ep ~vaddr bd (Dir.Remote (requester, kind))
-  end
+  Stats.Counter.incr
+    (match kind with `Ro -> t.c_get_ro | `Rw -> t.c_get_rw | `Up -> t.c_upgrade);
+  (match t.policy with
+  | Some ph -> ph.ph_note_get ~vaddr ~requester:src ~kind
+  | None -> ());
+  let bd = Dir.block_of ep ~vaddr in
+  serve t ep ~vaddr bd (Dir.Remote (src, kind))
 
 (* requester <- home: block data *)
 let on_data t (ep : Tempest.t) ~src:_ ~args ~data =
@@ -406,7 +369,7 @@ let on_upgrade_ok t (ep : Tempest.t) ~src:_ ~args ~data:_ =
 (* sharer <- home: drop your read-only copy *)
 let on_inval t (ep : Tempest.t) ~src ~args ~data:_ =
   let vaddr = args.(0) in
-  if !sabotage then
+  if t.sabotage then
     (* seeded bug: ack without invalidating, keeping a stale RO copy *)
     Stats.Counter.incr t.c_sabotaged_invals
   else if ep.Tempest.page_mapped ~vpage:(Addr.page_of vaddr) then
@@ -499,15 +462,6 @@ let on_recall_data t (ep : Tempest.t) ~src ~args ~data =
 (* home <- replacing node: modified block flushed during page replacement *)
 let on_writeback t (ep : Tempest.t) ~src ~args ~data =
   let vaddr = args.(0) in
-  let src = if Array.length args > 1 then args.(1) else src in
-  let current_home = home_of t ~vaddr in
-  if current_home <> ep.Tempest.node then begin
-    Stats.Counter.incr t.c_forwarded;
-    ep.Tempest.charge 4;
-    ep.Tempest.send ~dst:current_home ~vnet:Message.Request
-      ~handler:t.h_writeback ~args:[| vaddr; src |] ~data
-  end
-  else begin
   Stats.Counter.incr t.c_writeback;
   let bd = Dir.block_of ep ~vaddr in
   touch_dir ep ~vaddr;
@@ -518,7 +472,6 @@ let on_writeback t (ep : Tempest.t) ~src ~args ~data =
       bd.Dir.state <- Dir.Idle;
       ep.Tempest.set_rw ~vaddr
   | Dir.Remote_excl _ | Dir.Idle | Dir.Shared -> ()
-  end
 
 (* Recovery sink: the scrub ({!Tt_net.Reliable.scrub_unacked}) rewrites
    held crash-era messages to this handler, so replayed queues keep their
@@ -552,13 +505,9 @@ let remote_block_fault t (ep : Tempest.t) (fault : Tempest.fault) =
       (Some fault.Tempest.fault_resumption)
   end
   else begin
-    let home =
-      match Inttbl.find_opt ns.local_homes (Addr.page_of vaddr) with
-      | Some h ->
-          ep.Tempest.touch (Addr.page_of vaddr);
-          h
-      | None -> home_of t ~vaddr
-    in
+    let home = home_of t ~vaddr in
+    (* the mapping-table lookup *)
+    ep.Tempest.touch (Addr.page_of vaddr);
     ep.Tempest.set_busy ~vaddr;
     Inttbl.replace ns.pending_remote vaddr
       (Some fault.Tempest.fault_resumption);
@@ -606,26 +555,23 @@ let replace_page t (ep : Tempest.t) ~vpage =
 (* Page fault: first access to a shared page from a non-home node. *)
 let page_fault t (ep : Tempest.t) ~vaddr (_ : Tag.access) resumption =
   let vpage = Addr.page_of vaddr in
-  let home =
-    match Inttbl.find_opt t.registry vpage with
-    | Some h -> h
-    | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Stache: page fault at 0x%x outside the shared heap (node %d)"
-             vaddr ep.Tempest.node)
-  in
+  let home = Homes.find t.heap vpage in
+  if home < 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Stache: page fault at 0x%x outside the shared heap (node %d)" vaddr
+         ep.Tempest.node);
   if home = ep.Tempest.node then
     invalid_arg
       (Printf.sprintf "Stache: home page 0x%x faulted unmapped on its own node"
          vpage);
   let ns = node_state t ep.Tempest.node in
   ep.Tempest.charge (c_page_fault_extra + c_registry_lookup);
-  Inttbl.replace ns.local_homes vpage home;
   (match t.max_stache_pages with
   | Some cap ->
-      (* the FIFO may hold stale entries (pages unmapped by migration);
-         drop those until a real victim is replaced or capacity is fine *)
+      (* the FIFO may hold stale entries (pages unmapped or retyped by
+         crash recovery); drop those until a real victim is replaced or
+         capacity is fine *)
       let rec make_room () =
         if Queue.length ns.stache_fifo >= cap then begin
           let victim = Queue.pop ns.stache_fifo in
@@ -648,23 +594,23 @@ let page_fault t (ep : Tempest.t) ~vaddr (_ : Tag.access) resumption =
 (* Installation and allocation                                         *)
 (* ------------------------------------------------------------------ *)
 
-let install sys ?max_stache_pages () =
+let install sys =
   let counters = Stats.create "stache" in
+  let params = System.params sys in
   let t =
     {
       sys;
       policy = None;
-      registry = Inttbl.create 4096;
+      heap = Homes.create ~nodes:(System.nnodes sys);
       node_states =
         Array.init (System.nnodes sys) (fun _ ->
             { pending_remote = Inttbl.create 8;
-              local_homes = Inttbl.create 256;
               stache_fifo = Queue.create () });
-      max_stache_pages;
+      max_stache_pages = params.Params.stache_max_pages;
+      sabotage = params.Params.sabotage;
       counters;
       c_inval = Stats.counter counters "inval";
       c_recall = Stats.counter counters "recall";
-      c_forwarded = Stats.counter counters "forwarded";
       c_get_ro = Stats.counter counters "get_ro";
       c_get_rw = Stats.counter counters "get_rw";
       c_upgrade = Stats.counter counters "upgrade";
@@ -674,8 +620,6 @@ let install sys ?max_stache_pages () =
       c_writeback = Stats.counter counters "writeback";
       c_page_replacements = Stats.counter counters "page_replacements";
       c_sabotaged_invals = Stats.counter counters "sabotaged_invals";
-      alloc_cursor = heap_base;
-      next_home = 0;
       h_get = -1; h_data = -1; h_upgrade_ok = -1; h_inval = -1;
       h_inval_ack = -1; h_recall = -1; h_recall_data = -1; h_writeback = -1;
       h_noop = -1;
@@ -689,16 +633,16 @@ let install sys ?max_stache_pages () =
     }
   in
   let tables = System.handlers sys in
-  let reg name f = Tempest.Handlers.register_message tables ~name (f t) in
-  t.h_get <- reg "stache.get" on_get;
-  t.h_data <- reg "stache.data" on_data;
-  t.h_upgrade_ok <- reg "stache.upgrade_ok" on_upgrade_ok;
-  t.h_inval <- reg "stache.inval" on_inval;
-  t.h_inval_ack <- reg "stache.inval_ack" on_inval_ack;
-  t.h_recall <- reg "stache.recall" on_recall;
-  t.h_recall_data <- reg "stache.recall_data" on_recall_data;
-  t.h_writeback <- reg "stache.writeback" on_writeback;
-  t.h_noop <- reg "stache.noop" on_noop;
+  let reg f = Tempest.Handlers.register_message tables (f t) in
+  t.h_get <- reg on_get;
+  t.h_data <- reg on_data;
+  t.h_upgrade_ok <- reg on_upgrade_ok;
+  t.h_inval <- reg on_inval;
+  t.h_inval_ack <- reg on_inval_ack;
+  t.h_recall <- reg on_recall;
+  t.h_recall_data <- reg on_recall_data;
+  t.h_writeback <- reg on_writeback;
+  t.h_noop <- reg on_noop;
   Tempest.Handlers.set_block_fault tables ~mode:mode_home (home_block_fault t);
   (* policy-retyped home pages fault into the same engine; the installed
      policy hooks modulate service per page *)
@@ -710,51 +654,22 @@ let install sys ?max_stache_pages () =
   t
 
 (* Create a shared home page: map it at the home node with ReadWrite tags
-   and a fresh directory, and record it in the distributed mapping table. *)
+   and a fresh directory. *)
 let create_home_page t ~vpage ~home =
-  Inttbl.replace t.registry vpage home;
   let ep = System.endpoint t.sys home in
   ep.Tempest.map_page ~vpage ~home ~mode:mode_home ~init_tag:Tag.Read_write;
   ep.Tempest.set_page_user ~vpage
     (Dir.Home_dir (Dir.create_page_dir ~nodes:(System.nnodes t.sys)))
 
 let alloc t ~th ~node ?home ?(align = 8) ~bytes () =
-  if bytes <= 0 then invalid_arg "Stache.alloc: non-positive size";
-  if align <= 0 || align land (align - 1) <> 0 then
-    invalid_arg "Stache.alloc: alignment must be a power of two";
   System.with_cpu_context t.sys ~node th (fun () ->
       Thread.advance th 10;
-      let round_up v a = (v + a - 1) land lnot (a - 1) in
-      let start = round_up t.alloc_cursor align in
-      (* a pinned allocation never shares a page homed elsewhere *)
-      let desired_home = home in
-      let start =
-        match desired_home, Inttbl.find_opt t.registry (Addr.page_of start) with
-        | Some h, Some existing when existing <> h ->
-            round_up start Addr.page_size
-        | (Some _ | None), _ -> start
-      in
-      let page_start = Addr.page_of start in
-      let last_page = Addr.page_of (start + bytes - 1) in
-      for vpage = page_start to last_page do
-        if not (Inttbl.mem t.registry vpage) then begin
-          let h =
-            match desired_home with
-            | Some h -> h
-            | None ->
-                let h = t.next_home in
-                t.next_home <- (t.next_home + 1) mod System.nnodes t.sys;
-                h
-          in
+      Homes.alloc t.heap ~home ~align ~bytes ~place:(fun ~vpage ~home ->
           Thread.advance th 50;
-          create_home_page t ~vpage ~home:h
-        end
-      done;
-      t.alloc_cursor <- start + bytes;
-      start)
+          create_home_page t ~vpage ~home))
 
 (* ------------------------------------------------------------------ *)
-(* Prefetch and page migration                                         *)
+(* Prefetch                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let prefetch t ~th ~node ~vaddr kind =
@@ -781,89 +696,6 @@ let prefetch t ~th ~node ~vaddr kind =
           ~handler:t.h_get ~args:[| vaddr; code |] ~data:Bytes.empty
       end)
 
-let migrate_page t ~th ~node ~vpage ~new_home =
-  let old_home = home_of t ~vaddr:(vpage * Addr.page_size) in
-  if old_home = new_home then ()
-  else begin
-    let old_mem = System.node_mem t.sys old_home in
-    let old_page = Tt_mem.Pagemem.get_page old_mem ~vpage in
-    if old_page.Tt_mem.Pagemem.mode <> mode_home then
-      invalid_arg "Stache.migrate_page: not a stache home page";
-    let dir =
-      match old_page.Tt_mem.Pagemem.user with
-      | Dir.Home_dir d -> d
-      | _ -> invalid_arg "Stache.migrate_page: home page without directory"
-    in
-    (* quiescence: no remote owner, no transaction in flight *)
-    Array.iteri
-      (fun index bd ->
-        match bd.Dir.state, bd.Dir.pending with
-        | Dir.Remote_excl _, _ ->
-            invalid_arg
-              (Printf.sprintf
-                 "Stache.migrate_page: block %d is remotely owned" index)
-        | _, Some _ ->
-            invalid_arg
-              (Printf.sprintf
-                 "Stache.migrate_page: block %d mid-transaction" index)
-        | (Dir.Idle | Dir.Shared), None ->
-            if not (Queue.is_empty bd.Dir.waiters) then
-              invalid_arg "Stache.migrate_page: waiters queued")
-      dir;
-    Stats.incr t.counters "page_migrations";
-    (* the copy itself: one page of bulk traffic, charged to the caller *)
-    Thread.advance th (Addr.page_size / 64 * 20);
-    let new_mem = System.node_mem t.sys new_home in
-    (* the new home may hold a stached copy of this page: discard it (the
-       quiescence check guarantees it has no modified blocks).  Its FIFO
-       entry goes stale and is skipped at replacement time. *)
-    if Tt_mem.Pagemem.is_mapped new_mem ~vpage then begin
-      let new_ep = System.endpoint t.sys new_home in
-      System.with_cpu_context t.sys ~node th (fun () ->
-          new_ep.Tempest.unmap_page ~vpage);
-      (* drop the stale sharer registration *)
-      Array.iter (fun bd -> Sharers.remove bd.Dir.sharers new_home) dir
-    end;
-    let new_page =
-      Tt_mem.Pagemem.map new_mem ~vpage ~home:new_home ~mode:mode_home
-        ~init_tag:Tag.Read_only
-    in
-    Bytes.blit old_page.Tt_mem.Pagemem.data 0 new_page.Tt_mem.Pagemem.data 0
-      Addr.page_size;
-    (* the new directory: every block Shared, old sharers plus the old home
-       (which keeps a ReadOnly stached copy) *)
-    let new_dir = Dir.create_page_dir ~nodes:(System.nnodes t.sys) in
-    Array.iteri
-      (fun index bd ->
-        let nbd = new_dir.(index) in
-        nbd.Dir.state <- Dir.Shared;
-        List.iter (Sharers.add nbd.Dir.sharers) (Sharers.to_list bd.Dir.sharers);
-        Sharers.add nbd.Dir.sharers old_home)
-      dir;
-    new_page.Tt_mem.Pagemem.user <- Dir.Home_dir new_dir;
-    (* retype the old page as an ordinary stached copy: all blocks become
-       ReadOnly, CPU-cached lines are downgraded *)
-    let old_ep = System.endpoint t.sys old_home in
-    System.with_cpu_context t.sys ~node th (fun () ->
-        for index = 0 to Addr.blocks_per_page - 1 do
-          let va = Addr.block_addr ~page:vpage ~index in
-          Tt_mem.Pagemem.set_tag old_mem ~vaddr:va Tag.Read_only;
-          old_ep.Tempest.downgrade ~vaddr:va
-        done);
-    old_page.Tt_mem.Pagemem.mode <- mode_remote;
-    old_page.Tt_mem.Pagemem.home <- new_home;
-    old_page.Tt_mem.Pagemem.user <- Tt_mem.Pagemem.No_info;
-    (* the page was retyped in place: no access may ride a cached
-       translation past the mode change *)
-    Tt_mem.Pagemem.invalidate_translation old_mem;
-    Tt_mem.Pagemem.invalidate_translation new_mem;
-    Queue.add vpage (node_state t old_home).stache_fifo;
-    (* the distributed mapping table and the two nodes' local caches *)
-    Inttbl.replace t.registry vpage new_home;
-    Inttbl.replace (node_state t old_home).local_homes vpage new_home;
-    Inttbl.remove (node_state t new_home).local_homes vpage
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Crash-stop recovery (re-homing and rejoin)                          *)
 (* ------------------------------------------------------------------ *)
@@ -882,9 +714,9 @@ let noop_handler t =
    handles.  Zero simulated cost: the checkpoint copy is modeled as
    overlapped with the barrier. *)
 let snapshot_page t ~vpage =
-  match Inttbl.find_opt t.registry vpage with
-  | None -> None
-  | Some home -> (
+  match Homes.find t.heap vpage with
+  | -1 -> None
+  | home -> (
       let mem = System.node_mem t.sys home in
       match Tt_mem.Pagemem.find_page mem ~vpage with
       | None -> None
@@ -1013,10 +845,7 @@ let on_node_death t ~dead ~new_home ~restore =
         Stats.Counter.incr t.c_restored
   in
   (* a deterministic, sorted view of the mapping table *)
-  let all_pages =
-    List.sort compare
-      (Inttbl.fold (fun vpage home acc -> (vpage, home) :: acc) t.registry [])
-  in
+  let all_pages = Homes.bindings t.heap in
   let dead_pages =
     List.filter_map
       (fun (vpage, home) -> if home = dead then Some vpage else None)
@@ -1152,20 +981,13 @@ let on_node_death t ~dead ~new_home ~restore =
             bd.Dir.state <- Dir.Idle)
       done;
       new_page.Tt_mem.Pagemem.user <- Dir.Home_dir new_dir;
-      (* re-point the world: the mapping table, every live node's local
-         home cache, and the victim's former home page (retyped as an
-         ordinary — dead — stached copy so its rejoin treats it like any
-         other invalidated page) *)
-      Inttbl.replace t.registry vpage new_home;
-      for n = 0 to nnodes - 1 do
-        if n <> new_home && Inttbl.mem (node_state t n).local_homes vpage
-        then Inttbl.replace (node_state t n).local_homes vpage new_home
-      done;
-      Inttbl.remove (node_state t new_home).local_homes vpage;
+      (* re-point the world: the mapping table, and the victim's former
+         home page (retyped as an ordinary — dead — stached copy so its
+         rejoin treats it like any other invalidated page) *)
+      Homes.rehome t.heap ~vpage ~home:new_home;
       old_page.Tt_mem.Pagemem.mode <- mode_remote;
       old_page.Tt_mem.Pagemem.home <- new_home;
       old_page.Tt_mem.Pagemem.user <- Tt_mem.Pagemem.No_info;
-      Inttbl.replace (node_state t dead).local_homes vpage new_home;
       Queue.add vpage (node_state t dead).stache_fifo;
       Stats.Counter.incr t.c_rehomed)
     dead_pages;
@@ -1357,7 +1179,7 @@ let check_invariants t =
     Printf.ksprintf (fun s -> if !problem = None then problem := Some s) fmt
   in
   let nnodes = System.nnodes t.sys in
-  Inttbl.iter
+  Homes.iter
     (fun vpage home ->
       let home_mem = System.node_mem t.sys home in
       let page = Tt_mem.Pagemem.get_page home_mem ~vpage in
@@ -1451,5 +1273,5 @@ let check_invariants t =
                 fail "block 0x%x: owner %d does not hold a RW copy" vaddr o)
         dir
       end)
-    t.registry;
+    t.heap;
   match !problem with None -> Ok () | Some msg -> Error msg

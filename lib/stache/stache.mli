@@ -72,24 +72,33 @@ val set_policy : t -> policy_hooks option -> unit
 (** Install (or clear) the policy hook set.  One slot machine-wide; per-page
     behaviour is the policy layer's business. *)
 
-val install : Tt_typhoon.System.t -> ?max_stache_pages:int -> unit -> t
-(** Register all Stache handlers on the system.  [max_stache_pages] bounds
-    the per-node stache size in pages (page replacement kicks in beyond
-    it); default unbounded, as when an application lets Stache use all of
-    local memory. *)
+val install : Tt_typhoon.System.t -> t
+(** Register all Stache handlers on the system.  Two fields of the
+    system's {!Params.t} shape the protocol: [stache_max_pages] bounds the
+    per-node stache size in pages (FIFO page replacement kicks in beyond
+    it; [None] lets Stache use all of local memory), and [sabotage] seeds
+    the coherence bug the torture harness must catch: invalidation
+    handlers acknowledge without invalidating, leaving stale read-only
+    copies behind (counted under [sabotaged_invals] in {!stats}). *)
 
 val system : t -> Tt_typhoon.System.t
 
 val alloc :
   t -> th:Tt_sim.Thread.t -> node:int -> ?home:int -> ?align:int ->
   bytes:int -> unit -> int
-(** Allocate shared memory from the shared heap segment; returns the
-    virtual address.  Pages are homed round-robin unless [home] pins them
-    (the paper: "Stache also allows pages to be allocated on specific
-    nodes").  Runs as CPU-side library code on [node]'s thread. *)
+(** Allocate shared memory from the shared heap segment through the
+    machine's {!Tt_mem.Homes} map; returns the virtual address.  Pages are
+    homed round-robin unless [home] pins them (the paper: "Stache also
+    allows pages to be allocated on specific nodes").  Runs as CPU-side
+    library code on [node]'s thread: 10 cycles, plus 50 per fresh page to
+    create its home page and directory. *)
 
 val home_of : t -> vaddr:int -> int
-(** Home node of an allocated address (the distributed mapping table). *)
+(** Home node of an allocated address: the one page-home map
+    ({!Tt_mem.Homes}) that every node consults, so no node holds a stale
+    home and no request is ever forwarded.  The remote block-fault path
+    charges an NP cache touch for the lookup.
+    @raise Invalid_argument for an address outside the allocated heap. *)
 
 val prefetch :
   t -> th:Tt_sim.Thread.t -> node:int -> vaddr:int -> [ `Ro | `Rw ] -> unit
@@ -99,15 +108,6 @@ val prefetch :
     access that arrives before the data simply joins the outstanding
     request.  No-op in every other situation (unmapped page, block already
     valid, request already in flight). *)
-
-val migrate_page :
-  t -> th:Tt_sim.Thread.t -> node:int -> vpage:int -> new_home:int -> unit
-(** Explicit page migration (§7: Stache "provides support to allow explicit
-    page migration").  Must be called at a quiescent point where no block
-    of the page is remotely owned or mid-transaction (typically right after
-    a barrier); raises [Invalid_argument] otherwise.  The page's data and
-    directory move to [new_home]; the old home keeps a ReadOnly stached
-    copy; stale requests aimed at the old home are forwarded. *)
 
 val stats : t -> Tt_util.Stats.t
 (** Protocol event counters: [get_ro], [get_rw], [upgrade], [inval],
@@ -176,13 +176,3 @@ val check_invariants : t -> (unit, string) result
     transactions; Idle ⇒ home tag ReadWrite and no remote copy;
     Shared ⇒ home tag ReadOnly, every remote copy ReadOnly and registered;
     Remote_excl o ⇒ home tag Invalid and node o's copy ReadWrite. *)
-
-val set_sabotage : bool -> unit
-(** Guarded protocol-sabotage knob (global): when on, {e invalidation
-    handlers acknowledge without invalidating}, leaving stale read-only
-    copies behind — a seeded coherence bug for validating the torture
-    harness's oracle and shrinker.  Initialized from the [TT_SABOTAGE]
-    environment variable (["1"]/["true"]/["yes"]); counted under
-    [sabotaged_invals] in {!stats}.  Never enabled by production code. *)
-
-val sabotage_enabled : unit -> bool

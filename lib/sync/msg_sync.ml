@@ -106,11 +106,11 @@ let install sys =
     }
   in
   let tables = System.handlers sys in
-  let reg name f = Tempest.Handlers.register_message tables ~name (f t) in
-  t.h_fa_req <- reg "sync.fa_req" on_fa_req;
-  t.h_fa_resp <- reg "sync.fa_resp" on_fa_resp;
-  t.h_bar_arrive <- reg "sync.bar_arrive" on_bar_arrive;
-  t.h_bar_release <- reg "sync.bar_release" on_bar_release;
+  let reg f = Tempest.Handlers.register_message tables (f t) in
+  t.h_fa_req <- reg on_fa_req;
+  t.h_fa_resp <- reg on_fa_resp;
+  t.h_bar_arrive <- reg on_bar_arrive;
+  t.h_bar_release <- reg on_bar_release;
   t
 
 let alloc_counter t ~th ~node ~home ~init =

@@ -32,7 +32,6 @@ type t = {
   page_user : vpage:int -> Tt_mem.Pagemem.user_info;
   set_page_user : vpage:int -> Tt_mem.Pagemem.user_info -> unit;
   page_count : unit -> int;
-  page_capacity : unit -> int option;
   read_tag : vaddr:int -> Tt_mem.Tag.t;
   set_rw : vaddr:int -> unit;
   set_ro : vaddr:int -> unit;
@@ -62,7 +61,7 @@ module Handlers = struct
   let modes = 16 (* a page mode is 4 bits *)
 
   type tables = {
-    messages : (string * message_handler) Tt_util.Vec.t;
+    messages : message_handler Tt_util.Vec.t;
     (* indexed by page mode; the options are built at registration, so a
        fault's lookup neither hashes nor allocates *)
     block_faults : block_fault_handler option array;
@@ -74,14 +73,14 @@ module Handlers = struct
     { messages = Tt_util.Vec.create (); block_faults = Array.make modes None;
       page_faults = None; status = None }
 
-  let register_message t ~name handler =
-    Tt_util.Vec.push t.messages (name, handler);
+  let register_message t handler =
+    Tt_util.Vec.push t.messages handler;
     Tt_util.Vec.length t.messages - 1
 
   let message t id =
     if id < 0 || id >= Tt_util.Vec.length t.messages then
       invalid_arg (Printf.sprintf "Tempest.Handlers.message: bad id %d" id);
-    snd (Tt_util.Vec.get t.messages id)
+    Tt_util.Vec.get t.messages id
 
   let set_block_fault t ~mode handler =
     if mode < 0 || mode >= modes then

@@ -75,7 +75,6 @@ type t = {
   page_user : vpage:int -> Tt_mem.Pagemem.user_info;
   set_page_user : vpage:int -> Tt_mem.Pagemem.user_info -> unit;
   page_count : unit -> int;
-  page_capacity : unit -> int option;
   (* --- §2.4 fine-grain access control (Table 1) --- *)
   read_tag : vaddr:int -> Tt_mem.Tag.t;
   set_rw : vaddr:int -> unit;
@@ -128,7 +127,7 @@ module Handlers : sig
 
   val create : unit -> tables
 
-  val register_message : tables -> name:string -> message_handler -> int
+  val register_message : tables -> message_handler -> int
   (** Returns the handler id used in {!t.send}. *)
 
   val message : tables -> int -> message_handler

@@ -7,7 +7,6 @@ module Run = Tt_harness.Run
 module Watchdog = Tt_harness.Watchdog
 module Faultsweep = Tt_harness.Faultsweep
 module Env = Tt_app.Env
-module Stache = Tt_stache.Stache
 module Addr = Tt_mem.Addr
 module Inttbl = Tt_util.Inttbl
 
@@ -106,7 +105,9 @@ let make_machine case params =
 let run ?(mode = Generate) ?(tweak_params = fun p -> p) case =
   let lit = Litmus.by_name case.litmus in
   let params =
-    tweak_params { Params.default with Params.nodes = lit.Litmus.nprocs }
+    tweak_params
+      { Params.default with
+        Params.nodes = lit.Litmus.nprocs; sabotage = case.sabotage }
   in
   let machine = make_machine case params in
   let trace = Trace.create () in
@@ -268,8 +269,6 @@ let run ?(mode = Generate) ?(tweak_params = fun p -> p) case =
       ~max_retransmits:200_000 ~max_stall:500_000 ()
   in
   let name = Printf.sprintf "torture-%s" lit.Litmus.name in
-  let was_sabotaged = Stache.sabotage_enabled () in
-  Stache.set_sabotage case.sabotage;
   let finish outcome cycles =
     {
       outcome;
@@ -282,35 +281,32 @@ let run ?(mode = Generate) ?(tweak_params = fun p -> p) case =
       trace;
     }
   in
-  Fun.protect
-    ~finally:(fun () -> Stache.set_sabotage was_sabotaged)
-    (fun () ->
-      match Run.spmd machine ~name ~check:false ~watchdog body with
-      | r -> (
-          match check_outcomes () with
-          | Some v -> finish (Fail v) r.Run.cycles
-          | None -> (
-              match machine.Machine.check_invariants () with
-              | Ok () -> finish Pass r.Run.cycles
-              | Error msg ->
-                  finish (Fail { kind = Invariant; iter = -1; detail = msg })
-                    r.Run.cycles))
-      | exception exn ->
-          let from_exn kind msg =
-            match check_outcomes () with
-            | Some v -> finish (Fail v) 0
-            | None -> finish (Fail { kind; iter = -1; detail = msg }) 0
-          in
-          (match exn with
-          | Watchdog.Expired msg -> from_exn Hang msg
-          | Run.Stuck msg -> from_exn Hang msg
-          (* a full overflow buffer is the diagnosed form of the hang it
-             prevents: classify with the wedged runs, not the crashes *)
-          | Tt_net.Overload.Overload msg -> from_exn Hang msg
-          | Reliable.Link_failed msg -> from_exn Link msg
-          | Failure msg -> from_exn Crash msg
-          | Invalid_argument msg -> from_exn Crash msg
-          | exn -> raise exn))
+  match Run.spmd machine ~name ~check:false ~watchdog body with
+  | r -> (
+      match check_outcomes () with
+      | Some v -> finish (Fail v) r.Run.cycles
+      | None -> (
+          match machine.Machine.check_invariants () with
+          | Ok () -> finish Pass r.Run.cycles
+          | Error msg ->
+              finish (Fail { kind = Invariant; iter = -1; detail = msg })
+                r.Run.cycles))
+  | exception exn ->
+      let from_exn kind msg =
+        match check_outcomes () with
+        | Some v -> finish (Fail v) 0
+        | None -> finish (Fail { kind; iter = -1; detail = msg }) 0
+      in
+      match exn with
+      | Watchdog.Expired msg -> from_exn Hang msg
+      | Run.Stuck msg -> from_exn Hang msg
+      (* a full overflow buffer is the diagnosed form of the hang it
+         prevents: classify with the wedged runs, not the crashes *)
+      | Tt_net.Overload.Overload msg -> from_exn Hang msg
+      | Reliable.Link_failed msg -> from_exn Link msg
+      | Failure msg -> from_exn Crash msg
+      | Invalid_argument msg -> from_exn Crash msg
+      | exn -> raise exn
 
 (* --- grid --- *)
 
@@ -320,7 +316,7 @@ let default_seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
 let grid ?(litmus = Litmus.names) ?(machines = machines)
     ?(drops = default_drops) ?(seeds = default_seeds) ?(iters = 4)
-    ?(perturb_rate = 0.25) ?(sabotage = Stache.sabotage_enabled ()) () =
+    ?(perturb_rate = 0.25) ?(sabotage = false) () =
   List.concat_map
     (fun l ->
       List.concat_map

@@ -77,8 +77,8 @@ val kind_to_string : kind -> string
 val run : ?mode:mode -> ?tweak_params:(Params.t -> Params.t) -> case -> result
 (** Execute one case.  Observable (SC/stale) violations recorded before a
     crash take priority over the crash itself, so the shrinker keys on
-    stable evidence.  The Stache sabotage global is set from [case] for
-    the duration of the run and restored afterwards.
+    stable evidence.  [case.sabotage] becomes the machine's
+    [Params.sabotage], so it holds for this run's machine alone.
 
     [tweak_params] adjusts the machine parameters after the litmus shape
     sets the node count — overload tests use it to shrink flow-control
@@ -96,7 +96,8 @@ val grid :
   unit -> case list
 (** The default smoke grid: every litmus shape × {stache, dirnnb} ×
     {perfect, drop 5%} × 8 seeds, 4 iterations, perturbation rate 0.25.
-    [sabotage] defaults to the current global knob (i.e. [TT_SABOTAGE]). *)
+    [sabotage] (default [false]) seeds Stache's coherence bug in every
+    case. *)
 
 val run_grid : ?domains:int -> case list -> (case * result) list
 (** [domains > 1] fans the independent cases out over worker domains

@@ -216,7 +216,6 @@ let make_endpoint t node =
     set_page_user =
       (fun ~vpage user -> with_page ~vpage (fun p -> p.Pagemem.user <- user));
     page_count = (fun () -> Pagemem.page_count node.mem);
-    page_capacity = (fun () -> Pagemem.max_pages node.mem);
     read_tag =
       (fun ~vaddr ->
         rtlb_access node vaddr;
@@ -368,7 +367,7 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
         let stats = Stats.create (Printf.sprintf "node%d" id) in
         {
           id;
-          mem = Pagemem.create ?max_pages:None ~node:id ();
+          mem = Pagemem.create ~node:id ();
           tlb =
             Tlb.create ~entries:p.Params.cpu_tlb_entries
               ~miss_penalty:p.Params.tlb_miss ();
@@ -451,7 +450,7 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
     end
   in
   t.bulk_handler_id <-
-    Tempest.Handlers.register_message tables ~name:"__bulk" bulk_handler;
+    Tempest.Handlers.register_message tables bulk_handler;
   t
 
 let with_cpu_context t ~node th f =

@@ -16,7 +16,9 @@
 #    machine against its sequential oracle.
 # 3. Torture: the litmus smoke grid reports no SC violation; the guarded
 #    sabotage knob (TT_SABOTAGE=1) must fail it, be shrunk to a reproducer
-#    artifact, and that artifact must replay to the same violation.
+#    artifact, and that artifact must replay to the same violation; the
+#    sabotaged grid's table is byte-identical at --domains 0 and 4
+#    (sabotage is per machine, not a process global).
 # 4. Recovery: the Stache and DirNNB recover grids are diffed byte for byte
 #    against scripts/expected/recover.txt (DirNNB's cells re-issue
 #    survivors' misses and re-send a rejoining node's), the tt faults
@@ -32,7 +34,9 @@
 #    with >= 4 cores the parallel scale sweep must also beat the
 #    sequential one by TT_CHECK_SPEEDUP_MIN (default 1.5x); smaller hosts
 #    skip the speedup check.
-# 6. Build flags and profiler: lib/ compiles with -inline (lib/dune) and
+# 6. Knob census, build flags and profiler: the only TT_* environment
+#    variables named in lib/ are TT_DEBUG_BLOCK and TT_FASTPATH (bin/ may
+#    read its own); lib/ compiles with -inline (lib/dune) and
 #    perfbench/ does not, so the benchmark's host-speed yardstick compiles
 #    unchanged; the default (release) profile keeps the dev profile's
 #    warning and strict flags; lib/'s .cmx files export function bodies
@@ -120,6 +124,16 @@ fi
 
 echo "== shrunk artifact must replay to the same violation =="
 "$TT" torture --replay "$tmp/repro"
+
+echo "== sabotaged grid, --domains 0 vs --domains 4 =="
+for d in 0 4; do
+  if TT_SABOTAGE=1 "$TT" torture --smoke --no-shrink --table --domains "$d" \
+    >"$tmp/sabotage-$d.txt" 2>/dev/null; then
+    echo "FAIL: sabotaged grid passed at --domains $d" >&2
+    exit 1
+  fi
+done
+diff -u "$tmp/sabotage-0.txt" "$tmp/sabotage-4.txt"
 
 echo "==================== recovery ===================="
 echo "== recover grids =="
@@ -212,7 +226,16 @@ else
   echo "(speedup gate skipped: only $ncores core(s); determinism asserted)"
 fi
 
-echo "==================== build flags and profiler ===================="
+echo "==================== knobs, build flags and profiler ===================="
+echo "== lib/ reads exactly TT_DEBUG_BLOCK and TT_FASTPATH =="
+knobs=$(grep -rhoE '"TT_[A-Z0-9_]+"' lib --include='*.ml' | tr -d '"' \
+  | sort -u | tr '\n' ' ')
+echo "lib/ environment knobs: $knobs"
+if [ "$knobs" != "TT_DEBUG_BLOCK TT_FASTPATH " ]; then
+  echo "FAIL: lib/ must read exactly TT_DEBUG_BLOCK and TT_FASTPATH" >&2
+  exit 1
+fi
+
 echo "== lib/ inlines, perfbench/ does not =="
 if ! dune printenv lib | grep -q -- "-inline"; then
   echo "FAIL: lib/ is not compiled with -inline (see lib/dune)" >&2

@@ -120,8 +120,7 @@ let test_contention_model_correctness () =
       ignore (Run.spmd machine ~name:"em3d" inst.Tt_app.Em3d.body);
       ignore
         (Run.spmd machine ~name:"em3d-v" ~check:false inst.Tt_app.Em3d.verify))
-    [ Machine.dirnnb; Machine.typhoon_stache ?max_stache_pages:None;
-      Machine.typhoon_em3d ?max_stache_pages:None ]
+    [ Machine.dirnnb; Machine.typhoon_stache; Machine.typhoon_em3d ]
 
 let () =
   Alcotest.run "ablations"

@@ -21,7 +21,7 @@ let tiny_scale name =
 
 let machines =
   [ ("dirnnb", Machine.dirnnb ?reliability:None);
-    ("stache", Machine.typhoon_stache ?reliability:None ?max_stache_pages:None) ]
+    ("stache", Machine.typhoon_stache ?reliability:None) ]
 
 let verified_run name (mk : Params.t -> Machine.t) =
   let machine = mk params in

@@ -19,7 +19,7 @@ let check_bool = Alcotest.(check bool)
 let mk ?(nodes = 4) () =
   let engine = Engine.create () in
   let sys = System.create engine { Params.default with Params.nodes } in
-  let st = Stache.install sys () in
+  let st = Stache.install sys in
   let proto = Proto.install sys st in
   (engine, sys, st, proto)
 

@@ -1,6 +1,6 @@
 (* Tests for the Tempest extensions beyond the paper's core evaluation:
-   user-level synchronization (§2 footnote), nonbinding prefetch (§5.4's
-   Busy tag) and explicit page migration (§7). *)
+   user-level synchronization (§2 footnote) and nonbinding prefetch (§5.4's
+   Busy tag). *)
 
 module Engine = Tt_sim.Engine
 module Thread = Tt_sim.Thread
@@ -18,7 +18,7 @@ let check_bool = Alcotest.(check bool)
 let mk ?(nodes = 4) () =
   let engine = Engine.create () in
   let sys = System.create engine { Params.default with Params.nodes } in
-  let st = Stache.install sys () in
+  let st = Stache.install sys in
   (engine, sys, st)
 
 let run_cpus engine bodies =
@@ -237,118 +237,6 @@ let test_prefetch_noop_cases () =
     |] |> ignore;
   check_int "nothing issued" 0 (Stats.get (Stache.stats st) "prefetch_issued")
 
-(* ---------------- Page migration ---------------- *)
-
-let test_migration_moves_home () =
-  let engine, sys, st = mk () in
-  let va = ref 0 in
-  run_cpus engine
-    [|
-      (fun th ->
-        va := Stache.alloc st ~th ~node:0 ~home:0 ~bytes:256 ();
-        for w = 0 to 31 do
-          System.cpu_write_f64 sys ~node:0 th (!va + (w * 8)) (float_of_int w)
-        done;
-        Thread.yield th;
-        Stache.migrate_page st ~th ~node:0 ~vpage:(Addr.page_of !va)
-          ~new_home:2;
-        Thread.yield th);
-      (fun _ -> ()); (fun _ -> ()); (fun _ -> ());
-    |] |> ignore;
-  check_int "registry updated" 2 (Stache.home_of st ~vaddr:!va);
-  let new_mem = System.node_mem sys 2 in
-  check_bool "new home mapped" true
-    (Tt_mem.Pagemem.is_mapped new_mem ~vpage:(Addr.page_of !va));
-  Alcotest.(check (float 0.0)) "data moved" 5.0
-    (Tt_mem.Pagemem.read_f64 new_mem ~vaddr:(!va + 40));
-  (* old home keeps a readable stached copy *)
-  let old_mem = System.node_mem sys 0 in
-  check_bool "old home copy RO" true
-    (Tag.equal Tag.Read_only (Tt_mem.Pagemem.get_tag old_mem ~vaddr:!va));
-  check_int "migration counted" 1
-    (Stats.get (Stache.stats st) "page_migrations");
-  match Stache.check_invariants st with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m
-
-let test_migration_then_access_from_everywhere () =
-  let engine, sys, st = mk () in
-  let va = ref 0 in
-  let barrier =
-    Tt_sim.Barrier.create engine ~participants:4 ~latency:11
-  in
-  run_cpus engine
-    [|
-      (fun th ->
-        va := Stache.alloc st ~th ~node:0 ~home:0 ~bytes:64 ();
-        System.cpu_write_f64 sys ~node:0 th !va 3.25;
-        Tt_sim.Barrier.wait barrier th;
-        (* node 1 fetched a copy pre-migration (stale local_homes) *)
-        Tt_sim.Barrier.wait barrier th;
-        Stache.migrate_page st ~th ~node:0 ~vpage:(Addr.page_of !va)
-          ~new_home:3;
-        Tt_sim.Barrier.wait barrier th;
-        (* old home can still read its (now stached) copy *)
-        Alcotest.(check (float 0.0)) "old home reads" 3.25
-          (System.cpu_read_f64 sys ~node:0 th !va);
-        Tt_sim.Barrier.wait barrier th);
-      (fun th ->
-        Tt_sim.Barrier.wait barrier th;
-        Alcotest.(check (float 0.0)) "pre-migration fetch" 3.25
-          (System.cpu_read_f64 sys ~node:1 th !va);
-        Tt_sim.Barrier.wait barrier th;
-        Tt_sim.Barrier.wait barrier th;
-        (* node 1 writes post-migration: its stale table points at the old
-           home, which must forward the upgrade to the new home *)
-        System.cpu_write_f64 sys ~node:1 th !va 4.5;
-        Tt_sim.Barrier.wait barrier th);
-      (fun th ->
-        Tt_sim.Barrier.wait barrier th;
-        Tt_sim.Barrier.wait barrier th;
-        Tt_sim.Barrier.wait barrier th;
-        Tt_sim.Barrier.wait barrier th;
-        (* fresh consumer after everything: sees the latest value *)
-        Alcotest.(check (float 0.0)) "fresh consumer" 4.5
-          (System.cpu_read_f64 sys ~node:2 th !va));
-      (fun th ->
-        Tt_sim.Barrier.wait barrier th;
-        Tt_sim.Barrier.wait barrier th;
-        Tt_sim.Barrier.wait barrier th;
-        Tt_sim.Barrier.wait barrier th);
-    |] |> ignore;
-  check_bool "a request was forwarded" true
-    (Stats.get (Stache.stats st) "forwarded" >= 1)
-
-let test_migration_rejects_remote_owner () =
-  let engine, sys, st = mk () in
-  let va = ref 0 in
-  let threads =
-    [|
-      (fun th ->
-        va := Stache.alloc st ~th ~node:0 ~home:0 ~bytes:64 ();
-        System.cpu_write_f64 sys ~node:0 th !va 1.0;
-        Thread.yield th;
-        Thread.advance th 10_000;
-        Thread.yield th;
-        (* node 1 owns the block now: migration must refuse *)
-        try
-          Stache.migrate_page st ~th ~node:0 ~vpage:(Addr.page_of !va)
-            ~new_home:2;
-          Alcotest.fail "migration with remote owner must raise"
-        with Invalid_argument _ -> ());
-      (fun th ->
-        Thread.advance th 2000;
-        Thread.yield th;
-        System.cpu_write_f64 sys ~node:1 th !va 2.0);
-      (fun _ -> ());
-      (fun _ -> ());
-    |]
-    |> Array.mapi (fun i body ->
-           Thread.spawn engine ~name:(Printf.sprintf "cpu%d" i) body)
-  in
-  Engine.run engine;
-  Array.iter (fun th -> check_bool "finished" true (Thread.finished th)) threads
-
 let test_em3d_software_prefetch () =
   (* §4: prefetching hides latency but does not reduce message traffic *)
   let nodes = 8 in
@@ -378,96 +266,6 @@ let test_em3d_software_prefetch () =
     (Printf.sprintf "traffic not reduced (%d vs %d)" pf_m plain_m)
     true (pf_m >= plain_m)
 
-(* Fuzz: random accesses interleaved with page migrations at quiescent
-   barriers; values must survive the moves and every machine invariant must
-   hold.  Migrations that catch a block remotely owned are legitimately
-   refused and skipped. *)
-let test_migration_under_load () =
-  let nodes = 4 in
-  let pages = 3 in
-  let migrated = ref 0 in
-  List.iter
-    (fun seed ->
-      let machine, _sys, st =
-        Tt_harness.Machine.typhoon_stache_full
-          { Params.default with Params.nodes; seed }
-      in
-      let bases = Array.make pages 0 in
-      let migrate_target = ref None in
-      Hashtbl.replace machine.Tt_harness.Machine.hooks "migrate"
-        (fun ~node th ->
-          match !migrate_target with
-          | None -> ()
-          | Some (vpage, new_home) -> (
-              migrate_target := None;
-              try
-                Stache.migrate_page st ~th ~node ~vpage ~new_home;
-                incr migrated
-              with Invalid_argument _ -> () (* not quiescent: skip *)));
-      let r =
-        Tt_harness.Run.spmd machine ~name:"migration-fuzz" (fun env ->
-            let open Tt_app in
-            if env.Env.proc = 0 then
-              for pg = 0 to pages - 1 do
-                (* page-sized so each region owns its page: migration moves
-                   whole pages *)
-                bases.(pg) <- env.Env.alloc ~home:0 Tt_mem.Addr.page_size
-              done;
-            env.Env.barrier ();
-            let prng = Tt_util.Prng.create ~seed:((seed * 7) + env.Env.proc) in
-            for round = 1 to 4 do
-              for _op = 1 to 8 do
-                let pg = Tt_util.Prng.int prng pages in
-                let a = bases.(pg) + (env.Env.proc * Env.word) in
-                env.Env.write a (env.Env.read a +. 1.0)
-              done;
-              env.Env.barrier ();
-              if env.Env.proc = 0 then begin
-                let pg = round mod pages in
-                (* reclaim remotely-owned blocks: a home read recalls the
-                   owner, leaving the block migratable (Shared) *)
-                for b = 0 to (512 / 32) - 1 do
-                  ignore (env.Env.read (bases.(pg) + (b * 32)))
-                done;
-                migrate_target :=
-                  Some
-                    ( Tt_mem.Addr.page_of bases.(pg),
-                      1 + (round mod (nodes - 1)) );
-                env.Env.hook "migrate"
-              end;
-              env.Env.barrier ()
-            done;
-            (* verify: slot (pg, proc) counts that proc's picks of pg *)
-            env.Env.barrier ();
-            if env.Env.proc = 0 then begin
-              let counts = Array.make_matrix pages nodes 0 in
-              for proc = 0 to nodes - 1 do
-                let replay = Tt_util.Prng.create ~seed:((seed * 7) + proc) in
-                for _round = 1 to 4 do
-                  for _op = 1 to 8 do
-                    let pg = Tt_util.Prng.int replay pages in
-                    counts.(pg).(proc) <- counts.(pg).(proc) + 1
-                  done
-                done
-              done;
-              for pg = 0 to pages - 1 do
-                for proc = 0 to nodes - 1 do
-                  let got = env.Env.read (bases.(pg) + (proc * Env.word)) in
-                  let want = float_of_int counts.(pg).(proc) in
-                  if got <> want then
-                    failwith
-                      (Printf.sprintf "seed %d: page %d proc %d = %g, want %g"
-                         seed pg proc got want)
-                done
-              done
-            end)
-      in
-      ignore r)
-    [ 1; 2; 3 ];
-  check_bool
-    (Printf.sprintf "some migrations actually happened (%d)" !migrated)
-    true (!migrated > 0)
-
 let () =
   Alcotest.run "extensions"
     [
@@ -487,16 +285,5 @@ let () =
           Alcotest.test_case "no-op cases" `Quick test_prefetch_noop_cases;
           Alcotest.test_case "em3d: latency hidden, traffic not reduced" `Slow
             test_em3d_software_prefetch;
-        ] );
-      ( "migration",
-        [
-          Alcotest.test_case "moves home and data" `Quick
-            test_migration_moves_home;
-          Alcotest.test_case "stale requesters are forwarded" `Quick
-            test_migration_then_access_from_everywhere;
-          Alcotest.test_case "rejects remote owner" `Quick
-            test_migration_rejects_remote_owner;
-          Alcotest.test_case "fuzz under load" `Slow
-            test_migration_under_load;
         ] );
     ]

@@ -87,7 +87,7 @@ let test_cpu_sender_blocks_and_resumes () =
   let sys = System.create engine (squeezed ~credits:1 ~nodes:2 ()) in
   let received = ref 0 in
   let sink =
-    Tempest.Handlers.register_message (System.handlers sys) ~name:"sink"
+    Tempest.Handlers.register_message (System.handlers sys)
       (fun _ep ~src:_ ~args:_ ~data:_ -> incr received)
   in
   let statuses = ref 0 and last_pending = ref (-1) in
@@ -125,7 +125,7 @@ let test_handler_sends_spill_and_drain () =
   let sys = System.create engine (squeezed ~credits:1 ~nodes:2 ()) in
   let received = ref 0 in
   let sink =
-    Tempest.Handlers.register_message (System.handlers sys) ~name:"sink"
+    Tempest.Handlers.register_message (System.handlers sys)
       (fun _ep ~src:_ ~args:_ ~data:_ -> incr received)
   in
   let last_pending = ref (-1) in
@@ -156,7 +156,7 @@ let test_spill_overflow_aborts_with_diagnostic () =
     System.create engine (squeezed ~credits:1 ~spill:4 ~nodes:2 ())
   in
   let sink =
-    Tempest.Handlers.register_message (System.handlers sys) ~name:"sink"
+    Tempest.Handlers.register_message (System.handlers sys)
       (fun _ep ~src:_ ~args:_ ~data:_ -> ())
   in
   let ep1 = System.endpoint sys 1 in

@@ -245,7 +245,7 @@ let test_np_wait_then_run () =
   let sys = System.create engine (params 2) in
   let order = ref [] in
   let h =
-    Tempest.Handlers.register_message (System.handlers sys) ~name:"mark"
+    Tempest.Handlers.register_message (System.handlers sys)
       (fun _ ~src:_ ~args ~data:_ -> order := args.(0) :: !order)
   in
   let ep = System.endpoint sys 0 in
@@ -266,8 +266,9 @@ let test_fuzz_with_page_replacement () =
   List.iter
     (fun seed ->
       let machine =
-        Machine.typhoon_stache ~max_stache_pages:2
-          { Params.default with Params.nodes; seed }
+        Machine.typhoon_stache
+          { Params.default with
+            Params.nodes; seed; stache_max_pages = Some 2 }
       in
       let bases = Array.make pages 0 in
       let expect = Array.make_matrix pages 4 0.0 in

@@ -1,10 +1,11 @@
 (* Tests for the memory substrate: address arithmetic, tags, paged memory,
-   translation caches. *)
+   the shared heap's page-home map, translation caches. *)
 
 module Addr = Tt_mem.Addr
 module Tag = Tt_mem.Tag
 module Pagemem = Tt_mem.Pagemem
 module Tlb = Tt_mem.Tlb
+module Homes = Tt_mem.Homes
 
 let check_int = Alcotest.(check int)
 
@@ -89,18 +90,6 @@ let test_pagemem_map_unmap () =
     Pagemem.unmap m ~vpage:5;
     Alcotest.fail "double unmap must raise"
   with Invalid_argument _ -> ()
-
-let test_pagemem_capacity () =
-  let m = Pagemem.create ~max_pages:2 ~node:0 () in
-  ignore (Pagemem.map m ~vpage:1 ~home:0 ~mode:0 ~init_tag:Tag.Invalid);
-  ignore (Pagemem.map m ~vpage:2 ~home:0 ~mode:0 ~init_tag:Tag.Invalid);
-  (try
-     ignore (Pagemem.map m ~vpage:3 ~home:0 ~mode:0 ~init_tag:Tag.Invalid);
-     Alcotest.fail "over capacity must raise"
-   with Invalid_argument _ -> ());
-  Pagemem.unmap m ~vpage:1;
-  ignore (Pagemem.map m ~vpage:3 ~home:0 ~mode:0 ~init_tag:Tag.Invalid);
-  check_int "capacity honoured" 2 (Pagemem.page_count m)
 
 let test_pagemem_word_roundtrips () =
   let m = mk () in
@@ -489,6 +478,142 @@ let prop_tlb_strided_matches_list_model entries =
                (List.init span Fun.id))
         ops)
 
+(* ---------------- Homes ---------------- *)
+
+let raises f =
+  match f () with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
+(* allocate with no machine behind the map, recording what [place] saw *)
+let homes_alloc h ?home ?(align = 8) bytes =
+  let placed = ref [] in
+  let va =
+    Homes.alloc h ~home ~align ~bytes ~place:(fun ~vpage ~home ->
+        placed := (vpage, home) :: !placed)
+  in
+  (va, List.rev !placed)
+
+let test_homes_alignment () =
+  let h = Homes.create ~nodes:4 in
+  let a, _ = homes_alloc h 8 in
+  check_int "first address is the heap base" Homes.heap_base a;
+  let b, placed = homes_alloc h ~align:64 8 in
+  check_int "rounded up to 64" (Homes.heap_base + 64) b;
+  check_int "same page: nothing placed" 0 (List.length placed);
+  let c, _ = homes_alloc h ~align:1 3 in
+  check_int "align 1 bumps by the size" (b + 8) c;
+  let d, _ = homes_alloc h ~align:4096 8 in
+  check_bool "page aligned" true (Addr.is_page_aligned d)
+
+let test_homes_pinned_skip () =
+  let h = Homes.create ~nodes:4 in
+  let a, placed = homes_alloc h 8 in
+  Alcotest.(check (list (pair int int)))
+    "round-robin first page on node 0" [ (Addr.page_of a, 0) ] placed;
+  let b, _ = homes_alloc h ~home:0 8 in
+  check_int "pinned to the page's own home: no skip" (a + 8) b;
+  let c, placed = homes_alloc h ~home:2 8 in
+  check_int "pinned elsewhere: a fresh page" (Addr.page_base a + Addr.page_size)
+    c;
+  Alcotest.(check (list (pair int int)))
+    "the fresh page is homed on the pin" [ (Addr.page_of c, 2) ] placed;
+  check_int "the skipped-from page keeps its home" 0
+    (Homes.home h ~vpage:(Addr.page_of a))
+
+let test_homes_round_robin () =
+  let h = Homes.create ~nodes:3 in
+  let a, placed = homes_alloc h (3 * Addr.page_size) in
+  Alcotest.(check (list (pair int int)))
+    "three pages on nodes 0, 1, 2"
+    [ (Addr.page_of a, 0); (Addr.page_of a + 1, 1); (Addr.page_of a + 2, 2) ]
+    placed;
+  let _, placed = homes_alloc h ~home:1 Addr.page_size in
+  check_int "a pinned page does not advance the cursor" 1
+    (List.length placed);
+  let b, placed = homes_alloc h ~align:Addr.page_size 8 in
+  Alcotest.(check (list (pair int int)))
+    "the cursor wraps to node 0" [ (Addr.page_of b, 0) ] placed;
+  Alcotest.(check (list (pair int int)))
+    "bindings sorted by page"
+    [ (Addr.page_of a, 0); (Addr.page_of a + 1, 1); (Addr.page_of a + 2, 2);
+      (Addr.page_of a + 3, 1); (Addr.page_of b, 0) ]
+    (Homes.bindings h)
+
+let test_homes_rehome_generation () =
+  let h = Homes.create ~nodes:4 in
+  let a, _ = homes_alloc h (2 * Addr.page_size) in
+  let vpage = Addr.page_of a in
+  check_int "no re-home yet" 0 (Homes.generation h);
+  Homes.rehome h ~vpage ~home:3;
+  check_int "moved" 3 (Homes.home h ~vpage);
+  check_int "generation 1" 1 (Homes.generation h);
+  Homes.rehome h ~vpage:(vpage + 1) ~home:3;
+  check_int "generation 2" 2 (Homes.generation h);
+  Homes.bind h ~vpage:(vpage + 7) ~home:2;
+  check_int "a bind is not a re-home" 2 (Homes.generation h)
+
+let test_homes_errors () =
+  let h = Homes.create ~nodes:4 in
+  let a, _ = homes_alloc h 8 in
+  let vpage = Addr.page_of a in
+  check_int "find on an unallocated page" (-1) (Homes.find h (vpage + 1));
+  check_bool "home of an unallocated page" true
+    (raises (fun () -> Homes.home h ~vpage:(vpage + 1)));
+  check_bool "re-home of an unallocated page" true
+    (raises (fun () -> Homes.rehome h ~vpage:(vpage + 1) ~home:0));
+  check_bool "double map" true (raises (fun () -> Homes.bind h ~vpage ~home:1));
+  check_bool "zero size" true (raises (fun () -> homes_alloc h 0));
+  check_bool "alignment not a power of two" true
+    (raises (fun () -> homes_alloc h ~align:24 8));
+  check_int "a refused request moves nothing" (a + 8) (fst (homes_alloc h 8))
+
+(* The same allocation script on both machines lands every allocation at
+   the same address with the same page homes. *)
+let prop_homes_machines_agree =
+  let module Machine = Tt_harness.Machine in
+  let nodes = 4 in
+  let step =
+    QCheck.(
+      triple (int_range 1 10_000) (int_range 0 12) (option (int_range 0 3)))
+  in
+  QCheck.Test.make ~name:"dirnnb and stache allocate identically" ~count:30
+    QCheck.(list_of_size Gen.(int_range 1 12) step)
+    (fun script ->
+      let params = { Params.default with Params.nodes } in
+      let run engine alloc home_of =
+        let out = ref [] in
+        ignore
+          (Tt_sim.Thread.spawn engine ~name:"alloc" (fun th ->
+               List.iter
+                 (fun (bytes, align_log, home) ->
+                   let va = alloc th ~home ~align:(1 lsl align_log) ~bytes in
+                   let homes =
+                     List.init
+                       (Addr.page_of (va + bytes - 1) - Addr.page_of va + 1)
+                       (fun i -> home_of ((Addr.page_of va + i) * Addr.page_size))
+                   in
+                   out := (va, homes) :: !out)
+                 script));
+        Tt_sim.Engine.run engine;
+        List.rev !out
+      in
+      let dm, dsys = Machine.dirnnb_full params in
+      let on_dirnnb =
+        run dm.Machine.engine
+          (fun th ~home ~align ~bytes ->
+            Tt_dirnnb.System.alloc dsys ~th ~node:0 ?home ~align ~bytes ())
+          (fun va -> Tt_dirnnb.System.page_home dsys ~vpage:(Addr.page_of va))
+      in
+      let sm, _, st = Machine.typhoon_stache_full params in
+      let on_stache =
+        run sm.Machine.engine
+          (fun th ~home ~align ~bytes ->
+            Tt_stache.Stache.alloc st ~th ~node:0 ?home ~align ~bytes ())
+          (fun vaddr -> Tt_stache.Stache.home_of st ~vaddr)
+      in
+      List.length on_dirnnb = List.length script && on_dirnnb = on_stache)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "mem"
@@ -508,7 +633,6 @@ let () =
       ( "pagemem",
         [
           Alcotest.test_case "map/unmap" `Quick test_pagemem_map_unmap;
-          Alcotest.test_case "capacity" `Quick test_pagemem_capacity;
           Alcotest.test_case "word roundtrips" `Quick test_pagemem_word_roundtrips;
           Alcotest.test_case "alignment checked" `Quick
             test_pagemem_alignment_checked;
@@ -519,6 +643,18 @@ let () =
           Alcotest.test_case "tags" `Quick test_pagemem_tags;
           Alcotest.test_case "page metadata" `Quick test_pagemem_user_info;
           qc prop_pagemem_dense_index;
+        ] );
+      ( "homes",
+        [
+          Alcotest.test_case "alignment" `Quick test_homes_alignment;
+          Alcotest.test_case "pinned home skips to a fresh page" `Quick
+            test_homes_pinned_skip;
+          Alcotest.test_case "round-robin placement" `Quick
+            test_homes_round_robin;
+          Alcotest.test_case "re-home bumps the generation" `Quick
+            test_homes_rehome_generation;
+          Alcotest.test_case "errors" `Quick test_homes_errors;
+          qc prop_homes_machines_agree;
         ] );
       ( "tlb",
         [

@@ -58,7 +58,7 @@ let test_handler_keeps_message () =
     let i = args.(0) + 1 in
     if i < total then send_next ep ~dst:src i
   in
-  h := Tempest.Handlers.register_message (System.handlers sys) ~name:"stash"
+  h := Tempest.Handlers.register_message (System.handlers sys)
       handler;
   send_next (System.endpoint sys 0) ~dst:1 0;
   Engine.run engine;
@@ -138,7 +138,7 @@ let run_pinned_scenario () =
       ep.Tempest.send ~dst:src ~vnet ~handler:!h ~args:[||] ~data:b
     end
   in
-  h := Tempest.Handlers.register_message tables ~name:"bounce" handler;
+  h := Tempest.Handlers.register_message tables handler;
   let ep0 = System.endpoint sys 0 in
   let b = ep0.Tempest.force_read_block ~vaddr:base in
   ep0.Tempest.send ~dst:1 ~vnet:Message.Request ~handler:!h ~args:[||]

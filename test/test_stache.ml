@@ -19,9 +19,11 @@ let mk ?(nodes = 4) ?(cache = 256 * 1024) ?max_stache_pages () =
   let engine = Engine.create () in
   let sys =
     System.create engine
-      { Params.default with Params.nodes; cpu_cache_bytes = cache }
+      { Params.default with
+        Params.nodes; cpu_cache_bytes = cache;
+        stache_max_pages = max_stache_pages }
   in
-  let st = Stache.install sys ?max_stache_pages () in
+  let st = Stache.install sys in
   (engine, sys, st)
 
 let run_cpus engine bodies =
@@ -383,7 +385,7 @@ let prop_random_coherence =
           { Params.default with Params.nodes; cpu_cache_bytes = 4096;
             seed = seed + 1 }
       in
-      let st = Stache.install sys () in
+      let st = Stache.install sys in
       let words = 256 in
       let va = ref 0 in
       let lock = Tt_sim.Lock.create engine () in

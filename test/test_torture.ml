@@ -6,7 +6,6 @@
 module Engine = Tt_sim.Engine
 module Faults = Tt_net.Faults
 module Faultsweep = Tt_harness.Faultsweep
-module Stache = Tt_stache.Stache
 module L = Tt_torture.Litmus
 module Trace = Tt_torture.Trace
 module Shrink = Tt_torture.Shrink
@@ -225,7 +224,6 @@ let test_sabotage_caught_and_shrunk () =
   | T.Fail v ->
       check_bool "kind is observable" true
         (v.T.kind = T.Stale || v.T.kind = T.Sc));
-  check_bool "sabotage global restored" true (not (Stache.sabotage_enabled ()));
   match T.shrink c with
   | Error m -> Alcotest.fail ("shrink failed: " ^ m)
   | Ok s ->
@@ -277,6 +275,48 @@ let test_config_of_per_vnet () =
     && close cfg.Faults.response.Faults.dup 0.0
     && close cfg.Faults.response.Faults.reorder 0.0)
 
+(* Sabotage is a property of the machine a case builds: a grid fanned out
+   over worker domains gives the outcomes it gives sequentially, and it
+   leaves nothing behind that a later plain machine could pick up. *)
+let stache_sabotaged_invals ~sabotage =
+  let module Env = Tt_app.Env in
+  let machine =
+    Tt_harness.Machine.typhoon_stache
+      { Params.default with Params.nodes = 4; sabotage }
+  in
+  let a = ref 0 in
+  ignore
+    (Tt_harness.Run.spmd machine ~name:"share-then-write" ~check:false
+       (fun env ->
+         if env.Env.proc = 0 then a := env.Env.alloc ~home:0 64;
+         env.Env.barrier ();
+         ignore (env.Env.read !a);
+         env.Env.barrier ();
+         if env.Env.proc = 0 then env.Env.write !a 1.0;
+         env.Env.barrier ()));
+  Tt_util.Stats.get
+    (machine.Tt_harness.Machine.merged_stats ())
+    "sabotaged_invals"
+
+let test_sabotage_is_per_machine () =
+  let cases =
+    T.grid ~machines:[ "stache" ] ~drops:[ 0.0 ] ~seeds:[ 1; 2; 3; 4 ]
+      ~iters:3 ~sabotage:true ()
+  in
+  let outcomes domains =
+    List.map
+      (fun (_, r) -> (r.T.outcome, r.T.cycles))
+      (T.run_grid ~domains cases)
+  in
+  let sequential = outcomes 0 in
+  check_bool "the sabotage is caught" true
+    (List.exists (fun (o, _) -> o <> T.Pass) sequential);
+  check_bool "domains 2 = domains 0" true (outcomes 2 = sequential);
+  check_int "a plain stache afterwards counts none" 0
+    (stache_sabotaged_invals ~sabotage:false);
+  check_bool "a sabotaged stache counts some" true
+    (stache_sabotaged_invals ~sabotage:true > 0)
+
 let () =
   Alcotest.run "torture"
     [
@@ -319,6 +359,11 @@ let () =
             test_ddmin_empty_and_irreducible;
           Alcotest.test_case "sabotage caught, shrunk, replayed" `Slow
             test_sabotage_caught_and_shrunk;
+        ] );
+      ( "sabotage",
+        [
+          Alcotest.test_case "per machine, parallel-safe" `Slow
+            test_sabotage_is_per_machine;
         ] );
       ( "sweep-config",
         [

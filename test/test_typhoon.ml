@@ -246,11 +246,11 @@ let test_active_message_roundtrip () =
   let got = ref [] in
   let reply = ref (-1) in
   let h_pong =
-    Tempest.Handlers.register_message (System.handlers sys) ~name:"pong"
+    Tempest.Handlers.register_message (System.handlers sys)
       (fun _ ~src ~args ~data:_ -> got := (src, args.(0)) :: !got)
   in
   let h_ping =
-    Tempest.Handlers.register_message (System.handlers sys) ~name:"ping"
+    Tempest.Handlers.register_message (System.handlers sys)
       (fun ep ~src ~args ~data:_ ->
         ep.Tempest.send ~dst:src ~vnet:Message.Response ~handler:!reply
           ~args:[| args.(0) * 2 |] ~data:Bytes.empty)
@@ -266,7 +266,7 @@ let test_active_message_roundtrip () =
 let test_np_charges_cycles () =
   let engine, sys = mk () in
   let h =
-    Tempest.Handlers.register_message (System.handlers sys) ~name:"spin"
+    Tempest.Handlers.register_message (System.handlers sys)
       (fun ep ~src:_ ~args:_ ~data:_ -> ep.Tempest.charge 1000)
   in
   let ep0 = System.endpoint sys 0 in
@@ -286,15 +286,15 @@ let test_np_response_priority () =
   let order = ref [] in
   let tables = System.handlers sys in
   let h_block =
-    Tempest.Handlers.register_message tables ~name:"block"
+    Tempest.Handlers.register_message tables
       (fun ep ~src:_ ~args:_ ~data:_ -> ep.Tempest.charge 500)
   in
   let h_req =
-    Tempest.Handlers.register_message tables ~name:"req"
+    Tempest.Handlers.register_message tables
       (fun _ ~src:_ ~args:_ ~data:_ -> order := `Req :: !order)
   in
   let h_resp =
-    Tempest.Handlers.register_message tables ~name:"resp"
+    Tempest.Handlers.register_message tables
       (fun _ ~src:_ ~args:_ ~data:_ -> order := `Resp :: !order)
   in
   let ep0 = System.endpoint sys 0 in
