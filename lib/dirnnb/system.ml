@@ -12,6 +12,8 @@ module Stats = Tt_util.Stats
 module Bitset = Tt_util.Bitset
 module Inttbl = Tt_util.Inttbl
 module Homes = Tt_mem.Homes
+module Ctrl = Tt_sim.Ctrl
+module Ring = Tt_sim.Ctrl.Ring
 
 (* Per-block protocol trace (TT_DEBUG_BLOCK = global block number). *)
 let dbg_on block = Tt_util.Debug.on ~key:block
@@ -48,88 +50,15 @@ let grant_exclusive = 1
 
 let grant_upgrade = 2
 
-(* A minimal run-to-completion controller: the hardware directory engine of
-   one node.  Same sequencing discipline as the Typhoon NP but fixed
-   function. *)
-module Ctrl = struct
-  (* The inbox is a circular ring (power-of-two capacity) and the dispatch
-     event is one preallocated closure, so accepting and draining protocol
-     messages allocates nothing. *)
-  type t = {
-    engine : Engine.t;
-    mutable clock : int;
-    mutable busy : bool;
-    mutable ring : Message.t array;
-    mutable head : int;
-    mutable count : int;
-    mutable handled : int;
-    mutable exec : Message.t -> unit;
-    mutable self : unit -> unit;
-    resv : Engine.reservation; (* a trailing yield's held place *)
-  }
-
-  let charge t n = t.clock <- t.clock + n
-
-  let grow t =
-    let cap = Array.length t.ring in
-    let ncap = if cap = 0 then 16 else 2 * cap in
-    let ring = Array.make ncap Message.dummy in
-    for i = 0 to t.count - 1 do
-      ring.(i) <- t.ring.((t.head + i) land (cap - 1))
-    done;
-    t.ring <- ring;
-    t.head <- 0
-
-  let rec dispatch t () =
-    if t.count = 0 then t.busy <- false
-    else begin
-      let msg = t.ring.(t.head) in
-      t.ring.(t.head) <- Message.dummy;
-      t.head <- (t.head + 1) land (Array.length t.ring - 1);
-      t.count <- t.count - 1;
-      t.handled <- t.handled + 1;
-      t.exec msg;
-      (* keep draining inline while no engine event is due at or before the
-         controller clock; [skip_to] makes this observably identical to
-         rescheduling one event per message (see Np.dispatch) *)
-      if Engine.next_event_time t.engine > t.clock then begin
-        Engine.skip_to t.engine t.clock;
-        dispatch t ()
-      end
-      else if t.count = 0 && Engine.reserve t.engine t.resv t.clock then
-        t.busy <- false
-      else Engine.at t.engine t.clock t.self
-    end
-
-  let create engine =
-    let t =
-      { engine; clock = 0; busy = false; ring = [||]; head = 0;
-        count = 0; handled = 0;
-        exec = (fun _ -> invalid_arg "Ctrl: exec not installed");
-        self = (fun () -> ()); resv = Engine.reservation engine }
-    in
-    t.self <- dispatch t;
-    t
-
-  let post t msg =
-    if t.count = Array.length t.ring then grow t;
-    t.ring.((t.head + t.count) land (Array.length t.ring - 1)) <- msg;
-    t.count <- t.count + 1;
-    if not t.busy then begin
-      t.busy <- true;
-      if not (Engine.claim t.engine t.resv t.self) then begin
-        t.clock <- max t.clock (Engine.now t.engine);
-        Engine.at t.engine t.clock t.self
-      end
-    end
-end
-
 type node = {
   id : int;
   mem : Pagemem.t; (* backing store for pages homed here *)
   tlb : Tlb.t;
   cache : Cache.t;
+  (* the directory engine, over one FIFO inbox across both virtual
+     networks *)
   ctrl : Ctrl.t;
+  inbox : Message.t Ring.t;
   dir : Directory.t;
   stats : Stats.t;
   (* hot-path counters, pre-resolved from [stats] at create time *)
@@ -249,7 +178,7 @@ let writeback t node ~at block =
    replacement cost (charged to the CPU when it resumes). *)
 let ctrl_fill t node block grant =
   if dbg_on block then
-    dbg block "t=%d fill node=%d grant=%d" node.ctrl.Ctrl.clock node.id grant;
+    dbg block "t=%d fill node=%d grant=%d" (Ctrl.clock node.ctrl) node.id grant;
   let state =
     if grant = grant_shared then Cache.Shared else Cache.Exclusive
   in
@@ -264,7 +193,7 @@ let ctrl_fill t node block grant =
         ignore victim;
         t.params.Params.repl_shared
     | Some (victim, Cache.Exclusive) ->
-        writeback t node ~at:node.ctrl.Ctrl.clock victim;
+        writeback t node ~at:(Ctrl.clock node.ctrl) victim;
         t.params.Params.repl_exclusive
 
 (* Deliver a fill grant to the requester.  When the requester is the home
@@ -283,10 +212,10 @@ let deliver_grant t home ~requester block grant =
     wake (ctrl_fill t home block grant)
   end
   else if grant = grant_upgrade then
-    send t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:requester
+    send t ~src:home.id ~at:(Ctrl.clock ctrl) ~dst:requester
       ~vnet:Message.Response ~handler:h_upgrade_ok ~with_data:false [| block |]
   else
-    send t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:requester
+    send t ~src:home.id ~at:(Ctrl.clock ctrl) ~dst:requester
       ~vnet:Message.Response ~handler:h_data ~with_data:true
       [| block; (if grant = grant_exclusive then 1 else 0) |]
 
@@ -325,7 +254,7 @@ let clear_sharers (entry : Directory.entry) =
 
 let rec start_txn t home kind requester block =
   if dbg_on block then
-    dbg block "t=%d start_txn home=%d kind=%s req=%d" home.ctrl.Ctrl.clock
+    dbg block "t=%d start_txn home=%d kind=%s req=%d" (Ctrl.clock home.ctrl)
       home.id
       (match kind with
       | Directory.Read -> "read"
@@ -378,7 +307,7 @@ let rec start_txn t home kind requester block =
               entry.Directory.busy <-
                 Some { Directory.kind; requester; acks_left = 1 };
               Ctrl.charge ctrl p.Params.dir_per_msg;
-              send t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:o
+              send t ~src:home.id ~at:(Ctrl.clock ctrl) ~dst:o
                 ~vnet:Message.Request ~handler:h_recall ~with_data:false
                 [| block; 0 |]
           | Some _ | None ->
@@ -391,7 +320,7 @@ let rec start_txn t home kind requester block =
               entry.Directory.busy <-
                 Some { Directory.kind; requester; acks_left = 1 };
               Ctrl.charge ctrl p.Params.dir_per_msg;
-              send t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:o
+              send t ~src:home.id ~at:(Ctrl.clock ctrl) ~dst:o
                 ~vnet:Message.Request ~handler:h_recall ~with_data:false
                 [| block; 1 |]
           | Some _ | None ->
@@ -409,7 +338,7 @@ let rec start_txn t home kind requester block =
                 List.iter
                   (fun s ->
                     Ctrl.charge ctrl p.Params.dir_per_msg;
-                    send t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:s
+                    send t ~src:home.id ~at:(Ctrl.clock ctrl) ~dst:s
                       ~vnet:Message.Request ~handler:h_inval
                       ~with_data:false [| block |])
                   victims
@@ -436,7 +365,7 @@ let rec start_txn t home kind requester block =
               List.iter
                 (fun s ->
                   Ctrl.charge ctrl p.Params.dir_per_msg;
-                  send t ~src:home.id ~at:ctrl.Ctrl.clock ~dst:s
+                  send t ~src:home.id ~at:(Ctrl.clock ctrl) ~dst:s
                     ~vnet:Message.Request ~handler:h_inval ~with_data:false
                     [| block |])
                 victims
@@ -462,7 +391,7 @@ let complete_txn t home block =
 
 let finish_txn t home block (txn : Directory.txn) =
   if dbg_on block then
-    dbg block "t=%d finish_txn home=%d req=%d" home.ctrl.Ctrl.clock home.id
+    dbg block "t=%d finish_txn home=%d req=%d" (Ctrl.clock home.ctrl) home.id
       txn.Directory.requester;
   let entry = Directory.entry home.dir ~block in
   if t.is_dead txn.Directory.requester then begin
@@ -511,7 +440,7 @@ let ctrl_exec t node msg =
   let block = args.(0) in
   let handler = msg.Message.handler in
   if dbg_on block then
-    dbg block "t=%d ctrl%d handler=%d src=%d" ctrl.Ctrl.clock node.id handler
+    dbg block "t=%d ctrl%d handler=%d src=%d" (Ctrl.clock ctrl) node.id handler
       msg.Message.src;
   if handler = h_read || handler = h_readex || handler = h_upgrade then begin
     Ctrl.charge ctrl p.Params.dir_op;
@@ -534,7 +463,7 @@ let ctrl_exec t node msg =
       if ex then ignore (Cache.invalidate node.cache ~block)
       else Cache.downgrade node.cache ~block;
     Ctrl.charge ctrl p.Params.dir_per_msg;
-    send t ~src:node.id ~at:ctrl.Ctrl.clock ~dst:msg.Message.src
+    send t ~src:node.id ~at:(Ctrl.clock ctrl) ~dst:msg.Message.src
       ~vnet:Message.Response ~handler:h_recall_data ~with_data:present
       [| block |]
   end
@@ -545,7 +474,7 @@ let ctrl_exec t node msg =
       (p.Params.remote_inval + (if present then p.Params.repl_shared else 0));
     ignore (Cache.invalidate node.cache ~block);
     Ctrl.charge ctrl p.Params.dir_per_msg;
-    send t ~src:node.id ~at:ctrl.Ctrl.clock ~dst:msg.Message.src
+    send t ~src:node.id ~at:(Ctrl.clock ctrl) ~dst:msg.Message.src
       ~vnet:Message.Response ~handler:h_inval_ack ~with_data:false [| block |]
   end
   else if handler = h_recall_data then begin
@@ -621,6 +550,7 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
               ~assoc:p.Params.cpu_cache_assoc
               ~prng:(Tt_util.Prng.split prng) ();
           ctrl = Ctrl.create engine;
+          inbox = Ring.create Message.dummy;
           dir = Directory.create ~nodes:p.Params.nodes;
           stats;
           c_accesses = Stats.counter stats "accesses";
@@ -648,9 +578,18 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
   in
   Array.iter
     (fun node ->
-      node.ctrl.Ctrl.exec <- ctrl_exec t node;
+      let inbox = node.inbox in
+      Ctrl.install node.ctrl
+        ~serve:(fun clock ->
+          if Ring.ready inbox clock then begin
+            ctrl_exec t node (Ring.pop inbox);
+            clock
+          end
+          else Ring.next inbox)
+        ~depth:(fun () -> Ring.length inbox);
       Reliable.set_receiver net ~node:node.id (fun msg ->
-          Ctrl.post node.ctrl msg))
+          Ring.push inbox ~at:(Engine.now engine) msg;
+          Ctrl.kick node.ctrl))
     nodes;
   t
 
@@ -702,7 +641,7 @@ let miss_via_directory t node th ~home ~handler block =
         node.miss_handler <- handler;
         node.miss_wake <-
           (fun repl ->
-            Thread.set_clock th (max (Thread.clock th) node.ctrl.Ctrl.clock);
+            Thread.set_clock th (max (Thread.clock th) (Ctrl.clock node.ctrl));
             wake repl);
         Reliable.send t.net ~at:(Thread.clock th) msg)
   in
@@ -839,6 +778,8 @@ let set_on_dirty t f = t.on_dirty <- f
 
 let noop_handler = h_noop
 
+let heap t = t.heap
+
 (* Checkpoint assist: a copy of [vpage]'s canonical content.  Home memory
    is always authoritative on DirNNB (every store lands there), so this
    only fails for unallocated pages.  Zero simulated cost — the
@@ -875,7 +816,7 @@ let on_node_death t ~dead ~new_home ~restore =
      controller's clock up to the verdict so nothing is sent in the past *)
   Array.iter
     (fun n ->
-      if live n.id then n.ctrl.Ctrl.clock <- max n.ctrl.Ctrl.clock now)
+      if live n.id then Ctrl.set_clock n.ctrl (max (Ctrl.clock n.ctrl) now))
     t.nodes;
   let deadn = t.nodes.(dead) in
 
@@ -1012,7 +953,7 @@ let on_node_death t ~dead ~new_home ~restore =
 let on_node_rejoin t ~node =
   let n = t.nodes.(node) in
   Inttbl.reset n.wb_inflight;
-  n.ctrl.Ctrl.clock <- max n.ctrl.Ctrl.clock (Engine.now t.engine);
+  Ctrl.set_clock n.ctrl (max (Ctrl.clock n.ctrl) (Engine.now t.engine));
   if n.miss_block >= 0 then begin
     let vpage = n.miss_block * Addr.block_size / Addr.page_size in
     send t ~src:node ~at:(Engine.now t.engine) ~dst:(page_home t ~vpage)
@@ -1023,15 +964,15 @@ let on_node_rejoin t ~node =
 (* Protocol messages executed across all directory controllers: the
    machine's delivery-progress metric for the watchdog (see Np.handled). *)
 let delivered t =
-  Array.fold_left (fun acc n -> acc + n.ctrl.Ctrl.handled) 0 t.nodes
+  Array.fold_left (fun acc n -> acc + Ctrl.handled n.ctrl) 0 t.nodes
 
 let queue_summary t =
   let b = Buffer.create 64 in
   Array.iter
     (fun n ->
-      if n.ctrl.Ctrl.count > 0 then
+      if Ring.length n.inbox > 0 then
         Buffer.add_string b
-          (Printf.sprintf "ctrl%d depth=%d; " n.id n.ctrl.Ctrl.count))
+          (Printf.sprintf "ctrl%d depth=%d; " n.id (Ring.length n.inbox)))
     t.nodes;
   if Buffer.length b = 0 then "all queues empty" else Buffer.contents b
 

@@ -106,6 +106,9 @@ val noop_handler : int
 (** Handler id of the recovery no-op sink — the rewrite target for
     {!Tt_net.Reliable.scrub_unacked}. *)
 
+val heap : t -> Tt_mem.Homes.t
+(** The machine's shared heap and page-home map. *)
+
 val snapshot_page : t -> vpage:int -> Bytes.t option
 (** Checkpoint assist: a copy of [vpage]'s canonical content from home
     memory (always authoritative on DirNNB — every store lands there), or

@@ -11,6 +11,7 @@ type recovery = {
   set_is_dead : (int -> bool) -> unit;
   set_on_dirty : (vpage:int -> unit) option -> unit;
   noop_handler : int;
+  heap : Tt_mem.Homes.t;
   snapshot_page : vpage:int -> Bytes.t option;
   on_node_death :
     dead:int -> new_home:int -> restore:(vpage:int -> Bytes.t option) -> unit;
@@ -94,6 +95,7 @@ let typhoon_stache_full ?reliability params =
             set_is_dead = Stache.set_is_dead stache;
             set_on_dirty = Typhoon.set_on_dirty sys;
             noop_handler = Stache.noop_handler stache;
+            heap = Stache.heap stache;
             snapshot_page = Stache.snapshot_page stache;
             on_node_death = Stache.on_node_death stache;
             on_node_rejoin = Stache.on_node_rejoin stache;
@@ -138,6 +140,7 @@ let dirnnb_full ?reliability params =
             set_is_dead = Dirnnb.set_is_dead sys;
             set_on_dirty = Dirnnb.set_on_dirty sys;
             noop_handler = Dirnnb.noop_handler;
+            heap = Dirnnb.heap sys;
             snapshot_page = Dirnnb.snapshot_page sys;
             on_node_death = Dirnnb.on_node_death sys;
             on_node_rejoin = Dirnnb.on_node_rejoin sys;

@@ -28,6 +28,9 @@ type recovery = {
   noop_handler : int;
       (** the no-op sink {!Tt_net.Reliable.scrub_unacked} rewrites
           undeliverable messages to *)
+  heap : Tt_mem.Homes.t;
+      (** the shared heap: every allocated page, which the checkpoint
+          walks *)
   snapshot_page : vpage:int -> Bytes.t option;
       (** the page's authoritative content, or [None] while home memory
           is stale *)

@@ -1,7 +1,7 @@
 module Engine = Tt_sim.Engine
 module Thread = Tt_sim.Thread
 module Stats = Tt_util.Stats
-module Addr = Tt_mem.Addr
+module Homes = Tt_mem.Homes
 module Reliable = Tt_net.Reliable
 module Faults = Tt_net.Faults
 module Liveness = Tt_net.Liveness
@@ -86,9 +86,11 @@ let watchdog base =
    last good snapshot": set by every CPU store, cleared only when a new
    snapshot actually lands — so [restore] can hand out a snapshot exactly
    when it provably equals the page's current content, the only case
-   where in-place re-homing of a lost page is sound. *)
+   where in-place re-homing of a lost page is sound.  A page with no
+   snapshot yet counts as dirty: allocation-time initialization happens
+   before the first barrier, and until a snapshot lands the page is
+   unrestorable. *)
 type checkpoint = {
-  pages : unit Inttbl.t;  (* every allocated shared vpage *)
   dirty : unit Inttbl.t;
   snaps : Bytes.t Inttbl.t;
   mutable epochs : int;  (* completed barrier checkpoint points *)
@@ -96,7 +98,6 @@ type checkpoint = {
 
 let checkpoint_create () =
   {
-    pages = Inttbl.create 256;
     dirty = Inttbl.create 256;
     snaps = Inttbl.create 256;
     epochs = 0;
@@ -104,21 +105,13 @@ let checkpoint_create () =
 
 let mark_dirty ck ~vpage = Inttbl.replace ck.dirty vpage ()
 
-let track_alloc ck ~vaddr ~bytes =
-  if bytes > 0 then
-    for vpage = Addr.page_of vaddr to Addr.page_of (vaddr + bytes - 1) do
-      if not (Inttbl.mem ck.pages vpage) then begin
-        Inttbl.replace ck.pages vpage ();
-        (* allocation-time initialization happens before the first
-           barrier; until a snapshot lands the page is unrestorable *)
-        Inttbl.replace ck.dirty vpage ()
-      end
-    done
-
 let snapshot_epoch ck (rc : Machine.recovery) =
-  let todo =
-    List.sort compare (Inttbl.fold (fun v () acc -> v :: acc) ck.dirty [])
-  in
+  let todo = ref (Inttbl.fold (fun v () acc -> v :: acc) ck.dirty []) in
+  Homes.iter
+    (fun v _ ->
+      if not (Inttbl.mem ck.snaps v || Inttbl.mem ck.dirty v) then
+        todo := v :: !todo)
+    rc.heap;
   List.iter
     (fun vpage ->
       match rc.snapshot_page ~vpage with
@@ -126,7 +119,7 @@ let snapshot_epoch ck (rc : Machine.recovery) =
           Inttbl.replace ck.snaps vpage bytes;
           Inttbl.remove ck.dirty vpage
       | None -> () (* home copy stale (remote dirty): keep the dirty bit *))
-    todo;
+    (List.sort compare !todo);
   ck.epochs <- ck.epochs + 1
 
 let restore ck ~vpage =
@@ -245,9 +238,7 @@ let wire ~machine ~params ~config () =
       alloc =
         (fun ~node th ?home bytes ->
           guard ~node th;
-          let va = m0.Machine.alloc ~node th ?home bytes in
-          track_alloc ck ~vaddr:va ~bytes;
-          va);
+          m0.Machine.alloc ~node th ?home bytes);
     }
   in
   (* runs after any machine-level hook (the adaptive machine reclassifies

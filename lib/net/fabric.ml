@@ -15,11 +15,14 @@ let seq_limit = 1 lsl seq_bits
 (* A message from a node to itself short-circuits the network (§5.1). *)
 let local_latency = 1
 
+(* Cap on messages in flight.  With the Flow credit layer above it is a
+   pure safety net that credits keep unreachable. *)
+let capacity = 1 lsl 20
+
 type t = {
   engine : Tt_sim.Engine.t;
   node_count : int;
   net_latency : int;
-  capacity : int; (* max messages in flight; [max_int] = unbounded *)
   words_per_cycle : int option;
   port_free : int array; (* contention model: next free time per dst port *)
   receivers : (Message.t -> unit) option array;
@@ -51,16 +54,15 @@ let deliver t =
            msg.Message.dst msg.Message.src msg.Message.dst msg.Message.handler
            (Message.vnet_to_string msg.Message.vnet))
 
-let create engine ~nodes ~latency ?words_per_cycle ?(capacity = max_int) () =
+let create engine ~nodes ~latency ?words_per_cycle () =
   if nodes <= 0 then invalid_arg "Fabric.create";
   (match words_per_cycle with
   | Some w when w <= 0 -> invalid_arg "Fabric.create: bad bandwidth"
   | Some _ | None -> ());
-  if capacity <= 0 then invalid_arg "Fabric.create: bad capacity";
   let counters = Stats.create "network" in
   let t =
     { engine; node_count = nodes; net_latency = latency;
-      capacity; words_per_cycle; port_free = Array.make nodes 0;
+      words_per_cycle; port_free = Array.make nodes 0;
       receivers = Array.make nodes None;
       inflight = Tt_util.Intheap.create ~capacity:64 ~dummy:Message.dummy ();
       fseq = 0;
@@ -123,14 +125,14 @@ let send t ~at msg =
     invalid_arg
       (Printf.sprintf "Fabric.send: bad destination %d (fabric has %d nodes)"
          msg.Message.dst t.node_count);
-  if Tt_util.Intheap.length t.inflight >= t.capacity then
+  if Tt_util.Intheap.length t.inflight >= capacity then
     raise
       (Overload.Overload
          (Printf.sprintf
             "Fabric: in-flight buffer full (%d messages, capacity %d) \
              sending src=%d dst=%d vnet=%s at t=%d"
             (Tt_util.Intheap.length t.inflight)
-            t.capacity msg.Message.src msg.Message.dst
+            capacity msg.Message.src msg.Message.dst
             (Message.vnet_to_string msg.Message.vnet)
             at));
   (match msg.Message.vnet with

@@ -14,13 +14,13 @@ type t
 
 val create :
   Tt_sim.Engine.t -> nodes:int -> latency:int -> ?words_per_cycle:int ->
-  ?capacity:int -> unit -> t
+  unit -> t
 (** [words_per_cycle] enables the optional contention model: arrivals at a
     node are serialized through its network port at that payload bandwidth
     (the paper's model is contention-free; this is the [ablation] knob).
-    [capacity] (default unbounded) caps the number of messages in flight;
-    a send that would exceed it raises {!Overload.Overload} — with the
-    {!Flow} credit layer above, an ample capacity is a pure safety net. *)
+    At most [2^20] messages are in flight; a send that would exceed that
+    raises {!Overload.Overload} — with the {!Flow} credit layer above, a
+    pure safety net. *)
 
 val nodes : t -> int
 

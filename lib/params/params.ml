@@ -31,8 +31,6 @@ type t = {
   flow_request_credits : int;
   flow_response_credits : int;
   flow_spill_capacity : int;
-  np_queue_capacity : int;
-  fabric_capacity : int;
   quantum : int;
   seed : int;
 }
@@ -74,8 +72,6 @@ let default =
     flow_request_credits = 4096;
     flow_response_credits = 4096;
     flow_spill_capacity = 1 lsl 16;
-    np_queue_capacity = 1 lsl 16;
-    fabric_capacity = 1 lsl 20;
     quantum = 200;
     seed = 42;
   }
@@ -99,6 +95,4 @@ let validate t =
     err "flow_response_credits must be positive"
   else if t.flow_spill_capacity < 0 then
     err "flow_spill_capacity must be non-negative"
-  else if t.np_queue_capacity <= 0 then err "np_queue_capacity must be positive"
-  else if t.fabric_capacity <= 0 then err "fabric_capacity must be positive"
   else Ok ()

@@ -67,10 +67,6 @@ type t = {
       (** per-node cap on the user-level overflow (spill) buffer; an NP
           handler that would exceed it raises {!Tt_net.Overload.Overload}
           rather than buffer without bound *)
-  np_queue_capacity : int;
-      (** per-ring cap on the NP's work queues (finite buffering) *)
-  fabric_capacity : int;
-      (** cap on messages simultaneously in flight in the fabric *)
   (* --- simulator --- *)
   quantum : int;  (** thread run-ahead bound, cycles *)
   seed : int;

@@ -706,6 +706,8 @@ let noop_handler t =
   if t.h_noop < 0 then invalid_arg "Stache.noop_handler: not installed";
   t.h_noop
 
+let heap t = t.heap
+
 (* Checkpoint assist: the authoritative content of [vpage] as seen from
    its home, or [None] when home memory cannot be trusted (a block is
    dirty at a remote owner or mid-transaction).  The checkpoint layer

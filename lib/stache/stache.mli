@@ -139,6 +139,9 @@ val noop_handler : t -> int
     one NP instruction and ignores its payload.
     @raise Invalid_argument before {!install}. *)
 
+val heap : t -> Tt_mem.Homes.t
+(** The machine's shared heap and page-home map. *)
+
 val snapshot_page : t -> vpage:int -> Bytes.t option
 (** Checkpoint assist: a copy of [vpage]'s authoritative content, read
     from its home, or [None] when home memory is stale (some block is

@@ -13,7 +13,7 @@ type t = {
   nregs : int;
   nlocks : int;
   progs : op array array;
-  allowed : (int array, unit) Hashtbl.t Lazy.t;
+  allowed : (int array, unit) Hashtbl.t;
 }
 
 let max_value = 15
@@ -94,10 +94,10 @@ let make ~name ~doc ?(nlocks = 0) ~nlocs ~nregs progs =
     progs;
   {
     name; doc; nprocs; nlocs; nregs; nlocks; progs;
-    allowed = lazy (enumerate ~nprocs ~nlocs ~nregs ~nlocks progs);
+    allowed = enumerate ~nprocs ~nlocs ~nregs ~nlocks progs;
   }
 
-let allowed t = Lazy.force t.allowed
+let allowed t = t.allowed
 
 let allowed_count t = Hashtbl.length (allowed t)
 

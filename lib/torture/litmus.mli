@@ -37,8 +37,9 @@ type t = {
   nregs : int;
   nlocks : int;
   progs : op array array;
-  allowed : (int array, unit) Hashtbl.t Lazy.t;
-      (** allowed observable vectors, [regs ++ final mem], memoized *)
+  allowed : (int array, unit) Hashtbl.t;
+      (** allowed observable vectors, [regs ++ final mem], enumerated by
+          {!make} (eagerly: grid cells on worker domains read it) *)
 }
 
 val max_value : int

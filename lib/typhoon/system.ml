@@ -297,20 +297,19 @@ let dispatch_message t ep (msg : Message.t) =
     ~data:msg.Message.data;
   return_credit t msg
 
-let np_msg_exec t node msg =
+let np_message t node msg =
   np_prologue node;
   dispatch_message t (Option.get node.endpoint) msg
 
-let np_deferred_exec node f =
+let np_deferred node f =
   np_prologue node;
   f ()
 
-(* Execute one NP work item: dispatch to the registered user handler. *)
-let np_exec t node work =
+(* Execute one fault: dispatch to the registered user handler. *)
+let np_fault t node fault =
   np_prologue node;
   let ep = Option.get node.endpoint in
-  (match work with
-  | Np.Message msg -> dispatch_message t ep msg
+  match fault with
   | Np.Block_fault fault ->
       Stats.Counter.incr node.c_block_faults;
       (match
@@ -323,9 +322,9 @@ let np_exec t node work =
                "Typhoon: block fault at 0x%x on node %d, mode %d, but no \
                 handler registered"
                fault.Tempest.fault_vaddr node.id fault.Tempest.fault_mode))
-  | Np.Page_fault { vaddr; access; resumption } ->
+  | Np.Page_fault { vaddr; access; resumption } -> (
       Stats.Counter.incr node.c_page_faults;
-      (match Tempest.Handlers.page_fault t.tables with
+      match Tempest.Handlers.page_fault t.tables with
       | Some handler -> handler ep ~vaddr access resumption
       | None ->
           invalid_arg
@@ -333,7 +332,6 @@ let np_exec t node work =
                "Typhoon: page fault at 0x%x on node %d but no handler \
                 registered"
                vaddr node.id))
-  | Np.Deferred f -> f ())
 
 let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
   (match Params.validate p with
@@ -341,8 +339,7 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
   | Error msg -> invalid_arg ("Typhoon.System.create: " ^ msg));
   let prng = Tt_util.Prng.create ~seed:p.Params.seed in
   let fabric = Fabric.create engine ~nodes:p.Params.nodes ~latency:p.Params.net_latency
-      ?words_per_cycle:p.Params.link_words_per_cycle
-      ~capacity:p.Params.fabric_capacity () in
+      ?words_per_cycle:p.Params.link_words_per_cycle () in
   let net = Reliable.create engine fabric reliability in
   let flow =
     Flow.create net ~nodes:p.Params.nodes
@@ -376,9 +373,7 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
               ~size_bytes:p.Params.cpu_cache_bytes ~assoc:p.Params.cpu_cache_assoc
               ~prng:(Tt_util.Prng.split prng) ();
           np =
-            Np.create engine ~rtlb ~dcache
-              ~capacity:p.Params.np_queue_capacity
-              ~name:(Printf.sprintf "np%d" id) ();
+            Np.create engine ~rtlb ~dcache ~name:(Printf.sprintf "np%d" id) ();
           stats;
           c_accesses = Stats.counter stats "accesses";
           c_upgrades = Stats.counter stats "upgrades";
@@ -397,9 +392,8 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
   Array.iter
     (fun node ->
       node.endpoint <- Some (make_endpoint t node);
-      Np.set_exec node.np (np_exec t node);
-      Np.set_msg_exec node.np (np_msg_exec t node);
-      Np.set_deferred_exec node.np (np_deferred_exec node);
+      Np.install node.np ~message:(np_message t node)
+        ~fault:(np_fault t node) ~deferred:(np_deferred node);
       Reliable.set_receiver net ~node:node.id (fun msg ->
           Np.post_message node.np ~at:(Engine.now engine) msg))
     nodes;
@@ -486,7 +480,7 @@ let rec access_page t ~node th access vaddr =
   if page == Pagemem.no_page then begin
     Thread.advance th t.params.Params.fault_detect;
     suspend_on_fault n th (fun resumption ->
-        Np.post n.np ~at:(Thread.clock th)
+        Np.post_fault n.np ~at:(Thread.clock th)
           (Np.Page_fault { vaddr; access; resumption }));
     (* retry after the user page-fault handler resumes us *)
     access_page t ~node th access vaddr
@@ -543,7 +537,7 @@ and block_fault t ~node n th access vaddr page =
     }
   in
   suspend_on_fault n th (fun resumption ->
-      Np.post n.np ~at:(Thread.clock th)
+      Np.post_fault n.np ~at:(Thread.clock th)
         (Np.Block_fault { fault with Tempest.fault_resumption = resumption }));
   access_page t ~node th access vaddr
 

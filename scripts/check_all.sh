@@ -36,13 +36,15 @@
 #    skip the speedup check.
 # 6. Knob census, build flags and profiler: the only TT_* environment
 #    variables named in lib/ are TT_DEBUG_BLOCK and TT_FASTPATH (bin/ may
-#    read its own); lib/ compiles with -inline (lib/dune) and
-#    perfbench/ does not, so the benchmark's host-speed yardstick compiles
-#    unchanged; the default (release) profile keeps the dev profile's
-#    warning and strict flags; lib/'s .cmx files export function bodies
-#    (no -opaque), so inlining crosses modules; a --profile dev build of
-#    tt prints byte-identical runs and recover grid; tt profile takes
-#    samples and prints exactly tt run's output ahead of its report.
+#    read its own); Engine.reserve/claim/reservation appear in lib/ only
+#    under lib/sim/ (controllers yield through Tt_sim.Ctrl); lib/
+#    compiles with -inline (lib/dune) and perfbench/ does not, so the
+#    benchmark's host-speed yardstick compiles unchanged; the default
+#    (release) profile keeps the dev profile's warning and strict flags;
+#    lib/'s .cmx files export function bodies (no -opaque), so inlining
+#    crosses modules; a --profile dev build of tt prints byte-identical
+#    runs and recover grid; tt profile takes samples and prints exactly
+#    tt run's output ahead of its report.
 # 7. The whole-run benchmark's self-test (tiny inputs; fails when a pinned
 #    simulation digest drifts).
 set -eu
@@ -233,6 +235,16 @@ knobs=$(grep -rhoE '"TT_[A-Z0-9_]+"' lib --include='*.ml' | tr -d '"' \
 echo "lib/ environment knobs: $knobs"
 if [ "$knobs" != "TT_DEBUG_BLOCK TT_FASTPATH " ]; then
   echo "FAIL: lib/ must read exactly TT_DEBUG_BLOCK and TT_FASTPATH" >&2
+  exit 1
+fi
+
+echo "== reservations stay inside tt_sim =="
+# A run-to-completion controller is written once, as Tt_sim.Ctrl; a
+# second loop that reserves and claims its own dispatches would escape the
+# property that checks reservations (test_sim's prop_reserve_parity).
+if grep -rnE 'Engine\.(reserve|claim|reservation)' lib \
+  --include='*.ml' --include='*.mli' | grep -v '^lib/sim/'; then
+  echo "FAIL: Engine.reserve/claim/reservation used outside lib/sim/" >&2
   exit 1
 fi
 

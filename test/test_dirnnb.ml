@@ -363,6 +363,29 @@ let test_second_outstanding_miss_rejected () =
            (Addr.block_of base))
         msg
 
+(* The directory engine serves one FIFO inbox across both virtual
+   networks: a request that arrives before a response runs first (the
+   Typhoon NP would run the response first).  Node 2 answers an
+   invalidate (handler 4) with an ack (6) and a recall (3) with recall
+   data (5); node 0's receiver is replaced to record the answers. *)
+let test_inbox_fifo_across_vnets () =
+  let engine, sys = mk () in
+  let net = Dirnnb.net sys in
+  let answers = ref [] in
+  Tt_net.Reliable.set_receiver net ~node:0 (fun m ->
+      answers := m.Tt_net.Message.handler :: !answers);
+  let send vnet handler args =
+    Tt_net.Reliable.send net ~at:0
+      (Tt_net.Message.make ~src:0 ~dst:2 ~vnet ~handler ~args
+         ~data:Bytes.empty)
+  in
+  let block = base / Addr.block_size in
+  send Tt_net.Message.Request 4 [| block |];
+  send Tt_net.Message.Response 3 [| block; 0 |];
+  Engine.run engine;
+  Alcotest.(check (list int)) "answered in arrival order" [ 6; 5 ]
+    (List.rev !answers)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "dirnnb"
@@ -381,6 +404,8 @@ let () =
             test_recall_from_remote_owner;
           Alcotest.test_case "eviction writeback" `Quick
             test_eviction_writeback_updates_directory;
+          Alcotest.test_case "inbox FIFO across vnets" `Quick
+            test_inbox_fifo_across_vnets;
         ] );
       ( "alloc",
         [

@@ -230,7 +230,9 @@ let mk_np ~capacity =
 let test_np_ring_wraparound_at_capacity () =
   let engine, np = mk_np ~capacity:16 in
   let order = ref [] in
-  Np.set_msg_exec np (fun m -> order := m.Message.handler :: !order);
+  Np.install np
+    ~message:(fun m -> order := m.Message.handler :: !order)
+    ~fault:ignore ~deferred:ignore;
   let post i at =
     Np.post_message np ~at
       (Message.make ~src:0 ~dst:0 ~vnet:Message.Request ~handler:i ~args:[||]
@@ -344,7 +346,7 @@ let test_overload_grid_faultsweep () =
             (String.length msg > 0))
     points
 
-(* Torture litmus shapes under tiny credits and queue capacities with
+(* Torture litmus shapes under tiny credits and spill capacity with
    perturbed schedules and faults: backpressure may slow or abort a run
    (Hang carries the diagnostic; Link is the transport giving up), but it
    must never corrupt coherence — no SC, stale, or invariant violations. *)
@@ -355,7 +357,6 @@ let test_torture_under_overload () =
       Params.flow_request_credits = 2;
       flow_response_credits = 2;
       flow_spill_capacity = 64;
-      np_queue_capacity = 256;
     }
   in
   List.iter

@@ -5,6 +5,7 @@ module Engine = Tt_sim.Engine
 module Thread = Tt_sim.Thread
 module Barrier = Tt_sim.Barrier
 module Lock = Tt_sim.Lock
+module Ctrl = Tt_sim.Ctrl
 module Stats = Tt_util.Stats
 
 let check_int = Alcotest.(check int)
@@ -342,66 +343,38 @@ let test_reserve_run_end () =
 (* Parity: random multi-controller workloads give the same handler trace,
    final [now] and tie-break site count under [run] (reservations on) as
    under [run_until] past the last event (reservations off).  Each
-   controller is the run-to-completion loop of Np/Ctrl in miniature:
-   drain inline while nothing is due, reserve on a trailing yield with an
-   empty queue, claim on the next post. *)
-type ctrl = {
-  ce : Engine.t;
-  cid : int;
-  mutable clock : int;
-  mutable busy : bool;
-  items : (int * int * (unit -> unit)) Queue.t; (* item, cost, onward *)
-  resv : Engine.reservation;
-  mutable self : unit -> unit;
-}
-
-let rec ctrl_dispatch trace c () =
-  if Queue.is_empty c.items then c.busy <- false
-  else begin
-    let item, cost, onward = Queue.pop c.items in
-    trace := (Engine.now c.ce, c.cid, item) :: !trace;
-    c.clock <- c.clock + cost;
-    onward ();
-    if Engine.next_event_time c.ce > c.clock then begin
-      Engine.skip_to c.ce c.clock;
-      ctrl_dispatch trace c ()
-    end
-    else if Queue.is_empty c.items && Engine.reserve c.ce c.resv c.clock then
-      c.busy <- false
-    else Engine.at c.ce c.clock c.self
-  end
-
-let ctrl_post c x =
-  Queue.push x c.items;
-  if not c.busy then begin
-    c.busy <- true;
-    if not (Engine.claim c.ce c.resv c.self) then begin
-      c.clock <- max c.clock (Engine.now c.ce);
-      Engine.at c.ce c.clock c.self
-    end
-  end
+   controller is a [Ctrl] over one ring of (item, cost, onward) work. *)
+let make_ctrl e trace cid =
+  let c = Ctrl.create e in
+  let ring = Ctrl.Ring.create (0, 0, ignore) in
+  Ctrl.install c
+    ~serve:(fun clock ->
+      if Ctrl.Ring.ready ring clock then begin
+        let item, cost, onward = Ctrl.Ring.pop ring in
+        trace := (Engine.now e, cid, item) :: !trace;
+        Ctrl.charge c cost;
+        onward ();
+        clock
+      end
+      else Ctrl.Ring.next ring)
+    ~depth:(fun () -> Ctrl.Ring.length ring);
+  fun x ->
+    Ctrl.Ring.push ring ~at:(Engine.now e) x;
+    Ctrl.kick c
 
 let run_workload ~reservations ~salted (ncs, posts, fiber) =
   let e = Engine.create () in
   if salted then Engine.set_tiebreak e (Some (fun site -> site * 7));
   let trace = ref [] in
-  let cs =
-    Array.init ncs (fun cid ->
-        let c =
-          { ce = e; cid; clock = 0; busy = false; items = Queue.create ();
-            resv = Engine.reservation e; self = ignore }
-        in
-        c.self <- ctrl_dispatch trace c;
-        c)
-  in
+  let cs = Array.init ncs (make_ctrl e trace) in
   let post item (_, target, cost, onward) =
     let onward () =
       match onward with
       | None -> ()
       | Some (t2, cost2) ->
-          ctrl_post cs.(t2 mod ncs) (1000 + item, cost2, ignore)
+          cs.(t2 mod ncs) (1000 + item, cost2, ignore)
     in
-    ctrl_post cs.(target mod ncs) (item, cost, onward)
+    cs.(target mod ncs) (item, cost, onward)
   in
   List.iteri
     (fun i ((time, _, _, _) as p) -> Engine.at e time (fun () -> post i p))
@@ -440,6 +413,77 @@ let prop_reserve_parity =
           run_workload ~reservations:true ~salted w
           = run_workload ~reservations:false ~salted w)
         [ false; true ])
+
+(* ---------------- Ctrl ---------------- *)
+
+(* A controller over one ring of named items, each charging its cost; the
+   log records (name, engine time) as items run. *)
+let logged_ctrl e log =
+  let c = Ctrl.create e in
+  let ring = Ctrl.Ring.create ("", 0) in
+  Ctrl.install c
+    ~serve:(fun clock ->
+      if Ctrl.Ring.ready ring clock then begin
+        let name, cost = Ctrl.Ring.pop ring in
+        log := (name, Engine.now e) :: !log;
+        Ctrl.charge c cost;
+        clock
+      end
+      else Ctrl.Ring.next ring)
+    ~depth:(fun () -> Ctrl.Ring.length ring);
+  let post ?(at = Engine.now e) name cost =
+    Ctrl.Ring.push ring ~at (name, cost);
+    Ctrl.kick c
+  in
+  (c, post)
+
+let check_log what expected log =
+  Alcotest.(check (list (pair string int))) what expected (List.rev !log)
+
+(* An event already queued at the controller's clock runs before the next
+   item: the loop drains inline only while every queued event is strictly
+   later, and a yield with items left schedules the next dispatch. *)
+let test_ctrl_yields_to_due_event () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let _, post = logged_ctrl e log in
+  Engine.at e 0 (fun () ->
+      post "a" 5;
+      post "b" 0);
+  Engine.at e 5 (fun () -> log := ("event", 5) :: !log);
+  Engine.run e;
+  check_log "order" [ ("a", 0); ("event", 5); ("b", 5) ] log
+
+(* An item with a future ready time makes the loop idle until then; a post
+   to an idle controller starts it at the post's time, not at its stale
+   clock. *)
+let test_ctrl_waits_for_ready_time () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let c, post = logged_ctrl e log in
+  Engine.at e 3 (fun () -> post ~at:40 "late" 2);
+  Engine.at e 50 (fun () -> post "next" 1);
+  Engine.run e;
+  check_log "order" [ ("late", 40); ("next", 50) ] log;
+  check_int "clock" 51 (Ctrl.clock c);
+  check_int "handled" 2 (Ctrl.handled c);
+  check_int "busy cycles" 3 (Ctrl.busy_cycles c)
+
+(* A yield with nothing queued reserves the dispatch's place and queues no
+   event; the next post claims it, so the item runs ahead of an event
+   scheduled after the yield at the same time, exactly as the eager
+   dispatch would have. *)
+let test_ctrl_claims_after_idle_yield () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let _, post = logged_ctrl e log in
+  Engine.at e 3 (fun () -> post "a" 10);
+  Engine.at e 13 (fun () ->
+      check_int "idle: no dispatch queued" 0 (Engine.pending e);
+      Engine.at e 13 (fun () -> log := ("later", 13) :: !log);
+      post "b" 0);
+  Engine.run e;
+  check_log "order" [ ("a", 3); ("b", 13); ("later", 13) ] log
 
 (* ---------------- Thread ---------------- *)
 
@@ -765,6 +809,15 @@ let () =
           Alcotest.test_case "run ends at the latest reservation" `Quick
             test_reserve_run_end;
           QCheck_alcotest.to_alcotest prop_reserve_parity;
+        ] );
+      ( "ctrl",
+        [
+          Alcotest.test_case "yields to an event due at its clock" `Quick
+            test_ctrl_yields_to_due_event;
+          Alcotest.test_case "waits for a future ready time" `Quick
+            test_ctrl_waits_for_ready_time;
+          Alcotest.test_case "a post after an idle yield claims" `Quick
+            test_ctrl_claims_after_idle_yield;
         ] );
       ( "thread",
         [

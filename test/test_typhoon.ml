@@ -279,6 +279,54 @@ let test_np_charges_cycles () =
   check_bool "busy cycles recorded" true
     (Np.busy_cycles (System.node_np sys 1) >= 1000)
 
+(* A bare NP whose executors log what they run and when. *)
+let bare_np () =
+  let engine = Engine.create () in
+  let np =
+    Np.create engine
+      ~rtlb:(Tt_mem.Tlb.create ~entries:64 ~miss_penalty:10 ())
+      ~dcache:
+        (Tt_cache.Cache.create ~name:"np.dcache" ~size_bytes:4096 ~assoc:2
+           ~prng:(Tt_util.Prng.create ~seed:1) ())
+      ()
+  in
+  let log = ref [] in
+  let note what = log := (what, Engine.now engine) :: !log in
+  Np.install np
+    ~message:(fun m -> note (Message.vnet_to_string m.Message.vnet))
+    ~fault:(fun _ -> note "fault")
+    ~deferred:(fun f -> f ());
+  (engine, np, log, note)
+
+let bare_msg vnet =
+  Message.make ~src:0 ~dst:0 ~vnet ~handler:0 ~args:[||] ~data:Bytes.empty
+
+let test_np_priority_order () =
+  let engine, np, log, note = bare_np () in
+  Np.post_deferred np ~at:0 (fun () -> note "deferred");
+  Np.post_message np ~at:0 (bare_msg Message.Request);
+  Np.post_fault np ~at:0
+    (Np.Page_fault
+       { vaddr = 0; access = Tag.Load;
+         resumption = Tempest.make_resumption ignore });
+  Np.post_message np ~at:0 (bare_msg Message.Response);
+  Engine.run engine;
+  Alcotest.(check (list string)) "response, fault, request, deferred"
+    [ "response"; "fault"; "request"; "deferred" ]
+    (List.rev_map fst !log)
+
+let test_np_waits_for_ready_time () =
+  let engine, np, log, note = bare_np () in
+  Np.post_deferred np ~at:100 (fun () ->
+      note "late";
+      Np.charge np 5);
+  Engine.run engine;
+  Alcotest.(check (list (pair string int))) "ran at its ready time"
+    [ ("late", 100) ] !log;
+  check_int "NP clock" 105 (Np.clock np);
+  check_int "handled" 1 (Np.handled np);
+  check_int "busy cycles" 5 (Np.busy_cycles np)
+
 let test_np_response_priority () =
   (* queue a request and a response while the NP is busy: the response must
      run first despite arriving later *)
@@ -490,6 +538,10 @@ let () =
           Alcotest.test_case "handler charges NP cycles" `Quick
             test_np_charges_cycles;
           Alcotest.test_case "response priority" `Quick test_np_response_priority;
+          Alcotest.test_case "priority: response, fault, request, deferred"
+            `Quick test_np_priority_order;
+          Alcotest.test_case "waits for a future ready time" `Quick
+            test_np_waits_for_ready_time;
           Alcotest.test_case "bulk transfer end-to-end" `Quick
             test_bulk_transfer_end_to_end;
           Alcotest.test_case "force-write keeps CPU cache coherent" `Quick
