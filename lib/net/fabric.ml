@@ -15,9 +15,9 @@ let seq_limit = 1 lsl seq_bits
 (* A message from a node to itself short-circuits the network (§5.1). *)
 let local_latency = 1
 
-(* Cap on messages in flight.  With the Flow credit layer above it is a
-   pure safety net that credits keep unreachable. *)
-let capacity = 1 lsl 20
+(* Cap on messages in flight: a pure safety net under the Flow credit
+   layer, and the bound that keeps [rebase_inflight] within [seq_limit]. *)
+let capacity = seq_limit
 
 type t = {
   engine : Tt_sim.Engine.t;

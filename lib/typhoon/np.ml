@@ -47,25 +47,17 @@ let depth t =
   Ring.length t.responses + Ring.length t.requests + Ring.length t.faults
   + Ring.length t.deferred
 
+let take r exec clock =
+  exec (Ring.pop r);
+  clock
+
 (* Priority: responses, then faults, then requests, then deferred chores
    (§5.1: the response network must never starve). *)
 let serve t clock =
-  if Ring.ready t.responses clock then begin
-    t.on_message (Ring.pop t.responses);
-    clock
-  end
-  else if Ring.ready t.faults clock then begin
-    t.on_fault (Ring.pop t.faults);
-    clock
-  end
-  else if Ring.ready t.requests clock then begin
-    t.on_message (Ring.pop t.requests);
-    clock
-  end
-  else if Ring.ready t.deferred clock then begin
-    t.on_deferred (Ring.pop t.deferred);
-    clock
-  end
+  if Ring.ready t.responses clock then take t.responses t.on_message clock
+  else if Ring.ready t.faults clock then take t.faults t.on_fault clock
+  else if Ring.ready t.requests clock then take t.requests t.on_message clock
+  else if Ring.ready t.deferred clock then take t.deferred t.on_deferred clock
   else
     min
       (min (Ring.next t.responses) (Ring.next t.faults))
@@ -75,7 +67,7 @@ let create engine ~rtlb ~dcache ?(capacity = 1 lsl 16) ?(name = "np") () =
   if capacity <= 0 then invalid_arg "Np.create: bad capacity";
   let not_installed _ = invalid_arg "Np: executors not installed" in
   let t =
-    { ctrl = Tt_sim.Ctrl.create engine; np_rtlb = rtlb; np_dcache = dcache;
+    { ctrl = Ctrl.create engine; np_rtlb = rtlb; np_dcache = dcache;
       capacity; np_name = name;
       responses = Ring.create Message.dummy;
       requests = Ring.create Message.dummy;
