@@ -525,6 +525,16 @@ let ctrl_exec t node msg =
     Ctrl.charge ctrl 1
   else invalid_arg (Printf.sprintf "Dirnnb: unknown handler %d" handler)
 
+(* One inbox, served in arrival order across both virtual networks. *)
+let serve_inbox (t, node) clock =
+  if Ring.ready node.inbox clock then begin
+    ctrl_exec t node (Ring.pop node.inbox);
+    clock
+  end
+  else Ring.next node.inbox
+
+let inbox_depth (_, node) = Ring.length node.inbox
+
 let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
   (match Params.validate p with
   | Ok () -> ()
@@ -578,17 +588,11 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
   in
   Array.iter
     (fun node ->
-      let inbox = node.inbox in
-      Ctrl.install node.ctrl
-        ~serve:(fun clock ->
-          if Ring.ready inbox clock then begin
-            ctrl_exec t node (Ring.pop inbox);
-            clock
-          end
-          else Ring.next inbox)
-        ~depth:(fun () -> Ring.length inbox);
+      let queue = (t, node) in
+      Ctrl.install node.ctrl (fun () ->
+          Ctrl.run node.ctrl queue ~serve:serve_inbox ~depth:inbox_depth);
       Reliable.set_receiver net ~node:node.id (fun msg ->
-          Ring.push inbox ~at:(Engine.now engine) msg;
+          Ring.push node.inbox ~at:(Engine.now engine) msg;
           Ctrl.kick node.ctrl))
     nodes;
   t

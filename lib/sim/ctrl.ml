@@ -49,8 +49,6 @@ type t = {
   engine : Engine.t;
   mutable clock : int;
   mutable busy : bool;
-  mutable serve : int -> int;
-  mutable depth : unit -> int;
   mutable self : unit -> unit; (* the one preallocated dispatch closure *)
   resv : Engine.reservation; (* a trailing yield's held place *)
   mutable handled : int;
@@ -71,41 +69,42 @@ let busy_cycles t = t.busy_cycles
    fire before a freshly scheduled dispatch (smaller seq), so the loop must
    yield to it.  A yield with nothing queued reserves the place of a
    dispatch that would only mark the controller idle, for [kick] to claim
-   (DESIGN.md, "Reserved dispatches"). *)
-let rec dispatch t () =
-  let start = t.clock in
-  let next = t.serve start in
-  if next <= start then begin
-    t.handled <- t.handled + 1;
-    t.busy_cycles <- t.busy_cycles + (t.clock - start);
-    if Engine.next_event_time t.engine > t.clock then begin
-      Engine.skip_to t.engine t.clock;
-      dispatch t ()
+   (DESIGN.md, "Reserved dispatches").  A loop rather than a recursion, so
+   that it inlines into the owner's dispatch closure. *)
+let[@inline] run t q ~serve ~depth =
+  let draining = ref true in
+  while !draining do
+    let start = t.clock in
+    let next = serve q start in
+    if next <= start then begin
+      t.handled <- t.handled + 1;
+      t.busy_cycles <- t.busy_cycles + (t.clock - start);
+      if Engine.next_event_time t.engine > t.clock then
+        Engine.skip_to t.engine t.clock
+      else begin
+        draining := false;
+        if depth q = 0 && Engine.reserve t.engine t.resv t.clock then
+          t.busy <- false
+        else Engine.at t.engine t.clock t.self
+      end
     end
-    else if t.depth () = 0 && Engine.reserve t.engine t.resv t.clock then
-      t.busy <- false
-    else Engine.at t.engine t.clock t.self
-  end
-  else if next = max_int then t.busy <- false
-  else begin
-    (* nothing ready yet: idle until the earliest queued ready time *)
-    t.clock <- next;
-    Engine.at t.engine next t.self
-  end
+    else begin
+      draining := false;
+      if next = max_int then t.busy <- false
+      else begin
+        (* nothing ready yet: idle until the earliest queued ready time *)
+        t.clock <- next;
+        Engine.at t.engine next t.self
+      end
+    end
+  done
 
 let create engine =
-  let t =
-    { engine; clock = 0; busy = false;
-      serve = (fun _ -> invalid_arg "Ctrl: serve not installed");
-      depth = (fun () -> 0); self = ignore;
-      resv = Engine.reservation engine; handled = 0; busy_cycles = 0 }
-  in
-  t.self <- dispatch t;
-  t
+  { engine; clock = 0; busy = false;
+    self = (fun () -> invalid_arg "Ctrl: dispatch not installed");
+    resv = Engine.reservation engine; handled = 0; busy_cycles = 0 }
 
-let install t ~serve ~depth =
-  t.serve <- serve;
-  t.depth <- depth
+let install t dispatch = t.self <- dispatch
 
 let kick t =
   if not t.busy then begin

@@ -3,13 +3,13 @@
 
     It owns a cycle clock and runs queued items one at a time, never
     preempted.  The owner's queues ({!Ring}s) and their order are reached
-    through the installed [serve].  After each item the loop drains on
-    inline ({!Engine.skip_to}) while every queued engine event is strictly
-    later than its clock, which is observably identical to one event per
-    item; otherwise it yields, {!Engine.reserve}-ing the place of a
-    dispatch that would only mark it idle when nothing is queued.  {!kick}
-    claims that place or schedules at [max clock now].  Dispatching
-    allocates nothing. *)
+    through the [serve] it passes to {!run}.  After each item the loop
+    keeps draining inline ({!Engine.skip_to}) while every queued engine
+    event is strictly later than its clock, which is observably identical
+    to one event per item; otherwise it yields, {!Engine.reserve}-ing the
+    place of a dispatch that would only mark it idle when nothing is
+    queued.  {!kick} claims that place or schedules at [max clock now].
+    Dispatching allocates nothing. *)
 
 module Ring : sig
   (** A growable FIFO of items stamped with monotone ready times. *)
@@ -39,12 +39,17 @@ type t
 val create : Engine.t -> t
 (** An idle controller at clock 0. *)
 
-val install : t -> serve:(int -> int) -> depth:(unit -> int) -> unit
-(** Install the owner's queues (before the first {!kick}).  [serve clock]
-    runs the highest-priority item ready at [clock] and returns [clock];
-    with none ready it runs nothing and returns the earliest ready time
-    of a queued item, or [max_int] when nothing is queued.  [depth ()] is
-    the number of queued items. *)
+val run : t -> 'q -> serve:('q -> int -> int) -> depth:('q -> int) -> unit
+(** The dispatch loop over the owner's queues [q].  [serve q clock] runs
+    the highest-priority item ready at [clock] and returns [clock]; with
+    none ready it runs nothing and returns the earliest ready time of a
+    queued item, or [max_int] when nothing is queued.  [depth q] is the
+    number of queued items. *)
+
+val install : t -> (unit -> unit) -> unit
+(** Install the dispatch closure [fun () -> run t q ~serve ~depth] (before
+    the first {!kick}); with top-level [serve] and [depth], [run] and
+    both calls inline into it. *)
 
 val kick : t -> unit
 (** The owner queued an item: start the loop unless it is running. *)

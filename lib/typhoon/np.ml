@@ -76,9 +76,7 @@ let create engine ~rtlb ~dcache ?(capacity = 1 lsl 16) ?(name = "np") () =
       on_message = not_installed; on_fault = not_installed;
       on_deferred = not_installed }
   in
-  Ctrl.install t.ctrl
-    ~serve:(fun clock -> serve t clock)
-    ~depth:(fun () -> depth t);
+  Ctrl.install t.ctrl (fun () -> Ctrl.run t.ctrl t ~serve ~depth);
   t
 
 let install t ~message ~fault ~deferred =

@@ -340,27 +340,35 @@ let test_reserve_run_end () =
   check_int "nothing queued" 0 (Engine.pending e);
   check_bool "dead afterwards" false (Engine.claim e r1 ignore)
 
+(* A controller over one ring whose [run c item] runs each item; returns
+   the controller and a post function (ready now unless [at] is given). *)
+let ring_ctrl e ~dummy run =
+  let c = Ctrl.create e in
+  let ring = Ctrl.Ring.create dummy in
+  let serve ring clock =
+    if Ctrl.Ring.ready ring clock then begin
+      run c (Ctrl.Ring.pop ring);
+      clock
+    end
+    else Ctrl.Ring.next ring
+  in
+  Ctrl.install c (fun () -> Ctrl.run c ring ~serve ~depth:Ctrl.Ring.length);
+  let post ?(at = Engine.now e) x =
+    Ctrl.Ring.push ring ~at x;
+    Ctrl.kick c
+  in
+  (c, post)
+
 (* Parity: random multi-controller workloads give the same handler trace,
    final [now] and tie-break site count under [run] (reservations on) as
    under [run_until] past the last event (reservations off).  Each
    controller is a [Ctrl] over one ring of (item, cost, onward) work. *)
 let make_ctrl e trace cid =
-  let c = Ctrl.create e in
-  let ring = Ctrl.Ring.create (0, 0, ignore) in
-  Ctrl.install c
-    ~serve:(fun clock ->
-      if Ctrl.Ring.ready ring clock then begin
-        let item, cost, onward = Ctrl.Ring.pop ring in
-        trace := (Engine.now e, cid, item) :: !trace;
-        Ctrl.charge c cost;
-        onward ();
-        clock
-      end
-      else Ctrl.Ring.next ring)
-    ~depth:(fun () -> Ctrl.Ring.length ring);
-  fun x ->
-    Ctrl.Ring.push ring ~at:(Engine.now e) x;
-    Ctrl.kick c
+  snd
+    (ring_ctrl e ~dummy:(0, 0, ignore) (fun c (item, cost, onward) ->
+         trace := (Engine.now e, cid, item) :: !trace;
+         Ctrl.charge c cost;
+         onward ()))
 
 let run_workload ~reservations ~salted (ncs, posts, fiber) =
   let e = Engine.create () in
@@ -416,26 +424,12 @@ let prop_reserve_parity =
 
 (* ---------------- Ctrl ---------------- *)
 
-(* A controller over one ring of named items, each charging its cost; the
-   log records (name, engine time) as items run. *)
+(* A controller whose items are (name, cost); the log records (name,
+   engine time) as items run. *)
 let logged_ctrl e log =
-  let c = Ctrl.create e in
-  let ring = Ctrl.Ring.create ("", 0) in
-  Ctrl.install c
-    ~serve:(fun clock ->
-      if Ctrl.Ring.ready ring clock then begin
-        let name, cost = Ctrl.Ring.pop ring in
-        log := (name, Engine.now e) :: !log;
-        Ctrl.charge c cost;
-        clock
-      end
-      else Ctrl.Ring.next ring)
-    ~depth:(fun () -> Ctrl.Ring.length ring);
-  let post ?(at = Engine.now e) name cost =
-    Ctrl.Ring.push ring ~at (name, cost);
-    Ctrl.kick c
-  in
-  (c, post)
+  ring_ctrl e ~dummy:("", 0) (fun c (name, cost) ->
+      log := (name, Engine.now e) :: !log;
+      Ctrl.charge c cost)
 
 let check_log what expected log =
   Alcotest.(check (list (pair string int))) what expected (List.rev !log)
@@ -448,8 +442,8 @@ let test_ctrl_yields_to_due_event () =
   let log = ref [] in
   let _, post = logged_ctrl e log in
   Engine.at e 0 (fun () ->
-      post "a" 5;
-      post "b" 0);
+      post ("a", 5);
+      post ("b", 0));
   Engine.at e 5 (fun () -> log := ("event", 5) :: !log);
   Engine.run e;
   check_log "order" [ ("a", 0); ("event", 5); ("b", 5) ] log
@@ -461,8 +455,8 @@ let test_ctrl_waits_for_ready_time () =
   let e = Engine.create () in
   let log = ref [] in
   let c, post = logged_ctrl e log in
-  Engine.at e 3 (fun () -> post ~at:40 "late" 2);
-  Engine.at e 50 (fun () -> post "next" 1);
+  Engine.at e 3 (fun () -> post ~at:40 ("late", 2));
+  Engine.at e 50 (fun () -> post ("next", 1));
   Engine.run e;
   check_log "order" [ ("late", 40); ("next", 50) ] log;
   check_int "clock" 51 (Ctrl.clock c);
@@ -477,11 +471,11 @@ let test_ctrl_claims_after_idle_yield () =
   let e = Engine.create () in
   let log = ref [] in
   let _, post = logged_ctrl e log in
-  Engine.at e 3 (fun () -> post "a" 10);
+  Engine.at e 3 (fun () -> post ("a", 10));
   Engine.at e 13 (fun () ->
       check_int "idle: no dispatch queued" 0 (Engine.pending e);
       Engine.at e 13 (fun () -> log := ("later", 13) :: !log);
-      post "b" 0);
+      post ("b", 0));
   Engine.run e;
   check_log "order" [ ("a", 3); ("b", 13); ("later", 13) ] log
 
