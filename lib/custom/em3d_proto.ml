@@ -42,7 +42,6 @@ type t = {
   stache : Stache.t;
   counters : Stats.t;
   kind_ids : (string, int) Hashtbl.t;
-  mutable kind_names : string array;
   custom_pages : Proto.Pages.t;  (* vpage -> kind id *)
   states : kind_state Inttbl.t array;  (* per node: kind id -> state *)
   pending : Tempest.resumption Inttbl.t array; (* per node fetches *)
@@ -60,7 +59,6 @@ let kind_id t name =
   | None ->
       let id = Hashtbl.length t.kind_ids in
       Hashtbl.replace t.kind_ids name id;
-      t.kind_names <- Array.append t.kind_names [| name |];
       id
 
 let state t ~node ~kind =
@@ -212,7 +210,6 @@ let install sys stache =
       sys; stache;
       counters = Stats.create "em3d_proto";
       kind_ids = Hashtbl.create 4;
-      kind_names = [||];
       custom_pages = Proto.Pages.create sys stache;
       states = Array.init nnodes (fun _ -> Inttbl.create 4);
       pending = Array.init nnodes (fun _ -> Inttbl.create 8);

@@ -257,14 +257,17 @@ let on_update t (ep : Tempest.t) ~src ~args ~data =
   ep.Tempest.send ~dst:src ~vnet:Message.Response ~handler:t.h_ack
     ~args:[| vaddr |] ~data:Bytes.empty
 
+(* One [outstanding] unit of [home]'s flush is settled; [underflow] names
+   the message that settled one too many. *)
+let settle t home ~underflow =
+  t.outstanding.(home) <- t.outstanding.(home) - 1;
+  if t.outstanding.(home) < 0 then invalid_arg underflow;
+  maybe_wake t home
+
 (* home <- sharer: update acknowledged *)
 let on_ack t (ep : Tempest.t) ~src:_ ~args:_ ~data:_ =
-  let home = ep.Tempest.node in
   ep.Tempest.charge c_ack_extra;
-  t.outstanding.(home) <- t.outstanding.(home) - 1;
-  if t.outstanding.(home) < 0 then
-    invalid_arg "Proto: update ack underflow";
-  maybe_wake t home
+  settle t ep.Tempest.node ~underflow:"Proto: update ack underflow"
 
 (* consumer <- home: unsolicited clean copy (producer-consumer channel).
    Applied only onto an Invalid block of a mapped page — any other state
@@ -355,9 +358,7 @@ let on_bulk_confirm t (ep : Tempest.t) ~src ~args ~data:_ =
   done;
   ep.Tempest.send ~dst:src ~vnet:Message.Response ~handler:t.h_bulk_adopt
     ~args:[| first; count |] ~data:bm;
-  t.outstanding.(home) <- t.outstanding.(home) - 1;
-  if t.outstanding.(home) < 0 then invalid_arg "Proto: bulk confirm underflow";
-  maybe_wake t home
+  settle t home ~underflow:"Proto: bulk confirm underflow"
 
 let on_bulk_adopt t (ep : Tempest.t) ~src:_ ~args ~data =
   let first = args.(0) and count = args.(1) in

@@ -252,6 +252,44 @@ let clear_sharers (entry : Directory.entry) =
 
 (* --- home-side directory transaction engine (runs in ctrl context) --- *)
 
+(* Busy [entry] until each of [targets] answers: a recall ([h_recall]) of
+   the owner's copy, exclusive unless [kind] is a read, or an invalidation
+   ([h_inval]) of a sharer's. *)
+let await_copies t home (entry : Directory.entry) ~kind ~requester block
+    ~handler targets =
+  entry.Directory.busy <-
+    Some { Directory.kind; requester; acks_left = List.length targets };
+  List.iter
+    (fun dst ->
+      Ctrl.charge home.ctrl t.params.Params.dir_per_msg;
+      send t ~src:home.id ~at:(Ctrl.clock home.ctrl) ~dst
+        ~vnet:Message.Request ~handler ~with_data:false
+        (if handler = h_recall then
+           [| block;
+              (match kind with
+              | Directory.Read -> 0
+              | Directory.Read_ex | Directory.Upgrade -> 1) |]
+         else [| block |]))
+    targets
+
+(* The grant a completed write or upgrade transaction delivers. *)
+let exclusive_grant = function
+  | Directory.Upgrade -> grant_upgrade
+  | Directory.Read_ex | Directory.Read -> grant_exclusive
+
+(* Make [requester] the owner now if no other copy needs invalidating,
+   else start the invalidation round. *)
+let grant_exclusive_to t home (entry : Directory.entry) ~kind ~requester
+    block =
+  match inval_victims t home entry ~requester with
+  | [] ->
+      entry.Directory.owner <- Some requester;
+      clear_sharers entry;
+      deliver_grant t home ~requester block (exclusive_grant kind)
+  | victims ->
+      await_copies t home entry ~kind ~requester block ~handler:h_inval
+        victims
+
 let rec start_txn t home kind requester block =
   if dbg_on block then
     dbg block "t=%d start_txn home=%d kind=%s req=%d" (Ctrl.clock home.ctrl)
@@ -267,10 +305,6 @@ let rec start_txn t home kind requester block =
   match entry.Directory.busy with
   | Some _ -> Queue.add (kind, requester) entry.Directory.waiting
   | None -> (
-      let reply_data ~ex =
-        deliver_grant t home ~requester block
-          (if ex then grant_exclusive else grant_shared)
-      in
       (* A node requesting a block it nominally owns has lost its copy (the
          writeback is ordered ahead of this request); drop the stale
          registration. *)
@@ -299,51 +333,18 @@ let rec start_txn t home kind requester block =
             Bitset.remove entry.Directory.sharers home.id
           end
       | Directory.Read -> ());
-      match kind with
-      | Directory.Read -> (
-          match entry.Directory.owner with
-          | Some o when o <> requester ->
-              Stats.Counter.incr home.c_recalls;
-              entry.Directory.busy <-
-                Some { Directory.kind; requester; acks_left = 1 };
-              Ctrl.charge ctrl p.Params.dir_per_msg;
-              send t ~src:home.id ~at:(Ctrl.clock ctrl) ~dst:o
-                ~vnet:Message.Request ~handler:h_recall ~with_data:false
-                [| block; 0 |]
-          | Some _ | None ->
-              note_sharer t home entry requester;
-              reply_data ~ex:false)
-      | Directory.Read_ex -> (
-          match entry.Directory.owner with
-          | Some o when o <> requester ->
-              Stats.Counter.incr home.c_recalls;
-              entry.Directory.busy <-
-                Some { Directory.kind; requester; acks_left = 1 };
-              Ctrl.charge ctrl p.Params.dir_per_msg;
-              send t ~src:home.id ~at:(Ctrl.clock ctrl) ~dst:o
-                ~vnet:Message.Request ~handler:h_recall ~with_data:false
-                [| block; 1 |]
-          | Some _ | None ->
-              let victims = inval_victims t home entry ~requester in
-              if victims = [] then begin
-                entry.Directory.owner <- Some requester;
-                clear_sharers entry;
-                reply_data ~ex:true
-              end
-              else begin
-                entry.Directory.busy <-
-                  Some
-                    { Directory.kind; requester;
-                      acks_left = List.length victims };
-                List.iter
-                  (fun s ->
-                    Ctrl.charge ctrl p.Params.dir_per_msg;
-                    send t ~src:home.id ~at:(Ctrl.clock ctrl) ~dst:s
-                      ~vnet:Message.Request ~handler:h_inval
-                      ~with_data:false [| block |])
-                  victims
-              end)
-      | Directory.Upgrade ->
+      match kind, entry.Directory.owner with
+      | (Directory.Read | Directory.Read_ex), Some o ->
+          (* the requester's own stale registration was dropped above *)
+          Stats.Counter.incr home.c_recalls;
+          await_copies t home entry ~kind ~requester block ~handler:h_recall
+            [ o ]
+      | Directory.Read, None ->
+          note_sharer t home entry requester;
+          deliver_grant t home ~requester block grant_shared
+      | Directory.Read_ex, None ->
+          grant_exclusive_to t home entry ~kind ~requester block
+      | Directory.Upgrade, _ ->
           if
             (not (Bitset.mem entry.Directory.sharers requester))
             && not entry.Directory.overflowed
@@ -351,26 +352,7 @@ let rec start_txn t home kind requester block =
             (* stale upgrade (our copy was invalidated or silently evicted
                while the request was in flight): serve a full write miss *)
             start_txn t home Directory.Read_ex requester block
-          else begin
-            let victims = inval_victims t home entry ~requester in
-            if victims = [] then begin
-              entry.Directory.owner <- Some requester;
-              clear_sharers entry;
-              deliver_grant t home ~requester block grant_upgrade
-            end
-            else begin
-              entry.Directory.busy <-
-                Some
-                  { Directory.kind; requester; acks_left = List.length victims };
-              List.iter
-                (fun s ->
-                  Ctrl.charge ctrl p.Params.dir_per_msg;
-                  send t ~src:home.id ~at:(Ctrl.clock ctrl) ~dst:s
-                    ~vnet:Message.Request ~handler:h_inval ~with_data:false
-                    [| block |])
-                victims
-            end
-          end)
+          else grant_exclusive_to t home entry ~kind ~requester block)
 
 let complete_txn t home block =
   let entry = Directory.entry home.dir ~block in
@@ -420,16 +402,11 @@ let finish_txn t home block (txn : Directory.txn) =
       note_sharer t home entry txn.Directory.requester;
       deliver_grant t home ~requester:txn.Directory.requester block
         grant_shared
-  | Directory.Read_ex ->
+  | Directory.Read_ex | Directory.Upgrade ->
       entry.Directory.owner <- Some txn.Directory.requester;
       clear_sharers entry;
       deliver_grant t home ~requester:txn.Directory.requester block
-        grant_exclusive
-  | Directory.Upgrade ->
-      entry.Directory.owner <- Some txn.Directory.requester;
-      clear_sharers entry;
-      deliver_grant t home ~requester:txn.Directory.requester block
-        grant_upgrade);
+        (exclusive_grant txn.Directory.kind));
   complete_txn t home block
   end
 
@@ -660,6 +637,12 @@ let entry_free n entry block =
   entry.Directory.busy = None
   && not (Inttbl.length n.wb_inflight > 0 && Inttbl.mem n.wb_inflight block)
 
+(* The directory knows of no copy of the block but [node]'s own. *)
+let sole_copy (entry : Directory.entry) node =
+  (not (Bitset.exists_except entry.Directory.sharers node))
+  && entry.Directory.owner = None
+  && not entry.Directory.overflowed
+
 let cpu_access t ~node th access vaddr =
   let n = t.nodes.(node) in
   Stats.Counter.incr n.c_accesses;
@@ -679,12 +662,7 @@ let cpu_access t ~node th access vaddr =
       (* upgrade *)
       Stats.Counter.incr n.c_upgrades;
       let entry = Directory.entry home.dir ~block in
-      if
-        local && entry_free n entry block
-        && (not (Bitset.exists_except entry.Directory.sharers node))
-        && entry.Directory.owner = None
-        && not entry.Directory.overflowed
-      then begin
+      if local && entry_free n entry block && sole_copy entry node then begin
         if dbg_on block then
           dbg block "t=%d cpu%d fastpath-upgrade" (Thread.clock th) node;
         Thread.advance th t.params.Params.upgrade;
@@ -708,12 +686,7 @@ let cpu_access t ~node th access vaddr =
             Stats.Counter.incr n.c_local_misses;
             Thread.advance th t.params.Params.local_miss;
             let state =
-              if
-                (not (Bitset.exists_except entry.Directory.sharers node))
-                && entry.Directory.owner = None
-                && not entry.Directory.overflowed
-              then Cache.Exclusive
-              else Cache.Shared
+              if sole_copy entry node then Cache.Exclusive else Cache.Shared
             in
             if state = Cache.Exclusive then begin
               entry.Directory.owner <- Some node;

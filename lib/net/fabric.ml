@@ -1,12 +1,16 @@
 module Stats = Tt_util.Stats
 
-(* In-flight messages are held in a second int-keyed heap mirroring the
-   engine's packed [(time, seq)] key, and one preallocated delivery closure
-   is scheduled per send.  When the k-th delivery event fires it pops the
-   k-th smallest inflight entry: both the engine queue and [inflight] sort
-   by (time, monotone insertion seq), so event and message pair up exactly
-   as if each send had captured its message in a fresh closure — but the
-   hot path allocates nothing. *)
+(* In-flight messages are held in a second int-keyed heap, keyed by
+   (delivery time, send seq), and one preallocated delivery closure is
+   scheduled per send; the hot path allocates nothing.  A delivery event
+   pops the smallest inflight entry, so the k-th delivery event to fire at
+   a cycle delivers the k-th message sent for that cycle, whatever order
+   the engine fires same-time events in.  Without a tie-break perturber
+   this matches a fresh closure per send.  Under torture salts it does
+   not: salts reorder same-time events, and per-send closures would let
+   them reorder one pair's messages.  Here same-time deliveries keep send
+   order, so the per-pair FIFO the protocols rely on survives every
+   perturbation. *)
 
 let seq_bits = 20
 

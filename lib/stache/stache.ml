@@ -223,11 +223,9 @@ let rec serve t (ep : Tempest.t) ~vaddr (bd : Dir.block_dir) client =
     in
     match bd.Dir.state, client with
     (* ---- no conflicting copies: grant immediately ---- *)
-    | Dir.Idle, Dir.Remote (_, `Up) ->
+    | Dir.Idle, Dir.Remote (r, `Up) ->
         (* stale upgrade: requester's copy vanished; serve as a write miss *)
-        (match client with
-        | Dir.Remote (r, _) -> grant t ep ~vaddr bd (Dir.Remote (r, `Rw))
-        | Dir.Home _ -> assert false)
+        grant t ep ~vaddr bd (Dir.Remote (r, `Rw))
     | Dir.Idle, _ -> grant t ep ~vaddr bd client
     | Dir.Shared, Dir.Remote (_, `Ro) -> grant t ep ~vaddr bd client
     | Dir.Shared, Dir.Home (res, Tag.Load) ->
@@ -300,9 +298,32 @@ let rec serve t (ep : Tempest.t) ~vaddr (bd : Dir.block_dir) client =
 and finish_pending t ep ~vaddr (bd : Dir.block_dir) =
   let pending = Option.get bd.Dir.pending in
   bd.Dir.pending <- None;
-  (match pending.Dir.client with
-  | Dir.Remote (_, _) | Dir.Home _ -> grant t ep ~vaddr bd pending.Dir.client);
+  grant t ep ~vaddr bd pending.Dir.client;
   drain_waiters t ep ~vaddr bd
+
+(* Complete a recall.  Home memory holds the block's only copy now, so an
+   upgrade needs data after all; a read leaves the block Shared, with
+   [joined] (the former owner, when it answered with its copy) a sharer. *)
+and finish_recall t ep ~vaddr (bd : Dir.block_dir) ~joined =
+  match bd.Dir.pending with
+  | None -> ()
+  | Some pending ->
+      bd.Dir.pending <- None;
+      let client =
+        match pending.Dir.client with
+        | Dir.Remote (r, `Up) -> Dir.Remote (r, `Rw)
+        | c -> c
+      in
+      (match client with
+      | Dir.Remote (_, `Ro) | Dir.Home (_, Tag.Load) ->
+          Sharers.clear bd.Dir.sharers;
+          (match joined with
+          | Some o -> Sharers.add bd.Dir.sharers o
+          | None -> ());
+          bd.Dir.state <- Dir.Shared
+      | Dir.Remote (_, (`Rw | `Up)) | Dir.Home (_, Tag.Store) -> ());
+      grant t ep ~vaddr bd client;
+      drain_waiters t ep ~vaddr bd
 
 and drain_waiters t ep ~vaddr bd =
   if bd.Dir.pending = None then
@@ -328,43 +349,43 @@ let on_get t (ep : Tempest.t) ~src ~args ~data:_ =
   let bd = Dir.block_of ep ~vaddr in
   serve t ep ~vaddr bd (Dir.Remote (src, kind))
 
+(* Take the request a [what] reply for [vaddr] answers: its suspended CPU,
+   or [None] for a prefetch. *)
+let take_pending t (ep : Tempest.t) ~vaddr what =
+  let ns = node_state t ep.Tempest.node in
+  match Inttbl.find_opt ns.pending_remote vaddr with
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Stache: node %d got %s for 0x%x with no request"
+           ep.Tempest.node what vaddr)
+  | Some pending ->
+      Inttbl.remove ns.pending_remote vaddr;
+      pending
+
+(* The reply has been applied: resume the waiting CPU, or count the
+   prefetch done. *)
+let arrived t (ep : Tempest.t) pending =
+  ep.Tempest.charge c_arrival_extra;
+  match pending with
+  | Some resumption -> ep.Tempest.resume resumption
+  | None -> Stats.Counter.incr t.c_prefetch_completed
+
 (* requester <- home: block data *)
 let on_data t (ep : Tempest.t) ~src:_ ~args ~data =
   let vaddr = args.(0) and rw = args.(1) = 1 in
   if dbg_on vaddr then
     dbg vaddr "data at node=%d rw=%b" ep.Tempest.node rw;
-  let ns = node_state t ep.Tempest.node in
-  match Inttbl.find_opt ns.pending_remote vaddr with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Stache: node %d got data for 0x%x with no request"
-           ep.Tempest.node vaddr)
-  | Some pending ->
-      Inttbl.remove ns.pending_remote vaddr;
-      ep.Tempest.force_write_block ~vaddr data;
-      (if rw then ep.Tempest.set_rw ~vaddr else ep.Tempest.set_ro ~vaddr);
-      ep.Tempest.charge c_arrival_extra;
-      (match pending with
-      | Some resumption -> ep.Tempest.resume resumption
-      | None -> Stats.Counter.incr t.c_prefetch_completed)
+  let pending = take_pending t ep ~vaddr "data" in
+  ep.Tempest.force_write_block ~vaddr data;
+  (if rw then ep.Tempest.set_rw ~vaddr else ep.Tempest.set_ro ~vaddr);
+  arrived t ep pending
 
 (* requester <- home: upgrade granted without data *)
 let on_upgrade_ok t (ep : Tempest.t) ~src:_ ~args ~data:_ =
   let vaddr = args.(0) in
-  let ns = node_state t ep.Tempest.node in
-  match Inttbl.find_opt ns.pending_remote vaddr with
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Stache: node %d got upgrade-ok for 0x%x with no request"
-           ep.Tempest.node vaddr)
-  | Some pending ->
-      Inttbl.remove ns.pending_remote vaddr;
-      ep.Tempest.set_rw ~vaddr;
-      ep.Tempest.charge c_arrival_extra;
-      (match pending with
-      | Some resumption -> ep.Tempest.resume resumption
-      | None -> Stats.Counter.incr t.c_prefetch_completed)
+  let pending = take_pending t ep ~vaddr "upgrade-ok" in
+  ep.Tempest.set_rw ~vaddr;
+  arrived t ep pending
 
 (* sharer <- home: drop your read-only copy *)
 let on_inval t (ep : Tempest.t) ~src ~args ~data:_ =
@@ -428,36 +449,7 @@ let on_recall_data t (ep : Tempest.t) ~src ~args ~data =
   touch_dir ep ~vaddr;
   ep.Tempest.charge c_ack_extra;
   if present then ep.Tempest.force_write_block ~vaddr data;
-  match bd.Dir.pending with
-  | None -> ()
-  | Some pending ->
-      bd.Dir.pending <- None;
-      (match pending.Dir.client with
-      | Dir.Remote (r, `Ro) ->
-          Sharers.clear bd.Dir.sharers;
-          if present then Sharers.add bd.Dir.sharers src;
-          Sharers.add bd.Dir.sharers r;
-          bd.Dir.state <- Dir.Shared;
-          ep.Tempest.set_ro ~vaddr;
-          ep.Tempest.downgrade ~vaddr;
-          send_data t ep ~vaddr ~dst:r ~rw:false
-      | Dir.Remote (r, (`Rw | `Up)) ->
-          send_data t ep ~vaddr ~dst:r ~rw:true;
-          Sharers.clear bd.Dir.sharers;
-          bd.Dir.state <- Dir.Remote_excl r;
-          ep.Tempest.invalidate ~vaddr
-      | Dir.Home (res, Tag.Load) ->
-          Sharers.clear bd.Dir.sharers;
-          if present then Sharers.add bd.Dir.sharers src;
-          bd.Dir.state <- Dir.Shared;
-          ep.Tempest.set_ro ~vaddr;
-          ep.Tempest.resume res
-      | Dir.Home (res, Tag.Store) ->
-          Sharers.clear bd.Dir.sharers;
-          bd.Dir.state <- Dir.Idle;
-          ep.Tempest.set_rw ~vaddr;
-          ep.Tempest.resume res);
-      drain_waiters t ep ~vaddr bd
+  finish_recall t ep ~vaddr bd ~joined:(if present then Some src else None)
 
 (* home <- replacing node: modified block flushed during page replacement *)
 let on_writeback t (ep : Tempest.t) ~src ~args ~data =
@@ -482,6 +474,15 @@ let on_noop _t (ep : Tempest.t) ~src:_ ~args:_ ~data:_ = ep.Tempest.charge 1
 (* Fault handlers                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Ask [vaddr]'s home for the block, leaving [waiter] (a suspended CPU, or
+   [None] for a prefetch) to be resumed by the reply. *)
+let request t (ep : Tempest.t) ~vaddr kind ~extra waiter =
+  ep.Tempest.set_busy ~vaddr;
+  Inttbl.replace (node_state t ep.Tempest.node).pending_remote vaddr waiter;
+  ep.Tempest.charge extra;
+  ep.Tempest.send ~dst:(home_of t ~vaddr) ~vnet:Message.Request
+    ~handler:t.h_get ~args:[| vaddr; kind_code kind |] ~data:Bytes.empty
+
 (* Block fault on a stached (remote) page: request the block from home. *)
 let remote_block_fault t (ep : Tempest.t) (fault : Tempest.fault) =
   let vaddr = Addr.block_base fault.Tempest.fault_vaddr in
@@ -505,15 +506,10 @@ let remote_block_fault t (ep : Tempest.t) (fault : Tempest.fault) =
       (Some fault.Tempest.fault_resumption)
   end
   else begin
-    let home = home_of t ~vaddr in
     (* the mapping-table lookup *)
     ep.Tempest.touch (Addr.page_of vaddr);
-    ep.Tempest.set_busy ~vaddr;
-    Inttbl.replace ns.pending_remote vaddr
-      (Some fault.Tempest.fault_resumption);
-    ep.Tempest.charge c_req_extra;
-    ep.Tempest.send ~dst:home ~vnet:Message.Request ~handler:t.h_get
-      ~args:[| vaddr; kind_code kind |] ~data:Bytes.empty
+    request t ep ~vaddr kind ~extra:c_req_extra
+      (Some fault.Tempest.fault_resumption)
   end
 
 (* Block fault on a home page: operate on the directory directly (§3). *)
@@ -688,12 +684,7 @@ let prefetch t ~th ~node ~vaddr kind =
       in
       if eligible then begin
         Stats.Counter.incr t.c_prefetch_issued;
-        let ep = System.endpoint t.sys node in
-        ep.Tempest.set_busy ~vaddr;
-        Inttbl.replace ns.pending_remote vaddr None;
-        let code = match kind with `Ro -> 0 | `Rw -> 1 in
-        ep.Tempest.send ~dst:(home_of t ~vaddr) ~vnet:Message.Request
-          ~handler:t.h_get ~args:[| vaddr; code |] ~data:Bytes.empty
+        request t (System.endpoint t.sys node) ~vaddr kind ~extra:0 None
       end)
 
 (* ------------------------------------------------------------------ *)
@@ -765,39 +756,17 @@ let post_chore t ~node f =
     ~at:(max (Tt_sim.Engine.now engine) (Tt_typhoon.Np.clock np))
     f
 
-(* Complete a recall transaction whose recall_data will never arrive (the
-   recalled owner died; home memory has been restored from a checkpoint).
-   This is [on_recall_data]'s pending branch minus the former owner's
-   bookkeeping — the former owner has no copy at all now. *)
-let complete_dead_recall t (ep : Tempest.t) ~vaddr (bd : Dir.block_dir) =
-  match bd.Dir.pending with
-  | None -> ()
-  | Some pending ->
-      bd.Dir.pending <- None;
-      (match pending.Dir.client with
-      | Dir.Remote (r, `Ro) ->
-          Sharers.clear bd.Dir.sharers;
-          Sharers.add bd.Dir.sharers r;
-          bd.Dir.state <- Dir.Shared;
-          ep.Tempest.set_ro ~vaddr;
-          ep.Tempest.downgrade ~vaddr;
-          send_data t ep ~vaddr ~dst:r ~rw:false
-      | Dir.Remote (r, (`Rw | `Up)) ->
-          send_data t ep ~vaddr ~dst:r ~rw:true;
-          Sharers.clear bd.Dir.sharers;
-          bd.Dir.state <- Dir.Remote_excl r;
-          ep.Tempest.invalidate ~vaddr
-      | Dir.Home (res, Tag.Load) ->
-          Sharers.clear bd.Dir.sharers;
-          bd.Dir.state <- Dir.Shared;
-          ep.Tempest.set_ro ~vaddr;
-          ep.Tempest.resume res
-      | Dir.Home (res, Tag.Store) ->
-          Sharers.clear bd.Dir.sharers;
-          bd.Dir.state <- Dir.Idle;
-          ep.Tempest.set_rw ~vaddr;
-          ep.Tempest.resume res);
-      drain_waiters t ep ~vaddr bd
+(* Re-fire a suspended CPU of [node] from an NP chore: it retries its
+   access against the current tags and mapping. *)
+let refire t ~node res =
+  Stats.Counter.incr t.c_reissued;
+  post_chore t ~node (fun () -> (System.endpoint t.sys node).Tempest.resume res)
+
+(* A node's outstanding requests in address order. *)
+let sorted_pending ns =
+  List.sort
+    (fun (a, _) (b, _) -> compare a b)
+    (Inttbl.fold (fun vaddr p acc -> (vaddr, p) :: acc) ns.pending_remote [])
 
 (* Re-home every page whose home died and repair every surviving
    directory that references the victim.  Runs synchronously inside the
@@ -861,6 +830,10 @@ let on_node_death t ~dead ~new_home ~restore =
      local bookkeeping (pending_remote, suspended CPUs in its own
      directories) is kept only for the victim's own rejoin — it is never
      read to reconstruct survivor state. *)
+  let strand res =
+    t.stranded <- (dead, res) :: t.stranded;
+    Stats.Counter.incr t.c_stranded
+  in
   let victim_pages = ref [] in
   Tt_mem.Pagemem.iter_pages dead_mem (fun vpage page ->
       victim_pages := (vpage, page) :: !victim_pages);
@@ -873,16 +846,10 @@ let on_node_death t ~dead ~new_home ~restore =
           Array.iter
             (fun bd ->
               (match bd.Dir.pending with
-              | Some { Dir.client = Dir.Home (res, _); _ } ->
-                  t.stranded <- (dead, res) :: t.stranded;
-                  Stats.Counter.incr t.c_stranded
+              | Some { Dir.client = Dir.Home (res, _); _ } -> strand res
               | Some _ | None -> ());
               Queue.iter
-                (function
-                  | Dir.Home (res, _) ->
-                      t.stranded <- (dead, res) :: t.stranded;
-                      Stats.Counter.incr t.c_stranded
-                  | Dir.Remote _ -> ())
+                (function Dir.Home (res, _) -> strand res | Dir.Remote _ -> ())
                 bd.Dir.waiters;
               Queue.clear bd.Dir.waiters;
               bd.Dir.pending <- None)
@@ -1057,7 +1024,8 @@ let on_node_death t ~dead ~new_home ~restore =
                       | Some o when o = dead ->
                           (* the recalled owner died with the only
                              up-to-date copy: restore the home copy, then
-                             complete as if recall_data had arrived *)
+                             complete as if recall_data had arrived, with
+                             no copy left at the former owner *)
                           restore_block ~vpage ~vaddr ~into_mem:hmem
                             ~why:"the recalled owner died holding the \
                                   modified copy";
@@ -1065,7 +1033,7 @@ let on_node_death t ~dead ~new_home ~restore =
                           Stats.Counter.incr t.c_repaired;
                           post_chore t ~node:home (fun () ->
                               let ep = System.endpoint t.sys home in
-                              complete_dead_recall t ep ~vaddr bd)
+                              finish_recall t ep ~vaddr bd ~joined:None)
                       | Some _ | None ->
                           (* the dead node may owe an invalidation ack:
                              inval targets are exactly the sharers minus
@@ -1098,13 +1066,6 @@ let on_node_death t ~dead ~new_home ~restore =
     if live n then begin
       let ns = node_state t n in
       let mem = System.node_mem t.sys n in
-      let entries =
-        List.sort
-          (fun (a, _) (b, _) -> compare a b)
-          (Inttbl.fold
-             (fun vaddr p acc -> (vaddr, p) :: acc)
-             ns.pending_remote [])
-      in
       List.iter
         (fun (vaddr, p) ->
           let vpage = Addr.page_of vaddr in
@@ -1116,14 +1077,10 @@ let on_node_death t ~dead ~new_home ~restore =
                  = mode_remote
             then Tt_mem.Pagemem.set_tag mem ~vaddr Tag.Invalid;
             match p with
-            | Some res ->
-                Stats.Counter.incr t.c_reissued;
-                post_chore t ~node:n (fun () ->
-                    let ep = System.endpoint t.sys n in
-                    ep.Tempest.resume res)
+            | Some res -> refire t ~node:n res
             | None -> () (* nonbinding prefetch: simply dropped *)
           end)
-        entries
+        (sorted_pending ns)
     end
   done
 
@@ -1139,11 +1096,7 @@ let on_node_rejoin t ~node =
   (* pages may have been re-homed (retyped in place) while the node was
      dark: drop the crash-era cached translation before any retry runs *)
   Tt_mem.Pagemem.invalidate_translation mem;
-  let entries =
-    List.sort
-      (fun (a, _) (b, _) -> compare a b)
-      (Inttbl.fold (fun vaddr p acc -> (vaddr, p) :: acc) ns.pending_remote [])
-  in
+  let entries = sorted_pending ns in
   Inttbl.reset ns.pending_remote;
   List.iter
     (fun (vaddr, p) ->
@@ -1151,25 +1104,13 @@ let on_node_rejoin t ~node =
          match Tt_mem.Pagemem.get_tag mem ~vaddr with
          | Tag.Busy -> Tt_mem.Pagemem.set_tag mem ~vaddr Tag.Invalid
          | Tag.Read_write | Tag.Read_only | Tag.Invalid -> ());
-      match p with
-      | Some res ->
-          Stats.Counter.incr t.c_reissued;
-          post_chore t ~node (fun () ->
-              let ep = System.endpoint t.sys node in
-              ep.Tempest.resume res)
-      | None -> ())
+      match p with Some res -> refire t ~node res | None -> ())
     entries;
   (* CPUs that were suspended inside the victim's own (now re-homed)
      directories when it died *)
   let mine, others = List.partition (fun (n, _) -> n = node) t.stranded in
   t.stranded <- others;
-  List.iter
-    (fun (_, res) ->
-      Stats.Counter.incr t.c_reissued;
-      post_chore t ~node (fun () ->
-          let ep = System.endpoint t.sys node in
-          ep.Tempest.resume res))
-    (List.rev mine)
+  List.iter (fun (_, res) -> refire t ~node res) (List.rev mine)
 
 (* ------------------------------------------------------------------ *)
 (* Invariant checking                                                  *)

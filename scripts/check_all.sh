@@ -14,11 +14,13 @@
 #    against scripts/expected/experiments.txt, a TT_DEBUG_BLOCK trace that
 #    must still reach stderr, and tt verify: every benchmark on every
 #    machine against its sequential oracle.
-# 3. Torture: the litmus smoke grid reports no SC violation; the guarded
-#    sabotage knob (TT_SABOTAGE=1) must fail it, be shrunk to a reproducer
-#    artifact, and that artifact must replay to the same violation; the
-#    sabotaged grid's table is byte-identical at --domains 0 and 4
-#    (sabotage is per machine, not a process global).
+# 3. Torture: the litmus smoke grid reports no SC violation, and its table
+#    (cycles, salted and faulted columns) is diffed byte for byte against
+#    scripts/expected/torture.txt; the guarded sabotage knob
+#    (TT_SABOTAGE=1) must fail it, be shrunk to a reproducer artifact, and
+#    that artifact must replay to the same violation; the sabotaged grid's
+#    table is byte-identical at --domains 0 and 4 (sabotage is per machine,
+#    not a process global).
 # 4. Recovery: the Stache and DirNNB recover grids are diffed byte for byte
 #    against scripts/expected/recover.txt (DirNNB's cells re-issue
 #    survivors' misses and re-send a rejoining node's), the tt faults
@@ -113,6 +115,10 @@ echo "== every benchmark verifies on every catalogue machine =="
 echo "==================== torture ===================="
 echo "== torture smoke grid =="
 "$TT" torture --smoke
+
+echo "== clean torture table =="
+"$TT" torture --smoke --no-shrink --table >"$tmp/torture.txt"
+diff -u scripts/expected/torture.txt "$tmp/torture.txt"
 
 echo "== sabotaged grid must be caught and shrunk =="
 if TT_SABOTAGE=1 "$TT" torture --smoke --out "$tmp/repro"; then

@@ -71,6 +71,21 @@ let test_fabric_pairwise_fifo () =
   Engine.run e;
   Alcotest.(check (list int)) "FIFO" [ 1; 2; 3 ] (List.rev !log)
 
+(* Same-cycle deliveries keep send order under a tie-break perturber: the
+   salts reorder the delivery events, but the k-th event to fire at a
+   cycle delivers the k-th message sent for it, so one pair's messages
+   stay FIFO.  Salts [200 - site] give the second send the smaller salt. *)
+let test_fabric_same_cycle_order_under_salts () =
+  let e, f = mk_fabric () in
+  Engine.set_tiebreak e (Some (fun site -> 200 - site));
+  let log = ref [] in
+  Fabric.set_receiver f ~node:1 (fun m -> log := m.Message.handler :: !log);
+  Fabric.send f ~at:10 (msg ~handler:1 ());
+  Fabric.send f ~at:10 (msg ~handler:2 ());
+  Engine.run e;
+  check_bool "salts were drawn" true (Engine.tiebreak_sites e >= 2);
+  Alcotest.(check (list int)) "send order" [ 1; 2 ] (List.rev !log)
+
 let test_fabric_stats () =
   let e, f = mk_fabric () in
   Fabric.set_receiver f ~node:1 (fun _ -> ());
@@ -764,6 +779,8 @@ let () =
           Alcotest.test_case "local short circuit" `Quick
             test_fabric_local_short_circuit;
           Alcotest.test_case "pairwise FIFO" `Quick test_fabric_pairwise_fifo;
+          Alcotest.test_case "same-cycle order under salts" `Quick
+            test_fabric_same_cycle_order_under_salts;
           Alcotest.test_case "traffic stats" `Quick test_fabric_stats;
           Alcotest.test_case "missing receiver" `Quick test_fabric_no_receiver;
           Alcotest.test_case "missing receiver names message" `Quick

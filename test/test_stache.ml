@@ -370,6 +370,134 @@ let test_recall_races_page_replacement () =
     (Stats.get (Stache.stats st) "writeback" >= 1);
   assert_invariants st
 
+(* ---------------- Crash repair of a waiting transaction ---------------- *)
+
+(* Word 0 of the checkpoint image the repair may restore the test page from. *)
+let restored = 7.5
+
+(* Node 1 takes a copy of a page homed on node 0 ([setup1] runs on node 1
+   after node 0 wrote 1.0 to word 0), then falls silent: its deliveries are
+   dropped from here on.  [blocked] runs on nodes 2 and 3 and must end up
+   waiting on a home transaction node 1 never answers — a recall of its
+   exclusive copy or an invalidation of its read-only one.  Node 1 is then
+   declared dead; the repair, given a checkpoint holding [restored] in word
+   0, must complete the transaction and drain what queued behind it.
+   Returns the machine for the caller's final checks. *)
+let crash_while_waiting ~setup1 ~blocked =
+  let engine, sys, st = mk () in
+  let va = ref 0 in
+  run_cpus engine
+    [|
+      (fun th ->
+        va :=
+          Stache.alloc st ~th ~node:0 ~home:0 ~bytes:Addr.page_size
+            ~align:Addr.page_size ();
+        System.cpu_write_f64 sys ~node:0 th !va 1.0;
+        Thread.yield th);
+      (fun th ->
+        Thread.advance th 2000;
+        Thread.yield th;
+        setup1 sys th !va);
+      (fun _ -> ()); (fun _ -> ());
+    |];
+  Tt_net.Reliable.set_receiver (System.net sys) ~node:1 (fun _ -> ());
+  let threads =
+    List.mapi
+      (fun i body ->
+        Thread.spawn engine ~name:(Printf.sprintf "cpu%d" (i + 2)) (fun th ->
+            body sys th !va))
+      blocked
+  in
+  Engine.run engine;
+  List.iter
+    (fun th -> check_bool "waits on node 1" false (Thread.finished th))
+    threads;
+  let snapshot = Bytes.make Addr.page_size '\000' in
+  Bytes.set_int64_le snapshot 0 (Int64.bits_of_float restored);
+  Stache.set_is_dead st (fun n -> n = 1);
+  Stache.on_node_death st ~dead:1 ~new_home:0 ~restore:(fun ~vpage ->
+      if vpage = Addr.page_of !va then Some snapshot else None);
+  check_bool "the home transaction was repaired" true
+    (Stats.get (Stache.stats st) "recovery.txns_repaired" >= 1);
+  Engine.run engine;
+  List.iter
+    (fun th -> check_bool "finished after the repair" true (Thread.finished th))
+    threads;
+  assert_invariants st;
+  (engine, sys, st, !va)
+
+let check_f64 = Alcotest.(check (float 0.0))
+
+(* The recalled owner dies holding the only modified copy: node 2's read
+   is granted the restored block, and node 3's read-modify-write, queued
+   behind the recall, is drained after it. *)
+let test_dead_owner_read_repaired () =
+  let seen2 = ref nan and seen3 = ref nan in
+  let engine, sys, st, va =
+    crash_while_waiting
+      ~setup1:(fun sys th va -> System.cpu_write_f64 sys ~node:1 th va 2.0)
+      ~blocked:
+        [
+          (fun sys th va -> seen2 := System.cpu_read_f64 sys ~node:2 th va);
+          (fun sys th va ->
+            Thread.advance th 500;
+            Thread.yield th;
+            seen3 := System.cpu_read_f64 sys ~node:3 th va;
+            System.cpu_write_f64 sys ~node:3 th va (!seen3 +. 1.0));
+        ]
+  in
+  check_f64 "node 2 reads the restored value" restored !seen2;
+  check_f64 "queued node 3 reads it too" restored !seen3;
+  let home = ref nan in
+  run_cpus engine
+    [| (fun th -> home := System.cpu_read_f64 sys ~node:0 th va) |];
+  check_f64 "home recalls node 3's increment" (restored +. 1.0) !home;
+  assert_invariants st
+
+(* As above with a write from node 2: the recall completes as an exclusive
+   grant of the restored block, and node 3's queued read recalls it. *)
+let test_dead_owner_write_repaired () =
+  let seen2 = ref nan and seen3 = ref nan in
+  let _ =
+    crash_while_waiting
+      ~setup1:(fun sys th va -> System.cpu_write_f64 sys ~node:1 th va 2.0)
+      ~blocked:
+        [
+          (fun sys th va ->
+            System.cpu_write_f64 sys ~node:2 th (va + 8) 5.0;
+            seen2 := System.cpu_read_f64 sys ~node:2 th va);
+          (fun sys th va ->
+            Thread.advance th 500;
+            Thread.yield th;
+            seen3 := System.cpu_read_f64 sys ~node:3 th (va + 8));
+        ]
+  in
+  check_f64 "node 2 writes over the restored block" restored !seen2;
+  check_f64 "queued node 3 reads node 2's write" 5.0 !seen3
+
+(* A dead sharer owed the last invalidation ack of node 2's write: the
+   repair completes the write, node 3's queued read follows it, and home
+   memory (current, as the block was shared) is not overwritten by the
+   checkpoint. *)
+let test_dead_sharer_ack_repaired () =
+  let seen2 = ref nan and seen3 = ref nan in
+  let _ =
+    crash_while_waiting
+      ~setup1:(fun sys th va -> ignore (System.cpu_read_f64 sys ~node:1 th va))
+      ~blocked:
+        [
+          (fun sys th va ->
+            System.cpu_write_f64 sys ~node:2 th (va + 8) 5.0;
+            seen2 := System.cpu_read_f64 sys ~node:2 th va);
+          (fun sys th va ->
+            Thread.advance th 500;
+            Thread.yield th;
+            seen3 := System.cpu_read_f64 sys ~node:3 th (va + 8));
+        ]
+  in
+  check_f64 "node 2 keeps home memory's value" 1.0 !seen2;
+  check_f64 "queued node 3 reads node 2's write" 5.0 !seen3
+
 (* ---------------- Randomized coherence oracle ---------------- *)
 
 let prop_random_coherence =
@@ -524,6 +652,15 @@ let () =
             test_message_count_for_clean_fetch;
           Alcotest.test_case "recall races page replacement" `Quick
             test_recall_races_page_replacement;
+        ] );
+      ( "crash",
+        [
+          Alcotest.test_case "dead recalled owner, read" `Quick
+            test_dead_owner_read_repaired;
+          Alcotest.test_case "dead recalled owner, write" `Quick
+            test_dead_owner_write_repaired;
+          Alcotest.test_case "dead sharer owes the last ack" `Quick
+            test_dead_sharer_ack_repaired;
         ] );
       ( "audit",
         [
